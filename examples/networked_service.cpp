@@ -1,15 +1,17 @@
 // A "deployment-shaped" walkthrough: a blocklist provider runs as a
 // service node behind a lossy wide-area transport, users discover its
 // parameters over the wire, sync the prefix list, and issue private
-// queries with retries — every message crossing the boundary in the
-// canonical binary wire format.
+// queries through the resilient client's retries — every message
+// crossing the boundary in the canonical binary wire format.
 //
 //   ./examples/networked_service
 #include <cstdio>
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
+#include "net/resilient_client.h"
 #include "net/service_node.h"
+#include "obs/clock.h"
 
 int main() {
   using namespace cbl;
@@ -33,27 +35,22 @@ int main() {
                                  oprf::Oracle::fast());
 
   // --- user process -----------------------------------------------------------
-  net::RemoteClientConfig client_cfg;
-  client_cfg.max_retries = 4;
-  net::RemoteBlocklistClient client(transport, "blocklist.example:443", rng,
-                                    client_cfg);
-  std::printf("discovered service: lambda=%u, oracle=%s, %llu entries, "
-              "epoch %llu\n",
-              client.info().lambda,
-              client.info().oracle_kind ? "argon2id" : "fast",
-              static_cast<unsigned long long>(client.info().entry_count),
-              static_cast<unsigned long long>(client.info().epoch));
-
-  if (client.sync_prefix_list()) {
-    std::printf("prefix list synced (%zu non-empty prefixes)\n",
-                server.prefix_list().size());
-  }
+  // The wallet embeds a ResilientClient: it discovers the service
+  // parameters, syncs the prefix list, and retries with backoff. Its
+  // virtual clock advances by each round trip and each backoff sleep.
+  obs::ManualClock clock;
+  net::ResilientClient client(transport, {"blocklist.example:443"}, rng,
+                              net::ResilienceConfig(), &clock);
+  std::printf("connected to %zu provider(s): parameters discovered and "
+              "prefix list synced over the lossy link\n",
+              client.connected_providers());
 
   // A wallet checking outgoing payments: mostly clean addresses, a few
   // known scams.
   auto wallet_rng = ChaChaRng::from_string_seed("wallet");
   int local = 0, online = 0, listed = 0;
-  double total_rtt = 0;
+  unsigned attempts = 0;
+  double total_latency = 0;
   for (int i = 0; i < 60; ++i) {
     const bool check_scam = i % 10 == 0;
     const std::string address =
@@ -61,26 +58,31 @@ int main() {
                    : blocklist::random_address(blocklist::Chain::kBitcoin,
                                                wallet_rng);
     const auto outcome = client.query(address);
-    if (outcome.kind != net::RemoteBlocklistClient::QueryOutcome::Kind::kOk) {
-      std::printf("query failed (%d attempts) — network trouble\n",
-                  outcome.attempts);
-      continue;
+    attempts += outcome.attempts;
+    if (outcome.freshness != net::Freshness::kFresh) {
+      std::printf("query answered %s after %u attempts — network trouble\n",
+                  net::to_string(outcome.freshness), outcome.attempts);
+      if (outcome.verdict == net::ResilientClient::Outcome::Verdict::kUnknown) {
+        continue;
+      }
     }
-    if (outcome.resolved_locally) {
-      ++local;
+    if (outcome.latency_ms == 0) {
+      ++local;  // decided by the prefix list: no wire time at all
     } else {
       ++online;
-      total_rtt += outcome.rtt_ms;
+      total_latency += outcome.latency_ms;
     }
-    if (outcome.listed) {
+    if (outcome.listed()) {
       ++listed;
       std::printf("BLOCKED payment to %s (known scam)\n", address.c_str());
     }
   }
 
-  std::printf("\n60 payment checks: %d resolved locally, %d online "
-              "(avg RTT %.0f ms), %d blocked\n",
-              local, online, online ? total_rtt / online : 0.0, listed);
+  std::printf("\n60 payment checks in %u attempts: %d resolved locally, "
+              "%d online (avg latency %.0f ms, retries included), "
+              "%d blocked\n",
+              attempts, local, online, online ? total_latency / online : 0.0,
+              listed);
   const auto& stats = transport.stats();
   std::printf("network: %llu calls, %llu drops ridden out by retries, "
               "%llu B up / %llu B down\n",
@@ -90,6 +92,6 @@ int main() {
               static_cast<unsigned long long>(stats.bytes_received));
   std::printf("\nThe provider never saw a plaintext address: only %u-bit "
               "prefixes and blinded points crossed the wire.\n",
-              client.info().lambda);
+              server.lambda());
   return 0;
 }

@@ -12,6 +12,7 @@
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
+#include "net/resilient_client.h"
 #include "net/service_node.h"
 #include "obs/obs.h"
 #include "voting/ceremony.h"
@@ -56,8 +57,7 @@ int main(int argc, char** argv) {
   net::BlocklistServiceNode node(transport, "blocklist.example:443", server,
                                  oprf::Oracle::fast());
 
-  net::RemoteBlocklistClient client(transport, "blocklist.example:443", rng);
-  client.sync_prefix_list();
+  net::ResilientClient client(transport, {"blocklist.example:443"}, rng);
 
   auto wallet_rng = ChaChaRng::from_string_seed("obs-demo-wallet");
   int blocked = 0;
@@ -66,11 +66,7 @@ int main(int argc, char** argv) {
         i % 12 == 0 ? corpus[static_cast<std::size_t>(i) * 5]
                     : blocklist::random_address(blocklist::Chain::kBitcoin,
                                                 wallet_rng);
-    const auto outcome = client.query(address);
-    if (outcome.kind == net::RemoteBlocklistClient::QueryOutcome::Kind::kOk &&
-        outcome.listed) {
-      ++blocked;
-    }
+    if (client.query(address).listed()) ++blocked;
   }
 
   // --- one decentralized evaluation ceremony -------------------------------

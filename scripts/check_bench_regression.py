@@ -37,7 +37,7 @@ _CONFIG_KEYS = (
     "simulated_clients", "unique_addresses", "listed_addresses", "zipf_s",
     "cache_hit_ratio", "prefix_local_ratio", "offered_qps",
     "queries_per_level", "service_ms", "max_inflight",
-    "transport_latency_ms", "lambda", "use_pipeline", "chaos",
+    "transport_latency_ms", "lambda", "chaos",
     "burst_threads", "burst_queries", "slo",
 )
 _MODEL_KEYS = (

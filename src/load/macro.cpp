@@ -91,7 +91,6 @@ std::string MacroReport::to_json() const {
          format_double(config.transport_latency_min_ms) + "," +
          format_double(config.transport_latency_max_ms) + "]";
   out += ",\"lambda\":" + std::to_string(config.lambda);
-  out += ",\"use_pipeline\":" + json_bool(config.use_pipeline);
   out += ",\"chaos\":" + json_bool(config.chaos);
   out += ",\"burst_threads\":" + std::to_string(config.burst_threads);
   out += ",\"burst_queries\":" + std::to_string(config.burst_queries);
@@ -163,19 +162,14 @@ MacroReport run_macro(const MacroConfig& config) {
   oprf::OprfServer server(oprf::Oracle::fast(), config.lambda, server_rng);
   server.setup(workload.listed());
 
-  std::optional<net::QueryPipeline> pipeline;
-  if (config.use_pipeline) {
-    net::PipelineOptions popts;
-    popts.shards = 1;
-    pipeline.emplace(server, popts);
-  }
+  net::QueryPipeline pipeline(server, net::PipelineOptions());
   net::NodeLimits limits;
   limits.service_ms = config.service_ms;
   limits.max_inflight = config.max_inflight;
   const std::string endpoint = "macro-node";
   net::BlocklistServiceNode node(transport, endpoint, server,
                                  oprf::Oracle::fast(), limits,
-                                 pipeline ? &*pipeline : nullptr);
+                                 &pipeline);
 
   std::optional<chaos::FaultInjector> injector;
   net::Channel* channel = &transport;
@@ -346,7 +340,7 @@ MacroReport run_macro(const MacroConfig& config) {
 
   // Real-time burst phase: threads hammering QueryPipeline::serve with
   // pre-serialized bodies — machine throughput, informational only.
-  if (pipeline && config.burst_threads > 0 && config.burst_queries > 0) {
+  if (config.burst_threads > 0 && config.burst_queries > 0) {
     oprf::OprfClient oprf_client(oprf::Oracle::fast(), config.lambda,
                                  burst_rng);
     std::vector<Bytes> bodies;
@@ -366,7 +360,7 @@ MacroReport run_macro(const MacroConfig& config) {
       workers.emplace_back([&, t] {
         for (std::size_t i = t; i < bodies.size();
              i += static_cast<std::size_t>(threads)) {
-          const auto result = pipeline->serve(bodies[i]);
+          const auto result = pipeline.serve(bodies[i]);
           if (result.status == net::Status::kOk) ++served_per_thread[t];
         }
       });

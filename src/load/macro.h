@@ -62,13 +62,12 @@ struct MacroConfig {
   double transport_latency_min_ms = 5.0;
   double transport_latency_max_ms = 25.0;
   std::uint32_t lambda = 16;  // prefix length, as in the chaos harness
-  bool use_pipeline = true;   // route queries through QueryPipeline
   /// Layer a mild chaos::FaultInjector over the transport (request
   /// drops + latency spikes). Off for the canonical trajectory run.
   bool chaos = false;
   /// Real-time burst phase: threads hammering QueryPipeline::serve
   /// directly to measure machine throughput. 0 threads or 0 queries
-  /// (or use_pipeline=false) skips the phase.
+  /// skips the phase.
   unsigned burst_threads = 4;
   std::size_t burst_queries = 1024;
 };

@@ -106,7 +106,7 @@ void QueryPipeline::run_batch(std::vector<Pending*>& batch) {
           break;
         case oprf::OprfServer::BatchOutcome::Status::kRateLimited:
           // Server-level rate limit (auth / query budget): the caller
-          // supplies its own hint, same as the unbatched node path.
+          // supplies its own hint (NodeLimits::retry_after_hint_ms).
           result.status = Status::kRateLimited;
           break;
       }

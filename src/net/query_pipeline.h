@@ -4,8 +4,9 @@
 // batched encode (one field inversion) instead of N. The first caller
 // to find a shard leaderless becomes the leader; everyone arriving
 // while a batch is in flight queues up and is served by the next drain.
-// An idle service degrades gracefully to batch size 1 — coalescing adds
-// latency only when there is contention to amortize.
+// Near idle, batches stay at size ~1 and the leader hand-off is the
+// only added wait (measured in DESIGN.md "Batched serving"). Every
+// BlocklistServiceNode serves its queries through a pipeline.
 //
 // Backpressure is shed-before-enqueue: a query arriving at a full shard
 // queue is refused with kRateLimited (plus a retry hint) without ever

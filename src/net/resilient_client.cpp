@@ -255,10 +255,8 @@ bool ResilientClient::ensure_connected(Provider& provider) {
     }
     return true;
   }
-  RemoteClientConfig config;
-  config.max_retries = 0;  // this layer owns retries
   try {
-    provider.client.emplace(channel_, provider.endpoint, rng_, config);
+    provider.client.emplace(channel_, provider.endpoint, rng_);
   } catch (const ProtocolError&) {
     return false;
   }

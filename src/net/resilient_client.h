@@ -2,7 +2,8 @@
 // actually embeds. The paper's query service is hit on every outgoing
 // transaction, so the client must survive the full WAN failure menu —
 // flaky links, slow providers, crashed nodes, rate-limit storms —
-// without ever inventing a membership verdict.
+// without ever inventing a membership verdict. It is the only layer
+// that retries: RemoteBlocklistClient makes one channel call per request.
 //
 // Policy stack, outermost first:
 //   deadline    — every logical query has a virtual-time budget; an

@@ -145,7 +145,11 @@ BlocklistServiceNode::BlocklistServiceNode(Transport& transport,
       server_(server),
       oracle_(oracle),
       limits_(limits),
-      pipeline_(pipeline),
+      owned_pipeline_(pipeline != nullptr
+                          ? nullptr
+                          : std::make_unique<QueryPipeline>(
+                                server, PipelineOptions())),
+      pipeline_(pipeline != nullptr ? pipeline : owned_pipeline_.get()),
       publisher_(publisher) {
   auto& registry = obs::MetricsRegistry::global();
   const auto request_counter = [&](const char* method) {
@@ -314,45 +318,21 @@ Bytes BlocklistServiceNode::handle_query(ByteView body,
   }
   timing.service_ms = limits_.service_ms;
 
-  Status status = Status::kBadRequest;
-  Bytes resp_body;
+  // The pipeline parses, coalesces with other in-flight queries, and
+  // hands back the serialized response. The crypto stage includes time
+  // blocked on the shared batch.
   const auto crypto_begin = std::chrono::steady_clock::now();
-  if (pipeline_ != nullptr) {
-    // Batched serving path: the pipeline parses, coalesces with other
-    // in-flight queries, and hands back the serialized response. The
-    // crypto stage here includes time blocked on the shared batch.
-    auto result = pipeline_->serve(body);
-    status = result.status;
-    resp_body = std::move(result.body);
-    if (status == Status::kRateLimited) {
-      const std::uint32_t hint = result.retry_after_ms != 0
-                                     ? result.retry_after_ms
-                                     : limits_.retry_after_hint_ms;
-      if (hint > 0) resp_body = retry_after_body(hint);
-    }
-  } else {
-    const auto request = oprf::parse_query_request(body);
-    if (!request) {
-      status = Status::kBadRequest;
-    } else {
-      try {
-        const auto response = server_.handle(*request);
-        resp_body = oprf::serialize(response);
-        status = Status::kOk;
-      } catch (const ProtocolError&) {
-        // Rate limit / auth failures surface as a distinct status so the
-        // client can back off instead of retrying.
-        status = Status::kRateLimited;
-        if (limits_.retry_after_hint_ms > 0) {
-          resp_body = retry_after_body(limits_.retry_after_hint_ms);
-        }
-      }
-    }
+  auto result = pipeline_->serve(body);
+  if (result.status == Status::kRateLimited) {
+    const std::uint32_t hint = result.retry_after_ms != 0
+                                   ? result.retry_after_ms
+                                   : limits_.retry_after_hint_ms;
+    if (hint > 0) result.body = retry_after_body(hint);
   }
   timing.crypto_ns =
       elapsed_ns(crypto_begin, std::chrono::steady_clock::now());
   stage_crypto_ns_->inc(timing.crypto_ns);
-  return finish(status, resp_body);
+  return finish(result.status, result.body);
 }
 
 Bytes BlocklistServiceNode::handle_tlog(Method method, ByteView body) {
@@ -404,9 +384,8 @@ Bytes BlocklistServiceNode::handle_tlog(Method method, ByteView body) {
 }
 
 RemoteBlocklistClient::RemoteBlocklistClient(Channel& channel,
-                                             std::string endpoint, Rng& rng,
-                                             RemoteClientConfig config)
-    : channel_(channel), endpoint_(std::move(endpoint)), config_(config) {
+                                             std::string endpoint, Rng& rng)
+    : channel_(channel), endpoint_(std::move(endpoint)) {
   auto& registry = obs::MetricsRegistry::global();
   const auto outcome_counter = [&](const char* kind) {
     return &registry.counter("cbl_net_client_outcomes_total",
@@ -434,8 +413,7 @@ RemoteBlocklistClient::RemoteBlocklistClient(Channel& channel,
   sync_bytes_full_ = sync_bytes_counter("full");
 
   const Bytes frame = {static_cast<std::uint8_t>(Method::kInfo)};
-  unsigned attempts = 0;
-  const auto result = call_with_retry(frame, &attempts);
+  const auto result = channel_.call(endpoint_, frame);
   if (!result.delivered) {
     throw ProtocolError("RemoteBlocklistClient: service info unavailable");
   }
@@ -460,25 +438,13 @@ RemoteBlocklistClient::RemoteBlocklistClient(Channel& channel,
   client_.emplace(oracle, info_.lambda, rng);
 }
 
-CallResult RemoteBlocklistClient::call_with_retry(ByteView frame,
-                                                  unsigned* attempts) {
-  CallResult result;
-  for (unsigned attempt = 0; attempt <= config_.max_retries; ++attempt) {
-    *attempts = attempt + 1;
-    result = channel_.call(endpoint_, frame);
-    if (result.delivered) return result;
-  }
-  return result;
-}
-
 std::optional<Bytes> RemoteBlocklistClient::call_tlog(Method method,
                                                       ByteView body,
                                                       bool* transport_failed) {
   *transport_failed = false;
   Bytes frame = {static_cast<std::uint8_t>(method)};
   append(frame, body);
-  unsigned attempts = 0;
-  const auto result = call_with_retry(frame, &attempts);
+  const auto result = channel_.call(endpoint_, frame);
   if (!result.delivered) {
     *transport_failed = true;
     return std::nullopt;
@@ -614,8 +580,7 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
 
 bool RemoteBlocklistClient::sync_prefix_list() {
   const Bytes frame = {static_cast<std::uint8_t>(Method::kPrefixList)};
-  unsigned attempts = 0;
-  const auto result = call_with_retry(frame, &attempts);
+  const auto result = channel_.call(endpoint_, frame);
   if (!result.delivered) return false;
   const auto response = parse_response_frame(result.response);
   if (!response || response->status != Status::kOk) return false;
@@ -658,7 +623,7 @@ RemoteBlocklistClient::QueryOutcome RemoteBlocklistClient::query_uncounted(
   Bytes frame = {static_cast<std::uint8_t>(Method::kQuery)};
   append(frame, oprf::serialize(prepared.request));
 
-  const auto result = call_with_retry(frame, &outcome.attempts);
+  const auto result = channel_.call(endpoint_, frame);
   outcome.rtt_ms = result.rtt_ms;
   if (!result.delivered) {
     outcome.kind = QueryOutcome::Kind::kUnreachable;

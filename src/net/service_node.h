@@ -1,8 +1,9 @@
 // The deployable faces of the query service: a node that exposes an
 // OprfServer over the transport, and a remote client that speaks the
-// binary protocol with retry handling. Frames are a 1-byte method tag
-// followed by the message body; responses are a 1-byte status followed
-// by the body and a 4-byte keyed-BLAKE2b integrity checksum.
+// binary protocol, one call per request (ResilientClient layers retries,
+// backoff, hedging and breakers on top of it). Frames are a 1-byte
+// method tag followed by the message body; responses are a 1-byte status
+// followed by the body and a 4-byte keyed-BLAKE2b integrity checksum.
 //
 // The checksum stands in for the record integrity TLS provides in a
 // real deployment: it makes channel corruption (bit flips, truncation)
@@ -14,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "net/transport.h"
 #include "oprf/client.h"
@@ -125,11 +127,11 @@ struct QueryStageTiming {
 /// endpoint down again, so a destroyed node is unreachable (drops) — the
 /// crash half of crash-restart — rather than a dangling handler.
 ///
-/// With a QueryPipeline attached, admitted queries are delegated to the
-/// pipeline's batched serving path (coalesced crypto, pipeline-level
-/// shedding) instead of calling OprfServer::handle inline; node-level
-/// admission (NodeLimits) still runs first, so shed load never reaches
-/// the pipeline. The pipeline must outlive the node.
+/// Admitted queries are served through a QueryPipeline (coalesced
+/// crypto, pipeline-level shedding): the one passed in, which several
+/// nodes may share and which must outlive them, or else a
+/// default-options pipeline the node owns. Node-level admission
+/// (NodeLimits) runs first, so shed load never reaches the pipeline.
 class BlocklistServiceNode {
  public:
   /// With a publisher attached the node serves the kTlog* methods; a
@@ -173,7 +175,8 @@ class BlocklistServiceNode {
   oprf::OprfServer& server_;
   oprf::Oracle oracle_;
   NodeLimits limits_;
-  QueryPipeline* pipeline_;  // optional batched serving path; not owned
+  std::unique_ptr<QueryPipeline> owned_pipeline_;  // when none was passed
+  QueryPipeline* pipeline_;  // the serving path: shared or owned_pipeline_
   tlog::EpochPublisher* publisher_;  // optional transparency log; not owned
   double busy_until_ms_ = 0.0;  // virtual-time end of the service queue
   StageHook stage_hook_;        // optional per-query timing observer
@@ -195,22 +198,17 @@ class BlocklistServiceNode {
   obs::Histogram* queue_wait_ms_;
 };
 
-/// Retry policy for the remote client.
-struct RemoteClientConfig {
-  unsigned max_retries = 3;
-};
-
 /// Client side: discovers the service parameters over the wire, then
-/// issues private queries with bounded retries on transport loss. Takes
-/// any Channel, so the same client runs over a bare Transport or a
+/// issues private queries, one channel call each. A lost call surfaces
+/// as kUnreachable; retrying is ResilientClient's job. Takes any
+/// Channel, so the same client runs over a bare Transport or a
 /// chaos-wrapped one.
 class RemoteBlocklistClient {
  public:
   /// Fetches ServiceInfo from the node and constructs a matching local
   /// OPRF client (same oracle, same lambda). Throws ProtocolError if the
   /// service is unreachable or speaks garbage.
-  RemoteBlocklistClient(Channel& channel, std::string endpoint, Rng& rng,
-                        RemoteClientConfig config = RemoteClientConfig());
+  RemoteBlocklistClient(Channel& channel, std::string endpoint, Rng& rng);
 
   struct QueryOutcome {
     enum class Kind { kOk, kUnreachable, kMalformed, kRateLimited };
@@ -218,7 +216,6 @@ class RemoteBlocklistClient {
     bool listed = false;
     bool resolved_locally = false;
     double rtt_ms = 0.0;
-    unsigned attempts = 0;
     /// Server backoff hint carried by kRateLimited responses; 0 if none.
     std::uint32_t retry_after_ms = 0;
   };
@@ -226,7 +223,7 @@ class RemoteBlocklistClient {
   QueryOutcome query(std::string_view address);
 
   /// Downloads and installs the prefix list (enables the local fast
-  /// path). Returns false if the transfer failed after retries.
+  /// path). Returns false if the transfer failed.
   bool sync_prefix_list();
 
   /// Outcome of one verified_sync pass, with the failure classified for
@@ -271,7 +268,6 @@ class RemoteBlocklistClient {
 
  private:
   QueryOutcome query_uncounted(std::string_view address);
-  CallResult call_with_retry(ByteView frame, unsigned* attempts);
   /// One tlog method call; returns the response BODY on kOk, nullopt on
   /// transport failure or non-kOk status (`*transport_failed` says
   /// which).
@@ -280,7 +276,6 @@ class RemoteBlocklistClient {
 
   Channel& channel_;
   std::string endpoint_;
-  RemoteClientConfig config_;
   ServiceInfo info_;
   std::optional<oprf::OprfClient> client_;
   // Query outcomes by kind (cbl_net_client_outcomes_total), so

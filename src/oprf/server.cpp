@@ -199,60 +199,11 @@ void OprfServer::rebuild(unsigned num_threads) {
 }
 
 QueryResponse OprfServer::handle(const QueryRequest& request) {
-  auto& registry = obs::MetricsRegistry::global();
-  const bool observing = registry.enabled();
-  if (rate_limiting_.load(std::memory_order_acquire)) {
-    MutexLock limiter_lock(limiter_mutex_);
-    const auto it = authorized_.find(request.api_key);
-    if (it == authorized_.end() || !it->second) {
-      metrics_.queries_rate_limited->inc();
-      throw ProtocolError("OprfServer: unauthorized api key");
-    }
-    if (++window_counts_[request.api_key] > max_per_window_) {
-      metrics_.queries_rate_limited->inc();
-      throw ProtocolError("OprfServer: rate limit exceeded");
-    }
+  auto outcome = evaluate_batch(std::span<const QueryRequest>(&request, 1));
+  if (outcome[0].status != BatchOutcome::Status::kOk) {
+    throw ProtocolError(outcome[0].error);
   }
-  ReaderMutexLock lock(data_mutex_);
-  if (request.prefix >> lambda_ != 0) {
-    metrics_.queries_bad_request->inc();
-    throw ProtocolError("OprfServer: prefix out of range for lambda");
-  }
-  const auto masked = ec::RistrettoPoint::decode(request.masked_query);
-  if (!masked) {
-    metrics_.queries_bad_request->inc();
-    throw ProtocolError("OprfServer: malformed masked query");
-  }
-
-  const std::uint64_t t0 = observing ? registry.clock().now_ns() : 0;
-  QueryResponse response;
-  const ec::RistrettoPoint evaluated = *masked * mask_;
-  response.evaluated = evaluated.encode();
-  response.epoch = epoch_;
-  if (request.want_evaluation_proof) {
-    MutexLock rng_lock(rng_mutex_);
-    response.evaluation_proof = nizk::DleqProof::prove(
-        ec::RistrettoPoint::base(), key_commitment_, *masked, evaluated,
-        mask_.expose_secret(), kEvalProofDomain, rng_);
-  }
-  if (observing) {
-    metrics_.eval_ms->observe(
-        static_cast<double>(registry.clock().now_ns() - t0) / 1e6);
-  }
-  metrics_.queries_ok->inc();
-
-  if (request.cached_epoch == epoch_) {
-    response.bucket_omitted = true;
-    metrics_.buckets_omitted->inc();
-    return response;
-  }
-  metrics_.buckets_served->inc();
-  const auto it = buckets_.find(request.prefix);
-  if (it != buckets_.end()) {
-    response.bucket = it->second.blinded;
-    response.metadata = it->second.metadata;
-  }
-  return response;
+  return std::move(outcome[0].response);
 }
 
 std::vector<OprfServer::BatchOutcome> OprfServer::evaluate_batch(
@@ -272,8 +223,8 @@ std::vector<OprfServer::BatchOutcome> OprfServer::evaluate_batch(
   };
 
   if (rate_limiting_.load(std::memory_order_acquire)) {
-    // One limiter pass for the whole batch, with the same per-request
-    // accounting handle() performs.
+    // One limiter pass for the whole batch, each request counted
+    // against its key's window as if it had arrived alone.
     MutexLock limiter_lock(limiter_mutex_);
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const auto it = authorized_.find(requests[i].api_key);
@@ -479,7 +430,7 @@ std::vector<std::size_t> OprfServer::bucket_sizes() const {
 void OprfServer::enable_rate_limiting(std::uint32_t max_queries_per_window) {
   MutexLock limiter_lock(limiter_mutex_);
   max_per_window_ = max_queries_per_window;
-  // Release store pairs with the acquire load in handle()/evaluate_batch:
+  // Release store pairs with the acquire load in evaluate_batch:
   // the window bound above is visible before any limiter pass runs.
   rate_limiting_.store(true, std::memory_order_release);
 }

@@ -32,7 +32,7 @@ namespace cbl::oprf {
 /// extension, Section IV-B "Support for metadata query").
 using MetadataProvider = std::function<Bytes(const std::string& entry)>;
 
-// Thread safety: handle() and the read accessors may run concurrently
+// Thread safety: queries and the read accessors may run concurrently
 // from many threads (the "considerable amount of users simultaneously"
 // goal); maintenance operations (setup / rotate_key / add_entries /
 // remove_entries / set_metadata_provider) take the write lock and may
@@ -69,28 +69,29 @@ class OprfServer {
     return entry_index_.contains(entry);
   }
 
-  /// Online evaluation (stage 3 of Fig. 2). Throws ProtocolError on
-  /// malformed queries or rate-limit violations.
+  /// Online evaluation (stage 3 of Fig. 2) of a single query: a
+  /// one-element evaluate_batch. Throws ProtocolError (with the outcome's
+  /// error text) on malformed queries or rate-limit violations.
   QueryResponse handle(const QueryRequest& request)
       CBL_EXCLUDES(data_mutex_, limiter_mutex_, rng_mutex_);
 
-  /// Per-request outcome of evaluate_batch: handle()'s ProtocolError
-  /// exits mapped to statuses so one bad request cannot abort a batch.
+  /// Per-request outcome of evaluate_batch, so one bad request cannot
+  /// abort a batch.
   struct BatchOutcome {
     enum class Status : std::uint8_t { kOk, kBadRequest, kRateLimited };
     Status status = Status::kBadRequest;
-    /// The what() of the ProtocolError handle() would have thrown; empty
-    /// on kOk.
+    /// Why the request was refused; empty on kOk.
     std::string error;
     QueryResponse response;  // populated only when status == kOk
   };
 
-  /// Batched online evaluation, semantically identical to calling
-  /// handle() per element — same responses byte-for-byte, same rate-limit
-  /// accounting and validation outcomes — but all evaluations share one
-  /// batched encode (RistrettoPoint::double_and_encode_batch over
-  /// masked_i * (R/2)), paying a single field inversion for the whole
-  /// batch instead of one inverse square root per query.
+  /// The online evaluation. Each request is rate-limited, validated and
+  /// answered independently — a batch of n yields the same bytes as n
+  /// one-element batches, apart from the fresh randomness in evaluation
+  /// proofs — but all evaluations share one batched encode
+  /// (RistrettoPoint::double_and_encode_batch over masked_i * (R/2)),
+  /// paying a single field inversion for the whole batch instead of one
+  /// inverse square root per query.
   std::vector<BatchOutcome> evaluate_batch(
       std::span<const QueryRequest> requests)
       CBL_EXCLUDES(data_mutex_, limiter_mutex_, rng_mutex_);
@@ -164,7 +165,7 @@ class OprfServer {
 
   // --- Rate limiting (authorized keys) -----------------------------------
   // All limiter maintenance locks limiter_mutex_ so it is safe against a
-  // concurrent handle()/evaluate_batch limiter pass.
+  // concurrent evaluate_batch limiter pass.
   void enable_rate_limiting(std::uint32_t max_queries_per_window)
       CBL_EXCLUDES(limiter_mutex_);
   void authorize_key(const std::string& key) CBL_EXCLUDES(limiter_mutex_);

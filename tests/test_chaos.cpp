@@ -30,7 +30,6 @@
 #include "chaos/chaos.h"
 #include "chaos/fault_fs.h"
 #include "common/rng.h"
-#include "net/query_pipeline.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
 #include "obs/clock.h"
@@ -67,12 +66,10 @@ class ChaosWorld {
  public:
   ChaosWorld(FaultPlan plan, std::vector<std::string> endpoints,
              ResilienceConfig config = ResilienceConfig(),
-             net::NodeLimits limits = net::NodeLimits(),
-             bool use_pipeline = false)
+             net::NodeLimits limits = net::NodeLimits())
       : plan_(std::move(plan)),
         endpoints_(std::move(endpoints)),
         limits_(limits),
-        use_pipeline_(use_pipeline),
         query_rng_(ChaChaRng::from_string_seed(
             plan_.name + "/traffic/" + std::to_string(plan_.seed))),
         transport_(net::TransportConfig{.latency_ms_min = 1.0,
@@ -94,7 +91,6 @@ class ChaosWorld {
     fs_.resize(endpoints_.size());
     epoch_logs_.resize(endpoints_.size());
     servers_.resize(endpoints_.size());
-    pipelines_.resize(endpoints_.size());
     nodes_.resize(endpoints_.size());
     for (std::size_t i = 0; i < endpoints_.size(); ++i) {
       start_node(i);
@@ -221,13 +217,8 @@ class ChaosWorld {
     servers_[i]->set_epoch_listener(
         [log = &*epoch_logs_[i]](std::uint64_t epoch) { log->note(epoch); });
     servers_[i]->setup(listed_);
-    net::QueryPipeline* pipeline = nullptr;
-    if (use_pipeline_) {
-      pipelines_[i].emplace(*servers_[i], net::PipelineOptions{});
-      pipeline = &*pipelines_[i];
-    }
     nodes_[i].emplace(transport_, endpoints_[i], *servers_[i],
-                      oprf::Oracle::fast(), limits_, pipeline);
+                      oprf::Oracle::fast(), limits_);
   }
 
   static std::uint64_t fault_counter(const char* kind) {
@@ -249,7 +240,6 @@ class ChaosWorld {
   FaultPlan plan_;
   std::vector<std::string> endpoints_;
   net::NodeLimits limits_;
-  bool use_pipeline_ = false;
   obs::ManualClock clock_;
   ChaChaRng corpus_rng_ = ChaChaRng::from_string_seed("chaos-corpus");
   ChaChaRng server_rng_ = ChaChaRng::from_string_seed("chaos-server");
@@ -266,9 +256,6 @@ class ChaosWorld {
   std::deque<store::MemFs> fs_;
   std::deque<std::optional<store::EpochLog>> epoch_logs_;
   std::deque<std::optional<oprf::OprfServer>> servers_;
-  // Declared before nodes_ so each node (which may hold a pipeline
-  // pointer) is destroyed before the pipeline it points at.
-  std::deque<std::optional<net::QueryPipeline>> pipelines_;
   std::deque<std::optional<net::BlocklistServiceNode>> nodes_;
   FaultInjector injector_;
   std::optional<ResilientClient> client_;
@@ -470,8 +457,7 @@ TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
   net::NodeLimits limits;
   limits.service_ms = 30.0;
   limits.max_inflight = 2;
-  ChaosWorld world(plan, {"alpha", "beta"}, ResilienceConfig(), limits,
-                   /*use_pipeline=*/true);
+  ChaosWorld world(plan, {"alpha", "beta"}, ResilienceConfig(), limits);
 
   const auto s = world.run(chaos_queries(), /*inter_arrival_ms=*/1.0);
   // The batched serving path changes throughput, never answers: no

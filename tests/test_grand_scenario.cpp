@@ -11,9 +11,12 @@
 //      receipt against the sealed block's Merkle root.
 #include <gtest/gtest.h>
 
+#include <iostream>
+
 #include "blocklist/generator.h"
 #include "cbl.h"
 #include "common/rng.h"
+#include "net/resilient_client.h"
 
 namespace cbl {
 namespace {
@@ -75,17 +78,18 @@ TEST(GrandScenario, EndToEnd) {
   net::Transport transport(tcfg, rng);
   net::BlocklistServiceNode node(transport, "honest.example", honest.server(),
                                  honest.oracle());
-  net::RemoteClientConfig ccfg;
-  ccfg.max_retries = 8;
-  net::RemoteBlocklistClient remote(transport, "honest.example", rng, ccfg);
-  ASSERT_TRUE(remote.sync_prefix_list());
+  net::ResilientClient remote(transport, {"honest.example"}, rng);
+  ASSERT_EQ(remote.sync(), 1u);
 
   // Listed entries across whatever chains the feed produced...
   int listed_found = 0;
+  unsigned queries = 0;
+  unsigned attempts = 0;
   for (std::size_t i = 0; i < feed.size(); i += 61) {
     const auto outcome = remote.query(feed[i].address);
-    if (outcome.kind == net::RemoteBlocklistClient::QueryOutcome::Kind::kOk &&
-        outcome.listed) {
+    ++queries;
+    attempts += outcome.attempts;
+    if (outcome.freshness == net::Freshness::kFresh && outcome.listed()) {
       ++listed_found;
     }
   }
@@ -97,10 +101,13 @@ TEST(GrandScenario, EndToEnd) {
         blocklist::Chain::kRipple, blocklist::Chain::kBitcoinSegwit}) {
     const auto addr = blocklist::random_address(chain_kind, rng);
     const auto outcome = remote.query(addr);
-    ASSERT_EQ(outcome.kind, net::RemoteBlocklistClient::QueryOutcome::Kind::kOk)
-        << addr;
-    EXPECT_FALSE(outcome.listed) << addr;
+    ++queries;
+    attempts += outcome.attempts;
+    ASSERT_EQ(outcome.freshness, net::Freshness::kFresh) << addr;
+    EXPECT_FALSE(outcome.listed()) << addr;
   }
+  std::cout << "[grand] " << queries << " queries over 10% loss took "
+            << attempts << " attempts\n";
 
   // Verifiable OPRF directly against the server (pinned commitment).
   {

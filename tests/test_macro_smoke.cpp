@@ -111,8 +111,8 @@ TEST(MacroSmoke, TrajectoryIsCorrectShedsUnderOverloadAndReplays) {
         "\"listed_addresses\":", "\"zipf_s\":", "\"cache_hit_ratio\":",
         "\"prefix_local_ratio\":", "\"offered_qps\":",
         "\"queries_per_level\":", "\"service_ms\":", "\"max_inflight\":",
-        "\"transport_latency_ms\":", "\"lambda\":", "\"use_pipeline\":",
-        "\"chaos\":", "\"slo\":", "\"p99_ms\":", "\"max_shed_rate\":",
+        "\"transport_latency_ms\":", "\"lambda\":", "\"chaos\":",
+        "\"slo\":", "\"p99_ms\":", "\"max_shed_rate\":",
         "\"max_unavailable_rate\":", "\"model\":",
         "\"sustained_qps_at_slo\":", "\"p50_ms\":", "\"p999_ms\":",
         "\"shed_rate\":", "\"wrong_verdicts\":", "\"freshness\":",

@@ -3,6 +3,9 @@
 // retries under loss, rate-limit surfacing, and hostile-node behaviour.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
 #include "blocklist/generator.h"
 #include "common/rng.h"
 #include "net/resilient_client.h"
@@ -83,20 +86,19 @@ TEST_F(NetTest, RetriesRideOutPacketLoss) {
   auto transport = make_transport(/*drop_rate=*/0.4);
   BlocklistServiceNode node(transport, "scamdb", *server_,
                             oprf::Oracle::fast());
-  RemoteClientConfig cfg;
-  cfg.max_retries = 10;
-  RemoteBlocklistClient client(transport, "scamdb", client_rng_, cfg);
+  ResilientClient client(transport, {"scamdb"}, client_rng_);
 
-  int ok = 0;
+  int fresh = 0;
   for (int i = 0; i < 20; ++i) {
     const auto outcome = client.query(corpus_[static_cast<std::size_t>(i)]);
-    if (outcome.kind == RemoteBlocklistClient::QueryOutcome::Kind::kOk) {
-      EXPECT_TRUE(outcome.listed);
-      ++ok;
+    if (outcome.freshness == Freshness::kFresh) {
+      EXPECT_TRUE(outcome.listed());
+      ++fresh;
     }
   }
-  // With 10 retries at 40% loss, effectively everything gets through.
-  EXPECT_GE(ok, 19);
+  // The default attempt budget rides out 40% loss: effectively
+  // everything gets through.
+  EXPECT_GE(fresh, 19);
   EXPECT_GT(transport.stats().drops, 0u);
 }
 
@@ -110,9 +112,7 @@ TEST_F(NetTest, ZeroRetriesSurfacesUnreachable) {
   auto transport = make_transport(/*drop_rate=*/1.0);
   BlocklistServiceNode node(transport, "scamdb", *server_,
                             oprf::Oracle::fast());
-  RemoteClientConfig cfg;
-  cfg.max_retries = 2;
-  EXPECT_THROW(RemoteBlocklistClient(transport, "scamdb", client_rng_, cfg),
+  EXPECT_THROW(RemoteBlocklistClient(transport, "scamdb", client_rng_),
                ProtocolError);
 }
 
@@ -486,9 +486,7 @@ TEST_F(NetTest, RateLimitedRoundTripCarriesRetryAfterHint) {
   limits.retry_after_hint_ms = 750;
   auto node = std::make_optional<BlocklistServiceNode>(
       transport, "scamdb", *server_, oprf::Oracle::fast(), limits);
-  RemoteClientConfig cfg;
-  cfg.max_retries = 0;
-  RemoteBlocklistClient client(transport, "scamdb", client_rng_, cfg);
+  RemoteBlocklistClient client(transport, "scamdb", client_rng_);
   client.set_api_key("k");
 
   const auto first = client.query(corpus_[0]);
@@ -508,6 +506,85 @@ TEST_F(NetTest, RateLimitedRoundTripCarriesRetryAfterHint) {
   EXPECT_EQ(kind_counter("unreachable")->value(), unreachable_before + 1);
 }
 
+/// Rewrites the request inside every kQuery frame before forwarding it,
+/// so a well-behaved client can be made to send an invalid query.
+class QueryTamperingChannel final : public Channel {
+ public:
+  QueryTamperingChannel(Channel& inner,
+                        std::function<void(oprf::QueryRequest&)> tamper)
+      : inner_(inner), tamper_(std::move(tamper)) {}
+
+  CallResult call(const std::string& endpoint, ByteView frame) override {
+    const auto parsed = parse_request_frame(frame);
+    if (!parsed || parsed->method != Method::kQuery) {
+      return inner_.call(endpoint, frame);
+    }
+    auto request = oprf::parse_query_request(parsed->body);
+    if (!request) return inner_.call(endpoint, frame);
+    tamper_(*request);
+    Bytes rewritten = {static_cast<std::uint8_t>(Method::kQuery)};
+    append(rewritten, oprf::serialize(*request));
+    return inner_.call(endpoint, rewritten);
+  }
+
+ private:
+  Channel& inner_;
+  std::function<void(oprf::QueryRequest&)> tamper_;
+};
+
+// Regression: a node built without a pipeline used to answer every
+// ProtocolError from OprfServer::handle as kRateLimited, retry-after hint
+// attached — so a query that can never succeed told the client to back
+// off and try again. Invalid queries are kBadRequest with no body.
+TEST_F(NetTest, InvalidQueriesAreBadRequestNotRateLimited) {
+  using Kind = RemoteBlocklistClient::QueryOutcome::Kind;
+  auto& registry = obs::MetricsRegistry::global();
+  auto& bad_request =
+      registry.counter("cbl_net_responses_total", {{"status", "bad_request"}});
+  auto& rate_limited = registry.counter("cbl_net_responses_total",
+                                        {{"status", "rate_limited"}});
+
+  auto transport = make_transport();
+  NodeLimits limits;
+  limits.retry_after_hint_ms = 750;
+  BlocklistServiceNode node(transport, "scamdb", *server_,
+                            oprf::Oracle::fast(), limits);
+
+  const std::vector<std::pair<const char*,
+                              std::function<void(oprf::QueryRequest&)>>>
+      invalid = {
+          {"non-canonical point",
+           [](oprf::QueryRequest& r) { r.masked_query.fill(0xff); }},
+          {"prefix >= 2^lambda",
+           [](oprf::QueryRequest& r) { r.prefix = 1u << 5; }},  // lambda 5
+      };
+  for (const auto& [what, tamper] : invalid) {
+    SCOPED_TRACE(what);
+    oprf::OprfClient oprf_client(oprf::Oracle::fast(), 5, client_rng_);
+    auto request = oprf_client.prepare(corpus_[0]).request;
+    tamper(request);
+    Bytes frame = {static_cast<std::uint8_t>(Method::kQuery)};
+    append(frame, oprf::serialize(request));
+
+    const auto bad_before = bad_request.value();
+    const auto limited_before = rate_limited.value();
+    const auto result = transport.call("scamdb", frame);
+    ASSERT_TRUE(result.delivered);
+    const auto response = parse_response_frame(result.response);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, Status::kBadRequest);
+    EXPECT_TRUE(response->body.empty());  // no retry-after hint
+    EXPECT_EQ(bad_request.value(), bad_before + 1);
+    EXPECT_EQ(rate_limited.value(), limited_before);
+
+    QueryTamperingChannel channel(transport, tamper);
+    RemoteBlocklistClient client(channel, "scamdb", client_rng_);
+    const auto outcome = client.query(corpus_[0]);
+    EXPECT_EQ(outcome.kind, Kind::kMalformed);
+    EXPECT_EQ(outcome.retry_after_ms, 0u);
+  }
+}
+
 // The bounded in-flight budget sheds excess queries with kRateLimited
 // instead of queuing unboundedly, and admits again once the virtual-time
 // backlog drains.
@@ -523,9 +600,7 @@ TEST_F(NetTest, OverloadSheddingBoundsTheQueueThenRecovers) {
   limits.max_inflight = 2;
   BlocklistServiceNode node(transport, "scamdb", *server_,
                             oprf::Oracle::fast(), limits);
-  RemoteClientConfig cfg;
-  cfg.max_retries = 0;
-  RemoteBlocklistClient client(transport, "scamdb", client_rng_, cfg);
+  RemoteBlocklistClient client(transport, "scamdb", client_rng_);
   const auto shed_before =
       registry.counter("cbl_net_shed_total", {{"endpoint", "scamdb"}})
           .value();
