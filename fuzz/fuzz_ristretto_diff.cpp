@@ -2,6 +2,10 @@
 // elements: RistrettoPoint::decode / Scalar::from_canonical_bytes versus
 // ec::WireReader's point()/scalar(). Both must accept exactly the same
 // byte strings, agree on the decoded value, and re-encode canonically.
+// Inputs of 64 bytes or more also drive the scalar-multiplication ladder:
+// bytes 32..63, reduced mod l, multiply the decoded point (the base point
+// when bytes 0..31 do not decode), and the result must match a plain
+// double-and-add and a one-term multiscalar_mul.
 // Also covers from_hex/to_hex (the text-facing byte codec).
 #include <algorithm>
 #include <array>
@@ -15,6 +19,23 @@
 #include "fuzz/harness.h"
 
 using namespace cbl;
+
+namespace {
+
+// s * P by double-and-add over the 256 bits of s, built only from
+// operator+.
+ec::RistrettoPoint naive_mul(const ec::RistrettoPoint& p,
+                             const ec::Scalar& s) {
+  const auto bytes = s.to_bytes();
+  ec::RistrettoPoint acc = ec::RistrettoPoint::identity();
+  for (std::size_t bit = 256; bit-- > 0;) {
+    acc = acc + acc;
+    if ((bytes[bit / 8] >> (bit % 8)) & 1) acc = acc + p;
+  }
+  return acc;
+}
+
+}  // namespace
 
 CBL_FUZZ_TARGET(cbl_fuzz_ristretto_diff) {
   if (size >= 32) {
@@ -37,6 +58,18 @@ CBL_FUZZ_TARGET(cbl_fuzz_ristretto_diff) {
     if (canonical) {
       CBL_FUZZ_CHECK(via_scalar == *canonical);
       CBL_FUZZ_CHECK(canonical->to_bytes() == enc);
+    }
+
+    if (size >= 64) {
+      std::array<std::uint8_t, 32> scalar_bytes{};
+      std::copy_n(data + 32, 32, scalar_bytes.begin());
+      const ec::Scalar s = ec::Scalar::from_bytes_mod_order(scalar_bytes);
+      const ec::RistrettoPoint p =
+          direct ? *direct : ec::RistrettoPoint::base();
+      const auto product = (p * s).encode();
+      CBL_FUZZ_CHECK(product == naive_mul(p, s).encode());
+      CBL_FUZZ_CHECK(product ==
+                     ec::RistrettoPoint::multiscalar_mul({s}, {p}).encode());
     }
   }
 

@@ -248,6 +248,27 @@ int main(int argc, char** argv) {
   write("fuzz_ristretto_diff", "invalid-point", invalid);
   write("fuzz_ristretto_diff", "scalar",
         ByteView(ec::Scalar::random(rng).to_bytes()));
+  // Ladder seeds (point || scalar): the all-8s nibble pattern, whose
+  // radix-16 carry ripples through every digit, and l - 1. No DRBG draws,
+  // so the sections after this one keep their bytes.
+  const auto ladder_seed = [](const ec::RistrettoPoint& p,
+                              const ec::Scalar& s) {
+    const auto point = p.encode();
+    const auto scalar = s.to_bytes();
+    Bytes out(point.begin(), point.end());
+    out.insert(out.end(), scalar.begin(), scalar.end());
+    return out;
+  };
+  std::array<std::uint8_t, 32> nibble8;
+  nibble8.fill(0x88);
+  nibble8[31] = 0x08;
+  write("fuzz_ristretto_diff", "ladder-nibble8",
+        ladder_seed(ec::RistrettoPoint::base(),
+                    ec::Scalar::from_bytes_mod_order(nibble8)));
+  write("fuzz_ristretto_diff", "ladder-l-minus-1",
+        ladder_seed(ec::RistrettoPoint::hash_to_group(to_bytes("ladder"),
+                                                      "cbl-corpus"),
+                    ec::Scalar::zero() - ec::Scalar::one()));
   write("fuzz_ristretto_diff", "hex", std::string_view("deadbeef"));
   write("fuzz_ristretto_diff", "hex-upper", std::string_view("DEADBEEF"));
   write("fuzz_ristretto_diff", "hex-odd", std::string_view("abc"));

@@ -5,7 +5,7 @@
 //
 //  * `expose_secret()` — a taint-PRESERVING borrow. The value is still
 //    secret; the borrow exists so constant-time backends (ct_equal,
-//    fixed-window scalar mults, NIZK provers) can consume the bytes.
+//    radix-16 scalar mults, NIZK provers) can consume the bytes.
 //    scripts/secret_flow_lint.py keeps tracking the value after this call.
 //  * `reveal_for("reason")` — a DECLASSIFICATION. The copy it returns is
 //    public from here on; the call routes through ct::declassify so every

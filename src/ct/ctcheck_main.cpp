@@ -121,6 +121,16 @@ std::vector<Check> audited_checks() {
     sink(out.data(), out.size());
   }});
 
+  checks.push_back({"scalar_invert", [](Rng& rng) {
+    // 1/r unblinds the OPRF output: only the fixed public exponent l - 2
+    // may shape the Montgomery-domain ladder, never r itself.
+    ec::Scalar r = ec::Scalar::random(rng);
+    auto rb = r.to_bytes();
+    ct::SecretScope scope(rb.data(), rb.size());
+    const auto out = r.invert().to_bytes();
+    sink(out.data(), out.size());
+  }});
+
   checks.push_back({"scalar_from_wide", [](Rng& rng) {
     std::array<std::uint8_t, 64> wide{};
     rng.fill(wide.data(), wide.size());

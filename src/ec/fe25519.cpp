@@ -20,6 +20,36 @@ constexpr u64 k16P[5] = {
     (kMask51 - 18) << 4,  // 16 * (2^51 - 19)
     kMask51 << 4, kMask51 << 4, kMask51 << 4, kMask51 << 4};
 
+// x^(2^k): k successive squarings.
+Fe25519 pow2k(Fe25519 x, int k) noexcept {
+  for (int i = 0; i < k; ++i) x = x.square();
+  return x;
+}
+
+// The shared prefix of invert() and pow_p58(): x^(2^250 - 1), plus the
+// x^11 that invert() also needs. This is the ref10 addition chain; names
+// say which power of x each step holds, x_a_b = x^(2^a - 2^b). The
+// schedule is fixed, so the trace is the same for every input.
+struct Pow22501 {
+  Fe25519 x_250_0;
+  Fe25519 x11;
+};
+
+Pow22501 pow22501(const Fe25519& x) noexcept {
+  const Fe25519 x2 = x.square();
+  const Fe25519 x9 = pow2k(x2, 2) * x;
+  const Fe25519 x11 = x9 * x2;
+  const Fe25519 x_5_0 = x11.square() * x9;
+  const Fe25519 x_10_0 = pow2k(x_5_0, 5) * x_5_0;
+  const Fe25519 x_20_0 = pow2k(x_10_0, 10) * x_10_0;
+  const Fe25519 x_40_0 = pow2k(x_20_0, 20) * x_20_0;
+  const Fe25519 x_50_0 = pow2k(x_40_0, 10) * x_10_0;
+  const Fe25519 x_100_0 = pow2k(x_50_0, 50) * x_50_0;
+  const Fe25519 x_200_0 = pow2k(x_100_0, 100) * x_100_0;
+  const Fe25519 x_250_0 = pow2k(x_200_0, 50) * x_50_0;
+  return Pow22501{x_250_0, x11};
+}
+
 }  // namespace
 
 Fe25519 Fe25519::from_u64(u64 v) noexcept {
@@ -141,27 +171,11 @@ Fe25519 Fe25519::operator*(const Fe25519& o) const noexcept {
 
 Fe25519 Fe25519::square() const noexcept { return *this * *this; }
 
-Fe25519 Fe25519::pow(const std::array<std::uint8_t, 32>& e) const noexcept {
-  Fe25519 result = one();
-  // Left-to-right binary exponentiation over the 255 meaningful bits. All
-  // callers pass fixed public exponents (p-2, (p-5)/8, (p-1)/4), so the
-  // per-bit branch is on public data. ct:public
-  for (int bit = 254; bit >= 0; --bit) {
-    result = result.square();
-    if ((e[static_cast<std::size_t>(bit / 8)] >> (bit % 8)) & 1) {
-      result = result * *this;
-    }
-  }
-  return result;
-}
-
 Fe25519 Fe25519::invert() const noexcept {
-  // p - 2 = 2^255 - 21, little endian: eb ff .. ff 7f.
-  std::array<std::uint8_t, 32> e;
-  e.fill(0xff);
-  e[0] = 0xeb;
-  e[31] = 0x7f;
-  return pow(e);
+  // p - 2 = 2^255 - 21 = (2^250 - 1) * 2^5 + 11: 254 squarings and 11
+  // multiplications in all.
+  const Pow22501 c = pow22501(*this);
+  return pow2k(c.x_250_0, 5) * c.x11;
 }
 
 void Fe25519::batch_invert(std::span<Fe25519> elems) noexcept {
@@ -205,12 +219,8 @@ void Fe25519::batch_invert(std::span<Fe25519> elems) noexcept {
 }
 
 Fe25519 Fe25519::pow_p58() const noexcept {
-  // (p - 5) / 8 = 2^252 - 3, little endian: fd ff .. ff 0f.
-  std::array<std::uint8_t, 32> e;
-  e.fill(0xff);
-  e[0] = 0xfd;
-  e[31] = 0x0f;
-  return pow(e);
+  // (p - 5) / 8 = 2^252 - 3 = (2^250 - 1) * 2^2 + 1.
+  return pow2k(pow22501(*this).x_250_0, 2) * *this;
 }
 
 bool Fe25519::is_negative() const noexcept {
@@ -250,14 +260,12 @@ void Fe25519::wipe() noexcept {
 }
 
 const Fe25519& Fe25519::sqrt_m1() noexcept {
-  // sqrt(-1) = 2^((p-1)/4); normalize to the non-negative root, matching
-  // the ristretto255 specification constant.
+  // sqrt(-1) = 2^((p-1)/4), and (p-1)/4 = 2 * (p-5)/8 + 1; normalize to
+  // the non-negative root, matching the ristretto255 specification
+  // constant.
   static const Fe25519 v = [] {
-    std::array<std::uint8_t, 32> e;  // (p-1)/4 = 2^253 - 5: fb ff .. ff 1f
-    e.fill(0xff);
-    e[0] = 0xfb;
-    e[31] = 0x1f;
-    return from_u64(2).pow(e).abs();
+    const Fe25519 two = from_u64(2);
+    return (two.pow_p58().square() * two).abs();
   }();
   return v;
 }

@@ -42,7 +42,8 @@ class Fe25519 {
 
   Fe25519 square() const noexcept;
 
-  /// Multiplicative inverse via Fermat (x^(p-2)); inverse of zero is zero.
+  /// Multiplicative inverse via Fermat (x^(p-2), evaluated by a fixed
+  /// addition chain); inverse of zero is zero.
   Fe25519 invert() const noexcept;
 
   /// Inverts every element in place with Montgomery's trick: one Fermat
@@ -90,7 +91,6 @@ class Fe25519 {
                              std::uint64_t l4) noexcept
       : limbs_{l0, l1, l2, l3, l4} {}
 
-  Fe25519 pow(const std::array<std::uint8_t, 32>& exponent_le) const noexcept;
   void weak_reduce() noexcept;
 
   std::uint64_t limbs_[5];

@@ -48,7 +48,121 @@ const Fe25519& invsqrt_a_minus_d() noexcept {
   return v;
 }
 
+const Fe25519& two_d() noexcept {
+  static const Fe25519 v = Fe25519::edwards_d() + Fe25519::edwards_d();
+  return v;
+}
+
+// Signed radix-16 recoding: s = sum digits[i] * 16^i with every digit in
+// [-8, 8). Each nibble above 7 borrows 16 from the next one up; the carry
+// is computed by an arithmetic shift, not a branch. Scalars are < l <
+// 2^253, so the top digit ends in [0, 2] and needs no further carry.
+std::array<std::int8_t, 64> radix16(const Scalar& s) noexcept {
+  std::array<std::uint8_t, 32> bytes = s.to_bytes();
+  std::array<std::int8_t, 64> digits;  // ct:secret
+  for (std::size_t i = 0; i < 32; ++i) {
+    digits[2 * i] = static_cast<std::int8_t>(bytes[i] & 0x0f);
+    digits[2 * i + 1] = static_cast<std::int8_t>(bytes[i] >> 4);
+  }
+  for (std::size_t i = 0; i < 63; ++i) {
+    const std::int8_t carry = static_cast<std::int8_t>((digits[i] + 8) >> 4);
+    digits[i] = static_cast<std::int8_t>(digits[i] - (carry << 4));
+    digits[i + 1] = static_cast<std::int8_t>(digits[i + 1] + carry);
+  }
+  secure_wipe(bytes);
+  return digits;
+}
+
+// All-ones iff a == b, for a, b < 2^63, without a compare: (a ^ b) - 1
+// wraps to a top-bit-set value only when a ^ b is zero.
+std::uint64_t eq_mask(std::uint64_t a, std::uint64_t b) noexcept {
+  return 0 - (((a ^ b) - 1) >> 63);
+}
+
 }  // namespace
+
+// (Y+X, Y-X, Z, 2dT): the addend form of the unified addition, with the
+// sums and the multiplication by 2d hoisted out of every addition.
+struct RistrettoPoint::Cached {
+  Fe25519 y_plus_x, y_minus_x, z, t2d;
+
+  void cmov(const Cached& o, std::uint64_t mask) noexcept {
+    y_plus_x.cmov(o.y_plus_x, mask);
+    y_minus_x.cmov(o.y_minus_x, mask);
+    z.cmov(o.z, mask);
+    t2d.cmov(o.t2d, mask);
+  }
+
+  // -P swaps Y+X with Y-X and negates T.
+  Cached operator-() const noexcept {
+    return Cached{y_minus_x, y_plus_x, z, -t2d};
+  }
+
+  // {1P, 2P, ..., 8P}: the table both scalar multiplications index by
+  // |digit| - 1.
+  static std::array<Cached, 8> multiples(const RistrettoPoint& p) noexcept;
+};
+
+// ((X:Z), (Y:T)): x = X/Z, y = Y/T. Leaving the last four products undone
+// lets a doubling chain skip the one (T) it never reads.
+struct RistrettoPoint::Completed {
+  Fe25519 x, y, z, t;
+
+  RistrettoPoint to_extended() const noexcept {
+    return RistrettoPoint(x * t, y * z, z * t, x * y);
+  }
+  Projective to_projective() const noexcept;
+};
+
+struct RistrettoPoint::Projective {
+  Fe25519 x, y, z;
+
+  // dbl-2008-bbjlp with a = -1; reads only X, Y, Z.
+  Completed doubled() const noexcept {
+    const Fe25519 xx = x.square();
+    const Fe25519 yy = y.square();
+    const Fe25519 zz2 = z.square() + z.square();
+    const Fe25519 yy_plus_xx = yy + xx;
+    const Fe25519 yy_minus_xx = yy - xx;
+    return Completed{(x + y).square() - yy_plus_xx, yy_plus_xx, yy_minus_xx,
+                     zz2 - yy_minus_xx};
+  }
+};
+
+RistrettoPoint::Projective RistrettoPoint::Completed::to_projective()
+    const noexcept {
+  return Projective{x * t, y * z, z * t};
+}
+
+RistrettoPoint::Cached RistrettoPoint::to_cached() const noexcept {
+  return Cached{y_ + x_, y_ - x_, z_, t_ * two_d()};
+}
+
+RistrettoPoint::Completed RistrettoPoint::add(const Cached& q) const noexcept {
+  // Unified addition in extended coordinates (add-2008-hwcd-3, a = -1).
+  const Fe25519 pp = (y_ + x_) * q.y_plus_x;
+  const Fe25519 mm = (y_ - x_) * q.y_minus_x;
+  const Fe25519 tt2d = t_ * q.t2d;
+  const Fe25519 zz = z_ * q.z;
+  const Fe25519 zz2 = zz + zz;
+  return Completed{pp - mm, pp + mm, zz2 + tt2d, zz2 - tt2d};
+}
+
+std::array<RistrettoPoint::Cached, 8> RistrettoPoint::Cached::multiples(
+    const RistrettoPoint& p) noexcept {
+  std::array<Cached, 8> table;
+  table[0] = p.to_cached();
+  for (std::size_t j = 1; j < 8; ++j) {
+    table[j] = p.add(table[j - 1]).to_extended().to_cached();
+  }
+  return table;
+}
+
+RistrettoPoint RistrettoPoint::mul_by_16() const noexcept {
+  Projective p{x_, y_, z_};
+  for (int i = 0; i < 3; ++i) p = p.doubled().to_projective();
+  return p.doubled().to_extended();
+}
 
 RistrettoPoint::RistrettoPoint() noexcept
     : x_(Fe25519::zero()),
@@ -229,31 +343,7 @@ RistrettoPoint RistrettoPoint::hash_to_group(
 }
 
 RistrettoPoint RistrettoPoint::operator+(const RistrettoPoint& o) const noexcept {
-  // Unified addition in extended coordinates (add-2008-hwcd-3, a = -1).
-  static const Fe25519 two_d = Fe25519::edwards_d() + Fe25519::edwards_d();
-
-  const Fe25519 a = (y_ - x_) * (o.y_ - o.x_);
-  const Fe25519 b = (y_ + x_) * (o.y_ + o.x_);
-  const Fe25519 c = t_ * two_d * o.t_;
-  const Fe25519 d = (z_ + z_) * o.z_;
-  const Fe25519 e = b - a;
-  const Fe25519 f = d - c;
-  const Fe25519 g = d + c;
-  const Fe25519 h = b + a;
-  return RistrettoPoint(e * f, g * h, f * g, e * h);
-}
-
-RistrettoPoint RistrettoPoint::dbl() const noexcept {
-  // dbl-2008-hwcd, a = -1.
-  const Fe25519 a = x_.square();
-  const Fe25519 b = y_.square();
-  const Fe25519 c = z_.square() + z_.square();
-  const Fe25519 d = -a;
-  const Fe25519 e = (x_ + y_).square() - a - b;
-  const Fe25519 g = d + b;
-  const Fe25519 f = g - c;
-  const Fe25519 h = d - b;
-  return RistrettoPoint(e * f, g * h, f * g, e * h);
+  return add(o.to_cached()).to_extended();
 }
 
 RistrettoPoint RistrettoPoint::operator-() const noexcept {
@@ -261,47 +351,36 @@ RistrettoPoint RistrettoPoint::operator-() const noexcept {
 }
 
 RistrettoPoint RistrettoPoint::operator-(const RistrettoPoint& o) const noexcept {
-  return *this + (-o);
-}
-
-void RistrettoPoint::cmov(const RistrettoPoint& o,
-                          std::uint64_t mask) noexcept {
-  x_.cmov(o.x_, mask);
-  y_.cmov(o.y_, mask);
-  z_.cmov(o.z_, mask);
-  t_.cmov(o.t_, mask);
-}
-
-RistrettoPoint RistrettoPoint::table_select(const RistrettoPoint table[16],
-                                            std::uint8_t index) noexcept {
-  // Full-table scan with cmov: every entry is touched on every call, so
-  // neither the branch pattern nor the data-cache footprint depends on the
-  // (secret) index.
-  RistrettoPoint r = table[0];
-  for (unsigned i = 1; i < 16; ++i) {
-    r.cmov(table[i], cbl::ct_mask_u64(i == index));
-  }
-  return r;
+  return add(-o.to_cached()).to_extended();
 }
 
 RistrettoPoint RistrettoPoint::operator*(const Scalar& s) const noexcept {
-  // 4-bit fixed-window left-to-right: table[i] = i * P. The scalar is
-  // routinely secret (OPRF mask, blinding factor, VRF key), so window
-  // digits index the table via the constant-time scan, never directly.
-  RistrettoPoint table[16];
-  table[0] = identity();
-  table[1] = *this;
-  for (int i = 2; i < 16; ++i) table[i] = table[i - 1] + *this;
+  // The scalar is routinely secret (OPRF mask, blinding factor, VRF
+  // key), so each digit reaches the table only through select's full
+  // scan, and the double/add schedule below is the same for every scalar.
+  const std::array<Cached, 8> table = Cached::multiples(*this);
 
-  const auto bytes = s.to_bytes();
-  RistrettoPoint acc = identity();
-  for (int i = 31; i >= 0; --i) {
-    const std::uint8_t byte = bytes[static_cast<std::size_t>(i)];
-    acc = acc.dbl().dbl().dbl().dbl();
-    acc = acc + table_select(table, byte >> 4);
-    acc = acc.dbl().dbl().dbl().dbl();
-    acc = acc + table_select(table, byte & 0x0f);
+  // |digit| * P by cmov over every entry (identity when digit = 0), then
+  // a cmov negation when digit < 0.
+  const auto select = [&table](std::int8_t digit) noexcept {
+    const std::uint64_t neg_mask =  // ct:secret
+        static_cast<std::uint64_t>(std::int64_t{digit} >> 63);
+    const std::uint64_t abs_digit =  // ct:secret
+        (static_cast<std::uint64_t>(std::int64_t{digit}) ^ neg_mask) - neg_mask;
+    Cached r{Fe25519::one(), Fe25519::one(), Fe25519::one(), Fe25519::zero()};
+    for (std::size_t j = 0; j < 8; ++j) {
+      r.cmov(table[j], eq_mask(abs_digit, j + 1));
+    }
+    r.cmov(-r, neg_mask);
+    return r;
+  };
+
+  std::array<std::int8_t, 64> digits = radix16(s);  // ct:secret
+  RistrettoPoint acc = identity().add(select(digits[63])).to_extended();
+  for (std::size_t i = 63; i-- > 0;) {
+    acc = acc.mul_by_16().add(select(digits[i])).to_extended();
   }
+  secure_wipe(digits);
   return acc;
 }
 
@@ -320,27 +399,28 @@ RistrettoPoint RistrettoPoint::multiscalar_mul(
   if (scalars.size() != points.size()) {
     throw std::invalid_argument("multiscalar_mul: size mismatch");
   }
-  // Shared-doubling (interleaved) evaluation: one doubling chain for all
-  // terms instead of one per term. Variable-time BY DESIGN: this path
-  // only runs on public data (NIZK/DLEQ verification, tally checks);
-  // secret scalars must use operator*. ct:public
-  std::vector<std::array<RistrettoPoint, 16>> tables(points.size());
+  // Shared-doubling (interleaved) evaluation over signed radix-16
+  // digits: one doubling chain for all terms instead of one per term.
+  // Variable-time BY DESIGN: this path only runs on public data
+  // (NIZK/DLEQ verification, tally checks); secret scalars must use
+  // operator*. ct:public
+  std::vector<std::array<Cached, 8>> tables(points.size());
+  std::vector<std::array<std::int8_t, 64>> recoded(scalars.size());
   for (std::size_t k = 0; k < points.size(); ++k) {
-    tables[k][0] = identity();
-    tables[k][1] = points[k];
-    for (int i = 2; i < 16; ++i) tables[k][i] = tables[k][i - 1] + points[k];
+    tables[k] = Cached::multiples(points[k]);
+    recoded[k] = radix16(scalars[k]);
   }
-  std::vector<std::array<std::uint8_t, 32>> bytes(scalars.size());
-  for (std::size_t k = 0; k < scalars.size(); ++k) bytes[k] = scalars[k].to_bytes();
 
   RistrettoPoint acc = identity();
-  for (int i = 31; i >= 0; --i) {
-    for (int half = 1; half >= 0; --half) {  // high nibble first
-      acc = acc.dbl().dbl().dbl().dbl();
-      for (std::size_t k = 0; k < scalars.size(); ++k) {
-        const std::uint8_t byte = bytes[k][static_cast<std::size_t>(i)];
-        const std::uint8_t nibble = half ? byte >> 4 : byte & 0x0f;
-        if (nibble != 0) acc = acc + tables[k][nibble];
+  for (std::size_t i = 64; i-- > 0;) {
+    acc = acc.mul_by_16();
+    for (std::size_t k = 0; k < scalars.size(); ++k) {
+      const std::array<Cached, 8>& table = tables[k];
+      const std::int8_t d = recoded[k][i];
+      if (d > 0) {
+        acc = acc.add(table[static_cast<std::size_t>(d - 1)]).to_extended();
+      } else if (d < 0) {
+        acc = acc.add(-table[static_cast<std::size_t>(-d - 1)]).to_extended();
       }
     }
   }

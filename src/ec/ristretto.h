@@ -74,20 +74,13 @@ class RistrettoPoint {
   RistrettoPoint operator-(const RistrettoPoint& o) const noexcept;
   RistrettoPoint operator-() const noexcept;
 
-  /// Scalar multiplication (4-bit fixed window). Constant-time: the
-  /// window digits select table entries via a full-scan cmov
-  /// (table_select), and the add/double schedule is fixed, so neither
-  /// branches nor data-dependent loads reveal the scalar.
+  /// Scalar multiplication. Constant-time: the scalar is recoded into 64
+  /// signed radix-16 digits in [-8, 8), and each digit picks |digit| * P
+  /// from an 8-entry table by a full-scan cmov followed by a cmov
+  /// negation. The double/add schedule is fixed (4 doublings, then 1
+  /// addition, per digit), so neither branches nor data-dependent loads
+  /// reveal the scalar.
   RistrettoPoint operator*(const Scalar& s) const noexcept;
-
-  /// Constant-time conditional move: *this = o when mask is all-ones
-  /// (from cbl::ct_mask_u64), unchanged when mask is zero.
-  void cmov(const RistrettoPoint& o, std::uint64_t mask) noexcept;
-
-  /// Constant-time lookup of table[index] for index in [0, 16): scans all
-  /// 16 entries with cmov so the secret index never forms an address.
-  static RistrettoPoint table_select(const RistrettoPoint table[16],
-                                     std::uint8_t index) noexcept;
 
   /// Group equality (encoding-independent, per the ristretto spec).
   bool operator==(const RistrettoPoint& o) const noexcept;
@@ -108,7 +101,20 @@ class RistrettoPoint {
       : x_(x), y_(y), z_(z), t_(t) {}
 
   static RistrettoPoint elligator_map(const Fe25519& t) noexcept;
-  RistrettoPoint dbl() const noexcept;
+
+  // The intermediate forms of the addition and doubling formulas
+  // (defined in ristretto.cpp): Cached is an addend (Y+X, Y-X, Z, 2dT)
+  // with its per-addition work done once; Completed ((X:Z), (Y:T)) is the
+  // output of one addition or doubling before its final products;
+  // Projective (X:Y:Z) drops T, which a doubling never reads.
+  struct Cached;
+  struct Completed;
+  struct Projective;
+  Cached to_cached() const noexcept;
+  Completed add(const Cached& q) const noexcept;
+  /// 16 * P: four doublings chained in projective form, with T restored
+  /// only at the end.
+  RistrettoPoint mul_by_16() const noexcept;
 
   /// The tail of encode() once 1/sqrt(u1*u2^2) is known. encode() feeds it
   /// the sqrt_ratio_m1 root; double_and_encode_batch feeds it the
@@ -127,10 +133,10 @@ inline RistrettoPoint operator*(const Scalar& s, const RistrettoPoint& p) noexce
 
 // Secret-scalar multiplications. The point result deliberately exits the
 // Secret<> taint: recovering the scalar from P and s*P is the discrete-log
-// problem, and the underlying operator* is the constant-time fixed-window
-// ladder (ctcheck's differential traces audit that claim dynamically).
-// What stays forbidden is the scalar itself escaping — that still needs
-// expose_secret()/reveal_for().
+// problem, and the underlying operator* is the constant-time signed
+// radix-16 ladder (ctcheck's differential traces audit that claim
+// dynamically). What stays forbidden is the scalar itself escaping — that
+// still needs expose_secret()/reveal_for().
 inline RistrettoPoint operator*(const RistrettoPoint& p,
                                 const Secret<Scalar>& s) noexcept {
   return p * s.expose_secret();

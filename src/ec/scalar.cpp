@@ -239,18 +239,26 @@ void Scalar::wipe() noexcept {
 }
 
 Scalar Scalar::invert() const noexcept {
-  // Fermat: x^(l-2). Exponent bits taken from l with 2 subtracted — the
+  // Fermat: x^(l-2), square-and-multiply in the Montgomery domain. The
+  // base goes in once (xR = REDC(x * R^2)), each step is one mont_mul
+  // (REDC(aR * bR) = abR), and one REDC by 1 brings the result out. The
   // exponent is a public constant, so the per-bit branch below leaks
   // nothing about the base. ct:public
+  static const std::array<u64, 4> kOneMont = mont_mul({1, 0, 0, 0}, r2_mod_l());
   std::array<u64, 4> e = kL;
   e[0] -= 2;  // l is odd with low limb ...ed, no borrow
-  Scalar result = one();
-  for (int bit = 255; bit >= 0; --bit) {
-    result = result * result;
+  std::array<u64, 4> base = mont_mul(limbs_, r2_mod_l());
+  std::array<u64, 4> acc = kOneMont;
+  for (int bit = 252; bit >= 0; --bit) {  // l - 2 < 2^253
+    acc = mont_mul(acc, acc);
     if ((e[static_cast<std::size_t>(bit / 64)] >> (bit % 64)) & 1) {
-      result = result * *this;
+      acc = mont_mul(acc, base);
     }
   }
+  Scalar result;
+  result.limbs_ = mont_mul(acc, {1, 0, 0, 0});
+  secure_wipe(base);
+  secure_wipe(acc);
   return result;
 }
 

@@ -69,15 +69,7 @@ class Scalar {
     return (limbs_[0] | limbs_[1] | limbs_[2] | limbs_[3]) == 0;
   }
 
-  /// Access to the i-th bit of the canonical representation (for scalar
-  /// multiplication ladders).
-  bool bit(std::size_t i) const noexcept {
-    return (limbs_[i / 64] >> (i % 64)) & 1;
-  }
-
  private:
-  friend struct ScalarMontgomeryOps;
-
   std::array<std::uint64_t, 4> limbs_;  // little-endian, always < l
 };
 

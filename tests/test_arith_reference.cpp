@@ -160,6 +160,18 @@ RefInt ref_l() {
   return RefInt::from_u64(1).shifted_left_bits(252).add(c);
 }
 
+// base^exp mod m by square-and-multiply over exp's 256 bits, msb first —
+// independent of the addition chains and Montgomery ladders under test.
+RefInt ref_pow(const RefInt& base, const RefInt& exp, const RefInt& m) {
+  const auto e = exp.to_le_bytes32();
+  RefInt r = RefInt::from_u64(1);
+  for (std::size_t bit = 256; bit-- > 0;) {
+    r = r.mul(r).mod(m);
+    if ((e[bit / 8] >> (bit % 8)) & 1) r = r.mul(base).mod(m);
+  }
+  return r;
+}
+
 // Edge-value byte patterns around the moduli and word boundaries.
 std::vector<std::array<std::uint8_t, 32>> edge_values() {
   std::vector<std::array<std::uint8_t, 32>> out;
@@ -250,6 +262,30 @@ TEST_F(FeReferenceTest, CanonicalEncodingIsBelowP) {
   }
 }
 
+// invert() and pow_p58() share one addition chain; both are checked on
+// every edge value (0, 1, p-1, and the non-canonical p, p+1, 2^255-1 that
+// from_bytes keeps >= p) plus random elements.
+TEST_F(FeReferenceTest, InvertAndPowP58MatchReferenceExponentiation) {
+  const auto p = ref_p();
+  const auto p_minus_2 = p.sub(RefInt::from_u64(2));
+  const auto p58 = RefInt::from_u64(1).shifted_left_bits(252).sub(
+      RefInt::from_u64(3));  // (p - 5) / 8 = 2^252 - 3
+  auto inputs = edge_values();
+  for (int i = 0; i < 4; ++i) {
+    std::array<std::uint8_t, 32> bytes;
+    rng_.fill(bytes.data(), 32);
+    inputs.push_back(bytes);
+  }
+  for (const auto& bytes : inputs) {
+    const Fe25519 x = fe_from(bytes);
+    const RefInt rx = ref_from(bytes);
+    EXPECT_EQ(x.invert().to_bytes(), ref_pow(rx, p_minus_2, p).to_le_bytes32())
+        << "x=" << to_hex(ByteView(bytes));
+    EXPECT_EQ(x.pow_p58().to_bytes(), ref_pow(rx, p58, p).to_le_bytes32())
+        << "x=" << to_hex(ByteView(bytes));
+  }
+}
+
 // ------------------------------------------------------------------ Scalar
 
 class ScalarReferenceTest : public ::testing::Test {
@@ -303,6 +339,21 @@ TEST_F(ScalarReferenceTest, WideReductionMatchesReference) {
   ones.fill(0xff);
   EXPECT_EQ(Scalar::from_bytes_wide(ones).to_bytes(),
             RefInt::from_le_bytes(ones).mod(l).to_le_bytes32());
+}
+
+TEST_F(ScalarReferenceTest, InvertMatchesReferenceExponentiation) {
+  const auto l = ref_l();
+  const auto l_minus_2 = l.sub(RefInt::from_u64(2));
+  std::vector<Scalar> inputs = {Scalar::zero(), Scalar::one(),
+                                Scalar::zero() - Scalar::one()};
+  for (int i = 0; i < 4; ++i) inputs.push_back(Scalar::random(rng_));
+  for (const Scalar& x : inputs) {
+    const auto bytes = x.to_bytes();
+    EXPECT_EQ(x.invert().to_bytes(),
+              ref_pow(RefInt::from_le_bytes(bytes), l_minus_2, l)
+                  .to_le_bytes32())
+        << "x=" << to_hex(ByteView(bytes));
+  }
 }
 
 TEST_F(ScalarReferenceTest, MontgomeryRoundTripIdentities) {

@@ -384,6 +384,98 @@ TEST(Ristretto, MultiscalarMatchesNaive) {
   EXPECT_EQ(RistrettoPoint::multiscalar_mul(scalars, points), expected);
 }
 
+// ------------------------------------------ Ladder differential checks
+
+// s * P by plain double-and-add over the 256 bits of s, msb first, built
+// only from operator+: an independent reference for the radix-16 ladder.
+RistrettoPoint naive_mul(const RistrettoPoint& p, const Scalar& s) {
+  const auto bytes = s.to_bytes();
+  RistrettoPoint acc = RistrettoPoint::identity();
+  for (std::size_t bit = 256; bit-- > 0;) {
+    acc = acc + acc;
+    if ((bytes[bit / 8] >> (bit % 8)) & 1) acc = acc + p;
+  }
+  return acc;
+}
+
+Scalar scalar_from_hex(const char* hex) {
+  return Scalar::from_canonical_bytes(arr32(from_hex(hex).value())).value();
+}
+
+// Scalars that stress the signed radix-16 recoding: digits at and around
+// the +-8 boundary, the all-8s nibble pattern whose carry ripples through
+// every digit, the top of the 2^252 range, and the values just below l.
+std::vector<Scalar> recoding_edge_scalars() {
+  std::vector<Scalar> out;
+  for (std::uint64_t v : {0, 1, 7, 8, 9, 15, 16, 17}) {
+    out.push_back(Scalar::from_u64(v));
+  }
+  out.push_back(scalar_from_hex(  // every nibble 8
+      "8888888888888888888888888888888888888888888888888888888888888808"));
+  out.push_back(scalar_from_hex(  // 2^252 - 1
+      "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0f"));
+  out.push_back(scalar_from_hex(  // 2^252
+      "0000000000000000000000000000000000000000000000000000000000000010"));
+  out.push_back(Scalar::zero() - Scalar::from_u64(8));  // l - 8
+  out.push_back(Scalar::zero() - Scalar::one());        // l - 1
+  return out;
+}
+
+// The base point, a hashed point, and points decoded from the wire: the
+// ladder must not depend on how its input was produced.
+std::vector<RistrettoPoint> ladder_points() {
+  std::vector<RistrettoPoint> out = {
+      RistrettoPoint::base(),
+      RistrettoPoint::hash_to_group(to_bytes("ladder"), "test_ec")};
+  for (const char* hex : {kSmallMultiples[3], kSmallMultiples[15]}) {
+    out.push_back(RistrettoPoint::decode(arr32(from_hex(hex).value())).value());
+  }
+  return out;
+}
+
+TEST(Ristretto, ScalarMulMatchesNaiveOnRecodingEdges) {
+  for (const RistrettoPoint& p : ladder_points()) {
+    for (const Scalar& s : recoding_edge_scalars()) {
+      EXPECT_EQ((p * s).encode(), naive_mul(p, s).encode())
+          << "s=" << to_hex(ByteView(s.to_bytes()))
+          << " P=" << to_hex(ByteView(p.encode()));
+    }
+  }
+}
+
+TEST(Ristretto, ScalarMulMatchesNaiveOnRandomScalars) {
+  auto rng = ChaChaRng::from_string_seed("ristretto-ladder");
+  const auto points = ladder_points();
+  for (int i = 0; i < 200; ++i) {
+    const RistrettoPoint& p =
+        points[static_cast<std::size_t>(i) % points.size()];
+    const Scalar s = Scalar::random(rng);
+    EXPECT_EQ((p * s).encode(), naive_mul(p, s).encode())
+        << "i=" << i << " s=" << to_hex(ByteView(s.to_bytes()));
+  }
+}
+
+TEST(Ristretto, MultiscalarMatchesScalarMulOnRecodingEdges) {
+  const auto points = ladder_points();
+  const auto scalars = recoding_edge_scalars();
+  // One term at a time, then every edge scalar in a single call.
+  std::vector<Scalar> all_scalars;
+  std::vector<RistrettoPoint> all_points;
+  RistrettoPoint expected = RistrettoPoint::identity();
+  for (std::size_t k = 0; k < scalars.size(); ++k) {
+    const RistrettoPoint& p = points[k % points.size()];
+    EXPECT_EQ(RistrettoPoint::multiscalar_mul({scalars[k]}, {p}).encode(),
+              (p * scalars[k]).encode())
+        << "s=" << to_hex(ByteView(scalars[k].to_bytes()));
+    all_scalars.push_back(scalars[k]);
+    all_points.push_back(p);
+    expected = expected + p * scalars[k];
+  }
+  EXPECT_EQ(RistrettoPoint::multiscalar_mul(all_scalars, all_points).encode(),
+            expected.encode());
+  EXPECT_TRUE(RistrettoPoint::multiscalar_mul({}, {}).is_identity());
+}
+
 TEST(Ristretto, MultiscalarSizeMismatchThrows) {
   EXPECT_THROW(RistrettoPoint::multiscalar_mul({Scalar::one()}, {}),
                std::invalid_argument);
