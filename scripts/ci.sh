@@ -30,8 +30,10 @@
 #   6. asan-ubsan  Debug + AddressSanitizer + UBSan, full test suite
 #   7. tsan        Debug + ThreadSanitizer, full test suite (query-service
 #                  and voting paths are concurrent; see src/oprf locking)
-#   8. ctcheck     Debug + -DCBL_CTCHECK=ON: crypto libraries instrumented
-#                  with -fsanitize-coverage=trace-pc, then the differential
+#   8. ctcheck     -DCBL_CTCHECK=ON, built twice (Debug, then
+#                  RelWithDebInfo so the inlined kernels are checked as
+#                  optimized): crypto libraries instrumented with
+#                  -fsanitize-coverage=trace-pc, then the differential
 #                  trace harness runs its self-test and the secret audit
 #   9. fuzz-smoke  Debug + ASan/UBSan + -DCBL_FUZZ=ON: every harness
 #                  replays its committed corpus, then mutation-fuzzes for
@@ -256,22 +258,29 @@ stage_tsan() {
 }
 
 stage_ctcheck() {
-  local ct_dir="${build_root}/ctcheck"
-  echo "=== [ctcheck] configure ==="
-  cmake -S "${repo_root}" -B "${ct_dir}" "${generator_args[@]}" \
-    -DCMAKE_BUILD_TYPE=Debug -DCBL_CTCHECK=ON
-  echo "=== [ctcheck] build ==="
-  cmake --build "${ct_dir}" -j "${jobs}" --target ctcheck
-  echo "=== [ctcheck] self-test (harness must flag the injected leak) ==="
-  "${ct_dir}/src/ct/ctcheck" --self-test
-  echo "=== [ctcheck] secret audit over the crypto kernels ==="
-  "${ct_dir}/src/ct/ctcheck"
-  if command -v valgrind >/dev/null 2>&1; then
-    echo "=== [ctcheck] valgrind backend (ctgrind-style) ==="
-    valgrind --error-exitcode=1 --quiet "${ct_dir}/src/ct/ctcheck"
-  else
-    echo "=== [ctcheck] valgrind not installed; trace backend only ==="
-  fi
+  # Two legs: Debug traces every call as written; RelWithDebInfo traces
+  # the shipped shape, where the header-inline field kernels and limb
+  # selects are folded into their callers by the optimizer.
+  local build_type ct_dir
+  for build_type in Debug RelWithDebInfo; do
+    ct_dir="${build_root}/ctcheck"
+    [[ "${build_type}" == Debug ]] || ct_dir="${build_root}/ctcheck-${build_type,,}"
+    echo "=== [ctcheck/${build_type}] configure ==="
+    cmake -S "${repo_root}" -B "${ct_dir}" "${generator_args[@]}" \
+      -DCMAKE_BUILD_TYPE="${build_type}" -DCBL_CTCHECK=ON
+    echo "=== [ctcheck/${build_type}] build ==="
+    cmake --build "${ct_dir}" -j "${jobs}" --target ctcheck
+    echo "=== [ctcheck/${build_type}] self-test (harness must flag the injected leak) ==="
+    "${ct_dir}/src/ct/ctcheck" --self-test
+    echo "=== [ctcheck/${build_type}] secret audit over the crypto kernels ==="
+    "${ct_dir}/src/ct/ctcheck"
+    if command -v valgrind >/dev/null 2>&1; then
+      echo "=== [ctcheck/${build_type}] valgrind backend (ctgrind-style) ==="
+      valgrind --error-exitcode=1 --quiet "${ct_dir}/src/ct/ctcheck"
+    else
+      echo "=== [ctcheck/${build_type}] valgrind not installed; trace backend only ==="
+    fi
+  done
 }
 
 stage_fuzz_smoke() {

@@ -80,12 +80,14 @@ namespace {
 
 Bytes with_checksum(std::uint8_t version,
                     const std::array<std::uint8_t, 20>& payload) {
-  Bytes data;
-  data.push_back(version);
-  data.insert(data.end(), payload.begin(), payload.end());
-  const auto first = hash::Sha256::digest(data);
+  // version || payload || first 4 bytes of SHA256d(version || payload),
+  // written into a buffer sized up front.
+  Bytes data(25);
+  data[0] = version;
+  std::copy(payload.begin(), payload.end(), data.begin() + 1);
+  const auto first = hash::Sha256::digest(ByteView(data.data(), 21));
   const auto second = hash::Sha256::digest(ByteView(first.data(), first.size()));
-  data.insert(data.end(), second.begin(), second.begin() + 4);
+  std::copy(second.begin(), second.begin() + 4, data.begin() + 21);
   return data;
 }
 

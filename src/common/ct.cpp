@@ -55,14 +55,6 @@ void ct_swap(bool flag, std::uint8_t* a, std::uint8_t* b,
   }
 }
 
-void ct_select_u64(std::uint64_t mask, std::uint64_t* out,
-                   const std::uint64_t* a, const std::uint64_t* b,
-                   std::size_t limbs) noexcept {
-  for (std::size_t i = 0; i < limbs; ++i) {
-    out[i] = b[i] ^ (mask & (a[i] ^ b[i]));
-  }
-}
-
 void ct_swap_u64(std::uint64_t mask, std::uint64_t* a, std::uint64_t* b,
                  std::size_t limbs) noexcept {
   for (std::size_t i = 0; i < limbs; ++i) {

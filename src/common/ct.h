@@ -65,9 +65,22 @@ void ct_swap(bool flag, std::uint8_t* a, std::uint8_t* b,
              std::size_t len) noexcept;
 
 /// 64-bit limb variants, the workhorses of the field/scalar code.
-void ct_select_u64(std::uint64_t mask, std::uint64_t* out,
-                   const std::uint64_t* a, const std::uint64_t* b,
-                   std::size_t limbs) noexcept;
+/// ct_select_u64 writes (mask ? a : b) limbwise; `mask` is all-ones or
+/// all-zeroes (ct_mask_u64), and out may alias a or b. It is inline so the
+/// field code can fold it into straight-line arithmetic; the empty asm
+/// launders the mask through a register first, so the optimizer, which
+/// now sees where the mask came from, still cannot rebuild the select as
+/// a branch on it.
+inline void ct_select_u64(std::uint64_t mask, std::uint64_t* out,
+                          const std::uint64_t* a, const std::uint64_t* b,
+                          std::size_t limbs) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __asm__("" : "+r"(mask));
+#endif
+  for (std::size_t i = 0; i < limbs; ++i) {
+    out[i] = b[i] ^ (mask & (a[i] ^ b[i]));
+  }
+}
 void ct_swap_u64(std::uint64_t mask, std::uint64_t* a, std::uint64_t* b,
                  std::size_t limbs) noexcept;
 

@@ -2,6 +2,13 @@
 // from scratch with 5 x 51-bit unsigned limbs and 128-bit intermediate
 // products. This is the foundation of the Ristretto255 group used by the
 // paper's OPRF, commitments, NIZKs, and VRF.
+//
+// The hot kernels (add, sub, negate, mul, square, select, cmov and the
+// carry chain behind them) are defined inline right after the class,
+// so the group code in ristretto.cpp compiles to straight-line
+// limb arithmetic instead of thousands of opaque calls per scalar
+// multiplication. The exponentiation chains, encoding and batch
+// inversion stay in fe25519.cpp.
 #pragma once
 
 #include <array>
@@ -9,6 +16,7 @@
 #include <span>
 
 #include "common/bytes.h"
+#include "common/ct.h"
 
 namespace cbl::ec {
 
@@ -91,10 +99,93 @@ class Fe25519 {
                              std::uint64_t l4) noexcept
       : limbs_{l0, l1, l2, l3, l4} {}
 
+  static constexpr std::uint64_t kMask51 = (std::uint64_t{1} << 51) - 1;
+
+  // 16 * p, limbwise: adding this before a subtraction keeps limbs
+  // non-negative for any weakly reduced operand.
+  static constexpr std::uint64_t k16P[5] = {
+      (kMask51 - 18) << 4,  // 16 * (2^51 - 19)
+      kMask51 << 4, kMask51 << 4, kMask51 << 4, kMask51 << 4};
+
   void weak_reduce() noexcept;
 
   std::uint64_t limbs_[5];
 };
+
+inline void Fe25519::weak_reduce() noexcept {
+  std::uint64_t c;
+  c = limbs_[0] >> 51; limbs_[0] &= kMask51; limbs_[1] += c;
+  c = limbs_[1] >> 51; limbs_[1] &= kMask51; limbs_[2] += c;
+  c = limbs_[2] >> 51; limbs_[2] &= kMask51; limbs_[3] += c;
+  c = limbs_[3] >> 51; limbs_[3] &= kMask51; limbs_[4] += c;
+  c = limbs_[4] >> 51; limbs_[4] &= kMask51; limbs_[0] += 19 * c;
+  c = limbs_[0] >> 51; limbs_[0] &= kMask51; limbs_[1] += c;
+}
+
+inline Fe25519 Fe25519::operator+(const Fe25519& o) const noexcept {
+  Fe25519 r;
+  for (int i = 0; i < 5; ++i) r.limbs_[i] = limbs_[i] + o.limbs_[i];
+  r.weak_reduce();
+  return r;
+}
+
+inline Fe25519 Fe25519::operator-(const Fe25519& o) const noexcept {
+  Fe25519 r;
+  for (int i = 0; i < 5; ++i) {
+    r.limbs_[i] = limbs_[i] + k16P[i] - o.limbs_[i];
+  }
+  r.weak_reduce();
+  return r;
+}
+
+inline Fe25519 Fe25519::operator-() const noexcept {
+  return Fe25519{} - *this;
+}
+
+inline Fe25519 Fe25519::operator*(const Fe25519& o) const noexcept {
+  using u64 = std::uint64_t;
+  using u128 = unsigned __int128;
+  const u64 a0 = limbs_[0], a1 = limbs_[1], a2 = limbs_[2], a3 = limbs_[3],
+            a4 = limbs_[4];
+  const u64 b0 = o.limbs_[0], b1 = o.limbs_[1], b2 = o.limbs_[2],
+            b3 = o.limbs_[3], b4 = o.limbs_[4];
+
+  auto m = [](u64 x, u64 y) { return static_cast<u128>(x) * y; };
+
+  u128 r0 = m(a0, b0) + 19 * (m(a1, b4) + m(a2, b3) + m(a3, b2) + m(a4, b1));
+  u128 r1 = m(a0, b1) + m(a1, b0) + 19 * (m(a2, b4) + m(a3, b3) + m(a4, b2));
+  u128 r2 = m(a0, b2) + m(a1, b1) + m(a2, b0) + 19 * (m(a3, b4) + m(a4, b3));
+  u128 r3 = m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + 19 * m(a4, b4);
+  u128 r4 = m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0);
+
+  Fe25519 out;
+  u64 c;
+  c = static_cast<u64>(r0 >> 51); out.limbs_[0] = static_cast<u64>(r0) & kMask51;
+  r1 += c;
+  c = static_cast<u64>(r1 >> 51); out.limbs_[1] = static_cast<u64>(r1) & kMask51;
+  r2 += c;
+  c = static_cast<u64>(r2 >> 51); out.limbs_[2] = static_cast<u64>(r2) & kMask51;
+  r3 += c;
+  c = static_cast<u64>(r3 >> 51); out.limbs_[3] = static_cast<u64>(r3) & kMask51;
+  r4 += c;
+  c = static_cast<u64>(r4 >> 51); out.limbs_[4] = static_cast<u64>(r4) & kMask51;
+  out.limbs_[0] += 19 * c;
+  c = out.limbs_[0] >> 51; out.limbs_[0] &= kMask51; out.limbs_[1] += c;
+  return out;
+}
+
+inline Fe25519 Fe25519::square() const noexcept { return *this * *this; }
+
+inline Fe25519 Fe25519::select(bool flag, const Fe25519& a,
+                               const Fe25519& b) noexcept {
+  Fe25519 r;
+  ct_select_u64(ct_mask_u64(flag), r.limbs_, a.limbs_, b.limbs_, 5);
+  return r;
+}
+
+inline void Fe25519::cmov(const Fe25519& other, std::uint64_t mask) noexcept {
+  ct_select_u64(mask, limbs_, other.limbs_, limbs_, 5);
+}
 
 /// Computes sqrt(u/v) when it exists. Returns {was_square, r} where r is
 /// the non-negative root of u/v if u/v is square, or of (sqrt(-1) * u/v)

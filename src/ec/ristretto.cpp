@@ -121,7 +121,8 @@ struct RistrettoPoint::Projective {
   Completed doubled() const noexcept {
     const Fe25519 xx = x.square();
     const Fe25519 yy = y.square();
-    const Fe25519 zz2 = z.square() + z.square();
+    const Fe25519 zz = z.square();
+    const Fe25519 zz2 = zz + zz;
     const Fe25519 yy_plus_xx = yy + xx;
     const Fe25519 yy_minus_xx = yy - xx;
     return Completed{(x + y).square() - yy_plus_xx, yy_plus_xx, yy_minus_xx,

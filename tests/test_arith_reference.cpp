@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "common/ct.h"
 #include "common/rng.h"
 #include "ec/fe25519.h"
 #include "ec/scalar.h"
@@ -212,6 +213,26 @@ class FeReferenceTest : public ::testing::Test {
     masked[31] &= 0x7f;
     return RefInt::from_le_bytes(masked).mod(ref_p());
   }
+
+  // The pairwise sums fe_from(a) + fe_from(b) of the edge values, left
+  // un-normalised: their limbs are the largest a weakly reduced element
+  // carries, the inputs the group formulas feed back into mul/add/sub.
+  struct EdgeSum {
+    Fe25519 fe;
+    RefInt ref;
+  };
+  static std::vector<EdgeSum> edge_sums() {
+    const auto edges = edge_values();
+    const auto p = ref_p();
+    std::vector<EdgeSum> out;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      for (std::size_t j = i; j < edges.size(); ++j) {
+        out.push_back({fe_from(edges[i]) + fe_from(edges[j]),
+                       ref_from(edges[i]).add(ref_from(edges[j])).mod(p)});
+      }
+    }
+    return out;
+  }
 };
 
 TEST_F(FeReferenceTest, MulMatchesReferenceOnRandoms) {
@@ -239,6 +260,16 @@ TEST_F(FeReferenceTest, AddSubMatchReferenceOnEdges) {
                 ra.add(p.sub(rb)).mod(p).to_le_bytes32());
     }
   }
+  const auto sums = edge_sums();
+  for (const auto& a : sums) {
+    EXPECT_EQ((-a.fe).to_bytes(), p.sub(a.ref).mod(p).to_le_bytes32());
+    for (const auto& b : sums) {
+      EXPECT_EQ((a.fe + b.fe).to_bytes(),
+                a.ref.add(b.ref).mod(p).to_le_bytes32());
+      EXPECT_EQ((a.fe - b.fe).to_bytes(),
+                a.ref.add(p.sub(b.ref)).mod(p).to_le_bytes32());
+    }
+  }
 }
 
 TEST_F(FeReferenceTest, MulMatchesReferenceOnEdgePairs) {
@@ -248,6 +279,25 @@ TEST_F(FeReferenceTest, MulMatchesReferenceOnEdgePairs) {
     for (const auto& b : edges) {
       EXPECT_EQ((fe_from(a) * fe_from(b)).to_bytes(),
                 ref_from(a).mul(ref_from(b)).mod(p).to_le_bytes32());
+    }
+  }
+  // select and cmov move whole limbs, so each picked operand must keep
+  // working as that operand in the product.
+  const auto sums = edge_sums();
+  for (const auto& a : sums) {
+    EXPECT_EQ(a.fe.square().to_bytes(),
+              a.ref.mul(a.ref).mod(p).to_le_bytes32());
+    for (const auto& b : sums) {
+      const auto ab = a.ref.mul(b.ref).mod(p).to_le_bytes32();
+      EXPECT_EQ((a.fe * b.fe).to_bytes(), ab);
+      EXPECT_EQ((Fe25519::select(true, a.fe, b.fe) * b.fe).to_bytes(), ab);
+      EXPECT_EQ((Fe25519::select(false, a.fe, b.fe) * a.fe).to_bytes(), ab);
+      Fe25519 kept = b.fe;
+      kept.cmov(a.fe, ct_mask_u64(false));
+      EXPECT_EQ((kept * a.fe).to_bytes(), ab);
+      Fe25519 moved = b.fe;
+      moved.cmov(a.fe, ct_mask_u64(true));
+      EXPECT_EQ((moved * b.fe).to_bytes(), ab);
     }
   }
 }

@@ -123,6 +123,16 @@ TEST(CtSwap, LimbVariants) {
   ct_select_u64(ct_mask_u64(false), out, a, b, 2);
   EXPECT_EQ(out[1], 40u);
 
+  // Fe25519::cmov's form: out aliases b, so a set mask copies a over it
+  // and a clear mask leaves it untouched.
+  std::uint64_t dst[2] = {30, 40};
+  ct_select_u64(ct_mask_u64(false), dst, a, dst, 2);
+  EXPECT_EQ(dst[0], 30u);
+  EXPECT_EQ(dst[1], 40u);
+  ct_select_u64(ct_mask_u64(true), dst, a, dst, 2);
+  EXPECT_EQ(dst[0], 10u);
+  EXPECT_EQ(dst[1], 20u);
+
   ct_swap_u64(ct_mask_u64(true), a, b, 2);
   EXPECT_EQ(a[0], 30u);
   EXPECT_EQ(b[1], 20u);
@@ -155,7 +165,7 @@ class TaintTest : public ::testing::Test {
 };
 
 TEST_F(TaintTest, PoisonUnpoisonRoundTrip) {
-  std::uint8_t buf[64];
+  std::uint8_t buf[64]{};
   EXPECT_FALSE(ct::is_poisoned(buf, sizeof buf));
 
   ct::poison(buf, sizeof buf);
@@ -169,7 +179,7 @@ TEST_F(TaintTest, PoisonUnpoisonRoundTrip) {
 }
 
 TEST_F(TaintTest, PartialUnpoisonTrimsRange) {
-  std::uint8_t buf[64];
+  std::uint8_t buf[64]{};
   ct::poison(buf, sizeof buf);
   ct::unpoison(buf + 16, 32);  // carve a hole in the middle
 
@@ -188,7 +198,7 @@ TEST_F(TaintTest, NullAndZeroLengthAreNoOps) {
 }
 
 TEST_F(TaintTest, DeclassifyUnpoisonsAndCounts) {
-  std::uint8_t buf[8];
+  std::uint8_t buf[8]{};
   ct::poison(buf, sizeof buf);
   const std::uint64_t before = ct::declassified_events();
   ct::declassify(buf, sizeof buf);

@@ -216,8 +216,12 @@ TEST(Workload, UniverseLayoutAndGroundTruth) {
     // Modeled resolutions are exclusive, and prefix-local answers are
     // only modeled for clean addresses (a listed address always has its
     // prefix in the list, so it can never resolve as definitely-clean).
-    if (query.cache_hit) EXPECT_FALSE(query.prefix_local);
-    if (query.prefix_local) EXPECT_FALSE(query.listed);
+    if (query.cache_hit) {
+      EXPECT_FALSE(query.prefix_local);
+    }
+    if (query.prefix_local) {
+      EXPECT_FALSE(query.listed);
+    }
     if (query.cache_hit) ++cache_hits;
     seen.insert(query.address);
   }

@@ -134,7 +134,9 @@ TEST(Merkle, ConsistencySweepAllPairs) {
       EXPECT_TRUE(MerkleTree::verify_consistency(roots[m], m, roots[n], n,
                                                  proof))
           << m << "->" << n;
-      if (m == 0 || m == n) EXPECT_TRUE(proof.empty()) << m << "->" << n;
+      if (m == 0 || m == n) {
+        EXPECT_TRUE(proof.empty()) << m << "->" << n;
+      }
       // A different old root (a fork) must not verify.
       if (m >= 1 && m < n) {
         auto forged = roots[m];

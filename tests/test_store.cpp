@@ -414,7 +414,8 @@ TEST(EpochLogTest, FloorIsMonotoneDurableAndCompacts) {
 TEST(FaultFsTest, SameSeedSameFaultsAndCountersMirrorStats) {
   const auto drive = [](FaultFs& fs) {
     for (int i = 0; i < 60; ++i) {
-      const std::string path = "f" + std::to_string(i % 4);
+      std::string path = "f";
+      path += std::to_string(i % 4);
       (void)fs.write(path, to_bytes("content-" + std::to_string(i)));
       (void)fs.append(path, to_bytes("+t"));
       (void)fs.sync(path);
