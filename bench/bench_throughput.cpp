@@ -23,7 +23,7 @@
 #include "blocklist/generator.h"
 #include "common/rng.h"
 #include "ec/ristretto.h"
-#include "exec/worker_pool.h"
+#include "exec/parallel_for.h"
 #include "net/query_pipeline.h"
 #include "oprf/client.h"
 #include "oprf/server.h"
@@ -169,7 +169,7 @@ void bench_rebuild(cbl::benchjson::Summary& summary, bool quick) {
   const auto corpus =
       cbl::blocklist::generate_corpus(entries_n, corpus_rng).addresses();
 
-  const unsigned hw = cbl::exec::WorkerPool::hardware_threads();
+  const unsigned hw = cbl::exec::hardware_threads();
   std::vector<unsigned> sweep = {1, 2, 4};
   if (std::find(sweep.begin(), sweep.end(), hw) == sweep.end()) {
     sweep.push_back(hw);
@@ -216,17 +216,13 @@ void bench_pipeline(cbl::benchjson::Summary& summary, bool quick) {
     bodies.push_back(oprf::serialize(prepared.request));
   }
 
-  const unsigned hw = cbl::exec::WorkerPool::hardware_threads();
+  const unsigned hw = cbl::exec::hardware_threads();
   std::vector<unsigned> client_counts = {1, 2, 4, 8};
   const std::size_t per_client = quick ? 50 : 400;
 
   for (const unsigned clients : client_counts) {
     if (clients > 2 * hw) continue;
-    net::PipelineOptions options;
-    options.shards = 1;  // maximize coalescing for the bench
-    options.max_batch = 64;
-    options.max_queue = 1024;
-    net::QueryPipeline pipeline(server, options);
+    net::QueryPipeline pipeline(server, net::PipelineOptions());
 
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> ok{0};
@@ -249,10 +245,12 @@ void bench_pipeline(cbl::benchjson::Summary& summary, bool quick) {
     }
     const double secs = seconds_since(t0);
     const double qps = static_cast<double>(ok.load()) / secs;
-    std::printf("%-10u %-12zu %14.0f\n", clients, options.max_batch, qps);
+    std::printf("%-10u %-12zu %14.0f\n", clients,
+                net::QueryPipeline::kMaxBatch, qps);
     summary.add({"pipeline/qps",
                  "threads=" + std::to_string(clients) +
-                     ",max_batch=" + std::to_string(options.max_batch),
+                     ",max_batch=" +
+                     std::to_string(net::QueryPipeline::kMaxBatch),
                  1e9 / std::max(1.0, qps), 0.0, qps, "qps"});
   }
   std::printf("\n");

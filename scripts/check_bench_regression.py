@@ -17,8 +17,24 @@ loudly rather than green-lighting apples vs oranges.
 
 The "cpu" section (real machine time) is intentionally ignored.
 
+--check-results KIND PATH instead sanity-checks one `--quick --json`
+report of bench_throughput, bench_tlog or bench_store against fixed
+floors (no baseline):
+
+  throughput  kernel/batch_encode >= 1.0x scalar at batch 64 and 256;
+              every pipeline/qps value > 0
+  tlog        sync/delta_bytes > 1.0x (delta smaller than the full
+              download) at churn=2per1k; non-zero sync/full_bytes sizes
+              and verify/* timings
+  store       non-zero journal/append and snapshot/commit timings;
+              journal/recover and store/load replay every record
+
+Every gate is an explicit check, never an `assert`, so `python3 -O`
+cannot turn it off.
+
 Usage:
   check_bench_regression.py --baseline BENCH_macro.json --candidate fresh.json
+  check_bench_regression.py --check-results {throughput,tlog,store} PATH
   check_bench_regression.py --self-test
 
 Exit codes: 0 = OK, 1 = regression/validation failure, 2 = usage error.
@@ -147,6 +163,123 @@ def compare(baseline: dict, candidate: dict, max_drift: float) -> list[str]:
     return findings
 
 
+# --- per-bench result floors ------------------------------------------------
+
+
+def _results(report: dict, what: str) -> list[dict]:
+    results = report.get("results") if isinstance(report, dict) else None
+    _require(isinstance(results, list) and bool(results), what,
+             "empty results")
+    return results
+
+
+def _named(results: list[dict], name: str) -> list[dict]:
+    return [r for r in results if r["name"] == name]
+
+
+def check_throughput(report: dict) -> str:
+    """bench_throughput: batched encode never slower than scalar at real
+    batch sizes (the >= 2x target is an acceptance-bench claim; CI only
+    guards against < 1x), and the pipeline serves queries at all."""
+    what = "throughput"
+    results = _results(report, what)
+    encode = {r["params"]: r["value"]
+              for r in _named(results, "kernel/batch_encode")}
+    _require(bool(encode), what, "no kernel/batch_encode records")
+    for batch in (64, 256):
+        speedup = encode.get(f"batch={batch}")
+        _require(speedup is not None, what, f"missing batch={batch} record")
+        _require(speedup >= 1.0, what,
+                 f"batch_encode regressed: {speedup:.2f}x at batch={batch}")
+    qps = _named(results, "pipeline/qps")
+    _require(bool(qps), what, "no pipeline/qps records")
+    _require(all(r["value"] > 0 for r in qps), what,
+             "pipeline served zero queries")
+    return (f"batch_encode {encode['batch=64']:.2f}x @64, "
+            f"{encode['batch=256']:.2f}x @256, {len(qps)} QPS points")
+
+
+def check_tlog(report: dict) -> str:
+    """bench_tlog: a signed one-step delta is cheaper on the wire than the
+    full bucket download it replaces, already at the lowest churn level
+    (2 changed entries per 1k)."""
+    what = "tlog"
+    results = _results(report, what)
+    deltas = _named(results, "sync/delta_bytes")
+    _require(bool(deltas), what, "no sync/delta_bytes records")
+    low = [r for r in deltas if "churn=2per1k" in r["params"]]
+    _require(bool(low), what, "missing churn=2per1k record")
+    for r in low:
+        _require(r["value"] > 1.0, what,
+                 f"delta sync regressed: delta={r['bytes_per_query']:.0f}B "
+                 f"is not smaller than the full download ({r['params']})")
+    full = _named(results, "sync/full_bytes")
+    _require(bool(full) and all(r["bytes_per_query"] > 0 for r in full),
+             what, "no/empty sync/full_bytes record")
+    verify = [r for r in results if r["name"].startswith("verify/")]
+    _require(bool(verify) and all(r["ns_per_op"] > 0 for r in verify), what,
+             "missing verify timings")
+    return "tlog delta vs full download: " + ", ".join(
+        f"{r['params'].split(',')[1]}={r['value']:.1f}x" for r in deltas)
+
+
+def _records_in(params: str) -> int:
+    return int(params.split("records=")[1].split(",")[0])
+
+
+def check_store(report: dict) -> str:
+    """bench_store: non-zero write timings, and recovery hands back every
+    record a synced append promised (no silent truncation, no checksum
+    rejects on our own writes)."""
+    what = "store"
+    results = _results(report, what)
+    appends = _named(results, "journal/append")
+    _require(bool(appends) and all(r["ns_per_op"] > 0 for r in appends),
+             what, "missing/zero journal append timings")
+    snaps = _named(results, "snapshot/commit")
+    _require(bool(snaps) and all(r["ns_per_op"] > 0 for r in snaps), what,
+             "missing/zero snapshot commit timings")
+    for name in ("journal/recover", "store/load"):
+        recs = _named(results, name)
+        _require(bool(recs), what, f"no {name} records")
+        for r in recs:
+            want = _records_in(r["params"])
+            _require(r["value"] == want, what,
+                     f"{name} lost records: replayed {r['value']:.0f} "
+                     f"of {want}")
+    mem_append = next((r["ns_per_op"] for r in appends
+                       if "fs=mem" in r["params"]), appends[0]["ns_per_op"])
+    return (f"store append {mem_append:.0f}ns (mem), "
+            "recovery replayed every record")
+
+
+RESULT_CHECKS = {
+    "throughput": check_throughput,
+    "tlog": check_tlog,
+    "store": check_store,
+}
+
+
+def check_results(kind: str, path: str) -> int:
+    try:
+        with open(path) as f:
+            report = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"FAIL: cannot load {path}: {e}", file=sys.stderr)
+        return 1
+    try:
+        summary = RESULT_CHECKS[kind](report)
+    except BenchError as e:
+        print(f"FAIL: {e}", file=sys.stderr)
+        return 1
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        print(f"FAIL: {kind}: malformed record in {path}: {e!r}",
+              file=sys.stderr)
+        return 1
+    print(f"OK: {summary}")
+    return 0
+
+
 def check_files(baseline_path: str, candidate_path: str,
                 max_drift: float) -> int:
     try:
@@ -200,25 +333,133 @@ def _synthetic_report() -> dict:
     }
 
 
-def self_test() -> int:
+class SelfTestFailure(Exception):
+    """A gate that the self-test expected to fire (or to pass) did not."""
+
+
+def _expect(cond: bool, detail: str) -> None:
+    if not cond:
+        raise SelfTestFailure(detail)
+
+
+def _expect_rejected(fn, reason: str, needle: str = "") -> None:
+    try:
+        fn()
+    except BenchError as e:
+        _expect(needle in str(e), f"{reason}: wrong finding {e}")
+    else:
+        raise SelfTestFailure(f"gate missed: {reason}")
+
+
+def _rec(name: str, params: str, ns: float = 1000.0, nbytes: float = 0.0,
+         value: float | None = None) -> dict:
+    record = {"name": name, "params": params, "ns_per_op": ns,
+              "bytes_per_query": nbytes}
+    if value is not None:
+        record["value"] = value
+    return record
+
+
+def _synthetic_results() -> dict[str, dict]:
+    return {
+        "throughput": {"bench": "throughput", "results": [
+            _rec("kernel/batch_encode", "batch=64", value=2.5),
+            _rec("kernel/batch_encode", "batch=256", value=2.8),
+            _rec("pipeline/qps", "threads=1,max_batch=64", value=3000.0),
+            _rec("pipeline/qps", "threads=2,max_batch=64", value=3100.0),
+        ]},
+        "tlog": {"bench": "tlog", "results": [
+            _rec("verify/checkpoint", ""),
+            _rec("sync/delta_bytes", "entries=1000,churn=2per1k", ns=0.0,
+                 nbytes=237.0, value=168.0),
+            _rec("sync/delta_bytes", "entries=1000,churn=50per1k", ns=0.0,
+                 nbytes=4000.0, value=10.0),
+            _rec("sync/full_bytes", "entries=1000", ns=0.0, nbytes=40000.0),
+        ]},
+        "store": {"bench": "store", "results": [
+            _rec("journal/append", "fs=mem,payload=64"),
+            _rec("snapshot/commit", "fs=mem,records=100"),
+            _rec("journal/recover", "fs=mem,records=100", value=100.0),
+            _rec("store/load", "fs=mem,records=100", value=100.0),
+        ]},
+    }
+
+
+def _set(name: str, params: str, key: str, value: float):
+    def mutate(results: list[dict]) -> None:
+        for r in results:
+            if r["name"] == name and params in r["params"]:
+                r[key] = value
+    return mutate
+
+
+def _drop(name: str, params: str = ""):
+    def mutate(results: list[dict]) -> None:
+        results[:] = [r for r in results
+                      if not (r["name"] == name and params in r["params"])]
+    return mutate
+
+
+def _self_test_results() -> None:
+    for kind, report in _synthetic_results().items():
+        RESULT_CHECKS[kind](report)  # clean records pass
+
+    doctored = (
+        ("throughput", _set("kernel/batch_encode", "batch=64", "value", 0.9),
+         "batch_encode regressed"),
+        ("throughput", _set("kernel/batch_encode", "batch=256", "value", 0.5),
+         "batch_encode regressed"),
+        ("throughput", _drop("kernel/batch_encode", "batch=256"),
+         "missing batch=256"),
+        ("throughput", _set("pipeline/qps", "threads=2", "value", 0.0),
+         "pipeline served zero queries"),
+        ("throughput", _drop("pipeline/qps"), "no pipeline/qps"),
+        ("tlog", _set("sync/delta_bytes", "churn=2per1k", "value", 1.0),
+         "delta sync regressed"),
+        ("tlog", _drop("sync/delta_bytes", "churn=2per1k"),
+         "missing churn=2per1k"),
+        ("tlog", _set("sync/full_bytes", "", "bytes_per_query", 0.0),
+         "sync/full_bytes"),
+        ("tlog", _set("verify/checkpoint", "", "ns_per_op", 0.0),
+         "missing verify timings"),
+        ("store", _set("journal/append", "", "ns_per_op", 0.0),
+         "journal append"),
+        ("store", _set("snapshot/commit", "", "ns_per_op", 0.0),
+         "snapshot commit"),
+        ("store", _set("journal/recover", "", "value", 99.0),
+         "journal/recover lost records"),
+        ("store", _set("store/load", "", "value", 99.0),
+         "store/load lost records"),
+        ("store", _drop("store/load"), "no store/load"),
+    )
+    for kind, mutate, needle in doctored:
+        report = _synthetic_results()[kind]
+        mutate(report["results"])
+        _expect_rejected(lambda: RESULT_CHECKS[kind](report),
+                         f"{kind}: {needle}", needle)
+    _expect_rejected(lambda: check_throughput({"results": []}),
+                     "empty results", "empty results")
+
+
+def _self_test_macro() -> None:
     base = _synthetic_report()
     validate(base, "self-test base")
 
     ok = copy.deepcopy(base)
     ok["model"]["p99_ms"] = 44.0  # +10% < 15% drift
-    assert not compare(base, ok, DEFAULT_MAX_DRIFT), "in-tolerance drift"
+    _expect(not compare(base, ok, DEFAULT_MAX_DRIFT), "in-tolerance drift")
 
     inflated = copy.deepcopy(base)
     inflated["model"]["p99_ms"] = 80.0
     inflated["model"]["p999_ms"] = 90.0
     findings = compare(base, inflated, DEFAULT_MAX_DRIFT)
-    assert any("p99 regression" in f for f in findings), "p99 gate dead"
+    _expect(any("p99 regression" in f for f in findings), "p99 gate dead")
 
     slower = copy.deepcopy(base)
     slower["model"]["sustained_qps_at_slo"] = 50.0
     findings = compare(base, slower, DEFAULT_MAX_DRIFT)
-    assert any("sustained-QPS regression" in f for f in findings), \
-        "QPS gate dead"
+    _expect(any("sustained-QPS regression" in f for f in findings),
+            "QPS gate dead")
 
     for mutate, reason in (
         (lambda r: r["model"].pop("p99_ms"), "missing field"),
@@ -233,31 +474,28 @@ def self_test() -> int:
     ):
         broken = copy.deepcopy(base)
         mutate(broken)
-        try:
-            validate(broken, "self-test broken")
-        except BenchError:
-            pass
-        else:
-            raise AssertionError(f"validation missed: {reason}")
+        _expect_rejected(lambda: validate(broken, "self-test broken"),
+                         reason)
 
     other_seed = copy.deepcopy(base)
     other_seed["seed"] = 2
-    try:
-        compare(base, other_seed, DEFAULT_MAX_DRIFT)
-    except BenchError:
-        pass
-    else:
-        raise AssertionError("seed mismatch not rejected")
+    _expect_rejected(lambda: compare(base, other_seed, DEFAULT_MAX_DRIFT),
+                     "seed mismatch", "seed mismatch")
 
     other_config = copy.deepcopy(base)
     other_config["config"]["offered_qps"] = [100.0, 200.0]
-    try:
-        compare(base, other_config, DEFAULT_MAX_DRIFT)
-    except BenchError:
-        pass
-    else:
-        raise AssertionError("config mismatch not rejected")
+    _expect_rejected(lambda: compare(base, other_config, DEFAULT_MAX_DRIFT),
+                     "config mismatch", "config mismatch")
 
+
+def self_test() -> int:
+    try:
+        _self_test_macro()
+        _self_test_results()
+    except (SelfTestFailure, BenchError) as e:
+        print(f"check_bench_regression self-test FAILED: {e}",
+              file=sys.stderr)
+        return 1
     print("check_bench_regression self-test OK")
     return 0
 
@@ -268,11 +506,20 @@ def main() -> int:
     parser.add_argument("--candidate", help="freshly generated report")
     parser.add_argument("--max-drift", type=float, default=DEFAULT_MAX_DRIFT,
                         help="allowed relative drift (default 0.15)")
+    parser.add_argument("--check-results", nargs=2,
+                        metavar=("{" + ",".join(RESULT_CHECKS) + "}", "PATH"),
+                        help="sanity-check one bench --json report")
     parser.add_argument("--self-test", action="store_true",
                         help="run the built-in self-test and exit")
     args = parser.parse_args()
     if args.self_test:
         return self_test()
+    if args.check_results:
+        kind, path = args.check_results
+        if kind not in RESULT_CHECKS:
+            parser.error(f"--check-results kind must be one of "
+                         f"{', '.join(RESULT_CHECKS)}")
+        return check_results(kind, path)
     if not args.baseline or not args.candidate:
         parser.error("--baseline and --candidate are required "
                      "(or use --self-test)")

@@ -59,7 +59,8 @@
 #                  at batch >= 64), a signed epoch delta must cost fewer
 #                  wire bytes than the full bucket download it replaces
 #                  at >= 2 changed entries per 1k, and store recovery
-#                  must replay every appended journal record
+#                  must replay every appended journal record (all checked
+#                  by scripts/check_bench_regression.py --check-results)
 #  13. macro-smoke Release build of bench_macro (the open-loop macro-load
 #                  harness, src/load): scripts/check_bench_regression.py
 #                  self-tests, a fresh --quick run under the pinned
@@ -349,119 +350,25 @@ stage_crash_smoke() {
 
 stage_perf_smoke() {
   local perf_dir="${build_root}/perf-smoke"
-  local perf_json="${perf_dir}/BENCH_throughput.json"
+  local checker="${repo_root}/scripts/check_bench_regression.py"
   echo "=== [perf-smoke] configure (Release) ==="
   cmake -S "${repo_root}" -B "${perf_dir}" "${generator_args[@]}" \
     -DCMAKE_BUILD_TYPE=Release
-  echo "=== [perf-smoke] build bench_throughput ==="
-  cmake --build "${perf_dir}" -j "${jobs}" --target bench_throughput
-  echo "=== [perf-smoke] run (--quick) ==="
-  "${perf_dir}/bench/bench_throughput" --quick --json "${perf_json}"
-  echo "=== [perf-smoke] sanity-check ${perf_json} ==="
-  python3 - "${perf_json}" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-results = data["results"]
-assert results, "empty results"
-
-# The batched encode kernel must never be slower than the scalar path at
-# real batch sizes (>= 64); the full >=2x target is asserted by the
-# acceptance benches, CI only guards against a regression to < 1x.
-encode = {r["params"]: r["value"] for r in results
-          if r["name"] == "kernel/batch_encode"}
-assert encode, "no kernel/batch_encode records"
-for batch in (64, 256):
-    speedup = encode.get(f"batch={batch}")
-    assert speedup is not None, f"missing batch={batch} record"
-    assert speedup >= 1.0, f"batch_encode regressed: {speedup:.2f}x at batch={batch}"
-
-qps = [r for r in results if r["name"] == "pipeline/qps"]
-assert qps, "no pipeline/qps records"
-assert all(r["value"] > 0 for r in qps), "pipeline served zero queries"
-
-print(f"perf-smoke OK: batch_encode {encode['batch=64']:.2f}x @64, "
-      f"{encode['batch=256']:.2f}x @256, {len(qps)} QPS points")
-EOF
-  local tlog_json="${perf_dir}/BENCH_tlog.json"
-  echo "=== [perf-smoke] build bench_tlog ==="
-  cmake --build "${perf_dir}" -j "${jobs}" --target bench_tlog
-  echo "=== [perf-smoke] run bench_tlog (--quick) ==="
-  "${perf_dir}/bench/bench_tlog" --quick --json "${tlog_json}"
-  echo "=== [perf-smoke] sanity-check ${tlog_json} ==="
-  python3 - "${tlog_json}" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-results = data["results"]
-assert results, "empty results"
-
-# The whole point of the delta path: a signed one-step delta must be
-# cheaper on the wire than the full bucket download it replaces, already
-# at the lowest churn level (2 changed entries per 1k).
-deltas = {r["params"]: r for r in results if r["name"] == "sync/delta_bytes"}
-assert deltas, "no sync/delta_bytes records"
-low = [r for p, r in deltas.items() if "churn=2per1k" in p]
-assert low, "missing churn=2per1k record"
-for r in low:
-    assert r["value"] > 1.0, (
-        f"delta sync regressed: delta={r['bytes_per_query']:.0f}B is not "
-        f"smaller than the full download ({r['params']})")
-
-full = [r for r in results if r["name"] == "sync/full_bytes"]
-assert full and all(r["bytes_per_query"] > 0 for r in full), \
-    "no/empty sync/full_bytes record"
-verify = [r for r in results if r["name"].startswith("verify/")]
-assert verify and all(r["ns_per_op"] > 0 for r in verify), \
-    "missing verify timings"
-
-ratios = ", ".join(f"{r['params'].split(',')[1]}={r['value']:.1f}x"
-                   for r in deltas.values())
-print(f"perf-smoke OK: tlog delta vs full download: {ratios}")
-EOF
-  local store_json="${perf_dir}/BENCH_store.json"
-  echo "=== [perf-smoke] build bench_store ==="
-  cmake --build "${perf_dir}" -j "${jobs}" --target bench_store
-  echo "=== [perf-smoke] run bench_store (--quick) ==="
-  (cd "${perf_dir}" && "${perf_dir}/bench/bench_store" --quick \
-    --json "${store_json}")
-  echo "=== [perf-smoke] sanity-check ${store_json} ==="
-  python3 - "${store_json}" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-results = data["results"]
-assert results, "empty results"
-
-def records_in(params):
-    return int(params.split("records=")[1].split(",")[0])
-
-appends = [r for r in results if r["name"] == "journal/append"]
-assert appends and all(r["ns_per_op"] > 0 for r in appends), \
-    "missing/zero journal append timings"
-snaps = [r for r in results if r["name"] == "snapshot/commit"]
-assert snaps and all(r["ns_per_op"] > 0 for r in snaps), \
-    "missing/zero snapshot commit timings"
-
-# The durability contract CI actually guards: recovery must hand back
-# every record a synced append promised (no silent truncation, no
-# checksum rejects on our own writes).
-for name in ("journal/recover", "store/load"):
-    recs = [r for r in results if r["name"] == name]
-    assert recs, f"no {name} records"
-    for r in recs:
-        want = records_in(r["params"])
-        assert r["value"] == want, (
-            f"{name} lost records: replayed {r['value']:.0f} of {want}")
-
-mem_append = next(r["ns_per_op"] for r in appends
-                  if "fs=mem" in r["params"])
-print(f"perf-smoke OK: store append {mem_append:.0f}ns (mem), "
-      "recovery replayed every record")
-EOF
+  echo "=== [perf-smoke] build bench_throughput bench_tlog bench_store ==="
+  cmake --build "${perf_dir}" -j "${jobs}" \
+    --target bench_throughput bench_tlog bench_store
+  echo "=== [perf-smoke] checker self-test ==="
+  python3 "${checker}" --self-test
+  local kind json
+  for kind in throughput tlog store; do
+    json="${perf_dir}/BENCH_${kind}.json"
+    echo "=== [perf-smoke] run bench_${kind} (--quick) ==="
+    # bench_store writes its RealFs scratch directory under the cwd.
+    (cd "${perf_dir}" && "${perf_dir}/bench/bench_${kind}" --quick \
+      --json "${json}")
+    echo "=== [perf-smoke] sanity-check ${json} ==="
+    python3 "${checker}" --check-results "${kind}" "${json}"
+  done
 }
 
 stage_macro_smoke() {

@@ -75,6 +75,11 @@ void BlocklistUser::sync_prefix_list() {
 }
 
 BlocklistUser::QueryResult BlocklistUser::query(std::string_view address) {
+  return query_one(address, nullptr);
+}
+
+BlocklistUser::QueryResult BlocklistUser::query_one(std::string_view address,
+                                                    bool* bucket_omitted) {
   QueryResult result;
   if (!client_.may_be_listed(address)) {
     user_query_counter("local").inc();
@@ -84,6 +89,7 @@ BlocklistUser::QueryResult BlocklistUser::query(std::string_view address) {
   result.required_interaction = true;
   const auto prepared = client_.prepare(address);
   const auto response = provider_.server().handle(prepared.request);
+  if (bucket_omitted != nullptr) *bucket_omitted = response.bucket_omitted;
   auto finished = client_.finish(prepared.pending, response);
   result.listed = finished.listed;
   result.metadata = std::move(finished.metadata);
@@ -95,22 +101,14 @@ BlocklistUser::BatchResult BlocklistUser::query_many(
   BatchResult batch;
   batch.results.reserve(addresses.size());
   for (const auto& address : addresses) {
-    QueryResult result;
-    if (!client_.may_be_listed(address)) {
-      user_query_counter("local").inc();
+    bool bucket_omitted = false;
+    auto result = query_one(address, &bucket_omitted);
+    if (!result.required_interaction) {
       ++batch.resolved_locally;
-      batch.results.push_back(result);
-      continue;
+    } else {
+      ++batch.online_round_trips;
+      if (!bucket_omitted) ++batch.buckets_transferred;
     }
-    user_query_counter("online").inc();
-    result.required_interaction = true;
-    ++batch.online_round_trips;
-    const auto prepared = client_.prepare(address);
-    const auto response = provider_.server().handle(prepared.request);
-    if (!response.bucket_omitted) ++batch.buckets_transferred;
-    auto finished = client_.finish(prepared.pending, response);
-    result.listed = finished.listed;
-    result.metadata = std::move(finished.metadata);
     batch.results.push_back(std::move(result));
   }
   return batch;

@@ -99,6 +99,10 @@ class BlocklistUser {
   void sync_prefix_list();
 
  private:
+  /// query() plus, for an online query, whether the provider omitted the
+  /// bucket (the client already held it); `bucket_omitted` may be null.
+  QueryResult query_one(std::string_view address, bool* bucket_omitted);
+
   BlocklistProvider& provider_;
   oprf::OprfClient client_;
 };

@@ -247,11 +247,12 @@ std::uint32_t BlocklistServiceNode::admit_or_shed_query(
   return 0;
 }
 
+Bytes BlocklistServiceNode::respond(Status status, ByteView body) {
+  status_counter(status).inc();
+  return encode_response_frame(status, body);
+}
+
 std::optional<Bytes> BlocklistServiceNode::handle_frame(ByteView frame) {
-  const auto respond = [this](Status status, ByteView body = {}) {
-    status_counter(status).inc();
-    return encode_response_frame(status, body);
-  };
   const auto parse_begin = std::chrono::steady_clock::now();
   const auto parsed = parse_request_frame(frame);
   const std::uint64_t parse_ns =
@@ -336,10 +337,6 @@ Bytes BlocklistServiceNode::handle_query(ByteView body,
 }
 
 Bytes BlocklistServiceNode::handle_tlog(Method method, ByteView body) {
-  const auto respond = [this](Status status, ByteView resp_body = {}) {
-    status_counter(status).inc();
-    return encode_response_frame(status, resp_body);
-  };
   if (publisher_ == nullptr) return respond(Status::kBadRequest);
   switch (method) {
     case Method::kTlogCheckpoint: {

@@ -162,6 +162,8 @@ class BlocklistServiceNode {
   Bytes handle_query(ByteView body, std::uint64_t parse_ns);
   /// Serves one kTlog* request; returns the sealed response frame.
   Bytes handle_tlog(Method method, ByteView body);
+  /// Counts `status` and seals it with `body` into a response frame.
+  Bytes respond(Status status, ByteView body = {});
   obs::Counter& method_counter(Method method);
   obs::Counter& status_counter(Status status);
   /// Returns the shed retry-after hint in ms when the query must be

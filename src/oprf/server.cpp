@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <thread>
 
-#include "exec/worker_pool.h"
+#include "exec/parallel_for.h"
 #include "hash/sha256.h"
 
 namespace cbl::oprf {
@@ -127,7 +127,7 @@ void OprfServer::rebuild(unsigned num_threads) {
 
   // Blind all entries: b = H(q)^R, computed as H(q)^(R/2) batch-doubled so
   // each chunk pays one field inversion instead of one per entry. The
-  // exponentiations dominate, so chunks are sharded over worker threads
+  // exponentiations dominate, so chunks run on short-lived threads
   // (exec::parallel_for_chunks slices by index only — the per-entry bytes
   // are identical for every thread count); bucket insertion stays
   // sequential.
@@ -158,7 +158,7 @@ void OprfServer::rebuild(unsigned num_threads) {
       prefixes[begin + j] = Oracle::prefix(raw[j], lambda_);
     }
   };
-  exec::parallel_for_chunks(nullptr, entries_.size(), num_threads, work);
+  exec::parallel_for_chunks(entries_.size(), num_threads, work);
 
   entry_index_.clear();
   for (std::size_t i = 0; i < entries_.size(); ++i) {

@@ -15,7 +15,7 @@
 #include "ec/fe25519.h"
 #include "ec/ristretto.h"
 #include "ec/scalar.h"
-#include "exec/worker_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/metrics.h"
 #include "oprf/client.h"
 #include "oprf/oracle.h"
@@ -413,7 +413,7 @@ TEST(RebuildDeterminism, ThreadSweepYieldsIdenticalState) {
   std::vector<std::string> corpus;
   for (int i = 0; i < 301; ++i) corpus.push_back("det-" + std::to_string(i));
 
-  const unsigned hw = cbl::exec::WorkerPool::hardware_threads();
+  const unsigned hw = cbl::exec::hardware_threads();
   const std::vector<unsigned> sweep = {1, 2, 7, hw};
 
   struct Snapshot {
@@ -461,72 +461,18 @@ TEST(RebuildDeterminism, ThreadSweepYieldsIdenticalState) {
 }
 
 // ---------------------------------------------------------------------------
-// cbl::exec::WorkerPool
+// cbl::exec::parallel_for_chunks
 // ---------------------------------------------------------------------------
 
-TEST(WorkerPool, InlineModeRunsOnCaller) {
-  cbl::exec::WorkerPool pool;  // threads = 0
-  EXPECT_EQ(pool.threads(), 0u);
-  int runs = 0;
-  EXPECT_TRUE(pool.submit([&] { ++runs; }));
-  EXPECT_TRUE(pool.try_submit([&] { ++runs; }));
-  EXPECT_EQ(runs, 2);  // synchronous: done before submit returns
-  pool.drain();        // trivially idle
-}
-
-TEST(WorkerPool, ExecutesAllSubmittedTasks) {
-  cbl::exec::WorkerPool::Options opts;
-  opts.threads = 4;
-  opts.queue_capacity = 8;
-  opts.name = "test-exec";
-  cbl::exec::WorkerPool pool(opts);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pool.submit([&] { count.fetch_add(1); }));
-  }
-  pool.drain();
-  EXPECT_EQ(count.load(), 100);
-  pool.shutdown();
-  EXPECT_FALSE(pool.submit([&] { count.fetch_add(1); }));
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(WorkerPool, TrySubmitShedsWhenFull) {
-  cbl::exec::WorkerPool::Options opts;
-  opts.threads = 1;
-  opts.queue_capacity = 1;
-  opts.name = "test-shed";
-  cbl::exec::WorkerPool pool(opts);
-  std::mutex gate;
-  gate.lock();  // wedge the worker on the first task
-  ASSERT_TRUE(pool.submit([&] {
-    gate.lock();
-    gate.unlock();
-  }));
-  // Wait for the worker to pick up the wedged task, fill the single queue
-  // slot, then shedding must kick in.
-  while (pool.queue_depth() != 0) std::this_thread::yield();
-  EXPECT_TRUE(pool.try_submit([] {}));
-  EXPECT_FALSE(pool.try_submit([] {}));
-  gate.unlock();
-  pool.drain();
-}
-
-TEST(WorkerPool, ParallelForChunksCoversRangeExactlyOnce) {
-  for (unsigned threads : {0u, 2u, 5u}) {
-    cbl::exec::WorkerPool::Options opts;
-    opts.threads = threads;
-    opts.name = "test-pfc";
-    cbl::exec::WorkerPool pool(opts);
-    constexpr std::size_t kN = 997;
-    std::vector<std::atomic<int>> hits(kN);
-    cbl::exec::parallel_for_chunks(
-        &pool, kN, 7, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-        });
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "threads=" << threads << " i=" << i;
-    }
+TEST(ParallelForChunks, CoversRangeExactlyOnce) {
+  constexpr std::size_t kN = 997;
+  std::vector<std::atomic<int>> hits(kN);
+  cbl::exec::parallel_for_chunks(
+      kN, 7, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      });
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "i=" << i;
   }
 }
 

@@ -475,7 +475,7 @@ TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
   // admitted == arrived - shed, exactly.
   EXPECT_EQ(enqueued.value() - enqueued_before,
             (query_requests.value() - queries_before) - node_shed);
-  // The single-threaded harness never fills a shard queue, so the
+  // The single-threaded harness never fills the pipeline queue, so the
   // pipeline's own shedding stayed quiet...
   EXPECT_EQ(pipeline_shed.value(), pipeline_shed_before);
   // ...and every enqueued query is accounted for by exactly one batch

@@ -9,8 +9,8 @@
 #include "blocklist/generator.h"
 #include "chain/tx_auth.h"
 #include "common/rng.h"
-#include "exec/worker_pool.h"
 #include "net/query_pipeline.h"
+#include "obs/metrics.h"
 #include "oprf/client.h"
 #include "oprf/server.h"
 #include "oprf/wire.h"
@@ -118,10 +118,10 @@ TEST(Concurrency, QueriesRideThroughMaintenance) {
 
 // The batched serving path under the same adversarial schedule, designed
 // to run under TSan: many client threads funnel through
-// QueryPipeline::serve (group-commit coalescing, WorkerPool sub-batch
-// split) while a maintenance thread rotates the key and churns entries.
-// Every non-shed answer must be a correct verdict; shed answers must be
-// kRateLimited and must never have occupied a batch slot.
+// QueryPipeline::serve (group-commit coalescing) while a maintenance
+// thread rotates the key and churns entries. Every non-shed answer must
+// be a correct verdict; shed answers must be kRateLimited and must never
+// have occupied a batch slot; every call is either enqueued or shed.
 TEST(Concurrency, PipelineServesCorrectlyUnderChurnAndRotation) {
   auto corpus_rng = ChaChaRng::from_string_seed("conc3-corpus");
   auto all = blocklist::generate_corpus(240, corpus_rng).addresses();
@@ -132,18 +132,23 @@ TEST(Concurrency, PipelineServesCorrectlyUnderChurnAndRotation) {
   oprf::OprfServer server(oprf::Oracle::fast(), 4, server_rng);
   server.setup(stable);
 
-  exec::WorkerPool pool({.threads = 2, .name = "conc3"});
   net::PipelineOptions options;
-  options.shards = 2;
-  options.max_batch = 8;
   options.max_queue = 2;  // small enough that bursts shed
-  options.pool = &pool;
   net::QueryPipeline pipeline(server, options);
+
+  auto& registry = obs::MetricsRegistry::global();
+  const obs::Counter& enqueued =
+      registry.counter("cbl_net_pipeline_enqueued_total");
+  const obs::Counter& pipeline_shed =
+      registry.counter("cbl_net_pipeline_shed_total");
+  const std::uint64_t enqueued_before = enqueued.value();
+  const std::uint64_t shed_before = pipeline_shed.value();
 
   std::atomic<bool> stop{false};
   std::atomic<int> wrong{0};
   std::atomic<int> ok_served{0};
   std::atomic<int> shed{0};
+  std::atomic<int> calls{0};
 
   std::thread maintenance([&] {
     for (int round = 0; round < 6; ++round) {
@@ -167,10 +172,12 @@ TEST(Concurrency, PipelineServesCorrectlyUnderChurnAndRotation) {
         const auto prepared = client.prepare(target);
         const Bytes body = oprf::serialize(prepared.request);
         const auto result = pipeline.serve(body);
+        ++calls;
         if (result.status == net::Status::kRateLimited) {
           // Pipeline shed: refused before enqueue, so it carries the
           // pipeline's own retry hint and no body.
-          EXPECT_EQ(result.retry_after_ms, options.shed_retry_after_ms);
+          EXPECT_EQ(result.retry_after_ms,
+                    net::QueryPipeline::kShedRetryAfterMs);
           EXPECT_TRUE(result.body.empty());
           ++shed;
         } else if (result.status == net::Status::kOk) {
@@ -199,6 +206,11 @@ TEST(Concurrency, PipelineServesCorrectlyUnderChurnAndRotation) {
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_GE(ok_served.load(), 4 * 30 - shed.load());
   EXPECT_GT(ok_served.load(), 0);
+  EXPECT_EQ((enqueued.value() - enqueued_before) +
+                (pipeline_shed.value() - shed_before),
+            static_cast<std::uint64_t>(calls.load()));
+  EXPECT_EQ(pipeline_shed.value() - shed_before,
+            static_cast<std::uint64_t>(shed.load()));
 }
 
 // ------------------------------------------------------------ tx gateway

@@ -4,9 +4,6 @@
 // off-lock access could silently break and that clang's capability
 // analysis now rejects at compile time:
 //
-//   * WorkerPool shutdown ordering — shutdown() (what the destructor
-//     runs) racing submitters, the 0-thread inline mode, and concurrent
-//     double-shutdown idempotence under join_mutex_;
 //   * the distrust latch — N threads feeding one Auditor the same
 //     equivocation evidence converge on exactly ONE kEquivocation
 //     transition, and N threads driving ResilientClient::sync() against
@@ -27,7 +24,6 @@
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
-#include "exec/worker_pool.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
 #include "obs/clock.h"
@@ -46,86 +42,6 @@ double counter_value(const char* name, obs::Labels labels) {
   return obs::MetricsRegistry::global()
       .counter(name, std::move(labels))
       .value();
-}
-
-// ------------------------------------------------- WorkerPool shutdown
-
-TEST(WorkerPoolShutdown, ShutdownRacesSubmitters) {
-  exec::WorkerPool pool({.threads = 3, .name = "ts-race"});
-
-  constexpr int kSubmitters = 4;
-  constexpr int kPerThread = 300;
-  std::atomic<int> accepted{0};
-  std::atomic<int> executed{0};
-  std::atomic<bool> go{false};
-
-  std::vector<std::thread> submitters;
-  for (int t = 0; t < kSubmitters; ++t) {
-    submitters.emplace_back([&] {
-      while (!go.load()) {
-      }
-      for (int i = 0; i < kPerThread; ++i) {
-        if (pool.try_submit([&] { executed.fetch_add(1); })) {
-          accepted.fetch_add(1);
-        }
-      }
-    });
-  }
-
-  go.store(true);
-  // Stop the pool mid-storm: this is the destructor's body racing the
-  // enqueue path. Late submits must fail cleanly, accepted work must
-  // still run to completion before shutdown returns.
-  pool.shutdown();
-  for (auto& th : submitters) th.join();
-  // Any task accepted after shutdown() returned would be lost work, and
-  // shutdown() already joined the workers — so by here the two counters
-  // must reconcile exactly. Stragglers that raced the flag flip got
-  // `false` back and are in neither count.
-  pool.shutdown();  // idempotent: second call must be a no-op
-  EXPECT_EQ(executed.load(), accepted.load());
-  EXPECT_FALSE(pool.submit([] {}));
-}
-
-TEST(WorkerPoolShutdown, ZeroThreadPoolRunsInline) {
-  exec::WorkerPool pool;  // Options defaults: threads = 0
-  EXPECT_EQ(pool.threads(), 0u);
-
-  int ran = 0;
-  EXPECT_TRUE(pool.submit([&] { ++ran; }));
-  EXPECT_EQ(ran, 1);  // ran on the caller, synchronously
-  EXPECT_EQ(pool.queue_depth(), 0u);
-  EXPECT_TRUE(pool.try_submit([&] { ++ran; }));
-  EXPECT_EQ(ran, 2);
-  pool.drain();  // nothing queued: returns immediately
-
-  pool.shutdown();
-  EXPECT_FALSE(pool.submit([&] { ++ran; }));
-  EXPECT_FALSE(pool.try_submit([&] { ++ran; }));
-  EXPECT_EQ(ran, 2);  // refused work never runs
-}
-
-TEST(WorkerPoolShutdown, ConcurrentShutdownIsIdempotent) {
-  std::optional<exec::WorkerPool> pool;
-  pool.emplace(exec::WorkerPool::Options{.threads = 2, .name = "ts-dshut"});
-
-  std::atomic<int> executed{0};
-  int queued = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (pool->try_submit([&] { executed.fetch_add(1); })) ++queued;
-  }
-
-  // Several threads race the full shutdown path (flag flip under
-  // mutex_, join loop under join_mutex_). Exactly one join per worker
-  // may happen; every queued task still runs.
-  std::vector<std::thread> stoppers;
-  for (int t = 0; t < 4; ++t) {
-    stoppers.emplace_back([&] { pool->shutdown(); });
-  }
-  for (auto& th : stoppers) th.join();
-  EXPECT_EQ(executed.load(), queued);
-  EXPECT_FALSE(pool->submit([] {}));
-  pool.reset();  // destructor runs shutdown() one more time: still a no-op
 }
 
 // ---------------------------------------------------- distrust latch
