@@ -70,6 +70,13 @@
 #                  tests/fixtures/BENCH_macro_inflated_p99.json MUST fail
 #                  the gate — proving the gate is armed. The replay
 #                  command is printed before the run
+#  14. e2e-smoke   bench/e2e configured as its own CMake project (Release)
+#                  under the CI build root, bench_e2e built against the
+#                  checkout's src/, then bench/e2e/smoke.py runs every
+#                  workload for 2 s with --trace: zero wrong verdicts,
+#                  failed operations, retries or sheds, every
+#                  BENCHMARK.json metric present and finite, and
+#                  compare.py --self-test
 #
 # Usage:
 #   scripts/ci.sh [build-root]          # default build root: build-ci/
@@ -82,7 +89,7 @@ set -euo pipefail
 
 all_stages=(lint clang-tidy thread-safety secret-flow release asan-ubsan
             tsan ctcheck fuzz-smoke chaos-smoke crash-smoke perf-smoke
-            macro-smoke)
+            macro-smoke e2e-smoke)
 
 if [[ "${1:-}" == "--list" ]]; then
   printf '%s\n' "${all_stages[@]}"
@@ -406,6 +413,20 @@ stage_macro_smoke() {
     exit 1
   }
   echo "=== [macro-smoke] OK: gate armed, trajectory within drift ==="
+}
+
+stage_e2e_smoke() {
+  local e2e_dir="${build_root}/e2e-smoke"
+  echo "=== [e2e-smoke] configure bench/e2e (Release) ==="
+  cmake -S "${repo_root}/bench/e2e" -B "${e2e_dir}" "${generator_args[@]}" \
+    -DCMAKE_BUILD_TYPE=Release
+  echo "=== [e2e-smoke] build bench_e2e ==="
+  cmake --build "${e2e_dir}" -j "${jobs}" --target bench_e2e
+  echo "=== [e2e-smoke] smoke.py: every workload, 2 s, traced ==="
+  # smoke.py keeps its scratch reports in a temporary directory under
+  # the cwd.
+  (cd "${e2e_dir}" && python3 "${repo_root}/bench/e2e/smoke.py" \
+    --binary "${e2e_dir}/bench_e2e")
 }
 
 timing_summary=()

@@ -3,9 +3,9 @@
 // products. This is the foundation of the Ristretto255 group used by the
 // paper's OPRF, commitments, NIZKs, and VRF.
 //
-// The hot kernels (add, sub, negate, mul, square, select, cmov and the
-// carry chain behind them) are defined inline right after the class,
-// so the group code in ristretto.cpp compiles to straight-line
+// The hot kernels (add, sub, negate, mul, the dedicated square, select,
+// cmov and the carry chains behind them) are defined inline right after
+// the class, so the group code in ristretto.cpp compiles to straight-line
 // limb arithmetic instead of thousands of opaque calls per scalar
 // multiplication. The exponentiation chains, encoding and batch
 // inversion stay in fe25519.cpp.
@@ -22,7 +22,10 @@ namespace cbl::ec {
 
 /// A field element of GF(p), p = 2^255 - 19. Limbs are kept below 2^52
 /// between operations (the "weakly reduced" form); canonical form is only
-/// produced by to_bytes().
+/// produced by to_bytes(). The bound is load-bearing: operator* and
+/// square() pre-scale limbs by 19 in 64 bits, which stays below 2^57 only
+/// for limbs below 2^52, and it keeps every 128-bit column sum of a
+/// product below 2^115.
 class Fe25519 {
  public:
   /// Zero element.
@@ -48,6 +51,8 @@ class Fe25519 {
   Fe25519 operator*(const Fe25519& o) const noexcept;
   Fe25519 operator-() const noexcept;
 
+  /// *this * *this in 15 limb products instead of 25; bit-identical to
+  /// the product.
   Fe25519 square() const noexcept;
 
   /// Multiplicative inverse via Fermat (x^(p-2), evaluated by a fixed
@@ -107,7 +112,15 @@ class Fe25519 {
       (kMask51 - 18) << 4,  // 16 * (2^51 - 19)
       kMask51 << 4, kMask51 << 4, kMask51 << 4, kMask51 << 4};
 
+  using u64 = std::uint64_t;
+  using u128 = unsigned __int128;
+
   void weak_reduce() noexcept;
+
+  // The carry chain shared by operator* and square(): folds the five
+  // column sums of a product into weakly reduced limbs.
+  static Fe25519 from_columns(u128 r0, u128 r1, u128 r2, u128 r3,
+                              u128 r4) noexcept;
 
   std::uint64_t limbs_[5];
 };
@@ -142,22 +155,8 @@ inline Fe25519 Fe25519::operator-() const noexcept {
   return Fe25519{} - *this;
 }
 
-inline Fe25519 Fe25519::operator*(const Fe25519& o) const noexcept {
-  using u64 = std::uint64_t;
-  using u128 = unsigned __int128;
-  const u64 a0 = limbs_[0], a1 = limbs_[1], a2 = limbs_[2], a3 = limbs_[3],
-            a4 = limbs_[4];
-  const u64 b0 = o.limbs_[0], b1 = o.limbs_[1], b2 = o.limbs_[2],
-            b3 = o.limbs_[3], b4 = o.limbs_[4];
-
-  auto m = [](u64 x, u64 y) { return static_cast<u128>(x) * y; };
-
-  u128 r0 = m(a0, b0) + 19 * (m(a1, b4) + m(a2, b3) + m(a3, b2) + m(a4, b1));
-  u128 r1 = m(a0, b1) + m(a1, b0) + 19 * (m(a2, b4) + m(a3, b3) + m(a4, b2));
-  u128 r2 = m(a0, b2) + m(a1, b1) + m(a2, b0) + 19 * (m(a3, b4) + m(a4, b3));
-  u128 r3 = m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + 19 * m(a4, b4);
-  u128 r4 = m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0);
-
+inline Fe25519 Fe25519::from_columns(u128 r0, u128 r1, u128 r2, u128 r3,
+                                     u128 r4) noexcept {
   Fe25519 out;
   u64 c;
   c = static_cast<u64>(r0 >> 51); out.limbs_[0] = static_cast<u64>(r0) & kMask51;
@@ -174,7 +173,42 @@ inline Fe25519 Fe25519::operator*(const Fe25519& o) const noexcept {
   return out;
 }
 
-inline Fe25519 Fe25519::square() const noexcept { return *this * *this; }
+inline Fe25519 Fe25519::operator*(const Fe25519& o) const noexcept {
+  const u64 a0 = limbs_[0], a1 = limbs_[1], a2 = limbs_[2], a3 = limbs_[3],
+            a4 = limbs_[4];
+  const u64 b0 = o.limbs_[0], b1 = o.limbs_[1], b2 = o.limbs_[2],
+            b3 = o.limbs_[3], b4 = o.limbs_[4];
+  // 2^255 = 19 (mod p): the wrapped-around products carry a factor 19,
+  // applied to the b limbs here rather than to the column sums.
+  const u64 b1_19 = 19 * b1, b2_19 = 19 * b2, b3_19 = 19 * b3,
+            b4_19 = 19 * b4;
+
+  auto m = [](u64 x, u64 y) { return static_cast<u128>(x) * y; };
+
+  return from_columns(
+      m(a0, b0) + m(a1, b4_19) + m(a2, b3_19) + m(a3, b2_19) + m(a4, b1_19),
+      m(a0, b1) + m(a1, b0) + m(a2, b4_19) + m(a3, b3_19) + m(a4, b2_19),
+      m(a0, b2) + m(a1, b1) + m(a2, b0) + m(a3, b4_19) + m(a4, b3_19),
+      m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + m(a4, b4_19),
+      m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0));
+}
+
+inline Fe25519 Fe25519::square() const noexcept {
+  const u64 a0 = limbs_[0], a1 = limbs_[1], a2 = limbs_[2], a3 = limbs_[3],
+            a4 = limbs_[4];
+  const u64 a3_19 = 19 * a3, a4_19 = 19 * a4;
+
+  auto m = [](u64 x, u64 y) { return static_cast<u128>(x) * y; };
+
+  // The columns of *this * *this with each symmetric pair a_i*a_j,
+  // i != j, taken once and doubled: 15 limb products instead of 25.
+  return from_columns(
+      m(a0, a0) + 2 * (m(a1, a4_19) + m(a2, a3_19)),
+      m(a3, a3_19) + 2 * (m(a0, a1) + m(a2, a4_19)),
+      m(a1, a1) + 2 * (m(a0, a2) + m(a4, a3_19)),
+      m(a4, a4_19) + 2 * (m(a0, a3) + m(a1, a2)),
+      m(a2, a2) + 2 * (m(a0, a4) + m(a1, a3)));
+}
 
 inline Fe25519 Fe25519::select(bool flag, const Fe25519& a,
                                const Fe25519& b) noexcept {

@@ -56,7 +56,7 @@ void csub_l(std::array<u64, 4>& a, u64 mask) noexcept {
   }
 }
 
-// Montgomery product: a * b * 2^{-256} mod l (CIOS), inputs < l.
+// Montgomery product: a * b * 2^{-256} mod l (CIOS), a < 2^256, b < l.
 std::array<u64, 4> mont_mul(const std::array<u64, 4>& a,
                             const std::array<u64, 4>& b) noexcept {
   static const u64 kInv = mont_inv_factor();
@@ -94,12 +94,13 @@ std::array<u64, 4> mont_mul(const std::array<u64, 4>& a,
   }
 
   std::array<u64, 4> r = {t[0], t[1], t[2], t[3]};
-  // CIOS leaves the result < 2l, so one masked subtraction finishes it.
+  // CIOS leaves the result < a*b/2^256 + l < 2l, so one masked
+  // subtraction finishes it.
   csub_l(r, ct_mask_u64(t[4] != 0) | geq_l_mask(r));
   return r;
 }
 
-// 2^256 mod l and 2^512 mod l, bootstrapped by repeated modular doubling.
+// 2^512 mod l, bootstrapped by repeated modular doubling.
 std::array<u64, 4> pow2_mod_l(int exponent) noexcept {
   std::array<u64, 4> r = {1, 0, 0, 0};
   for (int i = 0; i < exponent; ++i) {
@@ -113,6 +114,12 @@ std::array<u64, 4> pow2_mod_l(int exponent) noexcept {
 
 const std::array<u64, 4>& r2_mod_l() noexcept {
   static const std::array<u64, 4> v = pow2_mod_l(512);
+  return v;
+}
+
+// 2^256 mod l = REDC(R^2): the Montgomery form of 1.
+const std::array<u64, 4>& r_mod_l() noexcept {
+  static const std::array<u64, 4> v = mont_mul({1, 0, 0, 0}, r2_mod_l());
   return v;
 }
 
@@ -154,29 +161,19 @@ Scalar Scalar::from_bytes_mod_order(
 
 Scalar Scalar::from_bytes_wide(
     const std::array<std::uint8_t, 64>& bytes) noexcept {
-  // Binary reduction: r = sum bits, msb first, r = 2r + bit (mod l).
-  // ~1k word additions; simple and obviously correct. The input is often
-  // secret (blinding-factor sampling), so the per-bit add is masked rather
-  // than branched on.
-  std::array<u64, 4> r = {0, 0, 0, 0};
-  for (int byte = 63; byte >= 0; --byte) {
-    for (int bit = 7; bit >= 0; --bit) {
-      u64 carry = 0;
-      for (int j = 0; j < 4; ++j) r[static_cast<std::size_t>(j)] =
-          adc(r[static_cast<std::size_t>(j)], r[static_cast<std::size_t>(j)], carry);
-      csub_l(r, ct_mask_u64(carry != 0) | geq_l_mask(r));
-      const u64 b = (bytes[static_cast<std::size_t>(byte)] >> bit) & 1;
-      u64 c = 0;
-      r[0] = adc(r[0], b, c);
-      r[1] = adc(r[1], 0, c);
-      r[2] = adc(r[2], 0, c);
-      r[3] = adc(r[3], 0, c);
-      csub_l(r, geq_l_mask(r));
-    }
+  // x = lo + hi * 2^256 = REDC(lo * R) + REDC(hi * R^2) (mod l), R = 2^256.
+  // mont_mul takes a first operand up to 2^256, so neither half needs
+  // reducing first, and each product comes back below l. Straight-line:
+  // the input is often secret (blinding-factor sampling).
+  std::array<u64, 4> lo, hi;
+  for (std::size_t i = 0; i < 4; ++i) {
+    lo[i] = load_le64(bytes.data() + 8 * i);
+    hi[i] = load_le64(bytes.data() + 32 + 8 * i);
   }
-  Scalar s;
-  s.limbs_ = r;
-  return s;
+  Scalar a, b;
+  a.limbs_ = mont_mul(lo, r_mod_l());
+  b.limbs_ = mont_mul(hi, r2_mod_l());
+  return a + b;
 }
 
 Scalar Scalar::random(Rng& rng) {
@@ -244,11 +241,10 @@ Scalar Scalar::invert() const noexcept {
   // (REDC(aR * bR) = abR), and one REDC by 1 brings the result out. The
   // exponent is a public constant, so the per-bit branch below leaks
   // nothing about the base. ct:public
-  static const std::array<u64, 4> kOneMont = mont_mul({1, 0, 0, 0}, r2_mod_l());
   std::array<u64, 4> e = kL;
   e[0] -= 2;  // l is odd with low limb ...ed, no borrow
   std::array<u64, 4> base = mont_mul(limbs_, r2_mod_l());
-  std::array<u64, 4> acc = kOneMont;
+  std::array<u64, 4> acc = r_mod_l();
   for (int bit = 252; bit >= 0; --bit) {  // l - 2 < 2^253
     acc = mont_mul(acc, acc);
     if ((e[static_cast<std::size_t>(bit / 64)] >> (bit % 64)) & 1) {

@@ -67,7 +67,11 @@ std::string json_labels(const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + escape(k, true) + "\":\"" + escape(v, true) + "\"";
+    out += '"';
+    out += escape(k, true);
+    out += "\":\"";
+    out += escape(v, true);
+    out += '"';
   }
   out += "}";
   return out;

@@ -112,13 +112,15 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
     metadata = &it->second.metadata;
   } else {
     metrics_.cache_misses->inc();
+    // Validate before caching: a rejected bucket must not be served
+    // from the cache to a later query.
+    if (!std::is_sorted(response.bucket.begin(), response.bucket.end())) {
+      throw ProtocolError("OprfClient: bucket not in canonical order");
+    }
     auto& slot = cache_[pending.prefix];
     slot.epoch = response.epoch;
     slot.bucket = response.bucket;
     slot.metadata = response.metadata;
-    if (!std::is_sorted(slot.bucket.begin(), slot.bucket.end())) {
-      throw ProtocolError("OprfClient: bucket not in canonical order");
-    }
     bucket = &slot.bucket;
     metadata = &slot.metadata;
   }

@@ -285,8 +285,6 @@ TEST_F(FeReferenceTest, MulMatchesReferenceOnEdgePairs) {
   // working as that operand in the product.
   const auto sums = edge_sums();
   for (const auto& a : sums) {
-    EXPECT_EQ(a.fe.square().to_bytes(),
-              a.ref.mul(a.ref).mod(p).to_le_bytes32());
     for (const auto& b : sums) {
       const auto ab = a.ref.mul(b.ref).mod(p).to_le_bytes32();
       EXPECT_EQ((a.fe * b.fe).to_bytes(), ab);
@@ -299,6 +297,28 @@ TEST_F(FeReferenceTest, MulMatchesReferenceOnEdgePairs) {
       moved.cmov(a.fe, ct_mask_u64(true));
       EXPECT_EQ((moved * b.fe).to_bytes(), ab);
     }
+  }
+}
+
+// square() has its own column formulas (doubled cross terms, 19 folded
+// into a3 and a4), so it is checked against the product and the
+// reference on every edge value, every edge sum and random elements.
+TEST_F(FeReferenceTest, SquareMatchesProductAndReference) {
+  const auto p = ref_p();
+  std::vector<EdgeSum> inputs = edge_sums();
+  for (const auto& bytes : edge_values()) {
+    inputs.push_back({fe_from(bytes), ref_from(bytes)});
+  }
+  for (int i = 0; i < 20; ++i) {
+    std::array<std::uint8_t, 32> bytes;
+    rng_.fill(bytes.data(), 32);
+    inputs.push_back({fe_from(bytes), ref_from(bytes)});
+  }
+  for (const auto& x : inputs) {
+    const auto expected = x.ref.mul(x.ref).mod(p).to_le_bytes32();
+    EXPECT_EQ(x.fe.square().to_bytes(), expected);
+    EXPECT_EQ((x.fe * x.fe).to_bytes(), expected);
+    EXPECT_EQ(x.fe.square(), x.fe * x.fe);
   }
 }
 
@@ -389,6 +409,38 @@ TEST_F(ScalarReferenceTest, WideReductionMatchesReference) {
   ones.fill(0xff);
   EXPECT_EQ(Scalar::from_bytes_wide(ones).to_bytes(),
             RefInt::from_le_bytes(ones).mod(l).to_le_bytes32());
+}
+
+// The wide reduction splits its input into two 256-bit halves, each
+// reduced by its own Montgomery product; every pairing of the values
+// below puts lo >= l and hi >= l through it, alone and together.
+TEST_F(ScalarReferenceTest, WideReductionMatchesReferenceOnCrossedHalves) {
+  const auto l = ref_l();
+  const RefInt one = RefInt::from_u64(1);
+  const RefInt two_256 = one.shifted_left_bits(256);
+  const std::vector<RefInt> halves = {
+      RefInt(), one, l.sub(one), l, l.add(one), one.shifted_left_bits(252),
+      two_256.sub(one)};
+  for (const auto& lo : halves) {
+    for (const auto& hi : halves) {
+      std::array<std::uint8_t, 64> wide;
+      const auto lo_bytes = lo.to_le_bytes32(), hi_bytes = hi.to_le_bytes32();
+      std::copy(lo_bytes.begin(), lo_bytes.end(), wide.begin());
+      std::copy(hi_bytes.begin(), hi_bytes.end(), wide.begin() + 32);
+      EXPECT_EQ(Scalar::from_bytes_wide(wide).to_bytes(),
+                lo.add(hi.mul(two_256)).mod(l).to_le_bytes32())
+          << "wide=" << to_hex(ByteView(wide));
+    }
+  }
+}
+
+TEST_F(ScalarReferenceTest, ModOrderReductionMatchesReferenceOnEdges) {
+  const auto l = ref_l();
+  for (const auto& bytes : edge_values()) {
+    EXPECT_EQ(Scalar::from_bytes_mod_order(bytes).to_bytes(),
+              RefInt::from_le_bytes(bytes).mod(l).to_le_bytes32())
+        << "x=" << to_hex(ByteView(bytes));
+  }
 }
 
 TEST_F(ScalarReferenceTest, InvertMatchesReferenceExponentiation) {

@@ -134,6 +134,26 @@ TEST_F(OprfProtocol, UnsortedBucketRejected) {
   EXPECT_THROW((void)fresh.finish(p.pending, response), ProtocolError);
 }
 
+TEST_F(OprfProtocol, RejectedBucketIsNotCached) {
+  // A bucket the client rejects must leave no trace: were it cached, the
+  // next query would send a cache hint, the server would omit the bucket,
+  // and the verdict would binary-search the unsorted list.
+  const auto p = client_->prepare(corpus_[0]);
+  auto response = server_->handle(p.request);
+  ASSERT_GE(response.bucket.size(), 2u);
+  std::swap(response.bucket.front(), response.bucket.back());
+  const std::size_t cached_before = client_->cached_buckets();
+  EXPECT_THROW((void)client_->finish(p.pending, response), ProtocolError);
+  EXPECT_EQ(client_->cached_buckets(), cached_before);
+
+  const auto retry = client_->prepare(corpus_[0]);
+  EXPECT_EQ(retry.request.cached_epoch, kNoEpoch);
+  EXPECT_FALSE(retry.pending.used_cache_hint);
+  const auto fresh = server_->handle(retry.request);
+  EXPECT_FALSE(fresh.bucket_omitted);
+  EXPECT_TRUE(client_->finish(retry.pending, fresh).listed);
+}
+
 TEST_F(OprfProtocol, PrefixListResolvesNegativesLocally) {
   client_->set_prefix_list(server_->prefix_list());
   // All listed entries must pass the filter.
