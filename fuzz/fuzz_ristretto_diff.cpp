@@ -5,7 +5,9 @@
 // Inputs of 64 bytes or more also drive the scalar-multiplication ladder:
 // bytes 32..63, reduced mod l, multiply the decoded point (the base point
 // when bytes 0..31 do not decode), and the result must match a plain
-// double-and-add and a one-term multiscalar_mul.
+// double-and-add and a one-term multiscalar_mul. Inputs of 96 bytes or
+// more also drive both inversions: bytes 64..95, as a Scalar (reduced
+// mod l) and as an Fe25519, must satisfy x * x^-1 = 1, and 0 -> 0.
 // Also covers from_hex/to_hex (the text-facing byte codec).
 #include <algorithm>
 #include <array>
@@ -14,6 +16,7 @@
 
 #include "common/bytes.h"
 #include "ec/codec.h"
+#include "ec/fe25519.h"
 #include "ec/ristretto.h"
 #include "ec/scalar.h"
 #include "fuzz/harness.h"
@@ -70,6 +73,19 @@ CBL_FUZZ_TARGET(cbl_fuzz_ristretto_diff) {
       CBL_FUZZ_CHECK(product == naive_mul(p, s).encode());
       CBL_FUZZ_CHECK(product ==
                      ec::RistrettoPoint::multiscalar_mul({s}, {p}).encode());
+    }
+
+    if (size >= 96) {
+      std::array<std::uint8_t, 32> inv_bytes{};
+      std::copy_n(data + 64, 32, inv_bytes.begin());
+      const ec::Scalar s = ec::Scalar::from_bytes_mod_order(inv_bytes);
+      const ec::Scalar s_inv = s.invert();
+      CBL_FUZZ_CHECK(s.is_zero() ? s_inv.is_zero()
+                                 : s * s_inv == ec::Scalar::one());
+      const ec::Fe25519 x = ec::Fe25519::from_bytes(inv_bytes);
+      const ec::Fe25519 x_inv = x.invert();
+      CBL_FUZZ_CHECK(x.is_zero() ? x_inv.is_zero()
+                                 : x * x_inv == ec::Fe25519::one());
     }
   }
 

@@ -269,6 +269,24 @@ int main(int argc, char** argv) {
         ladder_seed(ec::RistrettoPoint::hash_to_group(to_bytes("ladder"),
                                                       "cbl-corpus"),
                     ec::Scalar::zero() - ec::Scalar::one()));
+  // Inversion seeds (point || scalar || x) for x = 0, 1, l - 1 and p - 1,
+  // also DRBG-free.
+  const auto inversion_seed = [&](const std::array<std::uint8_t, 32>& x) {
+    Bytes out = ladder_seed(ec::RistrettoPoint::base(), ec::Scalar::one());
+    out.insert(out.end(), x.begin(), x.end());
+    return out;
+  };
+  std::array<std::uint8_t, 32> p_minus_1;
+  p_minus_1.fill(0xff);
+  p_minus_1[0] = 0xec;
+  p_minus_1[31] = 0x7f;
+  write("fuzz_ristretto_diff", "invert-zero",
+        inversion_seed(ec::Scalar::zero().to_bytes()));
+  write("fuzz_ristretto_diff", "invert-one",
+        inversion_seed(ec::Scalar::one().to_bytes()));
+  write("fuzz_ristretto_diff", "invert-l-minus-1",
+        inversion_seed((ec::Scalar::zero() - ec::Scalar::one()).to_bytes()));
+  write("fuzz_ristretto_diff", "invert-p-minus-1", inversion_seed(p_minus_1));
   write("fuzz_ristretto_diff", "hex", std::string_view("deadbeef"));
   write("fuzz_ristretto_diff", "hex-upper", std::string_view("DEADBEEF"));
   write("fuzz_ristretto_diff", "hex-odd", std::string_view("abc"));

@@ -64,19 +64,25 @@ void ct_select(bool flag, std::uint8_t* out, const std::uint8_t* a,
 void ct_swap(bool flag, std::uint8_t* a, std::uint8_t* b,
              std::size_t len) noexcept;
 
+/// Returns v unchanged, laundered through a register by an empty asm: an
+/// optimizer that can see where a mask came from could otherwise rebuild
+/// a masked select on it as a branch.
+inline std::uint64_t ct_barrier_u64(std::uint64_t v) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __asm__("" : "+r"(v));
+#endif
+  return v;
+}
+
 /// 64-bit limb variants, the workhorses of the field/scalar code.
 /// ct_select_u64 writes (mask ? a : b) limbwise; `mask` is all-ones or
 /// all-zeroes (ct_mask_u64), and out may alias a or b. It is inline so the
-/// field code can fold it into straight-line arithmetic; the empty asm
-/// launders the mask through a register first, so the optimizer, which
-/// now sees where the mask came from, still cannot rebuild the select as
-/// a branch on it.
+/// field code can fold it into straight-line arithmetic, with the mask
+/// passed through ct_barrier_u64 first.
 inline void ct_select_u64(std::uint64_t mask, std::uint64_t* out,
                           const std::uint64_t* a, const std::uint64_t* b,
                           std::size_t limbs) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __asm__("" : "+r"(mask));
-#endif
+  mask = ct_barrier_u64(mask);
   for (std::size_t i = 0; i < limbs; ++i) {
     out[i] = b[i] ^ (mask & (a[i] ^ b[i]));
   }

@@ -21,18 +21,21 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "commit/pedersen.h"
 #include "common/ct.h"
 #include "common/rng.h"
+#include "common/secret.h"
 #include "ct/ct.h"
 #include "ct/trace.h"
 #include "ec/fe25519.h"
 #include "ec/ristretto.h"
 #include "ec/scalar.h"
 #include "hash/argon2.h"
+#include "oprf/blind.h"
 #include "oprf/oracle.h"
 #include "oprf/server.h"
 
@@ -112,6 +115,8 @@ std::vector<Check> audited_checks() {
   }});
 
   checks.push_back({"fe25519_invert", [](Rng& rng) {
+    // Every double-and-encode pays one of these: safegcd over the
+    // canonical encoding, 590 masked divsteps whatever the input.
     std::array<std::uint8_t, 32> raw{};
     rng.fill(raw.data(), raw.size());
     raw[31] &= 0x7f;
@@ -122,8 +127,8 @@ std::vector<Check> audited_checks() {
   }});
 
   checks.push_back({"scalar_invert", [](Rng& rng) {
-    // 1/r unblinds the OPRF output: only the fixed public exponent l - 2
-    // may shape the Montgomery-domain ladder, never r itself.
+    // (2r)^-1 unblinds the OPRF output: the same safegcd kernel mod l,
+    // whose divstep masks and update schedule must not depend on r.
     ec::Scalar r = ec::Scalar::random(rng);
     auto rb = r.to_bytes();
     ct::SecretScope scope(rb.data(), rb.size());
@@ -163,12 +168,13 @@ std::vector<Check> audited_checks() {
   }});
 
   checks.push_back({"oprf_blind", [](Rng& rng) {
+    // The client's blind step as OprfClient and KeywordStore run it.
     static const ec::RistrettoPoint hashed =
         ec::RistrettoPoint::hash_to_group(to_bytes("fixed-entry"), "ctcheck");
-    ec::Scalar r = ec::Scalar::random(rng);
-    auto rb = r.to_bytes();
+    const Secret<ec::Scalar> r(ec::Scalar::random(rng));
+    auto rb = r.expose_secret().to_bytes();
     ct::SecretScope scope(rb.data(), rb.size());
-    const auto enc = (hashed * r).encode();
+    const auto enc = oprf::blind_half(hashed, r).double_and_encode();
     // ct:declassify(blinded-query) — m = H(u)^r is sent to S
     ct::declassify(enc.data(), enc.size());
     sink(enc.data(), enc.size());
@@ -176,13 +182,16 @@ std::vector<Check> audited_checks() {
 
   checks.push_back({"oprf_eval", [](Rng& rng) {
     // Server side: the blinded query m is public wire data, the mask R is
-    // the long-lived secret.
+    // the long-lived secret. OprfServer evaluates with its half mask R/2
+    // and lets double_and_encode_batch (a batch of one here) double it.
     static const ec::RistrettoPoint blinded =
         ec::RistrettoPoint::hash_to_group(to_bytes("wire-query"), "ctcheck");
-    ec::Scalar mask = ec::Scalar::random(rng);
-    auto mb = mask.to_bytes();
+    const Secret<ec::Scalar> mask(ec::Scalar::random(rng));
+    auto mb = mask.expose_secret().to_bytes();
     ct::SecretScope scope(mb.data(), mb.size());
-    const auto enc = (blinded * mask).encode();
+    const ec::RistrettoPoint half = blinded * oprf::halve(mask);
+    const auto enc = ec::RistrettoPoint::double_and_encode_batch(
+        std::span<const ec::RistrettoPoint>(&half, 1))[0];
     // ct:declassify(evaluated-query) — psi = m^R is sent back to C
     ct::declassify(enc.data(), enc.size());
     sink(enc.data(), enc.size());
@@ -191,10 +200,10 @@ std::vector<Check> audited_checks() {
   checks.push_back({"oprf_finalize", [](Rng& rng) {
     static const ec::RistrettoPoint evaluated =
         ec::RistrettoPoint::hash_to_group(to_bytes("psi"), "ctcheck");
-    ec::Scalar r = ec::Scalar::random(rng);
-    auto rb = r.to_bytes();
+    const Secret<ec::Scalar> r(ec::Scalar::random(rng));
+    auto rb = r.expose_secret().to_bytes();
     ct::SecretScope scope(rb.data(), rb.size());
-    const auto enc = (evaluated * r.invert()).encode();
+    const auto enc = oprf::unblind(evaluated, r);
     sink(enc.data(), enc.size());
   }});
 

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/ct.h"
+#include "ec/modinv.h"
 
 namespace cbl::ec {
 
@@ -16,16 +17,10 @@ Fe25519 pow2k(Fe25519 x, int k) noexcept {
   return x;
 }
 
-// The shared prefix of invert() and pow_p58(): x^(2^250 - 1), plus the
-// x^11 that invert() also needs. This is the ref10 addition chain; names
+// x^(2^250 - 1), the bulk of pow_p58(), by the ref10 addition chain; names
 // say which power of x each step holds, x_a_b = x^(2^a - 2^b). The
 // schedule is fixed, so the trace is the same for every input.
-struct Pow22501 {
-  Fe25519 x_250_0;
-  Fe25519 x11;
-};
-
-Pow22501 pow22501(const Fe25519& x) noexcept {
+Fe25519 pow22501(const Fe25519& x) noexcept {
   const Fe25519 x2 = x.square();
   const Fe25519 x9 = pow2k(x2, 2) * x;
   const Fe25519 x11 = x9 * x2;
@@ -36,8 +31,7 @@ Pow22501 pow22501(const Fe25519& x) noexcept {
   const Fe25519 x_50_0 = pow2k(x_40_0, 10) * x_10_0;
   const Fe25519 x_100_0 = pow2k(x_50_0, 50) * x_50_0;
   const Fe25519 x_200_0 = pow2k(x_100_0, 100) * x_100_0;
-  const Fe25519 x_250_0 = pow2k(x_200_0, 50) * x_50_0;
-  return Pow22501{x_250_0, x11};
+  return pow2k(x_200_0, 50) * x_50_0;
 }
 
 }  // namespace
@@ -70,8 +64,15 @@ Fe25519 Fe25519::from_bytes(const std::array<std::uint8_t, 32>& s) noexcept {
 }
 
 std::array<std::uint8_t, 32> Fe25519::to_bytes() const noexcept {
+  // A carry chain brings every limb below 2^51 (limb 1 to at most 2^51).
   Fe25519 t = *this;
-  t.weak_reduce();
+  u64 c;
+  c = t.limbs_[0] >> 51; t.limbs_[0] &= kMask51; t.limbs_[1] += c;
+  c = t.limbs_[1] >> 51; t.limbs_[1] &= kMask51; t.limbs_[2] += c;
+  c = t.limbs_[2] >> 51; t.limbs_[2] &= kMask51; t.limbs_[3] += c;
+  c = t.limbs_[3] >> 51; t.limbs_[3] &= kMask51; t.limbs_[4] += c;
+  c = t.limbs_[4] >> 51; t.limbs_[4] &= kMask51; t.limbs_[0] += 19 * c;
+  c = t.limbs_[0] >> 51; t.limbs_[0] &= kMask51; t.limbs_[1] += c;
 
   // Compute the carry that a +19 would ripple to the top: q = 1 iff
   // t >= p, then add 19*q and drop bit 255 to reduce canonically.
@@ -82,7 +83,6 @@ std::array<std::uint8_t, 32> Fe25519::to_bytes() const noexcept {
   q = (t.limbs_[4] + q) >> 51;
 
   t.limbs_[0] += 19 * q;
-  u64 c;
   c = t.limbs_[0] >> 51; t.limbs_[0] &= kMask51; t.limbs_[1] += c;
   c = t.limbs_[1] >> 51; t.limbs_[1] &= kMask51; t.limbs_[2] += c;
   c = t.limbs_[2] >> 51; t.limbs_[2] &= kMask51; t.limbs_[3] += c;
@@ -100,10 +100,22 @@ std::array<std::uint8_t, 32> Fe25519::to_bytes() const noexcept {
 }
 
 Fe25519 Fe25519::invert() const noexcept {
-  // p - 2 = 2^255 - 21 = (2^250 - 1) * 2^5 + 11: 254 squarings and 11
-  // multiplications in all.
-  const Pow22501 c = pow22501(*this);
-  return pow2k(c.x_250_0, 5) * c.x11;
+  // p = 2^255 - 19 as four little-endian words.
+  static constexpr InvModulus kP = InvModulus::from_words(
+      {~u64{0} - 18, ~u64{0}, ~u64{0}, ~u64{0} >> 1});
+  std::array<std::uint8_t, 32> bytes = to_bytes();
+  std::array<u64, 4> words;
+  for (std::size_t i = 0; i < 4; ++i) {
+    words[i] = load_le64(bytes.data() + 8 * i);
+  }
+  words = mod_invert(words, kP);
+  for (std::size_t i = 0; i < 4; ++i) {
+    store_le64(bytes.data() + 8 * i, words[i]);
+  }
+  const Fe25519 inv = from_bytes(bytes);
+  secure_wipe(bytes);
+  secure_wipe(words);
+  return inv;
 }
 
 void Fe25519::batch_invert(std::span<Fe25519> elems) noexcept {
@@ -148,7 +160,7 @@ void Fe25519::batch_invert(std::span<Fe25519> elems) noexcept {
 
 Fe25519 Fe25519::pow_p58() const noexcept {
   // (p - 5) / 8 = 2^252 - 3 = (2^250 - 1) * 2^2 + 1.
-  return pow2k(pow22501(*this).x_250_0, 2) * *this;
+  return pow2k(pow22501(*this), 2) * *this;
 }
 
 bool Fe25519::is_negative() const noexcept {

@@ -4,14 +4,15 @@
 // paper's OPRF, commitments, NIZKs, and VRF.
 //
 // The hot kernels (add, sub, negate, mul, the dedicated square, select,
-// cmov and the carry chains behind them) are defined inline right after
+// cmov and the carries behind them) are defined inline right after
 // the class, so the group code in ristretto.cpp compiles to straight-line
 // limb arithmetic instead of thousands of opaque calls per scalar
-// multiplication. The exponentiation chains, encoding and batch
-// inversion stay in fe25519.cpp.
+// multiplication. The exponentiation chain, encoding and inversion stay
+// in fe25519.cpp.
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <span>
 
@@ -20,12 +21,24 @@
 
 namespace cbl::ec {
 
-/// A field element of GF(p), p = 2^255 - 19. Limbs are kept below 2^52
-/// between operations (the "weakly reduced" form); canonical form is only
-/// produced by to_bytes(). The bound is load-bearing: operator* and
-/// square() pre-scale limbs by 19 in 64 bits, which stays below 2^57 only
-/// for limbs below 2^52, and it keeps every 128-bit column sum of a
-/// product below 2^115.
+/// A field element of GF(p), p = 2^255 - 19. Canonical form is only
+/// produced by to_bytes(); in between, two limb bounds hold:
+///
+///  - Reduced: every limb < 2^52. operator-, operator*, square(),
+///    from_bytes() and invert() return reduced elements.
+///  - Operand: every limb < 2^54 (curve25519-dalek's u64 bound). This is
+///    what operator-, operator*, square() and to_bytes() accept. operator+
+///    is a bare limbwise sum with no carry chain, so a sum of up to four
+///    reduced values (< 4 * 2^52 = 2^54) is a valid operand.
+///
+/// Why the operand bound suffices: with a_i, b_i < 2^54, the worst column
+/// sum of a product is (1 + 4 * 19) * 2^108 < 2^114.3 < 2^115, so each
+/// carry (column >> 51) fits a u64, and 19 * b_i < 2^59 fits before the
+/// multiply. The top column r4 has no 19s: it stays below 5 * 2^108 plus
+/// the incoming carry, its carry is below 2^59.4, and 19 times that still
+/// fits a u64. A subtrahend below 2^54 stays below 16p's limbs
+/// (>= 2^55 - 304), so operator- never wraps. Debug builds assert the
+/// operand bound at the entry of operator-, operator* and square().
 class Fe25519 {
  public:
   /// Zero element.
@@ -55,11 +68,11 @@ class Fe25519 {
   /// the product.
   Fe25519 square() const noexcept;
 
-  /// Multiplicative inverse via Fermat (x^(p-2), evaluated by a fixed
-  /// addition chain); inverse of zero is zero.
+  /// Multiplicative inverse by constant-time safegcd (ec/modinv.h) on the
+  /// canonical encoding; inverse of zero is zero.
   Fe25519 invert() const noexcept;
 
-  /// Inverts every element in place with Montgomery's trick: one Fermat
+  /// Inverts every element in place with Montgomery's trick: one
   /// inversion plus 3(n-1) multiplications for the whole batch, instead of
   /// n inversions. Matches invert() exactly, including 0 -> 0: zero inputs
   /// are swapped for 1 in the running product and restored to 0 at the end,
@@ -107,7 +120,7 @@ class Fe25519 {
   static constexpr std::uint64_t kMask51 = (std::uint64_t{1} << 51) - 1;
 
   // 16 * p, limbwise: adding this before a subtraction keeps limbs
-  // non-negative for any weakly reduced operand.
+  // non-negative for any subtrahend within the operand bound.
   static constexpr std::uint64_t k16P[5] = {
       (kMask51 - 18) << 4,  // 16 * (2^51 - 19)
       kMask51 << 4, kMask51 << 4, kMask51 << 4, kMask51 << 4};
@@ -115,39 +128,39 @@ class Fe25519 {
   using u64 = std::uint64_t;
   using u128 = unsigned __int128;
 
-  void weak_reduce() noexcept;
+  // True iff every limb is below 2^54, the operand bound (class comment).
+  bool is_operand() const noexcept {
+    return ((limbs_[0] | limbs_[1] | limbs_[2] | limbs_[3] | limbs_[4]) >>
+            54) == 0;
+  }
 
   // The carry chain shared by operator* and square(): folds the five
-  // column sums of a product into weakly reduced limbs.
+  // column sums of a product into reduced limbs.
   static Fe25519 from_columns(u128 r0, u128 r1, u128 r2, u128 r3,
                               u128 r4) noexcept;
 
   std::uint64_t limbs_[5];
 };
 
-inline void Fe25519::weak_reduce() noexcept {
-  std::uint64_t c;
-  c = limbs_[0] >> 51; limbs_[0] &= kMask51; limbs_[1] += c;
-  c = limbs_[1] >> 51; limbs_[1] &= kMask51; limbs_[2] += c;
-  c = limbs_[2] >> 51; limbs_[2] &= kMask51; limbs_[3] += c;
-  c = limbs_[3] >> 51; limbs_[3] &= kMask51; limbs_[4] += c;
-  c = limbs_[4] >> 51; limbs_[4] &= kMask51; limbs_[0] += 19 * c;
-  c = limbs_[0] >> 51; limbs_[0] &= kMask51; limbs_[1] += c;
-}
-
 inline Fe25519 Fe25519::operator+(const Fe25519& o) const noexcept {
   Fe25519 r;
   for (int i = 0; i < 5; ++i) r.limbs_[i] = limbs_[i] + o.limbs_[i];
-  r.weak_reduce();
   return r;
 }
 
 inline Fe25519 Fe25519::operator-(const Fe25519& o) const noexcept {
+  assert(is_operand() && o.is_operand());
+  u64 t[5];
+  for (int i = 0; i < 5; ++i) t[i] = limbs_[i] + k16P[i] - o.limbs_[i];
+  // t_i < 2^54 + 2^55 < 2^56, so every carry is below 2^5. All five are
+  // taken from t at once (curve25519-dalek's reduce) rather than chained
+  // through the limbs, and each limb ends below 2^51 + 19 * 2^5 < 2^52.
   Fe25519 r;
-  for (int i = 0; i < 5; ++i) {
-    r.limbs_[i] = limbs_[i] + k16P[i] - o.limbs_[i];
-  }
-  r.weak_reduce();
+  r.limbs_[0] = (t[0] & kMask51) + 19 * (t[4] >> 51);
+  r.limbs_[1] = (t[1] & kMask51) + (t[0] >> 51);
+  r.limbs_[2] = (t[2] & kMask51) + (t[1] >> 51);
+  r.limbs_[3] = (t[3] & kMask51) + (t[2] >> 51);
+  r.limbs_[4] = (t[4] & kMask51) + (t[3] >> 51);
   return r;
 }
 
@@ -174,6 +187,7 @@ inline Fe25519 Fe25519::from_columns(u128 r0, u128 r1, u128 r2, u128 r3,
 }
 
 inline Fe25519 Fe25519::operator*(const Fe25519& o) const noexcept {
+  assert(is_operand() && o.is_operand());
   const u64 a0 = limbs_[0], a1 = limbs_[1], a2 = limbs_[2], a3 = limbs_[3],
             a4 = limbs_[4];
   const u64 b0 = o.limbs_[0], b1 = o.limbs_[1], b2 = o.limbs_[2],
@@ -194,6 +208,7 @@ inline Fe25519 Fe25519::operator*(const Fe25519& o) const noexcept {
 }
 
 inline Fe25519 Fe25519::square() const noexcept {
+  assert(is_operand());
   const u64 a0 = limbs_[0], a1 = limbs_[1], a2 = limbs_[2], a3 = limbs_[3],
             a4 = limbs_[4];
   const u64 a3_19 = 19 * a3, a4_19 = 19 * a4;

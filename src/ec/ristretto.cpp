@@ -117,6 +117,10 @@ struct RistrettoPoint::Completed {
 struct RistrettoPoint::Projective {
   Fe25519 x, y, z;
 
+  // 16 * P: four doublings chained in projective form, with T restored
+  // only at the end.
+  RistrettoPoint mul_by_16() const noexcept;
+
   // dbl-2008-bbjlp with a = -1; reads only X, Y, Z.
   Completed doubled() const noexcept {
     const Fe25519 xx = x.square();
@@ -159,8 +163,8 @@ std::array<RistrettoPoint::Cached, 8> RistrettoPoint::Cached::multiples(
   return table;
 }
 
-RistrettoPoint RistrettoPoint::mul_by_16() const noexcept {
-  Projective p{x_, y_, z_};
+RistrettoPoint RistrettoPoint::Projective::mul_by_16() const noexcept {
+  Projective p = *this;
   for (int i = 0; i < 3; ++i) p = p.doubled().to_projective();
   return p.doubled().to_extended();
 }
@@ -251,36 +255,50 @@ RistrettoPoint::Encoding RistrettoPoint::encode() const noexcept {
   return encode_with_invsqrt(inv.root);
 }
 
-std::vector<RistrettoPoint::Encoding> RistrettoPoint::double_and_encode_batch(
-    std::span<const RistrettoPoint> halves) {
-  const std::size_t n = halves.size();
-  std::vector<Encoding> out(n);
-  if (n == 0) return out;
-
+RistrettoPoint RistrettoPoint::doubled_for_encode(Fe25519& w) const noexcept {
   // For P = (X:Y:Z:T), write e = 2XY, f = Z^2 + dT^2, g = Y^2 + X^2,
   // h = Z^2 - dT^2. The curve identity Y^2 - X^2 = Z^2 + dT^2 turns the
   // extended doubling formula into 2P = (eh : gf : fh : eg), and makes
   // the encode target of 2P a rational square:
   //   u1 * u2^2 = -(1+d) * (e^2 f^2 g h)^2,
   // so 1/sqrt(u1*u2^2) = invsqrt_a_minus_d() / (e^2 f^2 g h) up to sign
-  // (encode_with_invsqrt is sign-invariant). One batch_invert over the
-  // W_i = e^2 f^2 g h replaces n per-point pow_p58 exponentiations.
-  // W_i = 0 exactly when 2P_i is in the identity coset; batch_invert's
+  // (encode_with_invsqrt is sign-invariant): one field inversion of
+  // W = e^2 f^2 g h replaces encode()'s pow_p58 exponentiation.
+  // W = 0 exactly when 2P is in the identity coset; the inversion's
   // 0 -> 0 then yields the all-zero encoding, matching encode().
+  const Fe25519 xx = x_.square();
+  const Fe25519 yy = y_.square();
+  const Fe25519 zz = z_.square();
+  const Fe25519 dtt = Fe25519::edwards_d() * t_.square();
+  const Fe25519 e = (x_ + y_).square() - xx - yy;
+  const Fe25519 f = zz + dtt;
+  const Fe25519 g = yy + xx;
+  const Fe25519 h = zz - dtt;
+  w = e.square() * f.square() * g * h;
+  return RistrettoPoint(e * h, g * f, f * h, e * g);
+}
+
+RistrettoPoint::Encoding RistrettoPoint::double_and_encode() const noexcept {
+  Fe25519 w;
+  const RistrettoPoint doubled = doubled_for_encode(w);
+  w = w.invert();
+  const Encoding out = doubled.encode_with_invsqrt(invsqrt_a_minus_d() * w);
+  w.wipe();  // entangled with the (possibly secret-derived) point
+  return out;
+}
+
+std::vector<RistrettoPoint::Encoding> RistrettoPoint::double_and_encode_batch(
+    std::span<const RistrettoPoint> halves) {
+  const std::size_t n = halves.size();
+  std::vector<Encoding> out(n);
+  if (n == 0) return out;
+
+  // double_and_encode() per point, with one batch_invert over every W_i
+  // in place of n inversions.
   std::vector<RistrettoPoint> doubled(n);
   std::vector<Fe25519> w(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const RistrettoPoint& p = halves[i];
-    const Fe25519 xx = p.x_.square();
-    const Fe25519 yy = p.y_.square();
-    const Fe25519 zz = p.z_.square();
-    const Fe25519 dtt = Fe25519::edwards_d() * p.t_.square();
-    const Fe25519 e = (p.x_ + p.y_).square() - xx - yy;
-    const Fe25519 f = zz + dtt;
-    const Fe25519 g = yy + xx;
-    const Fe25519 h = zz - dtt;
-    doubled[i] = RistrettoPoint(e * h, g * f, f * h, e * g);
-    w[i] = e.square() * f.square() * g * h;
+    doubled[i] = halves[i].doubled_for_encode(w[i]);
   }
 
   Fe25519::batch_invert(w);
@@ -377,12 +395,14 @@ RistrettoPoint RistrettoPoint::operator*(const Scalar& s) const noexcept {
   };
 
   std::array<std::int8_t, 64> digits = radix16(s);  // ct:secret
-  RistrettoPoint acc = identity().add(select(digits[63])).to_extended();
-  for (std::size_t i = 63; i-- > 0;) {
-    acc = acc.mul_by_16().add(select(digits[i])).to_extended();
+  Projective acc = identity().add(select(digits[63])).to_projective();
+  for (std::size_t i = 63; i-- > 1;) {
+    acc = acc.mul_by_16().add(select(digits[i])).to_projective();
   }
+  const RistrettoPoint result =
+      acc.mul_by_16().add(select(digits[0])).to_extended();
   secure_wipe(digits);
-  return acc;
+  return result;
 }
 
 bool RistrettoPoint::operator==(const RistrettoPoint& o) const noexcept {
@@ -414,7 +434,7 @@ RistrettoPoint RistrettoPoint::multiscalar_mul(
 
   RistrettoPoint acc = identity();
   for (std::size_t i = 64; i-- > 0;) {
-    acc = acc.mul_by_16();
+    acc = Projective{acc.x_, acc.y_, acc.z_}.mul_by_16();
     for (std::size_t k = 0; k < scalars.size(); ++k) {
       const std::array<Cached, 8>& table = tables[k];
       const std::int8_t d = recoded[k][i];

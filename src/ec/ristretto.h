@@ -52,6 +52,13 @@ class RistrettoPoint {
   static std::vector<Encoding> double_and_encode_batch(
       std::span<const RistrettoPoint> halves);
 
+  /// The one-point double_and_encode_batch: the encoding of 2*P for one
+  /// field inversion, with no heap allocation. Bit-identical to
+  /// (*this + *this).encode(), and cheaper than encode()'s inverse square
+  /// root, so a hot path that can fold a factor 1/2 into its scalar
+  /// encodes this way.
+  Encoding double_and_encode() const noexcept;
+
   /// Batched H(domain_sep || input_i). Elligator's sqrt_ratio_m1 must
   /// accept non-square inputs, so unlike encoding there is no shared
   /// inversion to amortize; this is the uniform batch surface (and the
@@ -79,7 +86,9 @@ class RistrettoPoint {
   /// from an 8-entry table by a full-scan cmov followed by a cmov
   /// negation. The double/add schedule is fixed (4 doublings, then 1
   /// addition, per digit), so neither branches nor data-dependent loads
-  /// reveal the scalar.
+  /// reveal the scalar. Between digits the accumulator stays projective:
+  /// the next doublings never read T, so only the last addition pays for
+  /// it.
   RistrettoPoint operator*(const Scalar& s) const noexcept;
 
   /// Group equality (encoding-independent, per the ristretto spec).
@@ -112,13 +121,14 @@ class RistrettoPoint {
   struct Projective;
   Cached to_cached() const noexcept;
   Completed add(const Cached& q) const noexcept;
-  /// 16 * P: four doublings chained in projective form, with T restored
-  /// only at the end.
-  RistrettoPoint mul_by_16() const noexcept;
+
+  /// 2P, with the W = e^2 f^2 g h whose inverse turns into 2P's inverse
+  /// square root (see double_and_encode_batch) stored in `w`.
+  RistrettoPoint doubled_for_encode(Fe25519& w) const noexcept;
 
   /// The tail of encode() once 1/sqrt(u1*u2^2) is known. encode() feeds it
-  /// the sqrt_ratio_m1 root; double_and_encode_batch feeds it the
-  /// batch-inverted closed form. The output is invariant under
+  /// the sqrt_ratio_m1 root; the double-and-encode paths feed it the
+  /// inverted closed form. The output is invariant under
   /// inv_root -> -inv_root, so the two agree bit-for-bit.
   Encoding encode_with_invsqrt(const Fe25519& inv_root) const noexcept;
 

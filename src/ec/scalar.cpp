@@ -1,6 +1,7 @@
 #include "ec/scalar.h"
 
 #include "common/ct.h"
+#include "ec/modinv.h"
 
 namespace cbl::ec {
 
@@ -236,25 +237,9 @@ void Scalar::wipe() noexcept {
 }
 
 Scalar Scalar::invert() const noexcept {
-  // Fermat: x^(l-2), square-and-multiply in the Montgomery domain. The
-  // base goes in once (xR = REDC(x * R^2)), each step is one mont_mul
-  // (REDC(aR * bR) = abR), and one REDC by 1 brings the result out. The
-  // exponent is a public constant, so the per-bit branch below leaks
-  // nothing about the base. ct:public
-  std::array<u64, 4> e = kL;
-  e[0] -= 2;  // l is odd with low limb ...ed, no borrow
-  std::array<u64, 4> base = mont_mul(limbs_, r2_mod_l());
-  std::array<u64, 4> acc = r_mod_l();
-  for (int bit = 252; bit >= 0; --bit) {  // l - 2 < 2^253
-    acc = mont_mul(acc, acc);
-    if ((e[static_cast<std::size_t>(bit / 64)] >> (bit % 64)) & 1) {
-      acc = mont_mul(acc, base);
-    }
-  }
+  static constexpr InvModulus kOrder = InvModulus::from_words(kL);
   Scalar result;
-  result.limbs_ = mont_mul(acc, {1, 0, 0, 0});
-  secure_wipe(base);
-  secure_wipe(acc);
+  result.limbs_ = mod_invert(limbs_, kOrder);
   return result;
 }
 

@@ -49,7 +49,8 @@ class Scalar {
   Scalar operator*(const Scalar& o) const noexcept;
   Scalar operator-() const noexcept;
 
-  /// Multiplicative inverse via Fermat; inverse of zero is zero.
+  /// Multiplicative inverse by constant-time safegcd (ec/modinv.h);
+  /// inverse of zero is zero.
   Scalar invert() const noexcept;
 
   /// Zeroizes the limbs through a compiler barrier. Key-holding types

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "oprf/blind.h"
+
 namespace cbl::oprf {
 
 OprfClient::OprfClient(Oracle oracle, unsigned lambda, Rng& rng)
@@ -26,15 +28,15 @@ OprfClient::OprfClient(Oracle oracle, unsigned lambda, Rng& rng)
   metrics_.cache_misses = cache("miss");
 }
 
-OprfClient::Prepared OprfClient::prepare(std::string_view entry) const {
+OprfClient::Prepared OprfClient::begin_query(std::string_view entry) const {
   const Bytes raw = to_bytes(entry);
   Prepared p;
   p.pending.blinding = Secret(ec::Scalar::random(rng_));
-  p.pending.hashed = oracle_.map_to_group(raw);
+  p.pending.half_blinded =
+      blind_half(oracle_.map_to_group(raw), p.pending.blinding);
   p.pending.prefix = Oracle::prefix(raw, lambda_);
 
   p.request.prefix = p.pending.prefix;
-  p.request.masked_query = (p.pending.hashed * p.pending.blinding).encode();
   p.request.api_key = api_key_;
   p.request.want_evaluation_proof = pinned_commitment_.has_value();
   const auto it = cache_.find(p.pending.prefix);
@@ -45,34 +47,25 @@ OprfClient::Prepared OprfClient::prepare(std::string_view entry) const {
   return p;
 }
 
+OprfClient::Prepared OprfClient::prepare(std::string_view entry) const {
+  Prepared p = begin_query(entry);
+  p.request.masked_query = p.pending.half_blinded.double_and_encode();
+  return p;
+}
+
 std::vector<OprfClient::Prepared> OprfClient::blind_batch(
     std::span<const std::string> entries) const {
-  // 2^-1 mod l: blind by r/2 and let the batched encode double it away,
-  // so m = H(u)^r costs no per-entry inverse square root.
-  static const ec::Scalar inv_two = ec::Scalar::from_u64(2).invert();
-  std::vector<Prepared> out(entries.size());
-  std::vector<ec::RistrettoPoint> halves(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Bytes raw = to_bytes(entries[i]);
-    Prepared& p = out[i];
-    p.pending.blinding = Secret(ec::Scalar::random(rng_));
-    p.pending.hashed = oracle_.map_to_group(raw);
-    p.pending.prefix = Oracle::prefix(raw, lambda_);
-    const Secret half_blinding = p.pending.blinding * inv_two;  // ct:secret
-    halves[i] = p.pending.hashed * half_blinding;
+  std::vector<Prepared> out;
+  std::vector<ec::RistrettoPoint> halves;
+  out.reserve(entries.size());
+  halves.reserve(entries.size());
+  for (const auto& entry : entries) {
+    out.push_back(begin_query(entry));
+    halves.push_back(out.back().pending.half_blinded);
   }
   const auto encodings = ec::RistrettoPoint::double_and_encode_batch(halves);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    Prepared& p = out[i];
-    p.request.prefix = p.pending.prefix;
-    p.request.masked_query = encodings[i];
-    p.request.api_key = api_key_;
-    p.request.want_evaluation_proof = pinned_commitment_.has_value();
-    const auto it = cache_.find(p.pending.prefix);
-    if (it != cache_.end()) {
-      p.request.cached_epoch = it->second.epoch;
-      p.pending.used_cache_hint = true;
-    }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].request.masked_query = encodings[i];
   }
   return out;
 }
@@ -85,9 +78,10 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
   }
   if (pinned_commitment_) {
     // Verifiable OPRF: the evaluation must carry a valid DLEQ against
-    // the pinned key commitment. The masked point is recomputable from
-    // the pending state.
-    const ec::RistrettoPoint masked = pending.hashed * pending.blinding;
+    // the pinned key commitment, over the masked point m that prepare()
+    // kept as half of itself.
+    const ec::RistrettoPoint masked =
+        pending.half_blinded + pending.half_blinded;
     if (!response.evaluation_proof ||
         !response.evaluation_proof->verify(
             ec::RistrettoPoint::base(), *pinned_commitment_, masked,
@@ -97,7 +91,7 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
   }
   // verdict <- psi^(1/r) in s_p.
   const ec::RistrettoPoint::Encoding unblinded =
-      (*evaluated * pending.blinding.invert()).encode();
+      unblind(*evaluated, pending.blinding);
 
   const std::vector<ec::RistrettoPoint::Encoding>* bucket = nullptr;
   const std::vector<Bytes>* metadata = nullptr;

@@ -31,7 +31,8 @@ class OprfClient {
   };
 
   /// Secure query (stage 2 of Fig. 2): m = H(u)^r plus the plaintext
-  /// prefix. Expensive under the slow oracle — by design.
+  /// prefix. Expensive under the slow oracle — by design. This is the
+  /// one-element blind_batch, without its vectors.
   Prepared prepare(std::string_view entry) const;
 
   /// Batched prepare(): one blinding factor per entry, drawn from the rng
@@ -81,6 +82,10 @@ class OprfClient {
   unsigned lambda() const { return lambda_; }
 
  private:
+  // prepare() up to the masked-query encoding: draws r, keeps H(u)^(r/2)
+  // in pending.half_blinded, and fills every other request field.
+  Prepared begin_query(std::string_view entry) const;
+
   struct CachedBucket {
     std::uint64_t epoch;
     std::vector<ec::RistrettoPoint::Encoding> bucket;

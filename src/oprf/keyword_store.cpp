@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "oprf/blind.h"
+
 namespace cbl::oprf {
 
 KeywordStore::KeywordStore(Oracle oracle, unsigned lambda, Rng& rng)
@@ -61,7 +63,8 @@ KeywordStore::prepare(const Oracle& oracle, unsigned lambda,
   LookupRequest request;
   request.prefix = pending.prefix;
   request.blinded_keyword =
-      (oracle.map_to_group(raw) * pending.blinding).encode();
+      blind_half(oracle.map_to_group(raw), pending.blinding)
+          .double_and_encode();
   return {request, pending};
 }
 
@@ -71,7 +74,7 @@ std::optional<Bytes> KeywordStore::finish(const Pending& pending,
   if (!evaluated) {
     throw ProtocolError("KeywordStore: malformed evaluation");
   }
-  const auto tag = (*evaluated * pending.blinding.invert()).encode();
+  const auto tag = unblind(*evaluated, pending.blinding);
   const auto it = std::lower_bound(
       response.bucket.begin(), response.bucket.end(), tag,
       [](const TaggedRecord& r, const ec::RistrettoPoint::Encoding& t) {

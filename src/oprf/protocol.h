@@ -60,8 +60,8 @@ struct QueryResponse {
 /// Client-side state kept between prepare() and finish().
 // ct:key-holder — the blinding factor is what keeps the query private.
 struct PendingQuery {
-  Secret<ec::Scalar> blinding;  // r  ct:secret
-  ec::RistrettoPoint hashed;    // H(u)
+  Secret<ec::Scalar> blinding;      // r  ct:secret
+  ec::RistrettoPoint half_blinded;  // H(u)^(r/2); doubled it is m
   std::uint32_t prefix = 0;
   bool used_cache_hint = false;
 

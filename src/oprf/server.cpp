@@ -5,19 +5,9 @@
 
 #include "exec/parallel_for.h"
 #include "hash/sha256.h"
+#include "oprf/blind.h"
 
 namespace cbl::oprf {
-
-namespace {
-
-// 2^-1 mod l: hot paths exponentiate by R/2 and let the batched encode
-// kernel supply the doubling (see RistrettoPoint::double_and_encode_batch).
-const ec::Scalar& inv_two() {
-  static const ec::Scalar v = ec::Scalar::from_u64(2).invert();
-  return v;
-}
-
-}  // namespace
 
 OprfServer::OprfServer(Oracle oracle, unsigned lambda, Rng& rng)
     : oracle_(oracle), lambda_(lambda), rng_(rng) {
@@ -119,7 +109,7 @@ void OprfServer::rebuild(unsigned num_threads) {
     MutexLock rng_lock(rng_mutex_);
     mask_ = Secret(ec::Scalar::random(rng_));
   }
-  half_mask_ = mask_ * inv_two();
+  half_mask_ = halve(mask_);
   key_commitment_ = ec::RistrettoPoint::base() * mask_;
   ++epoch_;
   note_epoch_locked();
@@ -311,7 +301,8 @@ std::vector<OprfServer::BatchOutcome> OprfServer::evaluate_batch(
 
 void OprfServer::insert_into_bucket(const std::string& entry) {
   const Bytes raw = to_bytes(entry);
-  const auto blinded = (oracle_.map_to_group(raw) * mask_).encode();
+  const auto blinded =
+      (oracle_.map_to_group(raw) * half_mask_).double_and_encode();
   const std::uint32_t prefix = Oracle::prefix(raw, lambda_);
   Bucket& bucket = buckets_[prefix];
   const auto it =
@@ -350,8 +341,8 @@ std::size_t OprfServer::remove_entries(std::span<const std::string> entries) {
     const auto idx = entry_index_.find(entry);
     if (idx == entry_index_.end()) continue;
     // Recompute the blinded value to locate it inside the sorted bucket.
-    const auto blinded =
-        (oracle_.map_to_group(to_bytes(entry)) * mask_).encode();
+    const auto blinded = (oracle_.map_to_group(to_bytes(entry)) * half_mask_)
+                             .double_and_encode();
     Bucket& bucket = buckets_[idx->second];
     const auto it = std::lower_bound(bucket.blinded.begin(),
                                      bucket.blinded.end(), blinded);

@@ -210,9 +210,9 @@ class OprfServer {
 
   mutable cbl::SharedMutex data_mutex_;  // lock: buckets / mask / epoch
   // ct:secret — the mask R. half_mask_ is R * 2^-1 mod l, refreshed with
-  // mask_: the batched encode kernel produces encodings of 2*P, so hot
-  // paths exponentiate by R/2 and let double_and_encode_batch supply the
-  // doubling. ct:secret
+  // mask_: the double-and-encode kernels produce encodings of 2*P, so hot
+  // paths exponentiate by R/2 and let those kernels supply the doubling.
+  // ct:secret
   Secret<ec::Scalar> mask_ CBL_GUARDED_BY(data_mutex_);
   Secret<ec::Scalar> half_mask_ CBL_GUARDED_BY(data_mutex_);
   ec::RistrettoPoint key_commitment_ CBL_GUARDED_BY(data_mutex_);  // g^R

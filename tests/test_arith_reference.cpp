@@ -5,6 +5,7 @@
 // carry/borrow bugs the RFC vectors might miss.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/ct.h"
@@ -356,6 +357,111 @@ TEST_F(FeReferenceTest, InvertAndPowP58MatchReferenceExponentiation) {
   }
 }
 
+// operator+ carries nothing, so a sum of up to four reduced values (limbs
+// < 2^52) is a valid operand (limbs < 2^54). The summands are the edge
+// sums, reduced values whose largest, top + top for top = 2^255 - 1, has
+// every limb at 2^52 - 2; four copies of it put every limb at 2^54 - 8,
+// the edge of the bound. Every operand goes through each consumer of the
+// bound: *, square(), - (as minuend and subtrahend), to_bytes(), == and
+// is_negative().
+TEST_F(FeReferenceTest, LazySumsOfUpToFourReducedValuesAreValidOperands) {
+  const auto p = ref_p();
+  std::array<std::uint8_t, 32> top_bytes;
+  top_bytes.fill(0xff);
+  const Fe25519 top = fe_from(top_bytes);
+  const EdgeSum max_limbs{
+      top + top, ref_from(top_bytes).add(ref_from(top_bytes)).mod(p)};
+
+  std::vector<EdgeSum> summands = {max_limbs};
+  const auto sums = edge_sums();
+  summands.insert(summands.end(), sums.begin(), sums.end());
+
+  for (std::size_t count = 2; count <= 4; ++count) {
+    std::vector<EdgeSum> operands;
+    for (std::size_t i = 0; i < summands.size(); ++i) {
+      // Operand 0 is `count` copies of max_limbs; the rest mix edge sums.
+      EdgeSum x = summands[i];
+      for (std::size_t k = 1; k < count; ++k) {
+        const EdgeSum& y = summands[i == 0 ? 0 : (i + 7 * k) % summands.size()];
+        x = {x.fe + y.fe, x.ref.add(y.ref).mod(p)};
+      }
+      operands.push_back(x);
+    }
+    for (std::size_t i = 0; i < operands.size(); ++i) {
+      const EdgeSum& a = operands[i];
+      const EdgeSum& b = operands[(i + 1) % operands.size()];
+      const auto a_bytes = a.ref.to_le_bytes32();
+      SCOPED_TRACE("summands=" + std::to_string(count) +
+                   " a=" + to_hex(ByteView(a_bytes)));
+      EXPECT_EQ(a.fe.to_bytes(), a_bytes);
+      EXPECT_TRUE(a.fe == Fe25519::from_bytes(a_bytes));
+      EXPECT_EQ(a.fe.is_negative(), (a_bytes[0] & 1) != 0);
+      EXPECT_EQ((a.fe * b.fe).to_bytes(),
+                a.ref.mul(b.ref).mod(p).to_le_bytes32());
+      EXPECT_EQ(a.fe.square().to_bytes(),
+                a.ref.mul(a.ref).mod(p).to_le_bytes32());
+      EXPECT_EQ((a.fe - b.fe).to_bytes(),
+                a.ref.add(p.sub(b.ref)).mod(p).to_le_bytes32());
+      EXPECT_EQ((b.fe - a.fe).to_bytes(),
+                b.ref.add(p.sub(a.ref)).mod(p).to_le_bytes32());
+      EXPECT_EQ((-a.fe).to_bytes(), p.sub(a.ref).mod(p).to_le_bytes32());
+    }
+  }
+}
+
+// x^e by left-to-right square-and-multiply over the production multiply:
+// the Fermat inversion that the safegcd kernel replaced, kept only here,
+// as the reference the kernel is checked against for both moduli.
+template <typename T>
+T fermat_pow(const T& x, const std::array<std::uint8_t, 32>& e) {
+  T r = T::one();
+  for (std::size_t bit = 256; bit-- > 0;) {
+    r = r * r;
+    if ((e[bit / 8] >> (bit % 8)) & 1) r = r * x;
+  }
+  return r;
+}
+
+// The inversion inputs named by value, plus 1,000 random ones per modulus
+// (appended by each test). Random inputs bring f to +-1 (the gcd) within
+// ~525 of the kernel's 590 divsteps, so they would not notice a round
+// too few; the last value needs 533 divsteps mod p (found by a
+// hill-climbing search), more than 9 rounds of 59 provide.
+std::vector<std::array<std::uint8_t, 32>> inversion_inputs() {
+  const RefInt one = RefInt::from_u64(1), two = RefInt::from_u64(2);
+  const RefInt p = ref_p(), l = ref_l();
+  std::vector<std::array<std::uint8_t, 32>> out;
+  for (const RefInt& v :
+       {RefInt(), one, two, p.sub(one), p.sub(two), l.sub(one), l.sub(two),
+        one.shifted_left_bits(252),
+        one.shifted_left_bits(255).sub(RefInt::from_u64(20)),
+        RefInt::from_le_bytes(from_hex("7b00139376490439dd493c8ecab5b51f"
+                                       "0c85d25c153e2f2ce314a437ea7c8f60")
+                                  .value())}) {
+    out.push_back(v.to_le_bytes32());
+  }
+  return out;
+}
+
+TEST_F(FeReferenceTest, InvertMatchesFermatOnNamedAndRandomInputs) {
+  const auto p_minus_2 = ref_p().sub(RefInt::from_u64(2)).to_le_bytes32();
+  auto inputs = inversion_inputs();
+  for (int i = 0; i < 1000; ++i) {
+    std::array<std::uint8_t, 32> bytes;
+    rng_.fill(bytes.data(), 32);
+    inputs.push_back(bytes);
+  }
+  for (const auto& bytes : inputs) {
+    const Fe25519 x = fe_from(bytes);
+    const Fe25519 inv = x.invert();
+    EXPECT_EQ(inv.to_bytes(), fermat_pow(x, p_minus_2).to_bytes())
+        << "x=" << to_hex(ByteView(bytes));
+    EXPECT_TRUE(x.is_zero() ? inv.is_zero() : x * inv == Fe25519::one())
+        << "x=" << to_hex(ByteView(bytes));
+  }
+  EXPECT_TRUE(Fe25519::zero().invert().is_zero());
+}
+
 // ------------------------------------------------------------------ Scalar
 
 class ScalarReferenceTest : public ::testing::Test {
@@ -456,6 +562,23 @@ TEST_F(ScalarReferenceTest, InvertMatchesReferenceExponentiation) {
                   .to_le_bytes32())
         << "x=" << to_hex(ByteView(bytes));
   }
+}
+
+TEST_F(ScalarReferenceTest, InvertMatchesFermatOnNamedAndRandomInputs) {
+  const auto l_minus_2 = ref_l().sub(RefInt::from_u64(2)).to_le_bytes32();
+  std::vector<Scalar> inputs;
+  for (const auto& bytes : inversion_inputs()) {
+    inputs.push_back(Scalar::from_bytes_mod_order(bytes));
+  }
+  for (int i = 0; i < 1000; ++i) inputs.push_back(Scalar::random(rng_));
+  for (const Scalar& x : inputs) {
+    const Scalar inv = x.invert();
+    EXPECT_EQ(inv.to_bytes(), fermat_pow(x, l_minus_2).to_bytes())
+        << "x=" << to_hex(ByteView(x.to_bytes()));
+    EXPECT_EQ(x * inv, x.is_zero() ? Scalar::zero() : Scalar::one())
+        << "x=" << to_hex(ByteView(x.to_bytes()));
+  }
+  EXPECT_EQ(Scalar::zero().invert(), Scalar::zero());
 }
 
 TEST_F(ScalarReferenceTest, MontgomeryRoundTripIdentities) {

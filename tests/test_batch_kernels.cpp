@@ -17,6 +17,7 @@
 #include "ec/scalar.h"
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
+#include "oprf/blind.h"
 #include "oprf/client.h"
 #include "oprf/oracle.h"
 #include "oprf/server.h"
@@ -188,6 +189,23 @@ TEST(DoubleAndEncodeBatch, HashToGroupInputsSurviveRoundTrip) {
     const auto decoded = RistrettoPoint::decode(got[i]);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_TRUE(*decoded == halves[i] + halves[i]);
+  }
+}
+
+TEST(DoubleAndEncode, SinglePointMatchesBatchAndEncode) {
+  // The one-point kernel inverts its W directly instead of through
+  // batch_invert; identity points take the W = 0 path there too.
+  auto rng = ChaChaRng::from_string_seed("double-encode-single");
+  std::vector<RistrettoPoint> points = {RistrettoPoint::identity(),
+                                        RistrettoPoint::base()};
+  for (int i = 0; i < 8; ++i) points.push_back(random_point(rng));
+  points.push_back(RistrettoPoint::hash_to_group(rng.bytes(20), "cbl/test"));
+  const auto batch = RistrettoPoint::double_and_encode_batch(points);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(points[i].double_and_encode(), batch[i]) << "i=" << i;
+    EXPECT_EQ(points[i].double_and_encode(),
+              (points[i] + points[i]).encode())
+        << "i=" << i;
   }
 }
 
@@ -372,8 +390,24 @@ TEST(BlindBatch, MatchesSequentialPrepare) {
         << "i=" << i;
     EXPECT_EQ(got[i].pending.blinding.expose_secret().to_bytes(),
               expected[i].pending.blinding.expose_secret().to_bytes());
-    EXPECT_TRUE(got[i].pending.hashed == expected[i].pending.hashed);
+    EXPECT_TRUE(got[i].pending.half_blinded ==
+                expected[i].pending.half_blinded);
     EXPECT_EQ(got[i].pending.prefix, expected[i].pending.prefix);
+  }
+}
+
+TEST(BlindHelpers, UnblindUndoesBlindAndEvaluation) {
+  // blind_half doubled is H(u)^r; unblind(psi, r) is psi^(1/r) encoded.
+  auto rng = ChaChaRng::from_string_seed("blind-helpers");
+  for (int i = 0; i < 8; ++i) {
+    const RistrettoPoint hashed = random_point(rng);
+    const cbl::Secret<Scalar> r(Scalar::random(rng));
+    const Scalar mask = Scalar::random(rng);
+    const RistrettoPoint half = cbl::oprf::blind_half(hashed, r);
+    const RistrettoPoint masked = hashed * r.expose_secret();
+    EXPECT_TRUE(half + half == masked);
+    EXPECT_EQ(half.double_and_encode(), masked.encode());
+    EXPECT_EQ(cbl::oprf::unblind(masked * mask, r), (hashed * mask).encode());
   }
 }
 
