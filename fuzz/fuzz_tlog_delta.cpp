@@ -1,34 +1,18 @@
 // Decode surface: tlog/delta.h — the signed epoch-delta codec and the
 // full bucket-map download parser. Accepted messages must be canonical
-// (re-encode == input), and folding any accepted delta into a bucket
-// mirror must either succeed or leave the mirror bit-identical
-// (copy-then-swap: a rejected fold never corrupts cached state).
+// (re-encode == input); folding any accepted delta into a bucket mirror
+// must either succeed or leave the mirror bit-identical (a rejected fold
+// never corrupts cached state), and a successful fold must bring a kept
+// BucketTree, updated over the touched buckets, to the root of a tree
+// built from scratch over the folded mirror.
 #include <algorithm>
+#include <vector>
 
-#include "common/rng.h"
 #include "fuzz/harness.h"
-#include "tlog/delta.h"
+#include "fuzz/tlog_delta_base.h"
+#include "tlog/log.h"
 
 using namespace cbl;
-
-namespace {
-
-/// A small fixed mirror to fold hostile deltas into.
-tlog::BucketMap base_mirror() {
-  tlog::BucketMap buckets;
-  ChaChaRng rng = ChaChaRng::from_string_seed("fuzz-tlog-delta");
-  for (std::uint32_t prefix : {7u, 9u, 1000u}) {
-    std::vector<ec::RistrettoPoint::Encoding> entries(3);
-    for (auto& e : entries) rng.fill(e.data(), e.size());
-    std::sort(entries.begin(), entries.end());
-    entries.erase(std::unique(entries.begin(), entries.end()),
-                  entries.end());
-    buckets.emplace(prefix, std::move(entries));
-  }
-  return buckets;
-}
-
-}  // namespace
 
 CBL_FUZZ_TARGET(cbl_fuzz_tlog_delta) {
   const ByteView input(data, size);
@@ -37,9 +21,16 @@ CBL_FUZZ_TARGET(cbl_fuzz_tlog_delta) {
     const Bytes re = delta->to_bytes();
     CBL_FUZZ_CHECK(re.size() == input.size() &&
                    std::equal(re.begin(), re.end(), input.begin()));
-    static const tlog::BucketMap base = base_mirror();
+    static const tlog::BucketMap base = fuzz::tlog_delta_base_mirror();
+    static const tlog::BucketTree base_tree(base);
     tlog::BucketMap mirror = base;
-    if (!tlog::fold_delta(mirror, *delta)) {
+    if (tlog::fold_delta(mirror, *delta)) {
+      std::vector<std::uint32_t> changed;
+      for (const auto& pd : delta->prefixes) changed.push_back(pd.prefix);
+      tlog::BucketTree kept = base_tree;
+      kept.update(mirror, changed);
+      CBL_FUZZ_CHECK(kept.root() == tlog::BucketTree(mirror).root());
+    } else {
       CBL_FUZZ_CHECK(mirror == base);  // rejected folds must not corrupt
     }
   }

@@ -4,6 +4,7 @@
 // the tool reproduces the committed corpus byte for byte.
 //
 // Usage: make_corpus <output-root>   (typically fuzz/corpora)
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "ec/codec.h"
 #include "ec/ristretto.h"
 #include "ec/scalar.h"
+#include "fuzz/tlog_delta_base.h"
 #include "net/service_node.h"
 #include "nizk/signature.h"
 #include "oprf/wire.h"
@@ -355,6 +357,31 @@ int main(int argc, char** argv) {
       write("fuzz_tlog_delta", "bucket-map-unsorted", w.take());
     }
     write("fuzz_tlog_delta", "empty", Bytes{});
+
+    // Two deltas that fold onto the harness's own mirror and change its
+    // prefix set, so the kept tree takes the rebuild path: one removes
+    // every entry of bucket 9, one adds the new bucket 8. Own DRBG, so
+    // the seeds above keep their bytes.
+    ChaChaRng fold_rng = ChaChaRng::from_string_seed("cbl-corpus-tlog-fold");
+    const nizk::SigningKey fold_key = nizk::SigningKey::generate(fold_rng);
+    const tlog::BucketMap mirror = fuzz::tlog_delta_base_mirror();
+    tlog::EpochDelta empties;
+    empties.from_epoch = 1;
+    empties.to_epoch = 2;
+    empties.prefixes.push_back({9, {}, mirror.at(9)});
+    write("fuzz_tlog_delta", "delta-empties-bucket",
+          tlog::sign_delta(fold_key, empties, fold_rng).to_bytes());
+    tlog::EpochDelta creates;
+    creates.from_epoch = 1;
+    creates.to_epoch = 2;
+    tlog::PrefixDelta created{8, {}, {}};
+    for (int i = 0; i < 2; ++i) {
+      created.added.push_back(rand_point(fold_rng).encode());
+    }
+    std::sort(created.added.begin(), created.added.end());
+    creates.prefixes.push_back(created);
+    write("fuzz_tlog_delta", "delta-creates-bucket",
+          tlog::sign_delta(fold_key, creates, fold_rng).to_bytes());
   }
 
   // -------------------------------------------- store + auditor persistence

@@ -24,8 +24,11 @@ floors (no baseline):
   throughput  kernel/batch_encode >= 1.0x scalar at batch 64 and 256;
               every pipeline/qps value > 0
   tlog        sync/delta_bytes > 1.0x (delta smaller than the full
-              download) at churn=2per1k; non-zero sync/full_bytes sizes
-              and verify/* timings
+              download) at churn=2per1k; publish/epoch and
+              verify/delta_fold at churn=2per1k each under half of
+              tree/full_build from the same run (a ratio, so the host's
+              speed cancels: an epoch must not cost work over the whole
+              list); non-zero sync/full_bytes sizes and verify/* timings
   store       non-zero journal/append and snapshot/commit timings;
               journal/recover and store/load replay every record
 
@@ -48,6 +51,9 @@ import json
 import sys
 
 DEFAULT_MAX_DRIFT = 0.15
+# bench_tlog: publish and fold at the lowest churn level, as a share of a
+# full bucket-tree build in the same run.
+MAX_EPOCH_SHARE_OF_FULL_BUILD = 0.5
 
 _CONFIG_KEYS = (
     "simulated_clients", "unique_addresses", "listed_addresses", "zipf_s",
@@ -216,11 +222,32 @@ def check_tlog(report: dict) -> str:
     full = _named(results, "sync/full_bytes")
     _require(bool(full) and all(r["bytes_per_query"] > 0 for r in full),
              what, "no/empty sync/full_bytes record")
+    builds = _named(results, "tree/full_build")
+    _require(len(builds) == 1 and builds[0]["ns_per_op"] > 0, what,
+             "no tree/full_build record")
+    build_ns = builds[0]["ns_per_op"]
+    for name in ("publish/epoch", "verify/delta_fold"):
+        at_low = [r for r in _named(results, name)
+                  if "churn=2per1k" in r["params"]]
+        _require(bool(at_low), what, f"missing {name} churn=2per1k record")
+        for r in at_low:
+            share = r["ns_per_op"] / build_ns
+            _require(share <= MAX_EPOCH_SHARE_OF_FULL_BUILD, what,
+                     f"{name} costs O(list): {r['ns_per_op']:.0f} ns is "
+                     f"{share:.2f}x a full tree build ({build_ns:.0f} ns), "
+                     f"limit {MAX_EPOCH_SHARE_OF_FULL_BUILD}x "
+                     f"({r['params']})")
     verify = [r for r in results if r["name"].startswith("verify/")]
     _require(bool(verify) and all(r["ns_per_op"] > 0 for r in verify), what,
              "missing verify timings")
+    shares = ", ".join(
+        f"{r['name']}={r['ns_per_op'] / build_ns:.2f}x"
+        for r in results
+        if r["name"] in ("publish/epoch", "verify/delta_fold")
+        and "churn=2per1k" in r["params"])
     return "tlog delta vs full download: " + ", ".join(
-        f"{r['params'].split(',')[1]}={r['value']:.1f}x" for r in deltas)
+        f"{r['params'].split(',')[1]}={r['value']:.1f}x"
+        for r in deltas) + f"; at churn=2per1k vs a full build: {shares}"
 
 
 def _records_in(params: str) -> int:
@@ -375,6 +402,10 @@ def _synthetic_results() -> dict[str, dict]:
             _rec("sync/delta_bytes", "entries=1000,churn=50per1k", ns=0.0,
                  nbytes=4000.0, value=10.0),
             _rec("sync/full_bytes", "entries=1000", ns=0.0, nbytes=40000.0),
+            _rec("tree/full_build", "entries=1000", ns=4000.0),
+            _rec("publish/epoch", "entries=1000,churn=2per1k", ns=500.0),
+            _rec("publish/epoch", "entries=1000,churn=50per1k", ns=3000.0),
+            _rec("verify/delta_fold", "entries=1000,churn=2per1k", ns=400.0),
         ]},
         "store": {"bench": "store", "results": [
             _rec("journal/append", "fs=mem,payload=64"),
@@ -422,6 +453,14 @@ def _self_test_results() -> None:
          "sync/full_bytes"),
         ("tlog", _set("verify/checkpoint", "", "ns_per_op", 0.0),
          "missing verify timings"),
+        ("tlog", _set("publish/epoch", "churn=2per1k", "ns_per_op", 2100.0),
+         "publish/epoch costs O(list)"),
+        ("tlog", _set("verify/delta_fold", "churn=2per1k", "ns_per_op",
+                      4000.0),
+         "verify/delta_fold costs O(list)"),
+        ("tlog", _drop("publish/epoch", "churn=2per1k"),
+         "missing publish/epoch"),
+        ("tlog", _drop("tree/full_build"), "no tree/full_build"),
         ("store", _set("journal/append", "", "ns_per_op", 0.0),
          "journal append"),
         ("store", _set("snapshot/commit", "", "ns_per_op", 0.0),

@@ -58,9 +58,11 @@
 #                  must not regress below the scalar path (speedup >= 1
 #                  at batch >= 64), a signed epoch delta must cost fewer
 #                  wire bytes than the full bucket download it replaces
-#                  at >= 2 changed entries per 1k, and store recovery
-#                  must replay every appended journal record (all checked
-#                  by scripts/check_bench_regression.py --check-results)
+#                  at >= 2 changed entries per 1k, publishing and folding
+#                  that epoch must each cost under half a full bucket-tree
+#                  build, and store recovery must replay every appended
+#                  journal record (all checked by
+#                  scripts/check_bench_regression.py --check-results)
 #  13. macro-smoke Release build of bench_macro (the open-loop macro-load
 #                  harness, src/load): scripts/check_bench_regression.py
 #                  self-tests, a fresh --quick run under the pinned

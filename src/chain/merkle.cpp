@@ -1,5 +1,6 @@
 #include "chain/merkle.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace cbl::chain {
@@ -31,17 +32,62 @@ MerkleTree::Digest MerkleTree::hash_node(const Digest& left,
   return h.finalize();
 }
 
-MerkleTree::MerkleTree(const std::vector<Bytes>& leaves) {
-  leaf_hashes_.reserve(leaves.size());
-  for (const auto& leaf : leaves) leaf_hashes_.push_back(hash_leaf(leaf));
-  if (!leaf_hashes_.empty()) root_ = subtree_root(0, leaf_hashes_.size());
+MerkleTree::MerkleTree(const std::vector<Bytes>& leaves) : levels_(1) {
+  levels_[0].reserve(leaves.size());
+  for (const auto& leaf : leaves) levels_[0].push_back(hash_leaf(leaf));
+  while (levels_.back().size() > 1) {
+    levels_.emplace_back((levels_.back().size() + 1) / 2);
+    const std::size_t level = levels_.size() - 1;
+    for (std::size_t i = 0; i < levels_[level].size(); ++i) rehash(level, i);
+  }
+  if (!levels_[0].empty()) root_ = levels_.back()[0];
 }
 
-MerkleTree::Digest MerkleTree::subtree_root(std::size_t lo,
-                                            std::size_t hi) const {
-  if (hi - lo == 1) return leaf_hashes_[lo];
-  const std::size_t k = split_point(hi - lo);
-  return hash_node(subtree_root(lo, lo + k), subtree_root(lo + k, hi));
+void MerkleTree::rehash(std::size_t level, std::size_t index) {
+  const std::vector<Digest>& below = levels_[level - 1];
+  const std::size_t left = 2 * index;
+  levels_[level][index] = left + 1 < below.size()
+                              ? hash_node(below[left], below[left + 1])
+                              : below[left];  // odd last node: promoted
+}
+
+void MerkleTree::update(const std::vector<LeafUpdate>& updates) {
+  std::vector<std::size_t> dirty;
+  dirty.reserve(updates.size());
+  for (const auto& u : updates) {
+    if (u.index >= leaf_count()) {
+      throw std::out_of_range("MerkleTree::update: index out of range");
+    }
+    dirty.push_back(u.index);
+  }
+  for (const auto& u : updates) levels_[0][u.index] = hash_leaf(u.payload);
+  // Parents of a sorted index set stay sorted, so one sort serves every
+  // level; dedup makes each shared ancestor cost one hash.
+  std::sort(dirty.begin(), dirty.end());
+  for (std::size_t level = 1; level < levels_.size(); ++level) {
+    for (auto& i : dirty) i >>= 1;
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+    for (const std::size_t i : dirty) rehash(level, i);
+  }
+  if (!levels_[0].empty()) root_ = levels_.back()[0];
+}
+
+void MerkleTree::append(ByteView payload) {
+  levels_[0].push_back(hash_leaf(payload));
+  for (std::size_t level = 0; levels_[level].size() > 1; ++level) {
+    const std::size_t parent = (levels_[level].size() - 1) / 2;
+    if (level + 1 == levels_.size()) levels_.emplace_back();
+    if (levels_[level + 1].size() == parent) levels_[level + 1].emplace_back();
+    rehash(level + 1, parent);
+  }
+  root_ = levels_.back()[0];
+}
+
+const MerkleTree::Digest& MerkleTree::node(std::size_t lo,
+                                           std::size_t hi) const {
+  std::size_t level = 0;
+  while ((std::size_t{1} << level) < hi - lo) ++level;
+  return levels_[level][lo >> level];
 }
 
 MerkleTree::Proof MerkleTree::prove(std::size_t index) const {
@@ -49,21 +95,15 @@ MerkleTree::Proof MerkleTree::prove(std::size_t index) const {
     throw std::out_of_range("MerkleTree::prove: index out of range");
   }
   Proof proof;
-  subtree_prove(index, 0, leaf_count(), proof);
-  return proof;
-}
-
-void MerkleTree::subtree_prove(std::size_t index, std::size_t lo,
-                               std::size_t hi, Proof& out) const {
-  if (hi - lo == 1) return;
-  const std::size_t k = split_point(hi - lo);
-  if (index < lo + k) {
-    subtree_prove(index, lo, lo + k, out);
-    out.push_back(ProofStep{subtree_root(lo + k, hi), true});
-  } else {
-    subtree_prove(index, lo + k, hi, out);
-    out.push_back(ProofStep{subtree_root(lo, lo + k), false});
+  for (std::size_t level = 0; level + 1 < levels_.size(); ++level) {
+    // A promoted node has no sibling at this level: no proof step.
+    const std::size_t sibling = index ^ 1;
+    if (sibling < levels_[level].size()) {
+      proof.push_back(ProofStep{levels_[level][sibling], (index & 1) == 0});
+    }
+    index >>= 1;
   }
+  return proof;
 }
 
 bool MerkleTree::verify(const Digest& root, ByteView leaf_payload,
@@ -129,16 +169,16 @@ void MerkleTree::subtree_consistency(std::size_t m, std::size_t lo,
   if (m == n) {
     // The old tree is exactly this subtree; its root is implied when the
     // verifier already holds it (complete), a proof node otherwise.
-    if (!complete) out.push_back(subtree_root(lo, hi));
+    if (!complete) out.push_back(node(lo, hi));
     return;
   }
   const std::size_t k = split_point(n);
   if (m <= k) {
     subtree_consistency(m, lo, lo + k, complete, out);
-    out.push_back(subtree_root(lo + k, hi));
+    out.push_back(node(lo + k, hi));
   } else {
     subtree_consistency(m - k, lo + k, hi, false, out);
-    out.push_back(subtree_root(lo, lo + k));
+    out.push_back(node(lo, lo + k));
   }
 }
 

@@ -4,6 +4,11 @@
 // count, so every prefix of the leaf sequence is a subtree and
 // append-only growth is provable with succinct consistency proofs.
 //
+// The RFC-6962 tree is exactly the tree built level by level where an
+// odd last node is promoted unchanged to the next level, so that is how
+// it is stored: every level's node hashes. A proof then reads stored
+// siblings, and a leaf update or an append rehashes one path.
+//
 // Two consumers ride on this one structure:
 //   * the blockchain commits each sealed block to the Merkle root of its
 //     transaction receipts, so a light client can verify that a given
@@ -32,12 +37,26 @@ class MerkleTree {
   /// RFC-6962 consistency proof: bare subtree hashes, leaf-to-root order.
   using ConsistencyProof = std::vector<Digest>;
 
+  /// One leaf replacement for update().
+  struct LeafUpdate {
+    std::size_t index;
+    Bytes payload;
+  };
+
   /// Builds the tree over the given leaf payloads (hashed internally).
   /// An empty leaf set has the all-zero root.
   explicit MerkleTree(const std::vector<Bytes>& leaves);
 
   const Digest& root() const { return root_; }
-  std::size_t leaf_count() const { return leaf_hashes_.size(); }
+  std::size_t leaf_count() const { return levels_[0].size(); }
+
+  /// Replaces existing leaves' payloads and rehashes their paths, each
+  /// shared ancestor once. Indices must be in range; throws
+  /// std::out_of_range otherwise (the tree is then unchanged).
+  void update(const std::vector<LeafUpdate>& updates);
+
+  /// Appends one leaf, rehashing only the right edge of the tree.
+  void append(ByteView payload);
 
   /// Inclusion proof for leaf `index`; throws std::out_of_range.
   Proof prove(std::size_t index) const;
@@ -76,13 +95,18 @@ class MerkleTree {
   static Digest hash_node(const Digest& left, const Digest& right);
 
  private:
-  Digest subtree_root(std::size_t lo, std::size_t hi) const;
-  void subtree_prove(std::size_t index, std::size_t lo, std::size_t hi,
-                     Proof& out) const;
+  /// The stored node covering leaves [lo, hi); only valid for ranges
+  /// that are nodes of the tree (what the consistency recursion visits).
+  const Digest& node(std::size_t lo, std::size_t hi) const;
+  /// Recomputes node `index` of `level` from its children in level - 1.
+  void rehash(std::size_t level, std::size_t index);
   void subtree_consistency(std::size_t m, std::size_t lo, std::size_t hi,
                            bool complete, ConsistencyProof& out) const;
 
-  std::vector<Digest> leaf_hashes_;
+  /// levels_[0] holds the leaf hashes; levels_[l + 1][i] hashes the pair
+  /// (2i, 2i + 1) of levels_[l], or promotes 2i when it is the odd last
+  /// node. The top level holds the root (one node; none when empty).
+  std::vector<std::vector<Digest>> levels_;
   Digest root_{};
 };
 

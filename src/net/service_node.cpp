@@ -554,11 +554,9 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
   // path. Any mirrored prefix works — the path pins the epoch record
   // (and with it the full bucket root) under the checkpoint; an empty
   // bucket set has nothing to bind and nothing to audit.
-  const auto mirrored = auditor.buckets();  // one snapshot, one prefix choice
-  if (!mirrored.empty()) {
-    const std::uint32_t audit_prefix = mirrored.begin()->first;
+  if (const auto audit_prefix = auditor.first_prefix()) {
     ec::WireWriter w;
-    w.u32(audit_prefix);
+    w.u32(*audit_prefix);
     const auto path_body =
         call_tlog(Method::kTlogAuditPath, w.take(), &transport_failed);
     if (!path_body) {
@@ -567,7 +565,7 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     }
     const auto path = tlog::parse_audit_path(*path_body);
     if (!path) return finish(SyncReport::Failure::kAudit);
-    if (auditor.verify_audit_path(audit_prefix, *path) !=
+    if (auditor.verify_audit_path(*audit_prefix, *path) !=
         tlog::Auditor::Status::kOk) {
       return finish(SyncReport::Failure::kAudit);
     }

@@ -43,6 +43,7 @@ OprfClient::Prepared OprfClient::begin_query(std::string_view entry) const {
   if (it != cache_.end()) {
     p.request.cached_epoch = it->second.epoch;
     p.pending.used_cache_hint = true;
+    p.pending.cached_epoch = it->second.epoch;
   }
   return p;
 }
@@ -97,10 +98,13 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
   const std::vector<Bytes>* metadata = nullptr;
   if (response.bucket_omitted) {
     const auto it = cache_.find(pending.prefix);
-    if (it == cache_.end() || it->second.epoch != response.epoch) {
+    if (it == cache_.end() || it->second.epoch != pending.cached_epoch ||
+        response.epoch < pending.cached_epoch) {
       throw ProtocolError(
           "OprfClient: server omitted bucket but no matching cache entry");
     }
+    // The server vouched that the bucket is unchanged up to its epoch.
+    it->second.epoch = response.epoch;
     metrics_.cache_hits->inc();
     bucket = &it->second.bucket;
     metadata = &it->second.metadata;

@@ -1,7 +1,8 @@
 // The querying user C of Fig. 2: blinds queries, recovers verdicts, and
 // implements the two latency/bandwidth optimizations of the paper —
 // local prefix-list filtering (most negatives never touch the network)
-// and per-prefix bucket caching within a key epoch.
+// and per-prefix bucket caching: a cached bucket is reused until the
+// server reports that bucket changed or the key rotated.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +52,10 @@ class OprfClient {
   };
 
   /// Response recovery (stage 4): psi^(1/r), membership test against s_p.
-  /// Updates the bucket cache. Throws ProtocolError if the server omitted
-  /// the bucket without a matching cache entry.
+  /// Updates the bucket cache. An omitted bucket is read from the cache
+  /// entry the request advertised, which then moves to the response
+  /// epoch; throws ProtocolError if that entry is gone or changed, or the
+  /// response epoch is older than it.
   Result finish(const PendingQuery& pending, const QueryResponse& response);
 
   // --- Prefix list fast path ----------------------------------------------

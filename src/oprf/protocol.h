@@ -17,8 +17,10 @@ namespace cbl::oprf {
 inline constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
 
 /// C -> S: the lambda-bit plaintext prefix plus the blinded query
-/// m = H(u)^r. `cached_epoch` lets a client that already holds the bucket
-/// for this prefix (same key epoch) skip the bucket in the response.
+/// m = H(u)^r. `cached_epoch` is the epoch of the client's copy of this
+/// prefix's bucket; the server omits the bucket when that copy is still
+/// current — the bucket has not changed since, under the same key, and
+/// the epoch is not ahead of the server's.
 struct QueryRequest {
   std::uint32_t prefix = 0;
   ec::RistrettoPoint::Encoding masked_query{};
@@ -64,6 +66,9 @@ struct PendingQuery {
   ec::RistrettoPoint half_blinded;  // H(u)^(r/2); doubled it is m
   std::uint32_t prefix = 0;
   bool used_cache_hint = false;
+  /// The cache epoch the request advertised (kNoEpoch when none): the
+  /// only epoch an omitted bucket may be read from.
+  std::uint64_t cached_epoch = kNoEpoch;
 
   PendingQuery() = default;
   PendingQuery(const PendingQuery&) = default;

@@ -55,7 +55,7 @@ OprfServer::~OprfServer() {
 }
 
 void OprfServer::refresh_data_gauges() {
-  metrics_.entries->set(static_cast<double>(entries_.size()));
+  metrics_.entries->set(static_cast<double>(entry_index_.size()));
   metrics_.epoch->set(static_cast<double>(epoch_));
   metrics_.buckets_nonempty->set(static_cast<double>(buckets_.size()));
   std::size_t min_size = 0;
@@ -69,7 +69,8 @@ void OprfServer::refresh_data_gauges() {
 void OprfServer::setup(std::span<const std::string> entries,
                        unsigned num_threads) {
   WriterMutexLock lock(data_mutex_);
-  entries_.assign(entries.begin(), entries.end());
+  entry_index_.clear();
+  for (const auto& entry : entries) entry_index_.try_emplace(entry);
   rebuild(num_threads);
 }
 
@@ -82,6 +83,7 @@ void OprfServer::restore_epoch(std::uint64_t floor) {
   WriterMutexLock lock(data_mutex_);
   if (epoch_ < floor) {
     epoch_ = floor;
+    key_floor_ = floor + 1;
     note_epoch_locked();
     refresh_data_gauges();
   }
@@ -112,8 +114,10 @@ void OprfServer::rebuild(unsigned num_threads) {
   half_mask_ = halve(mask_);
   key_commitment_ = ec::RistrettoPoint::base() * mask_;
   ++epoch_;
+  key_floor_ = epoch_;
   note_epoch_locked();
   buckets_.clear();
+  bucket_changed_at_.clear();
 
   // Blind all entries: b = H(q)^R, computed as H(q)^(R/2) batch-doubled so
   // each chunk pays one field inversion instead of one per entry. The
@@ -121,20 +125,21 @@ void OprfServer::rebuild(unsigned num_threads) {
   // (exec::parallel_for_chunks slices by index only — the per-entry bytes
   // are identical for every thread count); bucket insertion stays
   // sequential.
-  std::vector<ec::RistrettoPoint::Encoding> blinded(entries_.size());
-  std::vector<std::uint32_t> prefixes(entries_.size());
-
+  //
   // The worker lambda runs on threads that do not themselves hold
   // data_mutex_ — the exclusive lock held by THIS caller for the whole
-  // parallel region is what makes the shared reads safe. The analysis
+  // parallel region is what makes the shared accesses safe. The analysis
   // cannot see across that hand-off, so the guarded state the workers
-  // need is bound to locals here, under the lock.
-  const std::vector<std::string>& entries = entries_;
+  // need is bound to locals here, under the lock. Each worker writes
+  // only the index slots of its own chunk.
+  std::vector<std::pair<const std::string, Entry>*> slots;
+  slots.reserve(entry_index_.size());
+  for (auto& slot : entry_index_) slots.push_back(&slot);
   const Secret<ec::Scalar> half_mask = half_mask_;
   auto work = [&](std::size_t begin, std::size_t end) {
     std::vector<Bytes> raw(end - begin);
     for (std::size_t i = begin; i < end; ++i) {
-      raw[i - begin] = to_bytes(entries[i]);
+      raw[i - begin] = to_bytes(slots[i]->first);
     }
     const auto hashed = oracle_.map_to_group_batch(raw);
     std::vector<ec::RistrettoPoint> halves(hashed.size());
@@ -144,21 +149,20 @@ void OprfServer::rebuild(unsigned num_threads) {
     const auto encodings =
         ec::RistrettoPoint::double_and_encode_batch(halves);
     for (std::size_t j = 0; j < encodings.size(); ++j) {
-      blinded[begin + j] = encodings[j];
-      prefixes[begin + j] = Oracle::prefix(raw[j], lambda_);
+      slots[begin + j]->second = {Oracle::prefix(raw[j], lambda_),
+                                  encodings[j]};
     }
   };
-  exec::parallel_for_chunks(entries_.size(), num_threads, work);
+  exec::parallel_for_chunks(slots.size(), num_threads, work);
 
-  entry_index_.clear();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    entry_index_[entries_[i]] = prefixes[i];
-    Bucket& bucket = buckets_[prefixes[i]];
-    bucket.blinded.push_back(blinded[i]);
+  for (const auto* slot : slots) {
+    const Entry& entry = slot->second;
+    Bucket& bucket = buckets_[entry.prefix];
+    bucket.blinded.push_back(entry.blinded);
     if (metadata_provider_) {
       bucket.metadata.push_back(
-          seal_metadata(metadata_key(blinded[i]),
-                        metadata_provider_(entries_[i])));
+          seal_metadata(metadata_key(entry.blinded),
+                        metadata_provider_(slot->first)));
     }
   }
   // Sort each bucket (with metadata riding along) for binary search and
@@ -284,7 +288,7 @@ std::vector<OprfServer::BatchOutcome> OprfServer::evaluate_batch(
           evaluated, mask_.expose_secret(), kEvalProofDomain, rng_);
     }
     metrics_.queries_ok->inc();
-    if (request.cached_epoch == epoch_) {
+    if (bucket_current_at(request.prefix, request.cached_epoch)) {
       response.bucket_omitted = true;
       metrics_.buckets_omitted->inc();
       continue;
@@ -299,7 +303,14 @@ std::vector<OprfServer::BatchOutcome> OprfServer::evaluate_batch(
   return out;
 }
 
-void OprfServer::insert_into_bucket(const std::string& entry) {
+bool OprfServer::bucket_current_at(std::uint32_t prefix,
+                                   std::uint64_t cached) const {
+  if (cached > epoch_ || cached < key_floor_) return false;
+  const auto it = bucket_changed_at_.find(prefix);
+  return it == bucket_changed_at_.end() || it->second <= cached;
+}
+
+std::uint32_t OprfServer::insert_into_bucket(const std::string& entry) {
   const Bytes raw = to_bytes(entry);
   const auto blinded =
       (oracle_.map_to_group(raw) * half_mask_).double_and_encode();
@@ -314,56 +325,53 @@ void OprfServer::insert_into_bucket(const std::string& entry) {
                            seal_metadata(metadata_key(blinded),
                                          metadata_provider_(entry)));
   }
-  entry_index_[entry] = prefix;
+  entry_index_[entry] = Entry{prefix, blinded};
+  return prefix;
+}
+
+void OprfServer::note_bucket_changes_locked(
+    const std::vector<std::uint32_t>& prefixes) {
+  ++epoch_;
+  for (const std::uint32_t prefix : prefixes) {
+    bucket_changed_at_[prefix] = epoch_;
+  }
+  note_epoch_locked();
+  refresh_data_gauges();
 }
 
 std::size_t OprfServer::add_entries(std::span<const std::string> entries) {
   WriterMutexLock lock(data_mutex_);
-  std::size_t added = 0;
+  std::vector<std::uint32_t> touched;
   for (const auto& entry : entries) {
     if (entry_index_.contains(entry)) continue;
-    insert_into_bucket(entry);
-    entries_.push_back(entry);
-    ++added;
+    touched.push_back(insert_into_bucket(entry));
   }
-  if (added > 0) {
-    ++epoch_;
-    note_epoch_locked();
-    refresh_data_gauges();
-  }
-  return added;
+  if (!touched.empty()) note_bucket_changes_locked(touched);
+  return touched.size();
 }
 
 std::size_t OprfServer::remove_entries(std::span<const std::string> entries) {
   WriterMutexLock lock(data_mutex_);
-  std::size_t removed = 0;
+  std::vector<std::uint32_t> touched;
   for (const auto& entry : entries) {
     const auto idx = entry_index_.find(entry);
     if (idx == entry_index_.end()) continue;
-    // Recompute the blinded value to locate it inside the sorted bucket.
-    const auto blinded = (oracle_.map_to_group(to_bytes(entry)) * half_mask_)
-                             .double_and_encode();
-    Bucket& bucket = buckets_[idx->second];
-    const auto it = std::lower_bound(bucket.blinded.begin(),
-                                     bucket.blinded.end(), blinded);
-    if (it != bucket.blinded.end() && *it == blinded) {
-      const auto offset = it - bucket.blinded.begin();
-      bucket.blinded.erase(it);
-      if (!bucket.metadata.empty()) {
-        bucket.metadata.erase(bucket.metadata.begin() + offset);
-      }
-      if (bucket.blinded.empty()) buckets_.erase(idx->second);
-      ++removed;
-    }
+    const Entry listed = idx->second;
     entry_index_.erase(idx);
-    std::erase(entries_, entry);
+    const auto bucket_it = buckets_.find(listed.prefix);
+    Bucket& bucket = bucket_it->second;
+    const auto it = std::lower_bound(bucket.blinded.begin(),
+                                     bucket.blinded.end(), listed.blinded);
+    const auto offset = it - bucket.blinded.begin();
+    bucket.blinded.erase(it);
+    if (!bucket.metadata.empty()) {
+      bucket.metadata.erase(bucket.metadata.begin() + offset);
+    }
+    if (bucket.blinded.empty()) buckets_.erase(bucket_it);
+    touched.push_back(listed.prefix);
   }
-  if (removed > 0) {
-    ++epoch_;
-    note_epoch_locked();
-    refresh_data_gauges();
-  }
-  return removed;
+  if (!touched.empty()) note_bucket_changes_locked(touched);
+  return touched.size();
 }
 
 std::vector<std::uint32_t> OprfServer::prefix_list() const {
@@ -374,12 +382,29 @@ std::vector<std::uint32_t> OprfServer::prefix_list() const {
   return out;  // std::map iteration order is already sorted
 }
 
-std::map<std::uint32_t, std::vector<ec::RistrettoPoint::Encoding>>
-OprfServer::bucket_snapshot() const {
+OprfServer::BucketContents OprfServer::bucket_snapshot() const {
+  return bucket_changes_since(kNoEpoch).buckets;
+}
+
+OprfServer::BucketChanges OprfServer::bucket_changes_since(
+    std::uint64_t since) const {
   ReaderMutexLock lock(data_mutex_);
-  std::map<std::uint32_t, std::vector<ec::RistrettoPoint::Encoding>> out;
-  for (const auto& [prefix, bucket] : buckets_) {
-    out.emplace(prefix, bucket.blinded);
+  BucketChanges out;
+  out.epoch = epoch_;
+  out.complete = since < key_floor_ || since > epoch_;
+  if (out.complete) {
+    for (const auto& [prefix, bucket] : buckets_) {
+      out.buckets.emplace_hint(out.buckets.end(), prefix, bucket.blinded);
+    }
+    return out;
+  }
+  for (const auto& [prefix, changed_at] : bucket_changed_at_) {
+    if (changed_at <= since) continue;
+    const auto it = buckets_.find(prefix);
+    out.buckets.emplace_hint(
+        out.buckets.end(), prefix,
+        it != buckets_.end() ? it->second.blinded
+                             : std::vector<ec::RistrettoPoint::Encoding>{});
   }
   return out;
 }

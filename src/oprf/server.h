@@ -45,8 +45,9 @@ class OprfServer {
   ~OprfServer();
 
   /// Data preprocessing (stage 1 of Fig. 2): samples a fresh mask R,
-  /// blinds every entry and partitions into buckets. `num_threads` > 1
-  /// parallelizes the exponentiations as in the paper's 8-core setup.
+  /// blinds every distinct entry (duplicates are listed once) and
+  /// partitions into buckets. `num_threads` > 1 parallelizes the
+  /// exponentiations as in the paper's 8-core setup.
   void setup(std::span<const std::string> entries, unsigned num_threads = 1)
       CBL_EXCLUDES(data_mutex_);
 
@@ -56,10 +57,12 @@ class OprfServer {
   void rotate_key(unsigned num_threads = 1) CBL_EXCLUDES(data_mutex_);
 
   /// Incremental maintenance under the CURRENT mask R: blinds only the
-  /// new entries (one exponentiation each) instead of re-running setup.
-  /// Bumps the epoch once per call (bucket contents changed, so client
-  /// caches must refresh). Returns how many entries were actually
-  /// added/removed (duplicates and absentees are skipped).
+  /// new entries (one exponentiation each) instead of re-running setup;
+  /// a removal reuses the encoding kept at insertion, so it costs a
+  /// lookup and a sorted-vector erase. Bumps the epoch once per call and
+  /// stamps each touched bucket with it, so client caches of the touched
+  /// buckets refresh while the rest stay valid. Returns how many entries
+  /// were actually added/removed (duplicates and absentees are skipped).
   std::size_t add_entries(std::span<const std::string> entries)
       CBL_EXCLUDES(data_mutex_);
   std::size_t remove_entries(std::span<const std::string> entries)
@@ -111,12 +114,30 @@ class OprfServer {
   /// Sorted list of non-empty prefixes, for distribution to clients.
   std::vector<std::uint32_t> prefix_list() const CBL_EXCLUDES(data_mutex_);
 
+  using BucketContents =
+      std::map<std::uint32_t, std::vector<ec::RistrettoPoint::Encoding>>;
+
   /// Snapshot of every non-empty bucket's blinded entries (sorted within
-  /// each bucket), keyed by prefix. This is what the transparency-log
-  /// publisher commits to per epoch; the encodings are public data — the
+  /// each bucket), keyed by prefix. The encodings are public data — the
   /// same bytes any querying client receives in bucket responses.
-  std::map<std::uint32_t, std::vector<ec::RistrettoPoint::Encoding>>
-  bucket_snapshot() const CBL_EXCLUDES(data_mutex_);
+  BucketContents bucket_snapshot() const CBL_EXCLUDES(data_mutex_);
+
+  /// What the transparency-log publisher reads per epoch: the current
+  /// epoch and the buckets that changed after epoch `since`, under one
+  /// reader lock so no change can land between the two.
+  struct BucketChanges {
+    std::uint64_t epoch = 0;
+    /// Set when `since` predates the key floor (a setup, rotation or
+    /// restore_epoch changed every bucket since) or exceeds the epoch
+    /// (pass kNoEpoch for "nothing known"); `buckets` then holds every
+    /// non-empty bucket.
+    bool complete = false;
+    /// Current contents of each changed bucket; a bucket a removal
+    /// emptied maps to an empty vector.
+    BucketContents buckets;
+  };
+  BucketChanges bucket_changes_since(std::uint64_t since) const
+      CBL_EXCLUDES(data_mutex_);
 
   std::uint64_t epoch() const CBL_EXCLUDES(data_mutex_) {
     cbl::ReaderMutexLock lock(data_mutex_);
@@ -129,7 +150,9 @@ class OprfServer {
   /// already cached buckets for — under a DIFFERENT mask R, turning the
   /// stale cache into silently wrong membership answers. Recovery code
   /// must call this with (last served epoch) before going live; the next
-  /// setup/rotation then advances past every epoch ever served.
+  /// setup/rotation then advances past every epoch ever served. Raising
+  /// also lifts the key floor above every epoch up to `floor`, so no
+  /// cache hint from before the crash is honoured.
   void restore_epoch(std::uint64_t floor) CBL_EXCLUDES(data_mutex_);
 
   /// Installs a hook invoked (under the data write lock) with the new
@@ -144,7 +167,7 @@ class OprfServer {
   unsigned lambda() const { return lambda_; }
   std::size_t entry_count() const CBL_EXCLUDES(data_mutex_) {
     cbl::ReaderMutexLock lock(data_mutex_);
-    return entries_.size();
+    return entry_index_.size();
   }
 
   struct BucketStats {
@@ -194,14 +217,28 @@ class OprfServer {
     std::vector<ec::RistrettoPoint::Encoding> blinded;  // sorted
     std::vector<Bytes> metadata;                        // aligned with blinded
   };
+  /// Where a listed entry sits: its bucket and its blinded encoding.
+  struct Entry {
+    std::uint32_t prefix = 0;
+    ec::RistrettoPoint::Encoding blinded{};
+  };
 
   /// Full preprocessing pass under a fresh mask. Takes rng_mutex_ for
   /// the mask sampling (nested inside the already-held exclusive data
   /// lock — see the DESIGN.md lock-ordering table).
   void rebuild(unsigned num_threads) CBL_REQUIRES(data_mutex_)
       CBL_EXCLUDES(rng_mutex_);
-  void insert_into_bucket(const std::string& entry)
+  /// Blinds and files one new entry; returns its prefix.
+  std::uint32_t insert_into_bucket(const std::string& entry)
       CBL_REQUIRES(data_mutex_);
+  /// Bumps the epoch after an add/remove batch and stamps the touched
+  /// buckets with it.
+  void note_bucket_changes_locked(const std::vector<std::uint32_t>& prefixes)
+      CBL_REQUIRES(data_mutex_);
+  /// The bucket-cache rule: a client's copy of `prefix` from epoch
+  /// `cached` is still current.
+  bool bucket_current_at(std::uint32_t prefix, std::uint64_t cached) const
+      CBL_REQUIRES_SHARED(data_mutex_);
   /// Fires the epoch listener (if any) with the current epoch.
   void note_epoch_locked() CBL_REQUIRES(data_mutex_);
 
@@ -221,10 +258,17 @@ class OprfServer {
   /// lock is held, so the durable floor can never lag a served epoch.
   std::function<void(std::uint64_t)> epoch_listener_
       CBL_GUARDED_BY(data_mutex_);
-  std::vector<std::string> entries_ CBL_GUARDED_BY(data_mutex_);
-  std::unordered_map<std::string, std::uint32_t> entry_index_
-      CBL_GUARDED_BY(data_mutex_);  // -> prefix
+  /// The list itself: every served entry, once.
+  std::unordered_map<std::string, Entry> entry_index_
+      CBL_GUARDED_BY(data_mutex_);
   std::map<std::uint32_t, Bucket> buckets_ CBL_GUARDED_BY(data_mutex_);
+  /// Epoch of each bucket's last add/remove since the key floor, emptied
+  /// buckets included; cleared by every rebuild.
+  std::map<std::uint32_t, std::uint64_t> bucket_changed_at_
+      CBL_GUARDED_BY(data_mutex_);
+  /// No bucket content from before this epoch is current: rebuild sets it
+  /// to the new key's epoch, restore_epoch past the restored epoch.
+  std::uint64_t key_floor_ CBL_GUARDED_BY(data_mutex_) = 0;
   MetadataProvider metadata_provider_ CBL_GUARDED_BY(data_mutex_);
 
   mutable cbl::Mutex limiter_mutex_;  // lock: rate-limiter config/counters

@@ -1,7 +1,7 @@
 #include "tlog/auditor.h"
 
-#include <iterator>
 #include <utility>
+#include <vector>
 
 namespace cbl::tlog {
 
@@ -137,9 +137,8 @@ Auditor::Status Auditor::adopt_snapshot(BucketMap snapshot) {
   MutexLock lock(mutex_);
   if (!trusted_) return fail(Status::kDistrusted);
   if (!latest_) return fail(Status::kBadProof);
-  BucketTree tree(snapshot);
+  mirror_tree_.emplace(snapshot);
   buckets_ = std::move(snapshot);
-  mirror_root_ = tree.root();
   mirror_epoch_ = latest_->epoch;
   // A full adoption obsoletes every journal record: compact immediately.
   persist_snapshot_locked();
@@ -158,31 +157,11 @@ Auditor::Status Auditor::apply_delta(const EpochDelta& delta) {
     metrics_.deltas_rejected->inc();
     return fail(Status::kBadDelta);
   }
-  if (!verify_delta(provider_pk_, delta)) {
+  const Status status = fold_locked(delta);
+  if (status != Status::kOk) {
     metrics_.deltas_rejected->inc();
-    return fail(Status::kBadSignature);
+    return fail(status);
   }
-  if (delta.from_epoch != mirror_epoch_) {
-    metrics_.deltas_rejected->inc();
-    return fail(Status::kBadDelta);
-  }
-  if (delta.base_bucket_root != *mirror_root_) {
-    metrics_.deltas_rejected->inc();
-    return fail(Status::kRootMismatch);
-  }
-  BucketMap folded = buckets_;
-  if (!fold_delta(folded, delta)) {
-    metrics_.deltas_rejected->inc();
-    return fail(Status::kBadDelta);
-  }
-  const Digest post_root = BucketTree(folded).root();
-  if (post_root != delta.post_bucket_root) {
-    metrics_.deltas_rejected->inc();
-    return fail(Status::kRootMismatch);
-  }
-  buckets_ = std::move(folded);
-  mirror_root_ = post_root;
-  mirror_epoch_ = delta.to_epoch;
   AuditorRecord record;
   record.kind = AuditorRecord::Kind::kDelta;
   record.delta_bytes = delta.to_bytes();
@@ -190,6 +169,30 @@ Auditor::Status Auditor::apply_delta(const EpochDelta& delta) {
   metrics_.mirror_epoch->set(static_cast<double>(mirror_epoch_));
   metrics_.deltas_applied->inc();
   metrics_.audit_ok->inc();
+  return Status::kOk;
+}
+
+Auditor::Status Auditor::fold_locked(const EpochDelta& delta) {
+  if (!verify_delta(provider_pk_, delta)) return Status::kBadSignature;
+  if (delta.from_epoch != mirror_epoch_) return Status::kBadDelta;
+  if (delta.base_bucket_root != mirror_tree_->root()) {
+    return Status::kRootMismatch;
+  }
+  auto touched = fold_touched(buckets_, delta);
+  if (!touched) return Status::kBadDelta;
+  std::vector<std::uint32_t> changed;
+  changed.reserve(touched->size());
+  for (const auto& [prefix, entries] : *touched) changed.push_back(prefix);
+  exchange_buckets(buckets_, *touched);
+  mirror_tree_->update(buckets_, changed);
+  if (mirror_tree_->root() != delta.post_bucket_root) {
+    // Undo: a second exchange puts the old buckets back, and the tree
+    // updated over them recomputes exactly its old nodes.
+    exchange_buckets(buckets_, *touched);
+    mirror_tree_->update(buckets_, changed);
+    return Status::kRootMismatch;
+  }
+  mirror_epoch_ = delta.to_epoch;
   return Status::kOk;
 }
 
@@ -203,15 +206,14 @@ Auditor::Status Auditor::verify_audit_path(std::uint32_t prefix,
   }
   // The served record must carry the bucket root the mirror computed —
   // otherwise the provider's committed state differs from what it sent.
-  if (path.bucket_root != *mirror_root_) {
+  if (path.bucket_root != mirror_tree_->root()) {
     return fail(Status::kRootMismatch);
   }
   // Bucket leaf: rebuilt from the MIRROR's entries, at the slot the
   // mirror's own prefix ordering dictates.
   const auto bucket_it = buckets_.find(prefix);
   if (bucket_it == buckets_.end()) return fail(Status::kBadProof);
-  const std::size_t slot = static_cast<std::size_t>(
-      std::distance(buckets_.begin(), bucket_it));
+  const std::size_t slot = *mirror_tree_->index_of(prefix);
   if (path.bucket_proof.index != slot ||
       path.bucket_proof.leaf_count != buckets_.size()) {
     return fail(Status::kBadProof);
@@ -290,7 +292,7 @@ bool Auditor::restore_snapshot_locked(const AuditorSnapshot& snapshot) {
     // The mirror root is never read from disk — recompute it, so the
     // mirror can only ever vouch for the bytes actually recovered.
     buckets_ = snapshot.buckets;
-    mirror_root_ = BucketTree(buckets_).root();
+    mirror_tree_.emplace(buckets_);
     mirror_epoch_ = snapshot.mirror_epoch;
   }
   return clean;
@@ -325,18 +327,9 @@ bool Auditor::replay_record_locked(const AuditorRecord& record) {
     case AuditorRecord::Kind::kDelta: {
       const auto delta = EpochDelta::from_bytes(record.delta_bytes);
       if (!delta) return false;
-      if (!mirror_root_.has_value()) return true;  // no base: stale record
+      if (!mirror_tree_.has_value()) return true;  // no base: stale record
       if (delta->from_epoch != mirror_epoch_) return true;  // stale replay
-      if (!verify_delta(provider_pk_, *delta)) return false;
-      if (delta->base_bucket_root != *mirror_root_) return false;
-      BucketMap folded = buckets_;
-      if (!fold_delta(folded, *delta)) return false;
-      const Digest post_root = BucketTree(folded).root();
-      if (post_root != delta->post_bucket_root) return false;
-      buckets_ = std::move(folded);
-      mirror_root_ = post_root;
-      mirror_epoch_ = delta->to_epoch;
-      return true;
+      return fold_locked(*delta) == Status::kOk;
     }
     case AuditorRecord::Kind::kDistrust: {
       trusted_ = false;
@@ -374,7 +367,7 @@ void Auditor::recover_from_store() {
     // and evidence recovered from the verified prefix STAND: corruption
     // must never un-condemn a provider.
     buckets_.clear();
-    mirror_root_.reset();
+    mirror_tree_.reset();
     mirror_epoch_ = 0;
     latest_.reset();
     seen_roots_.clear();
@@ -401,7 +394,7 @@ AuditorSnapshot Auditor::snapshot_locked() const {
   for (const auto& [size, checkpoint] : seen_roots_) {
     snapshot.seen.push_back(checkpoint);
   }
-  snapshot.has_mirror = mirror_root_.has_value();
+  snapshot.has_mirror = mirror_tree_.has_value();
   snapshot.mirror_epoch = mirror_epoch_;
   snapshot.buckets = buckets_;
   snapshot.evidence = evidence_;

@@ -76,8 +76,10 @@ class Auditor {
 
   /// Folds a signed one-step delta into the mirror: checks the
   /// signature, the claimed base epoch and base root against the mirror,
-  /// folds a copy, and requires the result to hash to the signed post
-  /// root. The mirror is only replaced on kOk.
+  /// folds copies of the touched buckets, and requires the kept mirror
+  /// tree, updated over them, to hash to the signed post root. Only a
+  /// match commits; any other outcome leaves the mirror, its root and its
+  /// tree as they were.
   Status apply_delta(const EpochDelta& delta) CBL_EXCLUDES(mutex_);
 
   /// Checks a served audit path against the mirror and the latest
@@ -100,7 +102,7 @@ class Auditor {
 
   bool has_state() const CBL_EXCLUDES(mutex_) {
     cbl::MutexLock lock(mutex_);
-    return mirror_root_.has_value();
+    return mirror_tree_.has_value();
   }
   std::uint64_t mirror_epoch() const CBL_EXCLUDES(mutex_) {
     cbl::MutexLock lock(mutex_);
@@ -115,7 +117,14 @@ class Auditor {
   /// Precondition: has_state().
   Digest mirror_root() const CBL_EXCLUDES(mutex_) {
     cbl::MutexLock lock(mutex_);
-    return *mirror_root_;
+    return mirror_tree_->root();
+  }
+  /// The lowest mirrored prefix (what a sync requests its audit path
+  /// for), or nullopt when the mirror is empty or absent.
+  std::optional<std::uint32_t> first_prefix() const CBL_EXCLUDES(mutex_) {
+    cbl::MutexLock lock(mutex_);
+    if (buckets_.empty()) return std::nullopt;
+    return buckets_.begin()->first;
   }
   std::optional<Checkpoint> latest_checkpoint() const CBL_EXCLUDES(mutex_) {
     cbl::MutexLock lock(mutex_);
@@ -140,6 +149,11 @@ class Auditor {
 
  private:
   Status fail(Status status) CBL_REQUIRES(mutex_);
+  /// The one fold path, shared by apply_delta and journal replay:
+  /// signature, base epoch and base root, then the touched-bucket fold
+  /// and the post root on the kept tree; commits only on kOk.
+  /// Precondition: has_state_locked().
+  Status fold_locked(const EpochDelta& delta) CBL_REQUIRES(mutex_);
   /// Recovery from the attached store (constructor-time only).
   void recover_from_store() CBL_EXCLUDES(mutex_);
   /// Folds one verified snapshot into blank state; returns false when
@@ -160,7 +174,7 @@ class Auditor {
   void persist_distrust_locked(Status reason) CBL_REQUIRES(mutex_);
   /// Lock-free view of has_state() for use while mutex_ is held.
   bool has_state_locked() const CBL_REQUIRES(mutex_) {
-    return mirror_root_.has_value();
+    return mirror_tree_.has_value();
   }
 
   /// Journal records accumulated before compacting into a snapshot.
@@ -186,7 +200,9 @@ class Auditor {
   std::uint64_t persist_failures_ CBL_GUARDED_BY(mutex_) = 0;
 
   BucketMap buckets_ CBL_GUARDED_BY(mutex_);
-  std::optional<Digest> mirror_root_ CBL_GUARDED_BY(mutex_);
+  /// Merkle tree over buckets_, kept across folds; its root is the
+  /// mirror root. Absent until the first adoption.
+  std::optional<BucketTree> mirror_tree_ CBL_GUARDED_BY(mutex_);
   std::uint64_t mirror_epoch_ CBL_GUARDED_BY(mutex_) = 0;
 
   struct Metrics {

@@ -164,31 +164,52 @@ EpochDelta diff_buckets(const BucketMap& base, const BucketMap& post) {
   return delta;
 }
 
-bool fold_delta(BucketMap& buckets, const EpochDelta& delta) {
-  BucketMap next = buckets;
+std::optional<BucketMap> fold_touched(const BucketMap& buckets,
+                                      const EpochDelta& delta) {
+  BucketMap touched;
   for (const auto& pd : delta.prefixes) {
-    auto it = next.find(pd.prefix);
-    std::vector<Encoding> entries =
-        it != next.end() ? it->second : std::vector<Encoding>{};
+    // A repeated prefix (only a hand-built delta can carry one) folds on
+    // from its own earlier result.
+    auto slot = touched.find(pd.prefix);
+    if (slot == touched.end()) {
+      const auto it = buckets.find(pd.prefix);
+      slot = touched
+                 .emplace(pd.prefix, it != buckets.end()
+                                         ? it->second
+                                         : std::vector<Encoding>{})
+                 .first;
+    }
+    std::vector<Encoding>& entries = slot->second;
     for (const auto& e : pd.removed) {
       const auto pos = std::lower_bound(entries.begin(), entries.end(), e);
-      if (pos == entries.end() || *pos != e) return false;
+      if (pos == entries.end() || *pos != e) return std::nullopt;
       entries.erase(pos);
     }
     for (const auto& e : pd.added) {
       const auto pos = std::lower_bound(entries.begin(), entries.end(), e);
-      if (pos != entries.end() && *pos == e) return false;
+      if (pos != entries.end() && *pos == e) return std::nullopt;
       entries.insert(pos, e);
     }
-    if (entries.empty()) {
-      if (it != next.end()) next.erase(it);
-    } else if (it != next.end()) {
-      it->second = std::move(entries);
-    } else {
-      next.emplace(pd.prefix, std::move(entries));
-    }
   }
-  buckets.swap(next);
+  return touched;
+}
+
+void exchange_buckets(BucketMap& buckets, BucketMap& touched) {
+  for (auto& [prefix, entries] : touched) {
+    auto it = buckets.find(prefix);
+    if (it == buckets.end()) {
+      if (entries.empty()) continue;
+      it = buckets.emplace(prefix, std::vector<Encoding>{}).first;
+    }
+    it->second.swap(entries);
+    if (it->second.empty()) buckets.erase(it);
+  }
+}
+
+bool fold_delta(BucketMap& buckets, const EpochDelta& delta) {
+  auto touched = fold_touched(buckets, delta);
+  if (!touched) return false;
+  exchange_buckets(buckets, *touched);
   return true;
 }
 

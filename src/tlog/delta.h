@@ -69,10 +69,22 @@ bool verify_delta(const ec::RistrettoPoint& provider_pk,
 /// sorted, empty buckets absent). Unsigned; sign with sign_delta.
 EpochDelta diff_buckets(const BucketMap& base, const BucketMap& post);
 
-/// Folds `delta` into `buckets`, copy-then-swap: on any mismatch (a
-/// removal that is absent, an addition already present) `buckets` is
-/// left untouched and false is returned. Does NOT check roots or the
-/// signature — callers verify those around the fold.
+/// Folds `delta` over `buckets` without modifying them and returns the
+/// post-fold contents of every bucket the delta touches (an emptied
+/// bucket maps to an empty vector), or nullopt on any mismatch (a
+/// removal that is absent, an addition already present). Copies the
+/// touched buckets only. Does NOT check roots or the signature —
+/// callers verify those around the fold.
+[[nodiscard]] std::optional<BucketMap> fold_touched(const BucketMap& buckets,
+                                                    const EpochDelta& delta);
+
+/// Swaps each bucket of `touched` into `buckets`; an empty vector stands
+/// for an absent bucket on either side. Afterwards `touched` holds what
+/// `buckets` held, so a second exchange undoes the first.
+void exchange_buckets(BucketMap& buckets, BucketMap& touched);
+
+/// fold_touched then exchange_buckets: on any mismatch `buckets` is left
+/// untouched and false is returned.
 [[nodiscard]] bool fold_delta(BucketMap& buckets, const EpochDelta& delta);
 
 /// Full bucket-set download format (the non-delta baseline a fresh

@@ -43,6 +43,24 @@ BucketTree::BucketTree(const BucketMap& buckets)
   for (const auto& [prefix, entries] : buckets) prefixes_.push_back(prefix);
 }
 
+void BucketTree::update(const BucketMap& buckets,
+                        const std::vector<std::uint32_t>& changed) {
+  std::vector<chain::MerkleTree::LeafUpdate> updates;
+  updates.reserve(changed.size());
+  for (const std::uint32_t prefix : changed) {
+    const auto slot = index_of(prefix);
+    const auto it = buckets.find(prefix);
+    if (slot.has_value() != (it != buckets.end())) {
+      *this = BucketTree(buckets);
+      return;
+    }
+    if (slot) {
+      updates.push_back({*slot, bucket_leaf_payload(prefix, it->second)});
+    }
+  }
+  tree_.update(updates);
+}
+
 std::optional<std::size_t> BucketTree::index_of(std::uint32_t prefix) const {
   const auto it =
       std::lower_bound(prefixes_.begin(), prefixes_.end(), prefix);
@@ -60,21 +78,9 @@ InclusionProof BucketTree::prove(std::size_t index) const {
 
 std::size_t TransparencyLog::append(const EpochRecord& record) {
   records_.push_back(record);
-  tree_.reset();
+  tree_.append(record.leaf_payload());
   return records_.size();
 }
-
-const chain::MerkleTree& TransparencyLog::tree() const {
-  if (!tree_) {
-    std::vector<Bytes> leaves;
-    leaves.reserve(records_.size());
-    for (const auto& r : records_) leaves.push_back(r.leaf_payload());
-    tree_.emplace(leaves);
-  }
-  return *tree_;
-}
-
-Digest TransparencyLog::root() const { return tree().root(); }
 
 std::optional<std::size_t> TransparencyLog::index_of_epoch(
     std::uint64_t epoch) const {
@@ -91,13 +97,13 @@ InclusionProof TransparencyLog::prove_record(std::size_t index) const {
   InclusionProof proof;
   proof.index = index;
   proof.leaf_count = records_.size();
-  proof.steps = tree().prove(index);
+  proof.steps = tree_.prove(index);
   return proof;
 }
 
 chain::MerkleTree::ConsistencyProof TransparencyLog::prove_consistency(
     std::size_t old_size) const {
-  return tree().prove_consistency(old_size);
+  return tree_.prove_consistency(old_size);
 }
 
 }  // namespace cbl::tlog

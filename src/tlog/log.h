@@ -46,6 +46,15 @@ class BucketTree {
  public:
   explicit BucketTree(const BucketMap& buckets);
 
+  /// Moves the tree to `buckets`, which may differ from the map the tree
+  /// was last brought to only in the buckets of `changed`. While the set
+  /// of non-empty prefixes stays the same, the changed leaves are updated
+  /// in place (one rehash per touched node); a bucket that appears or
+  /// empties shifts every later slot, so that case rebuilds through the
+  /// constructor. Either way the root equals BucketTree(buckets).root().
+  void update(const BucketMap& buckets,
+              const std::vector<std::uint32_t>& changed);
+
   const Digest& root() const { return tree_.root(); }
   std::size_t leaf_count() const { return tree_.leaf_count(); }
   /// Leaf slot of `prefix`, or nullopt if the bucket is absent.
@@ -67,7 +76,7 @@ class TransparencyLog {
   std::size_t append(const EpochRecord& record);
 
   std::size_t size() const { return records_.size(); }
-  Digest root() const;
+  const Digest& root() const { return tree_.root(); }
   const EpochRecord& record(std::size_t index) const {
     return records_.at(index);
   }
@@ -81,11 +90,8 @@ class TransparencyLog {
       std::size_t old_size) const;
 
  private:
-  const chain::MerkleTree& tree() const;
-
   std::vector<EpochRecord> records_;
-  // Rebuilt lazily after appends; the log is tiny (one leaf per epoch).
-  mutable std::optional<chain::MerkleTree> tree_;
+  chain::MerkleTree tree_{std::vector<Bytes>{}};  // grows with records_
 };
 
 }  // namespace cbl::tlog

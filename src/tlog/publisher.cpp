@@ -16,21 +16,43 @@ EpochPublisher::EpochPublisher(nizk::SigningKey key, Rng& rng)
 
 const Checkpoint& EpochPublisher::publish_epoch(
     const oprf::OprfServer& server) {
-  const std::uint64_t epoch = server.epoch();
+  auto changes =
+      server.bucket_changes_since(published() ? published_epoch_
+                                              : oprf::kNoEpoch);
+  const std::uint64_t epoch = changes.epoch;
   if (published() && epoch == published_epoch_) return checkpoint_;
 
-  BucketMap snapshot = server.bucket_snapshot();
-  BucketTree tree(snapshot);
+  const Digest base_root = published() ? bucket_tree_->root() : Digest{};
+  EpochDelta delta;
+  if (changes.complete) {
+    // First publication, or a key change re-blinded every bucket.
+    if (published()) delta = diff_buckets(buckets_, changes.buckets);
+    buckets_ = std::move(changes.buckets);
+    bucket_tree_.emplace(buckets_);
+  } else {
+    // Only the changed buckets can differ, so the delta over them is the
+    // whole delta, and the kept tree rehashes just their leaves.
+    BucketMap base;
+    std::vector<std::uint32_t> changed;
+    changed.reserve(changes.buckets.size());
+    for (const auto& [prefix, entries] : changes.buckets) {
+      changed.push_back(prefix);
+      const auto it = buckets_.find(prefix);
+      if (it != buckets_.end()) base.emplace_hint(base.end(), *it);
+    }
+    delta = diff_buckets(base, changes.buckets);
+    exchange_buckets(buckets_, changes.buckets);
+    bucket_tree_->update(buckets_, changed);
+  }
 
   EpochRecord record;
   record.epoch = epoch;
-  record.bucket_root = tree.root();
+  record.bucket_root = bucket_tree_->root();
   if (published()) {
-    EpochDelta delta = diff_buckets(buckets_, snapshot);
     delta.from_epoch = published_epoch_;
     delta.to_epoch = epoch;
-    delta.base_bucket_root = bucket_tree_->root();
-    delta.post_bucket_root = tree.root();
+    delta.base_bucket_root = base_root;
+    delta.post_bucket_root = bucket_tree_->root();
     delta = sign_delta(key_, std::move(delta), rng_);
     record.delta_digest = delta.digest();
     deltas_.emplace(published_epoch_, std::move(delta));
@@ -39,8 +61,6 @@ const Checkpoint& EpochPublisher::publish_epoch(
   // state to bridge from.
   log_.append(record);
 
-  buckets_ = std::move(snapshot);
-  bucket_tree_.emplace(buckets_);
   published_epoch_ = epoch;
   checkpoint_ =
       sign_checkpoint(key_, log_.size(), log_.root(), epoch, rng_);

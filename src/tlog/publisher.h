@@ -1,7 +1,8 @@
-// Provider-side transparency publisher: snapshots the OPRF server's
-// bucket table once per epoch, diffs it against the previous snapshot
-// into a signed EpochDelta, appends the epoch record to the
-// transparency log, and signs a fresh Checkpoint. The service node
+// Provider-side transparency publisher: once per epoch it reads the
+// buckets the OPRF server changed since the last publication, diffs
+// them against its own copy into a signed EpochDelta, updates its kept
+// bucket tree in place, appends the epoch record to the transparency
+// log, and signs a fresh Checkpoint. The service node
 // serves its artifacts verbatim (see net/service_node.h); the publisher
 // itself never touches the wire.
 #pragma once
@@ -28,10 +29,13 @@ class EpochPublisher {
 
   const ec::RistrettoPoint& public_key() const { return key_.pk; }
 
-  /// Publishes the server's CURRENT epoch: snapshots buckets, emits the
-  /// signed delta from the previously published epoch, appends the log
-  /// record, and re-signs the checkpoint. Idempotent per epoch — calling
-  /// again without an epoch change is a no-op. Returns the checkpoint.
+  /// Publishes the server's CURRENT epoch: reads the epoch and the
+  /// buckets changed since the last publication in one server read,
+  /// emits the signed delta from the previously published epoch, appends
+  /// the log record, and re-signs the checkpoint. Costs the changed
+  /// buckets, except after a key change, which re-reads every bucket.
+  /// Idempotent per epoch — calling again without an epoch change is a
+  /// no-op. Every call must pass the same server. Returns the checkpoint.
   const Checkpoint& publish_epoch(const oprf::OprfServer& server);
 
   /// The latest signed checkpoint; publish_epoch must have run once.

@@ -188,6 +188,142 @@ TEST(Merkle, RootDependsOnOrderAndContent) {
   EXPECT_NE(MerkleTree(leaves).root(), root1);
 }
 
+// ------------------------------------------- stored levels vs RFC 6962
+
+/// RFC 6962 section 2.1 computed straight from its definition: the
+/// reference the level-stored tree is checked against.
+MerkleTree::Digest rfc6962_root(const std::vector<Bytes>& leaves,
+                                std::size_t lo, std::size_t hi) {
+  if (hi - lo == 1) return MerkleTree::hash_leaf(leaves[lo]);
+  std::size_t k = 1;
+  while (k * 2 < hi - lo) k *= 2;
+  return MerkleTree::hash_node(rfc6962_root(leaves, lo, lo + k),
+                               rfc6962_root(leaves, lo + k, hi));
+}
+
+/// RFC 6962 section 2.1.1 audit path, leaf-to-root.
+void rfc6962_path(const std::vector<Bytes>& leaves, std::size_t index,
+                  std::size_t lo, std::size_t hi, MerkleTree::Proof& out) {
+  if (hi - lo == 1) return;
+  std::size_t k = 1;
+  while (k * 2 < hi - lo) k *= 2;
+  if (index < lo + k) {
+    rfc6962_path(leaves, index, lo, lo + k, out);
+    out.push_back({rfc6962_root(leaves, lo + k, hi), true});
+  } else {
+    rfc6962_path(leaves, index, lo + k, hi, out);
+    out.push_back({rfc6962_root(leaves, lo, lo + k), false});
+  }
+}
+
+bool same_proof(const MerkleTree::Proof& a, const MerkleTree::Proof& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].sibling != b[i].sibling ||
+        a[i].sibling_on_right != b[i].sibling_on_right) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The kept tree must be indistinguishable from a fresh build over the
+/// same leaves: root, every proof, index-bound verification, and the
+/// consistency proof from every smaller size.
+void expect_matches_fresh(const MerkleTree& kept,
+                          const std::vector<Bytes>& leaves,
+                          const std::string& where) {
+  const MerkleTree fresh(leaves);
+  ASSERT_EQ(kept.leaf_count(), leaves.size()) << where;
+  ASSERT_EQ(kept.root(), fresh.root()) << where;
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const auto proof = kept.prove(i);
+    ASSERT_TRUE(same_proof(proof, fresh.prove(i))) << where << " leaf " << i;
+    ASSERT_TRUE(MerkleTree::verify(kept.root(), i, leaves.size(), leaves[i],
+                                   proof))
+        << where << " leaf " << i;
+  }
+  for (std::size_t m = 1; m < leaves.size(); m += 1 + leaves.size() / 8) {
+    ASSERT_EQ(kept.prove_consistency(m), fresh.prove_consistency(m))
+        << where << " old size " << m;
+  }
+}
+
+TEST(MerkleLevels, FreshBuildMatchesRfc6962Definition) {
+  for (std::size_t n = 1; n <= 70; ++n) {
+    const auto leaves = make_leaves(n);
+    const MerkleTree tree(leaves);
+    ASSERT_EQ(tree.root(), rfc6962_root(leaves, 0, n)) << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      MerkleTree::Proof want;
+      rfc6962_path(leaves, i, 0, n, want);
+      ASSERT_TRUE(same_proof(tree.prove(i), want)) << n << ":" << i;
+    }
+  }
+}
+
+TEST(MerkleLevels, UpdatesAndAppendsMatchFreshBuildAtEverySize) {
+  // Every size 1..300 (so every 2^k - 1, 2^k and 2^k + 1 up to 257), each
+  // driven through a seeded mix of leaf-update batches and appends; the
+  // reference model is a fresh build over the same leaf vector.
+  ChaChaRng rng = ChaChaRng::from_string_seed("merkle-levels");
+  const auto draw = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng.next_u64() % bound);
+  };
+  for (std::size_t n = 1; n <= 300; ++n) {
+    auto leaves = make_leaves(n);
+    MerkleTree kept(leaves);
+    ASSERT_EQ(kept.root(), rfc6962_root(leaves, 0, n)) << n;
+    for (int step = 0; step < 3; ++step) {
+      const std::string where =
+          "size " + std::to_string(leaves.size()) + " step " +
+          std::to_string(step);
+      if (draw(3) == 0) {
+        leaves.push_back(to_bytes("appended-" + std::to_string(n) + "-" +
+                                  std::to_string(step)));
+        kept.append(leaves.back());
+      } else {
+        std::vector<MerkleTree::LeafUpdate> updates;
+        const std::size_t count = 1 + draw(std::min<std::size_t>(8, n));
+        for (std::size_t u = 0; u < count; ++u) {
+          const std::size_t index = draw(leaves.size());
+          leaves[index] = to_bytes("updated-" + std::to_string(draw(1000)));
+          updates.push_back({index, leaves[index]});
+        }
+        kept.update(updates);
+      }
+      expect_matches_fresh(kept, leaves, where);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // The last leaf and the promoted right edge are where shapes differ.
+    leaves.back() = to_bytes("last-" + std::to_string(n));
+    kept.update({{leaves.size() - 1, leaves.back()}});
+    expect_matches_fresh(kept, leaves, "last leaf at " + std::to_string(n));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(MerkleLevels, AppendFromEmptyMatchesFreshBuild) {
+  MerkleTree kept({});
+  std::vector<Bytes> leaves;
+  for (std::size_t n = 1; n <= 70; ++n) {
+    leaves.push_back(to_bytes("grown-" + std::to_string(n)));
+    kept.append(leaves.back());
+    expect_matches_fresh(kept, leaves, "grown to " + std::to_string(n));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(MerkleLevels, OutOfRangeUpdateThrowsAndLeavesTreeUnchanged) {
+  const auto leaves = make_leaves(5);
+  MerkleTree tree(leaves);
+  const auto root = tree.root();
+  EXPECT_THROW(tree.update({{1, to_bytes("x")}, {5, to_bytes("y")}}),
+               std::out_of_range);
+  EXPECT_EQ(tree.root(), root);
+  expect_matches_fresh(tree, leaves, "after rejected update");
+}
+
 TEST(Blocks, HeadersChain) {
   Blockchain chain;
   const auto alice = chain.ledger().create_account("alice");

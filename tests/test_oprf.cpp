@@ -4,6 +4,10 @@
 // extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <set>
+
 #include "blocklist/generator.h"
 #include "common/rng.h"
 #include "oprf/client.h"
@@ -326,6 +330,227 @@ TEST(OprfSetup, ParallelMatchesSequential) {
   const auto r_par = par.handle(p.request);
   EXPECT_EQ(r_seq.bucket, r_par.bucket);
   EXPECT_EQ(r_seq.evaluated, r_par.evaluated);
+}
+
+TEST(OprfSetup, DuplicatedEntryIsUnlistedByOneRemoval) {
+  auto server_rng = ChaChaRng::from_string_seed("dup-server");
+  auto client_rng = ChaChaRng::from_string_seed("dup-client");
+  const auto corpus = test_corpus(2, "dup-corpus");
+  const std::string& a = corpus[0];
+  const std::string& b = corpus[1];
+  OprfServer server(Oracle::fast(), 4, server_rng);
+  server.setup(std::vector<std::string>{a, a, b});
+  EXPECT_EQ(server.entry_count(), 2u);
+  EXPECT_EQ(server.remove_entries(std::vector<std::string>{a}), 1u);
+
+  EXPECT_FALSE(server.serves(a));
+  EXPECT_EQ(server.entry_count(), 1u);
+  const auto sizes = server.bucket_sizes();
+  EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), std::size_t{0}),
+            server.entry_count());
+  OprfClient client(Oracle::fast(), 4, client_rng);
+  for (const auto& [entry, listed] :
+       {std::pair{a, false}, std::pair{b, true}}) {
+    const auto p = client.prepare(entry);
+    EXPECT_EQ(client.finish(p.pending, server.handle(p.request)).listed,
+              listed)
+        << entry;
+  }
+}
+
+// ------------------------------------------- bucket-cache validity under churn
+
+class OprfCacheChurn : public ::testing::Test {
+ protected:
+  static constexpr unsigned kLambda = 4;
+
+  void SetUp() override {
+    pool_ = test_corpus(120, "cache-churn-corpus");
+    server_.emplace(Oracle::fast(), kLambda, server_rng_);
+    server_->setup(std::span<const std::string>(pool_).first(80));
+  }
+
+  static std::uint32_t prefix_of(const std::string& entry) {
+    return Oracle::prefix(to_bytes(entry), kLambda);
+  }
+  /// An unlisted pool entry whose prefix is (or is not) `prefix`.
+  std::string unlisted(std::uint32_t prefix, bool same) const {
+    for (std::size_t i = 80; i < pool_.size(); ++i) {
+      if ((prefix_of(pool_[i]) == prefix) == same) return pool_[i];
+    }
+    ADD_FAILURE() << "no unlisted entry for prefix " << prefix;
+    return {};
+  }
+
+  struct Answer {
+    bool omitted = false;
+    bool listed = false;
+    std::uint64_t advertised = kNoEpoch;
+  };
+  Answer ask(const std::string& entry) {
+    const auto p = client_.prepare(entry);
+    const auto response = server_->handle(p.request);
+    Answer answer;
+    answer.omitted = response.bucket_omitted;
+    answer.advertised = p.request.cached_epoch;
+    answer.listed = client_.finish(p.pending, response).listed;
+    return answer;
+  }
+
+  ChaChaRng server_rng_ = ChaChaRng::from_string_seed("cache-churn-server");
+  ChaChaRng client_rng_ = ChaChaRng::from_string_seed("cache-churn-client");
+  std::vector<std::string> pool_;
+  std::optional<OprfServer> server_;
+  OprfClient client_{Oracle::fast(), kLambda, client_rng_};
+};
+
+TEST_F(OprfCacheChurn, UnchangedBucketIsOmittedAcrossUnrelatedChanges) {
+  const std::string& a = pool_[0];
+  EXPECT_FALSE(ask(a).omitted);
+  const std::uint64_t cached = server_->epoch();
+
+  const std::string other = unlisted(prefix_of(a), /*same=*/false);
+  ASSERT_EQ(server_->add_entries(std::vector<std::string>{other}), 1u);
+  auto answer = ask(a);
+  EXPECT_EQ(answer.advertised, cached);
+  EXPECT_TRUE(answer.omitted);
+  EXPECT_TRUE(answer.listed);
+
+  ASSERT_EQ(server_->remove_entries(std::vector<std::string>{other}), 1u);
+  answer = ask(a);
+  // The omission moved the cache entry up to the epoch it was vouched at.
+  EXPECT_GT(answer.advertised, cached);
+  EXPECT_TRUE(answer.omitted);
+  EXPECT_TRUE(answer.listed);
+  EXPECT_EQ(client_.prepare(a).request.cached_epoch, server_->epoch());
+}
+
+TEST_F(OprfCacheChurn, ChangedBucketIsSentAgain) {
+  const std::string& a = pool_[0];
+  EXPECT_FALSE(ask(a).omitted);
+  const std::string same = unlisted(prefix_of(a), /*same=*/true);
+  EXPECT_FALSE(ask(same).listed);  // bucket cached; the entry is absent
+
+  ASSERT_EQ(server_->add_entries(std::vector<std::string>{same}), 1u);
+  auto answer = ask(same);
+  EXPECT_FALSE(answer.omitted);
+  EXPECT_TRUE(answer.listed);
+
+  ASSERT_EQ(server_->remove_entries(std::vector<std::string>{a}), 1u);
+  answer = ask(a);
+  EXPECT_FALSE(answer.omitted);
+  EXPECT_FALSE(answer.listed);
+}
+
+TEST_F(OprfCacheChurn, EmptiedBucketIsNeverOmitted) {
+  const std::string& a = pool_[0];
+  std::vector<std::string> bucket;
+  for (std::size_t i = 0; i < 80; ++i) {
+    if (prefix_of(pool_[i]) == prefix_of(a)) bucket.push_back(pool_[i]);
+  }
+  EXPECT_TRUE(ask(a).listed);
+  ASSERT_EQ(server_->remove_entries(bucket), bucket.size());
+  const auto prefixes = server_->prefix_list();
+  ASSERT_FALSE(std::binary_search(prefixes.begin(), prefixes.end(),
+                                  prefix_of(a)));
+  const auto answer = ask(a);
+  EXPECT_FALSE(answer.omitted);
+  EXPECT_FALSE(answer.listed);
+  // Still resent on the next query: the empty bucket was cached at the
+  // current epoch, so only now may it be omitted.
+  EXPECT_FALSE(ask(a).listed);
+}
+
+TEST_F(OprfCacheChurn, KeyRotationPreventsOmission) {
+  const std::string& a = pool_[0];
+  EXPECT_FALSE(ask(a).omitted);
+  server_->rotate_key();
+  const auto answer = ask(a);
+  EXPECT_FALSE(answer.omitted);
+  EXPECT_TRUE(answer.listed);
+}
+
+TEST_F(OprfCacheChurn, PreCrashCacheIsNotOmittedAfterRestoreAndSetup) {
+  const std::string& a = pool_[0];
+  EXPECT_FALSE(ask(a).omitted);
+  const std::uint64_t served = server_->epoch();
+  const std::uint64_t cached = client_.prepare(a).request.cached_epoch;
+  ASSERT_EQ(cached, served);
+
+  // Crash: a new process restores the served-epoch floor, then sets up
+  // under a fresh mask, then changes an unrelated bucket.
+  ChaChaRng reborn_rng = ChaChaRng::from_string_seed("cache-churn-reborn");
+  server_.emplace(Oracle::fast(), kLambda, reborn_rng);
+  server_->restore_epoch(served);
+  QueryRequest probe = client_.prepare(a).request;
+  EXPECT_FALSE(server_->handle(probe).bucket_omitted);  // restored floor
+  server_->setup(std::span<const std::string>(pool_).first(80));
+  const std::string other = unlisted(prefix_of(a), /*same=*/false);
+  ASSERT_EQ(server_->add_entries(std::vector<std::string>{other}), 1u);
+  probe = client_.prepare(a).request;
+  ASSERT_EQ(probe.cached_epoch, cached);
+  EXPECT_FALSE(server_->handle(probe).bucket_omitted);
+  const auto answer = ask(a);
+  EXPECT_FALSE(answer.omitted);
+  EXPECT_TRUE(answer.listed);
+}
+
+TEST_F(OprfCacheChurn, CachedEpochAboveServerEpochIsNotOmitted) {
+  const std::string& a = pool_[0];
+  EXPECT_FALSE(ask(a).omitted);
+  QueryRequest request = client_.prepare(a).request;
+  request.cached_epoch = server_->epoch() + 1;
+  EXPECT_FALSE(server_->handle(request).bucket_omitted);
+  request.cached_epoch = server_->epoch();
+  EXPECT_TRUE(server_->handle(request).bucket_omitted);
+}
+
+TEST_F(OprfCacheChurn, SeededChurnSequenceMatchesReference) {
+  // 200 steps of add/remove batches, key rotations and one restart, with
+  // a caching client querying after every step; each verdict is judged
+  // against a reference set. Replays from the seed printed on failure.
+  constexpr std::string_view kSeed = "oprf-cache-churn-200";
+  ChaChaRng rng = ChaChaRng::from_string_seed(kSeed);
+  const auto draw = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng.next_u64() % bound);
+  };
+  std::set<std::string> reference(pool_.begin(), pool_.begin() + 80);
+  ChaChaRng reborn_rng = ChaChaRng::from_string_seed("cache-churn-reborn");
+  std::size_t omitted = 0;
+  for (int step = 0; step < 200; ++step) {
+    SCOPED_TRACE("seed " + std::string(kSeed) + " step " +
+                 std::to_string(step));
+    const std::size_t action = draw(20);
+    if (step == 120) {
+      const std::uint64_t served = server_->epoch();
+      server_.emplace(Oracle::fast(), kLambda, reborn_rng);
+      server_->restore_epoch(served);
+      server_->setup(
+          std::vector<std::string>(reference.begin(), reference.end()));
+    } else if (action == 0) {
+      server_->rotate_key();
+    } else {
+      std::vector<std::string> batch;
+      for (std::size_t n = 0; n <= draw(3); ++n) {
+        batch.push_back(pool_[draw(pool_.size())]);
+      }
+      if (action % 2 == 0) {
+        server_->add_entries(batch);
+        reference.insert(batch.begin(), batch.end());
+      } else {
+        server_->remove_entries(batch);
+        for (const auto& entry : batch) reference.erase(entry);
+      }
+    }
+    ASSERT_EQ(server_->entry_count(), reference.size());
+    for (int q = 0; q < 3; ++q) {
+      const std::string& entry = pool_[draw(pool_.size())];
+      const auto answer = ask(entry);
+      omitted += answer.omitted ? 1 : 0;
+      ASSERT_EQ(answer.listed, reference.contains(entry)) << entry;
+    }
+  }
+  EXPECT_GT(omitted, 100u);  // the cache was really in play
 }
 
 TEST(OprfConfig, InvalidLambdaRejected) {

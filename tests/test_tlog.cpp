@@ -6,6 +6,8 @@
 // accounting, and the resilient client's permanent-distrust latch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "blocklist/generator.h"
 #include "common/rng.h"
 #include "net/resilient_client.h"
@@ -315,6 +317,226 @@ TEST_F(TlogTest, AuditPathCatchesForeignSnapshot) {
   ASSERT_TRUE(path.has_value());
   EXPECT_NE(auditor.verify_audit_path(prefix, *path), Auditor::Status::kOk);
   EXPECT_FALSE(auditor.trusted());
+}
+
+// ---------------------------------------------- kept trees under churn
+
+bool same_steps(const chain::MerkleTree::Proof& a,
+                const chain::MerkleTree::Proof& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].sibling != b[i].sibling ||
+        a[i].sibling_on_right != b[i].sibling_on_right) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(BucketTreeUpdate, InPlaceAndRebuildMatchAFreshTree) {
+  // A seeded walk of bucket edits — entries added and removed, buckets
+  // that appear and buckets that empty — with the kept tree updated
+  // after each step and compared with a tree built from scratch.
+  ChaChaRng rng = ChaChaRng::from_string_seed("bucket-tree-update");
+  const auto draw = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng.next_u64() % bound);
+  };
+  const auto random_entry = [&rng] {
+    ec::RistrettoPoint::Encoding e{};
+    rng.fill(e.data(), e.size());
+    return e;
+  };
+  constexpr std::uint32_t kPrefixes = 48;
+  BucketMap buckets;
+  for (std::uint32_t prefix = 0; prefix < kPrefixes; prefix += 1 + prefix % 2) {
+    auto& entries = buckets[prefix];
+    for (std::size_t i = 0; i <= draw(3); ++i) entries.push_back(random_entry());
+    std::sort(entries.begin(), entries.end());
+  }
+  BucketTree kept(buckets);
+  int same_shape = 0;
+  int appeared = 0;
+  int emptied = 0;
+  for (int step = 0; step < 150; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<std::uint32_t> changed;
+    for (std::size_t n = 0; n <= draw(4); ++n) {
+      changed.push_back(static_cast<std::uint32_t>(draw(kPrefixes)));
+    }
+    std::sort(changed.begin(), changed.end());
+    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+    bool shape_changed = false;
+    for (const std::uint32_t prefix : changed) {
+      const bool existed = buckets.contains(prefix);
+      auto& entries = buckets[prefix];
+      if (!entries.empty() && draw(6) == 0) {
+        entries.clear();
+      } else if (!entries.empty() && draw(2) == 0) {
+        entries.erase(entries.begin() +
+                      static_cast<std::ptrdiff_t>(draw(entries.size())));
+      } else {
+        const auto e = random_entry();
+        entries.insert(std::lower_bound(entries.begin(), entries.end(), e), e);
+      }
+      if (entries.empty()) {
+        buckets.erase(prefix);
+        if (existed) ++emptied;
+      } else if (!existed) {
+        ++appeared;
+      }
+      shape_changed = shape_changed || existed != buckets.contains(prefix);
+    }
+    if (!shape_changed) ++same_shape;
+    kept.update(buckets, changed);
+    const BucketTree fresh(buckets);
+    ASSERT_EQ(kept.root(), fresh.root());
+    ASSERT_EQ(kept.leaf_count(), buckets.size());
+    for (std::uint32_t prefix = 0; prefix < kPrefixes; ++prefix) {
+      ASSERT_EQ(kept.index_of(prefix), fresh.index_of(prefix)) << prefix;
+    }
+    for (std::size_t i = 0; i < kept.leaf_count(); ++i) {
+      const auto proof = kept.prove(i);
+      ASSERT_EQ(proof.leaf_count, buckets.size());
+      ASSERT_TRUE(same_steps(proof.steps, fresh.prove(i).steps)) << i;
+    }
+  }
+  // Both paths ran: in-place steps and steps that changed the prefix set.
+  EXPECT_GT(same_shape, 20);
+  EXPECT_GT(appeared, 5);
+  EXPECT_GT(emptied, 5);
+}
+
+TEST_F(TlogTest, IncrementalPublishMatchesFullSnapshotDiff) {
+  // The publisher reads only changed buckets; every delta, bucket root
+  // and mirror it produces must still equal what diffing whole
+  // snapshots gives — across in-place edits, buckets that appear or
+  // empty (lambda 6 leaves many one-entry buckets), two changes between
+  // publications, and a key rotation.
+  publisher_->publish_epoch(*server_);
+  BucketMap before = server_->bucket_snapshot();
+  std::uint64_t before_epoch = server_->epoch();
+  const auto listed = std::span<const std::string>(corpus_).first(80);
+  for (int step = 0; step < 10; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    server_->add_entries(fresh(static_cast<std::size_t>(step) * 4, 4));
+    server_->remove_entries(listed.subspan(static_cast<std::size_t>(step) * 5, 3));
+    if (step == 3) server_->remove_entries(listed.subspan(70, 2));
+    if (step == 6) server_->rotate_key();
+    publisher_->publish_epoch(*server_);
+
+    const BucketMap after = server_->bucket_snapshot();
+    EpochDelta want = diff_buckets(before, after);
+    want.from_epoch = before_epoch;
+    want.to_epoch = server_->epoch();
+    want.base_bucket_root = BucketTree(before).root();
+    want.post_bucket_root = BucketTree(after).root();
+    const auto got = publisher_->delta_from(before_epoch);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->signing_payload(), want.signing_payload());
+    EXPECT_EQ(publisher_->current_buckets(), after);
+    const auto& log = publisher_->log();
+    EXPECT_EQ(log.record(log.size() - 1).bucket_root,
+              BucketTree(after).root());
+    before = after;
+    before_epoch = server_->epoch();
+  }
+}
+
+TEST_F(TlogTest, RejectedDeltaLeavesMirrorRootAndTreeUnchanged) {
+  // Two forged deltas, one per tree path: an addition into an existing
+  // bucket (in-place update) and a removal that empties a bucket
+  // (rebuild). Each carries a validly signed but wrong post root.
+  const BucketMap initial = server_->bucket_snapshot();
+  const auto prefix_of = [](const std::string& entry) {
+    return oprf::Oracle::prefix(to_bytes(entry), 6);
+  };
+  std::vector<std::string> in_place;  // a fresh entry for a live bucket
+  for (std::size_t i = 0; i < 40 && in_place.empty(); ++i) {
+    if (initial.contains(prefix_of(fresh(i, 1)[0]))) {
+      in_place.push_back(fresh(i, 1)[0]);
+    }
+  }
+  std::vector<std::string> emptying;  // the only entry of its bucket
+  for (std::size_t i = 0; i < 80 && emptying.empty(); ++i) {
+    if (initial.at(prefix_of(corpus_[i])).size() == 1) {
+      emptying.push_back(corpus_[i]);
+    }
+  }
+  ASSERT_EQ(in_place.size(), 1u);
+  ASSERT_EQ(emptying.size(), 1u);
+
+  publisher_->publish_epoch(*server_);
+  for (const bool empties : {false, true}) {
+    SCOPED_TRACE(empties ? "rebuild path" : "in-place path");
+    Auditor auditor(key_.pk, empties ? "rollback-rebuild" : "rollback-inplace");
+    (void)auditor.observe_checkpoint(publisher_->latest_checkpoint(),
+                                     nullptr);
+    ASSERT_EQ(auditor.adopt_snapshot(publisher_->current_buckets()),
+              Auditor::Status::kOk);
+    const BucketMap base = auditor.buckets();
+    const Digest base_root = auditor.mirror_root();
+    const std::uint64_t base_epoch = auditor.mirror_epoch();
+
+    if (empties) {
+      server_->remove_entries(emptying);
+    } else {
+      server_->add_entries(in_place);
+    }
+    publisher_->publish_epoch(*server_);
+    auto forged = *publisher_->delta_from(base_epoch);
+    forged.post_bucket_root[0] ^= 1;
+    forged = sign_delta(key_, std::move(forged), publisher_rng_);
+    EXPECT_EQ(auditor.apply_delta(forged), Auditor::Status::kRootMismatch);
+    EXPECT_EQ(auditor.buckets(), base);
+    EXPECT_EQ(auditor.mirror_root(), base_root);
+    EXPECT_EQ(auditor.mirror_root(), BucketTree(base).root());
+    EXPECT_EQ(auditor.mirror_epoch(), base_epoch);
+  }
+}
+
+TEST_F(TlogTest, BucketChangesSinceReportsTouchedBucketsOnly) {
+  const std::uint64_t e0 = server_->epoch();
+  const auto full = server_->bucket_changes_since(oprf::kNoEpoch);
+  EXPECT_TRUE(full.complete);
+  EXPECT_EQ(full.epoch, e0);
+  EXPECT_EQ(full.buckets, server_->bucket_snapshot());
+  EXPECT_TRUE(server_->bucket_changes_since(e0 - 1).complete);  // pre-key
+
+  const auto none = server_->bucket_changes_since(e0);
+  EXPECT_FALSE(none.complete);
+  EXPECT_TRUE(none.buckets.empty());
+
+  // Remove every entry of one bucket and add one fresh entry.
+  const auto prefix_of = [](const std::string& entry) {
+    return oprf::Oracle::prefix(to_bytes(entry), 6);
+  };
+  const std::uint32_t gone = prefix_of(corpus_[0]);
+  std::vector<std::string> bucket_entries;
+  for (std::size_t i = 0; i < 80; ++i) {
+    if (prefix_of(corpus_[i]) == gone) bucket_entries.push_back(corpus_[i]);
+  }
+  server_->remove_entries(bucket_entries);
+  const std::uint64_t e1 = server_->epoch();
+  server_->add_entries(fresh(0, 1));
+  const std::uint32_t added = prefix_of(fresh(0, 1)[0]);
+
+  const auto since0 = server_->bucket_changes_since(e0);
+  EXPECT_FALSE(since0.complete);
+  EXPECT_EQ(since0.epoch, server_->epoch());
+  ASSERT_TRUE(since0.buckets.contains(gone));
+  ASSERT_TRUE(since0.buckets.contains(added));
+  EXPECT_EQ(since0.buckets.size(), gone == added ? 1u : 2u);
+  if (gone != added) {
+    EXPECT_TRUE(since0.buckets.at(gone).empty());
+  }
+  EXPECT_EQ(since0.buckets.at(added), server_->bucket_snapshot().at(added));
+
+  const auto since1 = server_->bucket_changes_since(e1);
+  EXPECT_EQ(since1.buckets.size(), 1u);
+  EXPECT_TRUE(since1.buckets.contains(added));
+
+  server_->rotate_key();
+  EXPECT_TRUE(server_->bucket_changes_since(e1).complete);
 }
 
 // ------------------------------------------------- wire-level verified sync
