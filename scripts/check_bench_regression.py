@@ -26,9 +26,14 @@ floors (no baseline):
   tlog        sync/delta_bytes > 1.0x (delta smaller than the full
               download) at churn=2per1k; publish/epoch and
               verify/delta_fold at churn=2per1k each under half of
-              tree/full_build from the same run (a ratio, so the host's
-              speed cancels: an epoch must not cost work over the whole
-              list); non-zero sync/full_bytes sizes and verify/* timings
+              tree/full_build of the same shape from the same run (a
+              ratio, so the host's speed cancels: an epoch must not cost
+              work over the whole list); at the prefix_filtered shape
+              (entries=4096,lambda=16), tree/update under 0.8x and
+              publish/epoch and verify/delta_fold under 1.5x that shape's
+              tree/full_build (a reshape must not rehash unchanged
+              buckets); non-zero sync/full_bytes sizes and verify/*
+              timings
   store       non-zero journal/append and snapshot/commit timings;
               journal/recover and store/load replay every record
 
@@ -52,8 +57,19 @@ import sys
 
 DEFAULT_MAX_DRIFT = 0.15
 # bench_tlog: publish and fold at the lowest churn level, as a share of a
-# full bucket-tree build in the same run.
+# full bucket-tree build of the same shape in the same run.
 MAX_EPOCH_SHARE_OF_FULL_BUILD = 0.5
+# bench_tlog at the prefix_filtered shape (one-entry buckets, so churn
+# makes buckets appear and empty and the kept tree reshapes), as shares
+# of that shape's full build. Sized from 13 --quick runs on a 4-vCPU Xeon
+# guest: tree/update read 0.53-0.67 (a rebuild that rehashes every bucket
+# read 0.95-1.14 in 6 runs), publish/epoch 0.91-1.26 and
+# verify/delta_fold 0.75-1.00 (each adds signatures and the bucket fold
+# to the reshape; a second list's worth of tree work would put them past
+# 1.5).
+RESHAPE_SHAPE = "entries=4096,lambda=16"
+MAX_RESHAPE_SHARE_OF_FULL_BUILD = 0.8
+MAX_RESHAPE_EPOCH_SHARE_OF_FULL_BUILD = 1.5
 
 _CONFIG_KEYS = (
     "simulated_clients", "unique_addresses", "listed_addresses", "zipf_s",
@@ -208,7 +224,8 @@ def check_throughput(report: dict) -> str:
 def check_tlog(report: dict) -> str:
     """bench_tlog: a signed one-step delta is cheaper on the wire than the
     full bucket download it replaces, already at the lowest churn level
-    (2 changed entries per 1k)."""
+    (2 changed entries per 1k); an epoch costs what changed, and where
+    churn reshapes the bucket tree, unchanged buckets are not rehashed."""
     what = "tlog"
     results = _results(report, what)
     deltas = _named(results, "sync/delta_bytes")
@@ -222,32 +239,47 @@ def check_tlog(report: dict) -> str:
     full = _named(results, "sync/full_bytes")
     _require(bool(full) and all(r["bytes_per_query"] > 0 for r in full),
              what, "no/empty sync/full_bytes record")
-    builds = _named(results, "tree/full_build")
-    _require(len(builds) == 1 and builds[0]["ns_per_op"] > 0, what,
-             "no tree/full_build record")
-    build_ns = builds[0]["ns_per_op"]
-    for name in ("publish/epoch", "verify/delta_fold"):
-        at_low = [r for r in _named(results, name)
-                  if "churn=2per1k" in r["params"]]
-        _require(bool(at_low), what, f"missing {name} churn=2per1k record")
-        for r in at_low:
-            share = r["ns_per_op"] / build_ns
-            _require(share <= MAX_EPOCH_SHARE_OF_FULL_BUILD, what,
-                     f"{name} costs O(list): {r['ns_per_op']:.0f} ns is "
-                     f"{share:.2f}x a full tree build ({build_ns:.0f} ns), "
-                     f"limit {MAX_EPOCH_SHARE_OF_FULL_BUILD}x "
+    builds = {r["params"]: r["ns_per_op"]
+              for r in _named(results, "tree/full_build")
+              if r["ns_per_op"] > 0}
+    _require(bool(builds), what, "no tree/full_build record")
+
+    def gate(name: str, match: str, limit: float, why: str) -> list[str]:
+        records = [r for r in _named(results, name) if match in r["params"]]
+        _require(bool(records), what, f"missing {name} {match} record")
+        shares = []
+        for r in records:
+            shape = r["params"].split(",churn=")[0]
+            _require(shape in builds, what,
+                     f"no tree/full_build record for {shape}")
+            share = r["ns_per_op"] / builds[shape]
+            _require(share <= limit, what,
+                     f"{name} {why}: {r['ns_per_op']:.0f} ns is "
+                     f"{share:.2f}x a full tree build "
+                     f"({builds[shape]:.0f} ns), limit {limit}x "
                      f"({r['params']})")
+            shares.append(f"{name}={share:.2f}x")
+        return shares
+
+    low_shares = []
+    for name in ("publish/epoch", "verify/delta_fold"):
+        low_shares += gate(name, "churn=2per1k",
+                           MAX_EPOCH_SHARE_OF_FULL_BUILD, "costs O(list)")
+    reshape_shares = gate("tree/update", RESHAPE_SHAPE + ",",
+                          MAX_RESHAPE_SHARE_OF_FULL_BUILD,
+                          "rehashes unchanged buckets")
+    for name in ("publish/epoch", "verify/delta_fold"):
+        reshape_shares += gate(name, RESHAPE_SHAPE + ",",
+                               MAX_RESHAPE_EPOCH_SHARE_OF_FULL_BUILD,
+                               "costs more than one reshape")
     verify = [r for r in results if r["name"].startswith("verify/")]
     _require(bool(verify) and all(r["ns_per_op"] > 0 for r in verify), what,
              "missing verify timings")
-    shares = ", ".join(
-        f"{r['name']}={r['ns_per_op'] / build_ns:.2f}x"
-        for r in results
-        if r["name"] in ("publish/epoch", "verify/delta_fold")
-        and "churn=2per1k" in r["params"])
     return "tlog delta vs full download: " + ", ".join(
-        f"{r['params'].split(',')[1]}={r['value']:.1f}x"
-        for r in deltas) + f"; at churn=2per1k vs a full build: {shares}"
+        f"{r['params'].split('churn=')[1]}={r['value']:.1f}x"
+        for r in deltas) + (
+        f"; at churn=2per1k vs a full build: {', '.join(low_shares)}"
+        f"; at {RESHAPE_SHAPE}: {', '.join(reshape_shares)}")
 
 
 def _records_in(params: str) -> int:
@@ -397,15 +429,26 @@ def _synthetic_results() -> dict[str, dict]:
         ]},
         "tlog": {"bench": "tlog", "results": [
             _rec("verify/checkpoint", ""),
-            _rec("sync/delta_bytes", "entries=1000,churn=2per1k", ns=0.0,
-                 nbytes=237.0, value=168.0),
-            _rec("sync/delta_bytes", "entries=1000,churn=50per1k", ns=0.0,
-                 nbytes=4000.0, value=10.0),
-            _rec("sync/full_bytes", "entries=1000", ns=0.0, nbytes=40000.0),
-            _rec("tree/full_build", "entries=1000", ns=4000.0),
-            _rec("publish/epoch", "entries=1000,churn=2per1k", ns=500.0),
-            _rec("publish/epoch", "entries=1000,churn=50per1k", ns=3000.0),
-            _rec("verify/delta_fold", "entries=1000,churn=2per1k", ns=400.0),
+            _rec("sync/delta_bytes", "entries=1000,lambda=6,churn=2per1k",
+                 ns=0.0, nbytes=237.0, value=168.0),
+            _rec("sync/delta_bytes", "entries=1000,lambda=6,churn=50per1k",
+                 ns=0.0, nbytes=4000.0, value=10.0),
+            _rec("sync/full_bytes", "entries=1000,lambda=6", ns=0.0,
+                 nbytes=40000.0),
+            _rec("tree/full_build", "entries=1000,lambda=6", ns=4000.0),
+            _rec("publish/epoch", "entries=1000,lambda=6,churn=2per1k",
+                 ns=500.0),
+            _rec("publish/epoch", "entries=1000,lambda=6,churn=50per1k",
+                 ns=3000.0),
+            _rec("verify/delta_fold", "entries=1000,lambda=6,churn=2per1k",
+                 ns=400.0),
+            _rec("tree/full_build", "entries=4096,lambda=16", ns=10000.0),
+            _rec("tree/update", "entries=4096,lambda=16,churn=62per1k",
+                 ns=6000.0),
+            _rec("publish/epoch", "entries=4096,lambda=16,churn=62per1k",
+                 ns=11000.0),
+            _rec("verify/delta_fold", "entries=4096,lambda=16,churn=62per1k",
+                 ns=9000.0),
         ]},
         "store": {"bench": "store", "results": [
             _rec("journal/append", "fs=mem,payload=64"),
@@ -461,6 +504,16 @@ def _self_test_results() -> None:
         ("tlog", _drop("publish/epoch", "churn=2per1k"),
          "missing publish/epoch"),
         ("tlog", _drop("tree/full_build"), "no tree/full_build"),
+        ("tlog", _set("tree/update", "lambda=16", "ns_per_op", 10000.0),
+         "tree/update rehashes unchanged buckets"),
+        ("tlog", _set("publish/epoch", "lambda=16", "ns_per_op", 16000.0),
+         "publish/epoch costs more than one reshape"),
+        ("tlog", _set("verify/delta_fold", "lambda=16", "ns_per_op",
+                      20000.0),
+         "verify/delta_fold costs more than one reshape"),
+        ("tlog", _drop("tree/update", "lambda=16"), "missing tree/update"),
+        ("tlog", _drop("tree/full_build", "lambda=16"),
+         "no tree/full_build record for entries=4096,lambda=16"),
         ("store", _set("journal/append", "", "ns_per_op", 0.0),
          "journal append"),
         ("store", _set("snapshot/commit", "", "ns_per_op", 0.0),

@@ -60,7 +60,10 @@
 #                  wire bytes than the full bucket download it replaces
 #                  at >= 2 changed entries per 1k, publishing and folding
 #                  that epoch must each cost under half a full bucket-tree
-#                  build, and store recovery must replay every appended
+#                  build, where churn reshapes the bucket tree (one-entry
+#                  buckets) the kept-tree update must stay under 0.8x and
+#                  publish and fold under 1.5x a full build of that list,
+#                  and store recovery must replay every appended
 #                  journal record (all checked by
 #                  scripts/check_bench_regression.py --check-results)
 #  13. macro-smoke Release build of bench_macro (the open-loop macro-load

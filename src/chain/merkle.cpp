@@ -17,10 +17,14 @@ std::size_t split_point(std::size_t n) {
 
 }  // namespace
 
-MerkleTree::Digest MerkleTree::hash_leaf(ByteView payload) {
+hash::Sha256 MerkleTree::leaf_hasher() {
   hash::Sha256 h;
-  h.update("cbl/merkle/leaf").update(payload);
-  return h.finalize();
+  h.update("cbl/merkle/leaf");
+  return h;
+}
+
+MerkleTree::Digest MerkleTree::hash_leaf(ByteView payload) {
+  return leaf_hasher().update(payload).finalize();
 }
 
 MerkleTree::Digest MerkleTree::hash_node(const Digest& left,
@@ -35,6 +39,17 @@ MerkleTree::Digest MerkleTree::hash_node(const Digest& left,
 MerkleTree::MerkleTree(const std::vector<Bytes>& leaves) : levels_(1) {
   levels_[0].reserve(leaves.size());
   for (const auto& leaf : leaves) levels_[0].push_back(hash_leaf(leaf));
+  build_levels();
+}
+
+MerkleTree MerkleTree::from_leaf_hashes(std::vector<Digest> leaf_hashes) {
+  MerkleTree tree(std::vector<Bytes>{});
+  tree.levels_[0] = std::move(leaf_hashes);
+  tree.build_levels();
+  return tree;
+}
+
+void MerkleTree::build_levels() {
   while (levels_.back().size() > 1) {
     levels_.emplace_back((levels_.back().size() + 1) / 2);
     const std::size_t level = levels_.size() - 1;
@@ -60,7 +75,7 @@ void MerkleTree::update(const std::vector<LeafUpdate>& updates) {
     }
     dirty.push_back(u.index);
   }
-  for (const auto& u : updates) levels_[0][u.index] = hash_leaf(u.payload);
+  for (const auto& u : updates) levels_[0][u.index] = u.hash;
   // Parents of a sorted index set stay sorted, so one sort serves every
   // level; dedup makes each shared ancestor cost one hash.
   std::sort(dirty.begin(), dirty.end());
@@ -119,6 +134,14 @@ bool MerkleTree::verify(const Digest& root, ByteView leaf_payload,
 bool MerkleTree::verify(const Digest& root, std::size_t index,
                         std::size_t leaf_count, ByteView leaf_payload,
                         const Proof& proof) {
+  return verify_leaf_hash(root, index, leaf_count, hash_leaf(leaf_payload),
+                          proof);
+}
+
+bool MerkleTree::verify_leaf_hash(const Digest& root, std::size_t index,
+                                  std::size_t leaf_count,
+                                  const Digest& leaf_hash,
+                                  const Proof& proof) {
   if (leaf_count == 0 || index >= leaf_count) return false;
   // RFC 6962-bis inclusion check: walk the index/size pair up the tree,
   // deriving at each level whether the path node is a left or right
@@ -126,7 +149,7 @@ bool MerkleTree::verify(const Digest& root, std::size_t index,
   // proof was generated for a different slot.
   std::size_t fn = index;
   std::size_t sn = leaf_count - 1;
-  Digest acc = hash_leaf(leaf_payload);
+  Digest acc = leaf_hash;
   for (const auto& step : proof) {
     if (sn == 0) return false;  // proof longer than the actual path
     const bool sibling_left = (fn & 1) != 0 || fn == sn;

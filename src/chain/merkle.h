@@ -37,20 +37,28 @@ class MerkleTree {
   /// RFC-6962 consistency proof: bare subtree hashes, leaf-to-root order.
   using ConsistencyProof = std::vector<Digest>;
 
-  /// One leaf replacement for update().
+  /// One leaf replacement for update(): the new leaf hash, as hash_leaf
+  /// computes it (or a caller streams through leaf_hasher()).
   struct LeafUpdate {
     std::size_t index;
-    Bytes payload;
+    Digest hash;
   };
 
   /// Builds the tree over the given leaf payloads (hashed internally).
   /// An empty leaf set has the all-zero root.
   explicit MerkleTree(const std::vector<Bytes>& leaves);
 
+  /// Builds the tree over leaves that are already hashed (hash_leaf
+  /// outputs, or the same function streamed by the caller); the root
+  /// equals that of the payload constructor over the matching payloads.
+  static MerkleTree from_leaf_hashes(std::vector<Digest> leaf_hashes);
+
   const Digest& root() const { return root_; }
   std::size_t leaf_count() const { return levels_[0].size(); }
+  /// The leaf level: hash_leaf of each payload, in leaf order.
+  const std::vector<Digest>& leaf_hashes() const { return levels_[0]; }
 
-  /// Replaces existing leaves' payloads and rehashes their paths, each
+  /// Replaces existing leaves' hashes and rehashes their paths, each
   /// shared ancestor once. Indices must be in range; throws
   /// std::out_of_range otherwise (the tree is then unchanged).
   void update(const std::vector<LeafUpdate>& updates);
@@ -75,6 +83,10 @@ class MerkleTree {
   static bool verify(const Digest& root, std::size_t index,
                      std::size_t leaf_count, ByteView leaf_payload,
                      const Proof& proof);
+  /// The index-bound check for a leaf the caller already hashed.
+  static bool verify_leaf_hash(const Digest& root, std::size_t index,
+                               std::size_t leaf_count,
+                               const Digest& leaf_hash, const Proof& proof);
 
   /// RFC-6962 consistency proof that this tree is an append-only
   /// extension of its own first `old_size` leaves; throws
@@ -92,12 +104,17 @@ class MerkleTree {
                                  const ConsistencyProof& proof);
 
   static Digest hash_leaf(ByteView payload);
+  /// A SHA-256 that has absorbed the leaf domain: feed it a payload in
+  /// pieces and finalize() equals hash_leaf(payload).
+  static hash::Sha256 leaf_hasher();
   static Digest hash_node(const Digest& left, const Digest& right);
 
  private:
   /// The stored node covering leaves [lo, hi); only valid for ranges
   /// that are nodes of the tree (what the consistency recursion visits).
   const Digest& node(std::size_t lo, std::size_t hi) const;
+  /// Builds every level above the stored leaf hashes.
+  void build_levels();
   /// Recomputes node `index` of `level` from its children in level - 1.
   void rehash(std::size_t level, std::size_t index);
   void subtree_consistency(std::size_t m, std::size_t lo, std::size_t hi,

@@ -35,6 +35,8 @@
 #include "ec/ristretto.h"
 #include "ec/scalar.h"
 #include "hash/argon2.h"
+#include "hash/sha256.h"
+#include "hash/sha256_kernels.h"
 #include "oprf/blind.h"
 #include "oprf/oracle.h"
 #include "oprf/server.h"
@@ -221,6 +223,29 @@ std::vector<Check> audited_checks() {
     sink(tag.data(), tag.size());
   }});
 
+  // Both SHA-256 compression paths: the portable body called directly
+  // (the only one on hosts without SHA-NI), and HMAC through Sha256's
+  // CPUID-selected kernel, as HKDF runs it on a key derived from an OPRF
+  // output.
+  checks.push_back({"sha256_portable", [](Rng& rng) {
+    Bytes blocks = rng.bytes(128);
+    ct::SecretScope scope(blocks.data(), blocks.size(),
+                          ct::SecretScope::OnExit::kUnpoisonAndWipe);
+    std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                              0xa54ff53a, 0x510e527f, 0x9b05688c,
+                              0x1f83d9ab, 0x5be0cd19};
+    hash::sha256_kernel::compress_portable(state, blocks.data(), 2);
+    sink(reinterpret_cast<const std::uint8_t*>(state), sizeof state);
+  }});
+
+  checks.push_back({"hmac_sha256", [](Rng& rng) {
+    Bytes key = rng.bytes(32);
+    ct::SecretScope scope(key.data(), key.size(),
+                          ct::SecretScope::OnExit::kUnpoisonAndWipe);
+    const auto mac = hash::hmac_sha256(key, to_bytes("cbl/metadata-key"));
+    sink(mac.data(), mac.size());
+  }});
+
   checks.push_back({"pedersen_open", [](Rng& rng) {
     static const ec::RistrettoPoint g = ec::RistrettoPoint::base();
     static const ec::RistrettoPoint h =
@@ -316,8 +341,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("ctcheck: taint backend=%s, valgrind=%s\n", ct::backend_name(),
-              ct::running_on_valgrind() ? "yes" : "no");
+  std::printf("ctcheck: taint backend=%s, valgrind=%s, sha256 kernel=%s\n",
+              ct::backend_name(), ct::running_on_valgrind() ? "yes" : "no",
+              hash::sha256_kernel::active_name());
 
   // Probe instrumentation: run something instrumented and see if edges
   // arrive. Without trace-pc the differ is blind and certifies nothing.

@@ -1,6 +1,9 @@
 // SHA-256 (FIPS 180-4), implemented from scratch. Streaming and one-shot
-// interfaces. Used for bucket prefixes, transcript hashing, and address
-// checksums (Base58Check double-SHA256).
+// interfaces. Used for bucket prefixes, transcript hashing, Merkle trees
+// and address checksums (Base58Check double-SHA256). The compression
+// function runs on the x86 SHA extensions when the CPU has them and in
+// portable C++ otherwise, chosen once from CPUID; the digests are the
+// same either way (see hash/sha256_kernels.h).
 #pragma once
 
 #include <array>
@@ -41,8 +44,6 @@ class Sha256 {
   }
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::uint32_t state_[8];
   std::uint64_t total_len_ = 0;
   std::uint8_t buffer_[64];

@@ -43,8 +43,10 @@ bool verify_signature(const ec::RistrettoPoint& pk, ByteView message,
                       std::string_view domain, const Signature& sig) {
   const ec::Scalar c =
       signature_challenge(domain, pk, sig.nonce_commitment, message);
-  return ec::RistrettoPoint::base() * sig.response ==
-         sig.nonce_commitment + pk * c;
+  // s*B - c*PK == R, as one two-term multiscalar: every input is public.
+  return ec::RistrettoPoint::multiscalar_mul(
+             {sig.response, -c}, {ec::RistrettoPoint::base(), pk}) ==
+         sig.nonce_commitment;
 }
 
 ec::Scalar signature_challenge_for(const ec::RistrettoPoint& pk,

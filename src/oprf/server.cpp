@@ -132,26 +132,12 @@ void OprfServer::rebuild(unsigned num_threads) {
   // cannot see across that hand-off, so the guarded state the workers
   // need is bound to locals here, under the lock. Each worker writes
   // only the index slots of its own chunk.
-  std::vector<std::pair<const std::string, Entry>*> slots;
+  std::vector<IndexSlot*> slots;
   slots.reserve(entry_index_.size());
   for (auto& slot : entry_index_) slots.push_back(&slot);
   const Secret<ec::Scalar> half_mask = half_mask_;
   auto work = [&](std::size_t begin, std::size_t end) {
-    std::vector<Bytes> raw(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      raw[i - begin] = to_bytes(slots[i]->first);
-    }
-    const auto hashed = oracle_.map_to_group_batch(raw);
-    std::vector<ec::RistrettoPoint> halves(hashed.size());
-    for (std::size_t j = 0; j < hashed.size(); ++j) {
-      halves[j] = hashed[j] * half_mask;
-    }
-    const auto encodings =
-        ec::RistrettoPoint::double_and_encode_batch(halves);
-    for (std::size_t j = 0; j < encodings.size(); ++j) {
-      slots[begin + j]->second = {Oracle::prefix(raw[j], lambda_),
-                                  encodings[j]};
-    }
+    blind_into(std::span(slots).subspan(begin, end - begin), half_mask);
   };
   exec::parallel_for_chunks(slots.size(), num_threads, work);
 
@@ -310,23 +296,36 @@ bool OprfServer::bucket_current_at(std::uint32_t prefix,
   return it == bucket_changed_at_.end() || it->second <= cached;
 }
 
-std::uint32_t OprfServer::insert_into_bucket(const std::string& entry) {
-  const Bytes raw = to_bytes(entry);
-  const auto blinded =
-      (oracle_.map_to_group(raw) * half_mask_).double_and_encode();
-  const std::uint32_t prefix = Oracle::prefix(raw, lambda_);
-  Bucket& bucket = buckets_[prefix];
-  const auto it =
-      std::lower_bound(bucket.blinded.begin(), bucket.blinded.end(), blinded);
+void OprfServer::blind_into(std::span<IndexSlot* const> slots,
+                            const Secret<ec::Scalar>& half_mask) const {
+  std::vector<Bytes> raw(slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    raw[i] = to_bytes(slots[i]->first);
+  }
+  const auto hashed = oracle_.map_to_group_batch(raw);
+  std::vector<ec::RistrettoPoint> halves(hashed.size());
+  for (std::size_t i = 0; i < hashed.size(); ++i) {
+    halves[i] = hashed[i] * half_mask;
+  }
+  const auto encodings = ec::RistrettoPoint::double_and_encode_batch(halves);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i]->second = {Oracle::prefix(raw[i], lambda_), encodings[i]};
+  }
+}
+
+std::uint32_t OprfServer::insert_into_bucket(const IndexSlot& slot) {
+  const auto& [entry, listed] = slot;
+  Bucket& bucket = buckets_[listed.prefix];
+  const auto it = std::lower_bound(bucket.blinded.begin(),
+                                   bucket.blinded.end(), listed.blinded);
   const auto offset = it - bucket.blinded.begin();
-  bucket.blinded.insert(it, blinded);
+  bucket.blinded.insert(it, listed.blinded);
   if (metadata_provider_) {
     bucket.metadata.insert(bucket.metadata.begin() + offset,
-                           seal_metadata(metadata_key(blinded),
+                           seal_metadata(metadata_key(listed.blinded),
                                          metadata_provider_(entry)));
   }
-  entry_index_[entry] = Entry{prefix, blinded};
-  return prefix;
+  return listed.prefix;
 }
 
 void OprfServer::note_bucket_changes_locked(
@@ -341,12 +340,19 @@ void OprfServer::note_bucket_changes_locked(
 
 std::size_t OprfServer::add_entries(std::span<const std::string> entries) {
   WriterMutexLock lock(data_mutex_);
-  std::vector<std::uint32_t> touched;
+  std::vector<IndexSlot*> added;
   for (const auto& entry : entries) {
-    if (entry_index_.contains(entry)) continue;
-    touched.push_back(insert_into_bucket(entry));
+    const auto [it, inserted] = entry_index_.try_emplace(entry);
+    if (inserted) added.push_back(&*it);
   }
-  if (!touched.empty()) note_bucket_changes_locked(touched);
+  if (added.empty()) return 0;
+  blind_into(added, half_mask_);
+  std::vector<std::uint32_t> touched;
+  touched.reserve(added.size());
+  for (const IndexSlot* slot : added) {
+    touched.push_back(insert_into_bucket(*slot));
+  }
+  note_bucket_changes_locked(touched);
   return touched.size();
 }
 

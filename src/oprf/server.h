@@ -228,8 +228,17 @@ class OprfServer {
   /// lock — see the DESIGN.md lock-ordering table).
   void rebuild(unsigned num_threads) CBL_REQUIRES(data_mutex_)
       CBL_EXCLUDES(rng_mutex_);
-  /// Blinds and files one new entry; returns its prefix.
-  std::uint32_t insert_into_bucket(const std::string& entry)
+  /// One entry_index_ element: the entry and where it sits.
+  using IndexSlot = std::pair<const std::string, Entry>;
+  /// Fills each slot's Entry: the prefix, and the blinded encoding
+  /// H(q)^R computed as H(q)^(R/2) batch-doubled, so the whole span pays
+  /// one field inversion. Reads no guarded state, so rebuild's workers
+  /// call it with the mask bound under the caller's lock.
+  void blind_into(std::span<IndexSlot* const> slots,
+                  const Secret<ec::Scalar>& half_mask) const;
+  /// Files one blinded entry (and its metadata) in its bucket; returns
+  /// its prefix.
+  std::uint32_t insert_into_bucket(const IndexSlot& slot)
       CBL_REQUIRES(data_mutex_);
   /// Bumps the epoch after an add/remove batch and stamps the touched
   /// buckets with it.

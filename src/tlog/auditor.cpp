@@ -218,9 +218,10 @@ Auditor::Status Auditor::verify_audit_path(std::uint32_t prefix,
       path.bucket_proof.leaf_count != buckets_.size()) {
     return fail(Status::kBadProof);
   }
-  const Bytes bucket_leaf = bucket_leaf_payload(prefix, bucket_it->second);
-  if (!chain::MerkleTree::verify(path.bucket_root, slot, buckets_.size(),
-                                 bucket_leaf, path.bucket_proof.steps)) {
+  if (!chain::MerkleTree::verify_leaf_hash(
+          path.bucket_root, slot, buckets_.size(),
+          bucket_leaf_hash(prefix, bucket_it->second),
+          path.bucket_proof.steps)) {
     return fail(Status::kBadProof);
   }
   // Epoch record leaf under the signed checkpoint, pinned to the LAST

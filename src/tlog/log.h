@@ -34,9 +34,10 @@ struct EpochRecord {
   Bytes leaf_payload() const;
 };
 
-/// Canonical leaf payload for one prefix bucket: the prefix id followed
-/// by its sorted entry encodings.
-Bytes bucket_leaf_payload(
+/// Merkle leaf hash of one prefix bucket: MerkleTree::hash_leaf over the
+/// canonical payload le32 prefix ‖ le32 entry count ‖ the sorted entry
+/// encodings, streamed into one SHA-256 without building the payload.
+Digest bucket_leaf_hash(
     std::uint32_t prefix,
     const std::vector<ec::RistrettoPoint::Encoding>& entries);
 
@@ -47,11 +48,13 @@ class BucketTree {
   explicit BucketTree(const BucketMap& buckets);
 
   /// Moves the tree to `buckets`, which may differ from the map the tree
-  /// was last brought to only in the buckets of `changed`. While the set
-  /// of non-empty prefixes stays the same, the changed leaves are updated
-  /// in place (one rehash per touched node); a bucket that appears or
-  /// empties shifts every later slot, so that case rebuilds through the
-  /// constructor. Either way the root equals BucketTree(buckets).root().
+  /// was last brought to only in the buckets of `changed` (any order).
+  /// While the set of non-empty prefixes stays the same, the changed
+  /// leaves are updated in place (one rehash per touched node). A bucket
+  /// that appears or empties shifts every later slot, so then the leaf
+  /// level is spliced instead: unchanged buckets keep their stored leaf
+  /// hashes, only changed non-empty buckets are hashed, and the levels
+  /// above are rebuilt. Either way the tree equals BucketTree(buckets).
   void update(const BucketMap& buckets,
               const std::vector<std::uint32_t>& changed);
 
@@ -63,6 +66,8 @@ class BucketTree {
   InclusionProof prove(std::size_t index) const;
 
  private:
+  void reshape(const BucketMap& buckets, std::vector<std::uint32_t> changed);
+
   std::vector<std::uint32_t> prefixes_;  // sorted, parallel to leaves
   chain::MerkleTree tree_;
 };

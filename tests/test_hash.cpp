@@ -2,10 +2,14 @@
 // (HMAC), RFC 5869 (HKDF), RFC 7693 (BLAKE2b), RFC 9106 (Argon2id).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "hash/argon2.h"
 #include "hash/blake2b.h"
 #include "hash/sha256.h"
+#include "hash/sha256_kernels.h"
 #include "hash/sha512.h"
 
 namespace cbl::hash {
@@ -60,6 +64,145 @@ TEST(Sha256, ResetReusesObject) {
   h.update("abc");
   EXPECT_EQ(digest_hex(h.finalize()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// --- Both compression kernels, called directly --------------------------
+//
+// Sha256 runs whichever kernel CPUID selected, so the tests above cover
+// one path per host. These drive each kernel through the same padding,
+// so both are checked wherever SHA-NI exists; the SHA-NI half skips with
+// the reason when the CPU lacks it.
+
+struct Kernel {
+  const char* name;
+  sha256_kernel::CompressFn compress;
+};
+
+std::vector<Kernel> kernels() {
+  std::vector<Kernel> out = {{"portable", sha256_kernel::compress_portable}};
+#if CBL_SHA256_SHANI
+  if (sha256_kernel::shani_supported()) {
+    out.push_back({"sha-ni", sha256_kernel::compress_shani});
+  }
+#endif
+  return out;
+}
+
+/// FIPS 180-4 SHA-256 of `msg` with every block compressed by `compress`.
+Sha256::Digest digest_with(sha256_kernel::CompressFn compress, ByteView msg) {
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const std::size_t whole = msg.size() / 64;
+  compress(state, msg.data(), whole);
+  Bytes tail(msg.begin() + static_cast<long>(64 * whole), msg.end());
+  tail.push_back(0x80);
+  while (tail.size() % 64 != 56) tail.push_back(0);
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    tail.push_back(static_cast<std::uint8_t>((msg.size() * 8) >> shift));
+  }
+  compress(state, tail.data(), tail.size() / 64);
+  Sha256::Digest out;
+  for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state[i]);
+  return out;
+}
+
+constexpr const char* kNoShaNi =
+    "CPU lacks the SHA extensions (or SSE4.1): the SHA-NI kernel cannot run "
+    "on this host";
+
+void expect_fips_vectors(sha256_kernel::CompressFn compress) {
+  const std::pair<std::string, std::string> vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const auto& [msg, want] : vectors) {
+    EXPECT_EQ(digest_hex(digest_with(compress, to_bytes(msg))), want)
+        << "length " << msg.size();
+  }
+}
+
+TEST(Sha256Kernels, ActiveKernelFollowsCpuid) {
+  EXPECT_STREQ(sha256_kernel::active_name(),
+               sha256_kernel::shani_supported() ? "sha-ni" : "portable");
+}
+
+TEST(Sha256Kernels, PortableFips180Vectors) {
+  expect_fips_vectors(sha256_kernel::compress_portable);
+}
+
+TEST(Sha256Kernels, ShaNiFips180Vectors) {
+  if (!sha256_kernel::shani_supported()) GTEST_SKIP() << kNoShaNi;
+#if CBL_SHA256_SHANI
+  expect_fips_vectors(sha256_kernel::compress_shani);
+#endif
+}
+
+TEST(Sha256Kernels, FinalizePadsLikeTheReferenceOnEveryLength) {
+  // Sha256::finalize's whole-block padding against the spelled-out one,
+  // across the one-block/two-block boundary (55/56) and block edges.
+  Bytes msg;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    ASSERT_EQ(Sha256::digest(msg),
+              digest_with(sha256_kernel::compress_portable, msg))
+        << "length " << len;
+    msg.push_back(static_cast<std::uint8_t>(len * 131 + 7));
+  }
+}
+
+TEST(Sha256Kernels, ShaNiMatchesPortableOnEveryPaddingEdge) {
+  if (!sha256_kernel::shani_supported()) GTEST_SKIP() << kNoShaNi;
+#if CBL_SHA256_SHANI
+  // 0..300 covers 55/56/63/64/119/120 and the two-block pads around them.
+  Bytes msg;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    ASSERT_EQ(digest_with(sha256_kernel::compress_shani, msg),
+              digest_with(sha256_kernel::compress_portable, msg))
+        << "length " << len;
+    msg.push_back(static_cast<std::uint8_t>(len * 131 + 7));
+  }
+#endif
+}
+
+TEST(Sha256Kernels, ShaNiMatchesPortableOnRandomMultiBlockInputs) {
+  if (!sha256_kernel::shani_supported()) GTEST_SKIP() << kNoShaNi;
+#if CBL_SHA256_SHANI
+  ChaChaRng rng = ChaChaRng::from_string_seed("sha256-kernels/multi-block");
+  for (int round = 0; round < 64; ++round) {
+    const std::size_t blocks = 1 + rng.uniform(40);
+    const Bytes data = rng.bytes(64 * blocks);
+    std::uint32_t a[8], b[8];
+    for (int i = 0; i < 8; ++i) {
+      a[i] = b[i] = static_cast<std::uint32_t>(rng.next_u64());
+    }
+    sha256_kernel::compress_shani(a, data.data(), blocks);
+    sha256_kernel::compress_portable(b, data.data(), blocks);
+    ASSERT_TRUE(std::equal(a, a + 8, b)) << "round " << round;
+  }
+#endif
+}
+
+TEST(Sha256Kernels, StreamingAtRandomSplitsMatchesBothKernels) {
+  ChaChaRng rng = ChaChaRng::from_string_seed("sha256-kernels/streaming");
+  for (int round = 0; round < 200; ++round) {
+    const Bytes msg = rng.bytes(rng.uniform(700));
+    Sha256 h;
+    for (std::size_t at = 0; at < msg.size();) {
+      const std::size_t take =
+          std::min<std::size_t>(msg.size() - at, rng.uniform(150));
+      h.update(ByteView(msg.data() + at, take));
+      at += take;
+    }
+    const auto streamed = h.finalize();
+    for (const Kernel& k : kernels()) {
+      ASSERT_EQ(streamed, digest_with(k.compress, msg))
+          << k.name << ", round " << round << ", length " << msg.size();
+    }
+  }
 }
 
 TEST(Sha512, EmptyString) {

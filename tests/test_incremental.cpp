@@ -101,6 +101,25 @@ TEST_F(IncrementalTest, MatchesFullRebuild) {
   }
 }
 
+TEST_F(IncrementalTest, AddedEntriesEncodeExactlyAsSetupDoes) {
+  // Every bucket, not a sample: add_entries and setup blind through the
+  // same batch routine, so under one mask the encodings are identical.
+  // The added batch repeats entries, which are filed once.
+  auto rng_a = ChaChaRng::from_string_seed("same-mask");
+  auto rng_b = ChaChaRng::from_string_seed("same-mask");
+  OprfServer incremental(Oracle::fast(), 4, rng_a);
+  incremental.setup(initial_);
+  std::vector<std::string> batch = extra_;
+  batch.push_back(extra_[0]);
+  batch.push_back(initial_[5]);
+  EXPECT_EQ(incremental.add_entries(batch), extra_.size());
+
+  OprfServer fresh(Oracle::fast(), 4, rng_b);
+  fresh.setup(corpus_);
+  EXPECT_EQ(incremental.entry_count(), fresh.entry_count());
+  EXPECT_EQ(incremental.bucket_snapshot(), fresh.bucket_snapshot());
+}
+
 TEST_F(IncrementalTest, MetadataStaysAligned) {
   auto rng = ChaChaRng::from_string_seed("md-inc");
   OprfServer server(Oracle::fast(), 3, rng);

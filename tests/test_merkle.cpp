@@ -288,7 +288,7 @@ TEST(MerkleLevels, UpdatesAndAppendsMatchFreshBuildAtEverySize) {
         for (std::size_t u = 0; u < count; ++u) {
           const std::size_t index = draw(leaves.size());
           leaves[index] = to_bytes("updated-" + std::to_string(draw(1000)));
-          updates.push_back({index, leaves[index]});
+          updates.push_back({index, MerkleTree::hash_leaf(leaves[index])});
         }
         kept.update(updates);
       }
@@ -297,7 +297,7 @@ TEST(MerkleLevels, UpdatesAndAppendsMatchFreshBuildAtEverySize) {
     }
     // The last leaf and the promoted right edge are where shapes differ.
     leaves.back() = to_bytes("last-" + std::to_string(n));
-    kept.update({{leaves.size() - 1, leaves.back()}});
+    kept.update({{leaves.size() - 1, MerkleTree::hash_leaf(leaves.back())}});
     expect_matches_fresh(kept, leaves, "last leaf at " + std::to_string(n));
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -314,11 +314,48 @@ TEST(MerkleLevels, AppendFromEmptyMatchesFreshBuild) {
   }
 }
 
+TEST(MerkleLevels, LeafHashInterfaceMatchesPayloadInterface) {
+  // from_leaf_hashes and verify_leaf_hash over hash_leaf outputs are the
+  // payload constructor and verify.
+  for (std::size_t n = 0; n <= 40; ++n) {
+    auto leaves = make_leaves(n);
+    std::vector<MerkleTree::Digest> hashes;
+    for (const auto& leaf : leaves) hashes.push_back(MerkleTree::hash_leaf(leaf));
+    MerkleTree kept = MerkleTree::from_leaf_hashes(hashes);
+    ASSERT_EQ(kept.leaf_hashes(), hashes) << n;
+    expect_matches_fresh(kept, leaves, "from hashes at " + std::to_string(n));
+    if (::testing::Test::HasFatalFailure()) return;
+    if (n == 0) continue;
+    const std::size_t index = n / 2;
+    leaves[index] = to_bytes("rehashed-" + std::to_string(n));
+    kept.update({{index, MerkleTree::hash_leaf(leaves[index])}});
+    expect_matches_fresh(kept, leaves, "update at " + std::to_string(n));
+    if (::testing::Test::HasFatalFailure()) return;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto proof = kept.prove(i);
+      EXPECT_TRUE(MerkleTree::verify_leaf_hash(
+          kept.root(), i, n, MerkleTree::hash_leaf(leaves[i]), proof));
+      EXPECT_FALSE(MerkleTree::verify_leaf_hash(
+          kept.root(), i, n, MerkleTree::hash_leaf(to_bytes("evil")), proof));
+    }
+  }
+}
+
+TEST(MerkleLevels, LeafHasherStreamsHashLeaf) {
+  const Bytes payload = to_bytes("a leaf payload fed in three pieces");
+  auto h = MerkleTree::leaf_hasher();
+  h.update(ByteView(payload.data(), 5))
+      .update(ByteView(payload.data() + 5, 20))
+      .update(ByteView(payload.data() + 25, payload.size() - 25));
+  EXPECT_EQ(h.finalize(), MerkleTree::hash_leaf(payload));
+}
+
 TEST(MerkleLevels, OutOfRangeUpdateThrowsAndLeavesTreeUnchanged) {
   const auto leaves = make_leaves(5);
   MerkleTree tree(leaves);
   const auto root = tree.root();
-  EXPECT_THROW(tree.update({{1, to_bytes("x")}, {5, to_bytes("y")}}),
+  EXPECT_THROW(tree.update({{1, MerkleTree::hash_leaf(to_bytes("x"))},
+                            {5, MerkleTree::hash_leaf(to_bytes("y"))}}),
                std::out_of_range);
   EXPECT_EQ(tree.root(), root);
   expect_matches_fresh(tree, leaves, "after rejected update");

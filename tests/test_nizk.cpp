@@ -9,6 +9,7 @@
 #include "nizk/proof_a.h"
 #include "nizk/proof_b.h"
 #include "nizk/sigma.h"
+#include "nizk/signature.h"
 #include "nizk/transcript.h"
 #include "nizk/vote_or.h"
 
@@ -147,6 +148,36 @@ TEST_F(NizkTest, SchnorrRejectsTamperedProof) {
 }
 
 // -------------------------------------------------------------------- DLEQ
+
+TEST_F(NizkTest, SignatureAcceptsValidAndRejectsEachTamperedPart) {
+  const SigningKey key = SigningKey::generate(rng_);
+  const SigningKey other = SigningKey::generate(rng_);
+  const Bytes message = to_bytes("checkpoint 7");
+  for (int i = 0; i < 8; ++i) {
+    const Signature sig = sign(key, message, "sig-test", rng_);
+    EXPECT_TRUE(verify_signature(key.pk, message, "sig-test", sig));
+    // The verification equation s*B == R + c*PK, spelled out.
+    const Scalar c = signature_challenge_for(key.pk, sig, message, "sig-test");
+    EXPECT_EQ(RistrettoPoint::base() * sig.response,
+              sig.nonce_commitment + key.pk * c);
+
+    Signature bumped = sig;
+    bumped.response = bumped.response + Scalar::one();
+    EXPECT_FALSE(verify_signature(key.pk, message, "sig-test", bumped));
+    EXPECT_FALSE(
+        verify_signature(key.pk, to_bytes("checkpoint 8"), "sig-test", sig));
+    EXPECT_FALSE(verify_signature(other.pk, message, "sig-test", sig));
+    EXPECT_FALSE(verify_signature(key.pk, message, "other-domain", sig));
+    Signature moved = sig;
+    moved.nonce_commitment = sig.nonce_commitment + RistrettoPoint::base();
+    EXPECT_FALSE(verify_signature(key.pk, message, "sig-test", moved));
+    // Another signature's nonce commitment with this response.
+    Signature swapped = sig;
+    swapped.nonce_commitment =
+        sign(key, message, "sig-test", rng_).nonce_commitment;
+    EXPECT_FALSE(verify_signature(key.pk, message, "sig-test", swapped));
+  }
+}
 
 TEST_F(NizkTest, DleqCompleteness) {
   const Scalar x = Scalar::random(rng_);

@@ -406,6 +406,85 @@ TEST(BucketTreeUpdate, InPlaceAndRebuildMatchAFreshTree) {
   EXPECT_GT(emptied, 5);
 }
 
+/// One seeded walk over one-entry buckets (the shape of a large prefix
+/// space): every step makes buckets appear and empty, mixed with
+/// in-place entry swaps, and hands `changed` over unsorted. The kept
+/// tree must match a fresh BucketTree in root, leaf count, every slot
+/// and every proof; a failure names the seed and the step.
+void reshape_walk(std::uint64_t seed) {
+  SCOPED_TRACE("reshape walk seed " + std::to_string(seed));
+  ChaChaRng rng = ChaChaRng::from_string_seed("bucket-tree-reshape/" +
+                                              std::to_string(seed));
+  const auto draw = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng.next_u64() % bound);
+  };
+  const auto one_entry = [&rng] {
+    std::vector<ec::RistrettoPoint::Encoding> entries(1);
+    rng.fill(entries[0].data(), entries[0].size());
+    return entries;
+  };
+  constexpr std::uint32_t kPrefixes = 200;
+  BucketMap buckets;
+  for (std::uint32_t prefix = 0; prefix < kPrefixes; ++prefix) {
+    if (draw(3) == 0) buckets[prefix] = one_entry();
+  }
+  BucketTree kept(buckets);
+  for (int step = 0; step < 60; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<std::uint32_t> changed;
+    for (std::size_t n = 0; n <= draw(10); ++n) {
+      const auto prefix = static_cast<std::uint32_t>(draw(kPrefixes));
+      if (std::find(changed.begin(), changed.end(), prefix) != changed.end()) {
+        continue;
+      }
+      changed.push_back(prefix);
+      const auto it = buckets.find(prefix);
+      if (it == buckets.end()) {
+        buckets[prefix] = one_entry();  // appears
+      } else if (step % 4 == 0 || draw(2) == 0) {
+        it->second = one_entry();  // changes in place
+      } else {
+        buckets.erase(it);  // empties
+      }
+    }
+    kept.update(buckets, changed);
+    const BucketTree fresh(buckets);
+    ASSERT_EQ(kept.root(), fresh.root());
+    ASSERT_EQ(kept.leaf_count(), buckets.size());
+    for (std::uint32_t prefix = 0; prefix < kPrefixes; ++prefix) {
+      ASSERT_EQ(kept.index_of(prefix), fresh.index_of(prefix)) << prefix;
+    }
+    for (std::size_t i = 0; i < kept.leaf_count(); ++i) {
+      const auto proof = kept.prove(i);
+      ASSERT_EQ(proof.leaf_count, buckets.size());
+      ASSERT_TRUE(same_steps(proof.steps, fresh.prove(i).steps)) << i;
+    }
+  }
+}
+
+TEST(BucketTreeUpdate, OneEntryBucketsReshapeLikeAFreshTree) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    reshape_walk(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(BucketTreeUpdate, LeafHashIsHashLeafOfTheLittleEndianPayload) {
+  std::vector<ec::RistrettoPoint::Encoding> entries(2);
+  for (std::size_t i = 0; i < entries[0].size(); ++i) {
+    entries[0][i] = static_cast<std::uint8_t>(i);
+    entries[1][i] = static_cast<std::uint8_t>(0xff - i);
+  }
+  // le32 prefix 0x00a1b2c3, le32 count 2, then the entries.
+  Bytes payload = {0xc3, 0xb2, 0xa1, 0x00, 0x02, 0x00, 0x00, 0x00};
+  for (const auto& e : entries) payload.insert(payload.end(), e.begin(), e.end());
+  EXPECT_EQ(bucket_leaf_hash(0x00a1b2c3, entries),
+            chain::MerkleTree::hash_leaf(payload));
+  EXPECT_EQ(bucket_leaf_hash(7, {}),
+            chain::MerkleTree::hash_leaf(
+                Bytes{0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}));
+}
+
 TEST_F(TlogTest, IncrementalPublishMatchesFullSnapshotDiff) {
   // The publisher reads only changed buckets; every delta, bucket root
   // and mirror it produces must still equal what diffing whole
