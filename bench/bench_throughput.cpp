@@ -9,6 +9,10 @@
 //   kernel/batch_encode        batch=N   speedup vs N * (P+P).encode()
 //   kernel/batch_hash_to_group batch=N   speedup (expected ~1: Elligator
 //                                        cannot amortize, see DESIGN.md)
+//   kernel/scalar_mul          kernel=K  serial-ladder ns/op over the ns/op
+//                                        of the body operator* dispatches
+//                                        to (K = ifma or serial), both
+//                                        timed in this run
 //   rebuild/threads            threads=T entries/sec through setup()
 //   pipeline/qps               threads=T,batch=B  queries/sec via serve()
 #include <algorithm>
@@ -23,6 +27,7 @@
 #include "blocklist/generator.h"
 #include "common/rng.h"
 #include "ec/ristretto.h"
+#include "ec/ristretto_kernels.h"
 #include "exec/parallel_for.h"
 #include "net/query_pipeline.h"
 #include "oprf/client.h"
@@ -157,6 +162,30 @@ void bench_kernels(cbl::benchjson::Summary& summary, bool quick) {
     summary.add({"kernel/batch_hash_to_group", "batch=" + std::to_string(n),
                  batch_ns, 0.0, speedup, "x"});
   }
+  std::printf("\n");
+
+  // --- scalar multiplication: the dispatched body vs the serial ladder --
+  // A ratio from one run, so the host's speed cancels out of the gate.
+  const std::size_t n = 32;
+  const auto points = random_points(n, rng);
+  std::vector<ec::Scalar> scalars;
+  for (std::size_t i = 0; i < n; ++i) {
+    scalars.push_back(ec::Scalar::random(rng));
+  }
+  std::vector<ec::RistrettoPoint> out(n);
+  const double serial_ns = time_ns_per_op(reps, n, [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = ec::RistrettoKernels::mul_serial(points[i], scalars[i]);
+    }
+  });
+  const double active_ns = time_ns_per_op(reps, n, [&] {
+    for (std::size_t i = 0; i < n; ++i) out[i] = points[i] * scalars[i];
+  });
+  const std::string kernel = ec::RistrettoKernels::active_name();
+  std::printf("%-24s %-8s %14.1f %14.1f %9.2fx\n", "scalar_mul",
+              kernel.c_str(), serial_ns, active_ns, serial_ns / active_ns);
+  summary.add({"kernel/scalar_mul", "kernel=" + kernel, active_ns, 0.0,
+               serial_ns / active_ns, "x"});
   std::printf("\n");
 }
 

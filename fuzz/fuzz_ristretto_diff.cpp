@@ -5,9 +5,11 @@
 // Inputs of 64 bytes or more also drive the scalar-multiplication ladder:
 // bytes 32..63, reduced mod l, multiply the decoded point (the base point
 // when bytes 0..31 do not decode), and the result must match a plain
-// double-and-add and a one-term multiscalar_mul. Inputs of 96 bytes or
-// more also drive both inversions: bytes 64..95, as a Scalar (reduced
-// mod l) and as an Fe25519, must satisfy x * x^-1 = 1, and 0 -> 0.
+// double-and-add and a one-term multiscalar_mul, through the dispatched
+// operator* and through each scalar-multiplication kernel this CPU runs.
+// Inputs of 96 bytes or more also drive both inversions: bytes 64..95,
+// as a Scalar (reduced mod l) and as an Fe25519, must satisfy
+// x * x^-1 = 1, and 0 -> 0.
 // Also covers from_hex/to_hex (the text-facing byte codec).
 #include <algorithm>
 #include <array>
@@ -18,6 +20,7 @@
 #include "ec/codec.h"
 #include "ec/fe25519.h"
 #include "ec/ristretto.h"
+#include "ec/ristretto_kernels.h"
 #include "ec/scalar.h"
 #include "fuzz/harness.h"
 
@@ -73,6 +76,17 @@ CBL_FUZZ_TARGET(cbl_fuzz_ristretto_diff) {
       CBL_FUZZ_CHECK(product == naive_mul(p, s).encode());
       CBL_FUZZ_CHECK(product ==
                      ec::RistrettoPoint::multiscalar_mul({s}, {p}).encode());
+      using K = ec::RistrettoKernels;
+      CBL_FUZZ_CHECK(product == K::mul_serial(p, s).encode());
+      CBL_FUZZ_CHECK(product ==
+                     K::multiscalar_serial({&s, 1}, {&p, 1}).encode());
+#if CBL_RISTRETTO_IFMA
+      if (K::ifma_supported()) {
+        CBL_FUZZ_CHECK(product == K::mul_ifma(p, s).encode());
+        CBL_FUZZ_CHECK(product ==
+                       K::multiscalar_ifma({&s, 1}, {&p, 1}).encode());
+      }
+#endif
     }
 
     if (size >= 96) {

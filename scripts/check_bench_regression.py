@@ -22,6 +22,9 @@ report of bench_throughput, bench_tlog or bench_store against fixed
 floors (no baseline):
 
   throughput  kernel/batch_encode >= 1.0x scalar at batch 64 and 256;
+              kernel/scalar_mul (serial-ladder ns over the dispatched
+              body's ns, same run) >= 1.3x when kernel=ifma, accepted
+              at ~1x when kernel=serial (a CPU without AVX-512 IFMA);
               every pipeline/qps value > 0
   tlog        sync/delta_bytes > 1.0x (delta smaller than the full
               download) at churn=2per1k; publish/epoch and
@@ -70,6 +73,10 @@ MAX_EPOCH_SHARE_OF_FULL_BUILD = 0.5
 RESHAPE_SHAPE = "entries=4096,lambda=16"
 MAX_RESHAPE_SHARE_OF_FULL_BUILD = 0.8
 MAX_RESHAPE_EPOCH_SHARE_OF_FULL_BUILD = 1.5
+# bench_throughput kernel/scalar_mul: the IFMA ladder over the serial one
+# in the same run. A scratch prototype ran at ~1.8x; below 1.3x the vector
+# body has lost most of what it exists for.
+MIN_IFMA_SCALAR_MUL_SPEEDUP = 1.3
 
 _CONFIG_KEYS = (
     "simulated_clients", "unique_addresses", "listed_addresses", "zipf_s",
@@ -213,12 +220,25 @@ def check_throughput(report: dict) -> str:
         _require(speedup is not None, what, f"missing batch={batch} record")
         _require(speedup >= 1.0, what,
                  f"batch_encode regressed: {speedup:.2f}x at batch={batch}")
+    mul = _named(results, "kernel/scalar_mul")
+    _require(len(mul) == 1, what, "no kernel/scalar_mul record")
+    kernel = mul[0]["params"].removeprefix("kernel=")
+    ratio = mul[0]["value"]
+    if kernel == "ifma":
+        _require(ratio >= MIN_IFMA_SCALAR_MUL_SPEEDUP, what,
+                 f"scalar_mul regressed: the ifma kernel is {ratio:.2f}x "
+                 f"the serial ladder, floor {MIN_IFMA_SCALAR_MUL_SPEEDUP}x")
+    else:
+        _require(kernel == "serial", what,
+                 f"unknown scalar_mul kernel {mul[0]['params']!r}")
+        _require(ratio > 0, what, "scalar_mul ratio is not positive")
     qps = _named(results, "pipeline/qps")
     _require(bool(qps), what, "no pipeline/qps records")
     _require(all(r["value"] > 0 for r in qps), what,
              "pipeline served zero queries")
     return (f"batch_encode {encode['batch=64']:.2f}x @64, "
-            f"{encode['batch=256']:.2f}x @256, {len(qps)} QPS points")
+            f"{encode['batch=256']:.2f}x @256, scalar_mul {kernel} "
+            f"{ratio:.2f}x serial, {len(qps)} QPS points")
 
 
 def check_tlog(report: dict) -> str:
@@ -424,6 +444,7 @@ def _synthetic_results() -> dict[str, dict]:
         "throughput": {"bench": "throughput", "results": [
             _rec("kernel/batch_encode", "batch=64", value=2.5),
             _rec("kernel/batch_encode", "batch=256", value=2.8),
+            _rec("kernel/scalar_mul", "kernel=ifma", value=1.8),
             _rec("pipeline/qps", "threads=1,max_batch=64", value=3000.0),
             _rec("pipeline/qps", "threads=2,max_batch=64", value=3100.0),
         ]},
@@ -488,6 +509,12 @@ def _self_test_results() -> None:
         ("throughput", _set("pipeline/qps", "threads=2", "value", 0.0),
          "pipeline served zero queries"),
         ("throughput", _drop("pipeline/qps"), "no pipeline/qps"),
+        ("throughput", _set("kernel/scalar_mul", "kernel=ifma", "value",
+                            1.1), "scalar_mul regressed"),
+        ("throughput", _drop("kernel/scalar_mul"),
+         "no kernel/scalar_mul record"),
+        ("throughput", _set("kernel/scalar_mul", "", "params", "kernel=avx2"),
+         "unknown scalar_mul kernel"),
         ("tlog", _set("sync/delta_bytes", "churn=2per1k", "value", 1.0),
          "delta sync regressed"),
         ("tlog", _drop("sync/delta_bytes", "churn=2per1k"),
@@ -531,6 +558,12 @@ def _self_test_results() -> None:
                          f"{kind}: {needle}", needle)
     _expect_rejected(lambda: check_throughput({"results": []}),
                      "empty results", "empty results")
+    # A CPU without IFMA runs the serial ladder on both sides: ~1x passes.
+    serial_host = _synthetic_results()["throughput"]
+    _set("kernel/scalar_mul", "", "params", "kernel=serial")(
+        serial_host["results"])
+    _set("kernel/scalar_mul", "", "value", 0.97)(serial_host["results"])
+    check_throughput(serial_host)
 
 
 def _self_test_macro() -> None:

@@ -56,7 +56,11 @@
 #                  bench_store, run with --json --quick; the emitted
 #                  BENCH_*.json must parse, the batched-encode kernel
 #                  must not regress below the scalar path (speedup >= 1
-#                  at batch >= 64), a signed epoch delta must cost fewer
+#                  at batch >= 64), the CPUID-selected scalar
+#                  multiplication must run >= 1.3x the serial ladder in
+#                  the same run when it is the AVX-512 IFMA body
+#                  (kernel/scalar_mul; a serial-only CPU reads ~1x and
+#                  passes), a signed epoch delta must cost fewer
 #                  wire bytes than the full bucket download it replaces
 #                  at >= 2 changed entries per 1k, publishing and folding
 #                  that epoch must each cost under half a full bucket-tree

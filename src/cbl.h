@@ -2,8 +2,8 @@
 //
 //   #include "cbl.h"
 //
-// pulls in the provider/user/coordinator facade, the multi-provider
-// aggregator, the evaluation protocol (contract, ceremony, registry,
+// pulls in the provider/user/coordinator facade, the evaluation
+// protocol (contract, ceremony, registry,
 // state channel, replay auditor), the private-query stack (OPRF server/
 // client, keyword store, wire formats), the chain substrate, and the
 // analysis modules (capacity, game theory, anonymity). Individual module
@@ -15,7 +15,6 @@
 #include "blocklist/io.h"
 #include "blocklist/store.h"
 #include "chain/blockchain.h"
-#include "core/multi_provider.h"
 #include "core/service.h"
 #include "game/dos_economics.h"
 #include "game/game.h"

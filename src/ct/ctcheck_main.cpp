@@ -33,6 +33,7 @@
 #include "ct/trace.h"
 #include "ec/fe25519.h"
 #include "ec/ristretto.h"
+#include "ec/ristretto_kernels.h"
 #include "ec/scalar.h"
 #include "hash/argon2.h"
 #include "hash/sha256.h"
@@ -115,6 +116,32 @@ std::vector<Check> audited_checks() {
     ct::declassify(enc.data(), enc.size());
     sink(enc.data(), enc.size());
   }});
+
+  // Both scalar-multiplication bodies called directly, beside the
+  // CPUID-dispatched operator* above: the serial ladder (the only one on
+  // hosts without AVX-512 IFMA) and the IFMA one where the CPU has it.
+  const auto scalar_mult_with = [](ec::RistrettoKernels::MulFn mul) {
+    return [mul](Rng& rng) {
+      static const ec::RistrettoPoint p =
+          ec::RistrettoPoint::hash_to_group(to_bytes("kernel"), "ctcheck");
+      ec::Scalar s = ec::Scalar::random(rng);
+      auto bytes = s.to_bytes();
+      ct::SecretScope scope(bytes.data(), bytes.size());
+      const auto enc = mul(p, s).encode();
+      // ct:declassify(group-element-encoding) — OPRF outputs go on the wire
+      ct::declassify(enc.data(), enc.size());
+      sink(enc.data(), enc.size());
+    };
+  };
+  checks.push_back(
+      {"scalar_mult_serial",
+       scalar_mult_with(ec::RistrettoKernels::mul_serial)});
+#if CBL_RISTRETTO_IFMA
+  if (ec::RistrettoKernels::ifma_supported()) {
+    checks.push_back({"scalar_mult_ifma",
+                      scalar_mult_with(ec::RistrettoKernels::mul_ifma)});
+  }
+#endif
 
   checks.push_back({"fe25519_invert", [](Rng& rng) {
     // Every double-and-encode pays one of these: safegcd over the
@@ -341,9 +368,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("ctcheck: taint backend=%s, valgrind=%s, sha256 kernel=%s\n",
-              ct::backend_name(), ct::running_on_valgrind() ? "yes" : "no",
-              hash::sha256_kernel::active_name());
+  std::printf(
+      "ctcheck: taint backend=%s, valgrind=%s, sha256 kernel=%s, "
+      "scalar-mult kernel=%s\n",
+      ct::backend_name(), ct::running_on_valgrind() ? "yes" : "no",
+      hash::sha256_kernel::active_name(),
+      ec::RistrettoKernels::active_name());
 
   // Probe instrumentation: run something instrumented and see if edges
   // arrive. Without trace-pc the differ is blind and certifies nothing.

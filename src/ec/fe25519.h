@@ -21,6 +21,8 @@
 
 namespace cbl::ec {
 
+struct RistrettoKernels;  // ec/ristretto_kernels.h reads the limbs
+
 /// A field element of GF(p), p = 2^255 - 19. Canonical form is only
 /// produced by to_bytes(); in between, two limb bounds hold:
 ///
@@ -112,6 +114,8 @@ class Fe25519 {
   static const Fe25519& edwards_d() noexcept;
 
  private:
+  friend struct RistrettoKernels;
+
   explicit constexpr Fe25519(std::uint64_t l0, std::uint64_t l1,
                              std::uint64_t l2, std::uint64_t l3,
                              std::uint64_t l4) noexcept

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/ct.h"
+#include "ec/ristretto_kernels.h"
 #include "hash/sha512.h"
 
 namespace cbl::ec {
@@ -53,31 +54,22 @@ const Fe25519& two_d() noexcept {
   return v;
 }
 
-// Signed radix-16 recoding: s = sum digits[i] * 16^i with every digit in
-// [-8, 8). Each nibble above 7 borrows 16 from the next one up; the carry
-// is computed by an arithmetic shift, not a branch. Scalars are < l <
-// 2^253, so the top digit ends in [0, 2] and needs no further carry.
-std::array<std::int8_t, 64> radix16(const Scalar& s) noexcept {
-  std::array<std::uint8_t, 32> bytes = s.to_bytes();
-  std::array<std::int8_t, 64> digits;  // ct:secret
-  for (std::size_t i = 0; i < 32; ++i) {
-    digits[2 * i] = static_cast<std::int8_t>(bytes[i] & 0x0f);
-    digits[2 * i + 1] = static_cast<std::int8_t>(bytes[i] >> 4);
+// Constant-initialised to the serial bodies, so a multiplication run by
+// another translation unit's static initialiser before this one's still
+// computes correctly; switched to IFMA once, during static
+// initialisation.
+constinit RistrettoKernels::MulFn g_mul = RistrettoKernels::mul_serial;
+constinit RistrettoKernels::MultiscalarFn g_multiscalar =
+    RistrettoKernels::multiscalar_serial;
+[[maybe_unused]] const bool g_kernels_selected = [] {
+#if CBL_RISTRETTO_IFMA
+  if (RistrettoKernels::ifma_supported()) {
+    g_mul = RistrettoKernels::mul_ifma;
+    g_multiscalar = RistrettoKernels::multiscalar_ifma;
   }
-  for (std::size_t i = 0; i < 63; ++i) {
-    const std::int8_t carry = static_cast<std::int8_t>((digits[i] + 8) >> 4);
-    digits[i] = static_cast<std::int8_t>(digits[i] - (carry << 4));
-    digits[i + 1] = static_cast<std::int8_t>(digits[i + 1] + carry);
-  }
-  secure_wipe(bytes);
-  return digits;
-}
-
-// All-ones iff a == b, for a, b < 2^63, without a compare: (a ^ b) - 1
-// wraps to a top-bit-set value only when a ^ b is zero.
-std::uint64_t eq_mask(std::uint64_t a, std::uint64_t b) noexcept {
-  return 0 - (((a ^ b) - 1) >> 63);
-}
+#endif
+  return true;
+}();
 
 }  // namespace
 
@@ -374,10 +366,19 @@ RistrettoPoint RistrettoPoint::operator-(const RistrettoPoint& o) const noexcept
 }
 
 RistrettoPoint RistrettoPoint::operator*(const Scalar& s) const noexcept {
+  return g_mul(*this, s);
+}
+
+RistrettoPoint RistrettoKernels::mul_serial(const RistrettoPoint& p,
+                                            const Scalar& s) noexcept {
   // The scalar is routinely secret (OPRF mask, blinding factor, VRF
   // key), so each digit reaches the table only through select's full
   // scan, and the double/add schedule below is the same for every scalar.
-  const std::array<Cached, 8> table = Cached::multiples(*this);
+  // Between digits the accumulator stays projective: the next doublings
+  // never read T, so only the last addition pays for it.
+  using Cached = RistrettoPoint::Cached;
+  using Projective = RistrettoPoint::Projective;
+  const std::array<Cached, 8> table = Cached::multiples(p);
 
   // |digit| * P by cmov over every entry (identity when digit = 0), then
   // a cmov negation when digit < 0.
@@ -395,7 +396,8 @@ RistrettoPoint RistrettoPoint::operator*(const Scalar& s) const noexcept {
   };
 
   std::array<std::int8_t, 64> digits = radix16(s);  // ct:secret
-  Projective acc = identity().add(select(digits[63])).to_projective();
+  Projective acc =
+      RistrettoPoint::identity().add(select(digits[63])).to_projective();
   for (std::size_t i = 63; i-- > 1;) {
     acc = acc.mul_by_16().add(select(digits[i])).to_projective();
   }
@@ -420,11 +422,18 @@ RistrettoPoint RistrettoPoint::multiscalar_mul(
   if (scalars.size() != points.size()) {
     throw std::invalid_argument("multiscalar_mul: size mismatch");
   }
+  return g_multiscalar(scalars, points);
+}
+
+RistrettoPoint RistrettoKernels::multiscalar_serial(
+    std::span<const Scalar> scalars, std::span<const RistrettoPoint> points) {
   // Shared-doubling (interleaved) evaluation over signed radix-16
   // digits: one doubling chain for all terms instead of one per term.
   // Variable-time BY DESIGN: this path only runs on public data
   // (NIZK/DLEQ verification, tally checks); secret scalars must use
   // operator*. ct:public
+  using Cached = RistrettoPoint::Cached;
+  using Projective = RistrettoPoint::Projective;
   std::vector<std::array<Cached, 8>> tables(points.size());
   std::vector<std::array<std::int8_t, 64>> recoded(scalars.size());
   for (std::size_t k = 0; k < points.size(); ++k) {
@@ -432,7 +441,7 @@ RistrettoPoint RistrettoPoint::multiscalar_mul(
     recoded[k] = radix16(scalars[k]);
   }
 
-  RistrettoPoint acc = identity();
+  RistrettoPoint acc = RistrettoPoint::identity();
   for (std::size_t i = 64; i-- > 0;) {
     acc = Projective{acc.x_, acc.y_, acc.z_}.mul_by_16();
     for (std::size_t k = 0; k < scalars.size(); ++k) {
@@ -446,6 +455,66 @@ RistrettoPoint RistrettoPoint::multiscalar_mul(
     }
   }
   return acc;
+}
+
+// Each nibble above 7 borrows 16 from the next one up; the carry is
+// computed by an arithmetic shift, not a branch. Scalars are < l < 2^253,
+// so the top digit ends in [0, 2] and needs no further carry.
+std::array<std::int8_t, 64> RistrettoKernels::radix16(
+    const Scalar& s) noexcept {
+  std::array<std::uint8_t, 32> bytes = s.to_bytes();
+  std::array<std::int8_t, 64> digits;  // ct:secret
+  for (std::size_t i = 0; i < 32; ++i) {
+    digits[2 * i] = static_cast<std::int8_t>(bytes[i] & 0x0f);
+    digits[2 * i + 1] = static_cast<std::int8_t>(bytes[i] >> 4);
+  }
+  for (std::size_t i = 0; i < 63; ++i) {
+    const std::int8_t carry = static_cast<std::int8_t>((digits[i] + 8) >> 4);
+    digits[i] = static_cast<std::int8_t>(digits[i] - (carry << 4));
+    digits[i + 1] = static_cast<std::int8_t>(digits[i + 1] + carry);
+  }
+  secure_wipe(bytes);
+  return digits;
+}
+
+std::array<std::uint64_t, 5> RistrettoKernels::limbs(
+    const Fe25519& f) noexcept {
+  std::array<std::uint64_t, 5> out;
+  for (std::size_t k = 0; k < 5; ++k) {
+    out[k] = f.limbs_[k];
+    assert(out[k] >> 52 == 0);  // the vector multiplier's input bound
+  }
+  return out;
+}
+
+RistrettoKernels::Limbs RistrettoKernels::to_limbs(
+    const RistrettoPoint& p) noexcept {
+  return {limbs(p.x_), limbs(p.y_), limbs(p.z_), limbs(p.t_)};
+}
+
+RistrettoPoint RistrettoKernels::from_limbs(const Limbs& l) noexcept {
+  auto fe = [&l](std::size_t c) {
+    return Fe25519(l[c][0], l[c][1], l[c][2], l[c][3], l[c][4]);
+  };
+  return RistrettoPoint(fe(0), fe(1), fe(2), fe(3));
+}
+
+#if CBL_RISTRETTO_IFMA
+
+bool RistrettoKernels::ifma_supported() noexcept {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512ifma") &&
+         __builtin_cpu_supports("avx512vl");
+}
+
+#else
+
+bool RistrettoKernels::ifma_supported() noexcept { return false; }
+
+#endif
+
+const char* RistrettoKernels::active_name() noexcept {
+  return g_mul == mul_serial ? "serial" : "ifma";
 }
 
 }  // namespace cbl::ec

@@ -18,6 +18,8 @@
 
 namespace cbl::ec {
 
+struct RistrettoKernels;  // ec/ristretto_kernels.h
+
 class RistrettoPoint {
  public:
   using Encoding = std::array<std::uint8_t, 32>;
@@ -86,9 +88,11 @@ class RistrettoPoint {
   /// from an 8-entry table by a full-scan cmov followed by a cmov
   /// negation. The double/add schedule is fixed (4 doublings, then 1
   /// addition, per digit), so neither branches nor data-dependent loads
-  /// reveal the scalar. Between digits the accumulator stays projective:
-  /// the next doublings never read T, so only the last addition pays for
-  /// it.
+  /// reveal the scalar. Two bodies run this schedule (see
+  /// ec/ristretto_kernels.h): an AVX-512 IFMA one that computes the four
+  /// coordinates of each doubling and addition at once, chosen by CPUID,
+  /// and the serial ladder everywhere else. They return the same group
+  /// element, so encodings do not depend on the CPU.
   RistrettoPoint operator*(const Scalar& s) const noexcept;
 
   /// Group equality (encoding-independent, per the ristretto spec).
@@ -105,6 +109,8 @@ class RistrettoPoint {
       const std::vector<RistrettoPoint>& points);
 
  private:
+  friend struct RistrettoKernels;
+
   RistrettoPoint(const Fe25519& x, const Fe25519& y, const Fe25519& z,
                  const Fe25519& t) noexcept
       : x_(x), y_(y), z_(z), t_(t) {}

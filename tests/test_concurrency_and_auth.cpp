@@ -1,13 +1,11 @@
 // Tests for concurrent query serving (many client threads against one
-// OprfServer while a maintenance thread mutates the blocklist) and the
-// transaction-authorization gateway (signatures, nonces, replay).
+// OprfServer while a maintenance thread mutates the blocklist).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
 #include "blocklist/generator.h"
-#include "chain/tx_auth.h"
 #include "common/rng.h"
 #include "net/query_pipeline.h"
 #include "obs/metrics.h"
@@ -211,107 +209,6 @@ TEST(Concurrency, PipelineServesCorrectlyUnderChurnAndRotation) {
             static_cast<std::uint64_t>(calls.load()));
   EXPECT_EQ(pipeline_shed.value() - shed_before,
             static_cast<std::uint64_t>(shed.load()));
-}
-
-// ------------------------------------------------------------ tx gateway
-
-class TxAuthTest : public ::testing::Test {
- protected:
-  ChaChaRng rng_ = ChaChaRng::from_string_seed("tx-auth");
-  chain::Blockchain chain_;
-  chain::AuthorizedGateway gateway_{chain_};
-
-  std::pair<chain::AccountId, nizk::SigningKey> make_account(
-      const std::string& label) {
-    const auto id = chain_.ledger().create_account(label);
-    chain_.ledger().mint(id, 100);
-    const auto key = nizk::SigningKey::generate(rng_);
-    gateway_.bind_key(id, key.pk);
-    return {id, key};
-  }
-};
-
-TEST_F(TxAuthTest, SignedSubmissionExecutes) {
-  const auto [alice, key] = make_account("alice");
-  const Bytes payload = to_bytes("transfer 10 to bob");
-  const auto sig = chain::AuthorizedGateway::sign_submission(
-      key, alice, "transfer", payload, 0, rng_);
-
-  int executed = 0;
-  const auto receipt =
-      gateway_.submit(alice, "transfer", payload, 0, sig, [&] { ++executed; });
-  EXPECT_EQ(executed, 1);
-  EXPECT_EQ(receipt.payer, alice);
-  EXPECT_EQ(gateway_.next_nonce(alice), 1u);
-}
-
-TEST_F(TxAuthTest, ReplayRejected) {
-  const auto [alice, key] = make_account("alice");
-  const Bytes payload = to_bytes("tx");
-  const auto sig = chain::AuthorizedGateway::sign_submission(
-      key, alice, "m", payload, 0, rng_);
-  gateway_.submit(alice, "m", payload, 0, sig, [] {});
-  // Same signed submission again: nonce already burned.
-  EXPECT_THROW(gateway_.submit(alice, "m", payload, 0, sig, [] {}),
-               ChainError);
-}
-
-TEST_F(TxAuthTest, ForgedAndForeignSignaturesRejected) {
-  const auto [alice, alice_key] = make_account("alice");
-  const auto [bob, bob_key] = make_account("bob");
-  const Bytes payload = to_bytes("tx");
-
-  // Bob's key cannot authorize alice's tx.
-  const auto foreign = chain::AuthorizedGateway::sign_submission(
-      bob_key, alice, "m", payload, 0, rng_);
-  EXPECT_THROW(gateway_.submit(alice, "m", payload, 0, foreign, [] {}),
-               ChainError);
-
-  // A signature over different payload/method/nonce is rejected.
-  auto sig = chain::AuthorizedGateway::sign_submission(alice_key, alice, "m",
-                                                       payload, 0, rng_);
-  EXPECT_THROW(
-      gateway_.submit(alice, "m", to_bytes("other payload"), 0, sig, [] {}),
-      ChainError);
-  EXPECT_THROW(gateway_.submit(alice, "other-method", payload, 0, sig, [] {}),
-               ChainError);
-  EXPECT_THROW(gateway_.submit(alice, "m", payload, 1, sig, [] {}),
-               ChainError);
-
-  // Unbound account.
-  const auto stranger = chain_.ledger().create_account("stranger");
-  EXPECT_THROW(gateway_.submit(stranger, "m", payload, 0, sig, [] {}),
-               ChainError);
-}
-
-TEST_F(TxAuthTest, RevertedTxDoesNotBurnNonce) {
-  const auto [alice, key] = make_account("alice");
-  const Bytes payload = to_bytes("tx");
-  const auto sig = chain::AuthorizedGateway::sign_submission(
-      key, alice, "m", payload, 0, rng_);
-  EXPECT_THROW(gateway_.submit(alice, "m", payload, 0, sig,
-                               [] { throw ChainError("contract revert"); }),
-               ChainError);
-  EXPECT_EQ(gateway_.next_nonce(alice), 0u);
-  // The same signed submission succeeds on retry.
-  int executed = 0;
-  gateway_.submit(alice, "m", payload, 0, sig, [&] { ++executed; });
-  EXPECT_EQ(executed, 1);
-}
-
-TEST_F(TxAuthTest, KeyRotation) {
-  const auto [alice, old_key] = make_account("alice");
-  const auto new_key = nizk::SigningKey::generate(rng_);
-  gateway_.bind_key(alice, new_key.pk);
-
-  const Bytes payload = to_bytes("tx");
-  const auto stale = chain::AuthorizedGateway::sign_submission(
-      old_key, alice, "m", payload, 0, rng_);
-  EXPECT_THROW(gateway_.submit(alice, "m", payload, 0, stale, [] {}),
-               ChainError);
-  const auto fresh = chain::AuthorizedGateway::sign_submission(
-      new_key, alice, "m", payload, 0, rng_);
-  EXPECT_NO_THROW(gateway_.submit(alice, "m", payload, 0, fresh, [] {}));
 }
 
 }  // namespace

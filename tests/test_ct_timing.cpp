@@ -5,6 +5,11 @@
 // comparison exits after one byte for class B and lights the statistic up;
 // a constant-time one keeps |t| small.
 //
+// The same test runs on scalar multiplication with dudect's fixed-vs-
+// random classes: a fixed scalar (zero, whose recoded digits all select
+// the identity) against a fresh random scalar per sample, once per
+// kernel this CPU can run.
+//
 // Timing measurements are inherently noisy under CI load, so this test is
 // SLOW-gated: it runs only when CBL_RUN_SLOW is set in the environment and
 // skips (not passes) otherwise, keeping it out of the tier-1 signal.
@@ -19,6 +24,9 @@
 
 #include "common/ct.h"
 #include "common/rng.h"
+#include "ec/ristretto.h"
+#include "ec/ristretto_kernels.h"
+#include "ec/scalar.h"
 
 namespace cbl {
 namespace {
@@ -138,6 +146,60 @@ TEST(CtTiming, CtEqualShowsNoClassDistinction) {
   // shared-runner noise while still catching an early-exit implementation,
   // which lands in the hundreds for 256-byte buffers.
   EXPECT_LT(std::fabs(ct.t), 20.0);
+}
+
+// Fixed-vs-random scalars for one scalar-multiplication body. Every
+// scalar is drawn before timing starts, so a sample times the
+// multiplication alone.
+Welch measure_scalar_mult(ec::RistrettoKernels::MulFn mul) {
+  constexpr std::size_t kScalarSamples = 4000;
+  auto rng = ChaChaRng::from_string_seed("test_ct_timing/scalar_mult");
+  const ec::RistrettoPoint p =
+      ec::RistrettoPoint::hash_to_group(to_bytes("dudect"), "test_ct_timing");
+  const ec::Scalar fixed = ec::Scalar::zero();
+  std::vector<ec::Scalar> random_scalars;
+  for (std::size_t i = 0; i < kScalarSamples; ++i) {
+    random_scalars.push_back(ec::Scalar::random(rng));
+  }
+  for (int i = 0; i < 50; ++i) {  // warmup
+    g_sink = g_sink ^ mul(p, random_scalars[i]).encode()[0];
+  }
+
+  std::vector<double> class_a, class_b;
+  std::size_t next_random = 0;
+  while (class_a.size() < kScalarSamples || class_b.size() < kScalarSamples) {
+    const bool pick_a = (rng.next_u64() & 1) != 0;
+    auto& bucket = pick_a ? class_a : class_b;
+    if (bucket.size() == kScalarSamples) continue;
+    const ec::Scalar& s = pick_a ? fixed : random_scalars[next_random++];
+    ec::RistrettoPoint out;
+    const double t0 = now_ns();
+    out = mul(p, s);
+    bucket.push_back(now_ns() - t0);
+    g_sink = g_sink ^ out.encode()[0];
+  }
+  return welch_t(std::move(class_a), std::move(class_b));
+}
+
+TEST(CtTiming, ScalarMultShowsNoFixedVsRandomDistinction) {
+  if (std::getenv("CBL_RUN_SLOW") == nullptr) {
+    GTEST_SKIP() << "timing test is slow/noisy; set CBL_RUN_SLOW=1 to run";
+  }
+  std::vector<std::pair<const char*, ec::RistrettoKernels::MulFn>> kernels = {
+      {"serial", ec::RistrettoKernels::mul_serial}};
+#if CBL_RISTRETTO_IFMA
+  if (ec::RistrettoKernels::ifma_supported()) {
+    kernels.push_back({"ifma", ec::RistrettoKernels::mul_ifma});
+  }
+#endif
+  for (const auto& [name, mul] : kernels) {
+    const Welch w = measure_scalar_mult(mul);
+    std::printf("scalar_mult[%s] fixed-vs-random |t| = %.2f over %zu samples\n",
+                name, std::fabs(w.t), w.n);
+    // The same headroom as ct_equal's bound: a ladder that skipped work
+    // for zero digits would be hundreds of sigma apart.
+    EXPECT_LT(std::fabs(w.t), 20.0) << name;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "ec/fe25519.h"
 #include "ec/ristretto.h"
+#include "ec/ristretto_kernels.h"
 #include "ec/scalar.h"
 #include "hash/sha512.h"
 
@@ -479,6 +480,142 @@ TEST(Ristretto, MultiscalarMatchesScalarMulOnRecodingEdges) {
 TEST(Ristretto, MultiscalarSizeMismatchThrows) {
   EXPECT_THROW(RistrettoPoint::multiscalar_mul({Scalar::one()}, {}),
                std::invalid_argument);
+}
+
+// --------------------------------------- Scalar-multiplication kernels
+
+// The IFMA bodies, or nullptr where this CPU (or build) cannot run them.
+RistrettoKernels::MulFn ifma_mul() {
+#if CBL_RISTRETTO_IFMA
+  if (RistrettoKernels::ifma_supported()) return RistrettoKernels::mul_ifma;
+#endif
+  return nullptr;
+}
+
+RistrettoKernels::MultiscalarFn ifma_multiscalar() {
+#if CBL_RISTRETTO_IFMA
+  if (RistrettoKernels::ifma_supported()) {
+    return RistrettoKernels::multiscalar_ifma;
+  }
+#endif
+  return nullptr;
+}
+
+constexpr const char* kNoIfma =
+    "CPU lacks avx512ifma/avx512vl (or the build is not x86-64); the IFMA "
+    "kernel cannot run here";
+
+// The same group element as p, with every coordinate limb moved to the
+// top of Fe25519's reduced bound (< 2^52): each coordinate is carried
+// down to limbs below 2^51 (limb 0 below 2^51 + 19), then p's own limbs
+// (2^51 - 19, 2^51 - 1, ...) are added, which adds p = 0 to the value.
+RistrettoPoint at_top_of_limb_bound(const RistrettoPoint& p) {
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << 51) - 1;
+  RistrettoKernels::Limbs limbs = RistrettoKernels::to_limbs(p);
+  for (auto& c : limbs) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t k = 0; k < 4; ++k) {
+        c[k + 1] += c[k] >> 51;
+        c[k] &= kMask;
+      }
+      c[0] += 19 * (c[4] >> 51);
+      c[4] &= kMask;
+    }
+    c[0] += kMask - 18;
+    for (std::size_t k = 1; k < 5; ++k) c[k] += kMask;
+  }
+  return RistrettoKernels::from_limbs(limbs);
+}
+
+TEST(RistrettoKernels, ActiveKernelFollowsCpuid) {
+  EXPECT_STREQ(RistrettoKernels::active_name(),
+               RistrettoKernels::ifma_supported() ? "ifma" : "serial");
+}
+
+// operator* may run the IFMA body, so the serial one is checked directly.
+TEST(RistrettoKernels, SerialMatchesNaiveOnRecodingEdges) {
+  for (const RistrettoPoint& p : ladder_points()) {
+    for (const Scalar& s : recoding_edge_scalars()) {
+      EXPECT_EQ(RistrettoKernels::mul_serial(p, s).encode(),
+                naive_mul(p, s).encode())
+          << "s=" << to_hex(ByteView(s.to_bytes()));
+    }
+  }
+}
+
+TEST(RistrettoKernels, IfmaMatchesSerialAndNaiveOnRecodingEdges) {
+  const auto mul = ifma_mul();
+  if (!mul) GTEST_SKIP() << kNoIfma;
+  for (const RistrettoPoint& p : ladder_points()) {
+    for (const Scalar& s : recoding_edge_scalars()) {
+      const auto got = mul(p, s).encode();
+      EXPECT_EQ(got, RistrettoKernels::mul_serial(p, s).encode())
+          << "s=" << to_hex(ByteView(s.to_bytes()))
+          << " P=" << to_hex(ByteView(p.encode()));
+      EXPECT_EQ(got, naive_mul(p, s).encode());
+    }
+  }
+}
+
+TEST(RistrettoKernels, IfmaMatchesSerialAndNaiveOnRandomScalars) {
+  const auto mul = ifma_mul();
+  if (!mul) GTEST_SKIP() << kNoIfma;
+  auto rng = ChaChaRng::from_string_seed("ristretto-kernels");
+  const auto points = ladder_points();
+  for (int i = 0; i < 200; ++i) {
+    const RistrettoPoint& p =
+        points[static_cast<std::size_t>(i) % points.size()];
+    const Scalar s = Scalar::random(rng);
+    const auto got = mul(p, s).encode();
+    EXPECT_EQ(got, RistrettoKernels::mul_serial(p, s).encode()) << "i=" << i;
+    EXPECT_EQ(got, naive_mul(p, s).encode()) << "i=" << i;
+  }
+}
+
+TEST(RistrettoKernels, IfmaMatchesSerialAtTopOfLimbBound) {
+  const auto mul = ifma_mul();
+  const auto multiscalar = ifma_multiscalar();
+  if (!mul) GTEST_SKIP() << kNoIfma;
+  auto rng = ChaChaRng::from_string_seed("ristretto-kernels-top");
+  std::vector<Scalar> scalars = recoding_edge_scalars();
+  for (int i = 0; i < 8; ++i) scalars.push_back(Scalar::random(rng));
+  for (const RistrettoPoint& p : ladder_points()) {
+    const RistrettoPoint top = at_top_of_limb_bound(p);
+    for (const auto& c : RistrettoKernels::to_limbs(top)) {
+      for (const std::uint64_t limb : c) ASSERT_GE(limb, (1ull << 51) - 19);
+    }
+    ASSERT_EQ(top.encode(), p.encode());
+    for (const Scalar& s : scalars) {
+      const auto want = RistrettoKernels::mul_serial(p, s).encode();
+      EXPECT_EQ(mul(top, s).encode(), want)
+          << "s=" << to_hex(ByteView(s.to_bytes()));
+      EXPECT_EQ(RistrettoKernels::mul_serial(top, s).encode(), want);
+    }
+    const std::vector<RistrettoPoint> tops(scalars.size(), top);
+    const std::vector<RistrettoPoint> ps(scalars.size(), p);
+    EXPECT_EQ(multiscalar(scalars, tops).encode(),
+              RistrettoKernels::multiscalar_serial(scalars, ps).encode());
+  }
+}
+
+TEST(RistrettoKernels, IfmaMultiscalarMatchesSerial) {
+  const auto multiscalar = ifma_multiscalar();
+  if (!multiscalar) GTEST_SKIP() << kNoIfma;
+  auto rng = ChaChaRng::from_string_seed("ristretto-kernels-msm");
+  const auto edges = recoding_edge_scalars();
+  const auto points = ladder_points();
+  for (std::size_t n : {0u, 1u, 2u, 7u, 13u}) {
+    std::vector<Scalar> scalars;
+    std::vector<RistrettoPoint> terms;
+    for (std::size_t k = 0; k < n; ++k) {
+      scalars.push_back(k % 2 == 0 ? edges[k % edges.size()]
+                                   : Scalar::random(rng));
+      terms.push_back(points[k % points.size()] * Scalar::random(rng));
+    }
+    EXPECT_EQ(multiscalar(scalars, terms).encode(),
+              RistrettoKernels::multiscalar_serial(scalars, terms).encode())
+        << "n=" << n;
+  }
 }
 
 TEST(Ristretto, OprfBlindUnblindCycle) {
