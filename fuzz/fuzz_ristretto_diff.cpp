@@ -7,9 +7,15 @@
 // when bytes 0..31 do not decode), and the result must match a plain
 // double-and-add and a one-term multiscalar_mul, through the dispatched
 // operator* and through each scalar-multiplication kernel this CPU runs.
+// The two-point ladder runs the decoded point with s and with -s, and
+// must match two serial ladders.
 // Inputs of 96 bytes or more also drive both inversions: bytes 64..95,
 // as a Scalar (reduced mod l) and as an Fe25519, must satisfy
 // x * x^-1 = 1, and 0 -> 0.
+// Inputs of 128 bytes or more also drive the four-lane square root:
+// u = bytes 64..95 and v = bytes 96..127 as field elements, in lanes
+// (u, v), (v, u), (u, 0) and (0, v), must match the serial
+// sqrt_ratio_m1 lane by lane.
 // Also covers from_hex/to_hex (the text-facing byte codec).
 #include <algorithm>
 #include <array>
@@ -80,11 +86,18 @@ CBL_FUZZ_TARGET(cbl_fuzz_ristretto_diff) {
       CBL_FUZZ_CHECK(product == K::mul_serial(p, s).encode());
       CBL_FUZZ_CHECK(product ==
                      K::multiscalar_serial({&s, 1}, {&p, 1}).encode());
+      const auto negated = K::mul_serial(p, -s).encode();
+      const auto pair = K::mul_pair(p, s, p, -s);
+      CBL_FUZZ_CHECK(pair[0].encode() == product);
+      CBL_FUZZ_CHECK(pair[1].encode() == negated);
 #if CBL_RISTRETTO_IFMA
       if (K::ifma_supported()) {
         CBL_FUZZ_CHECK(product == K::mul_ifma(p, s).encode());
         CBL_FUZZ_CHECK(product ==
                        K::multiscalar_ifma({&s, 1}, {&p, 1}).encode());
+        const auto ifma_pair = K::mul_pair_ifma(p, s, p, -s);
+        CBL_FUZZ_CHECK(ifma_pair[0].encode() == product);
+        CBL_FUZZ_CHECK(ifma_pair[1].encode() == negated);
       }
 #endif
     }
@@ -100,6 +113,24 @@ CBL_FUZZ_TARGET(cbl_fuzz_ristretto_diff) {
       const ec::Fe25519 x_inv = x.invert();
       CBL_FUZZ_CHECK(x.is_zero() ? x_inv.is_zero()
                                  : x * x_inv == ec::Fe25519::one());
+    }
+
+    if (size >= 128) {
+      std::array<std::uint8_t, 32> u_bytes{};
+      std::array<std::uint8_t, 32> v_bytes{};
+      std::copy_n(data + 64, 32, u_bytes.begin());
+      std::copy_n(data + 96, 32, v_bytes.begin());
+      const ec::Fe25519 u = ec::Fe25519::from_bytes(u_bytes);
+      const ec::Fe25519 v = ec::Fe25519::from_bytes(v_bytes);
+      const ec::Fe25519 zero = ec::Fe25519::zero();
+      const std::array<ec::Fe25519, 4> us = {u, v, u, zero};
+      const std::array<ec::Fe25519, 4> vs = {v, u, zero, v};
+      const auto roots = ec::RistrettoKernels::sqrt_ratio_m1_x4(us, vs, 4);
+      for (std::size_t i = 0; i < 4; ++i) {
+        const auto want = ec::sqrt_ratio_m1(us[i], vs[i]);
+        CBL_FUZZ_CHECK(roots[i].was_square == want.was_square);
+        CBL_FUZZ_CHECK(roots[i].root.to_bytes() == want.root.to_bytes());
+      }
     }
   }
 

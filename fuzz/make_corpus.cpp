@@ -289,6 +289,18 @@ int main(int argc, char** argv) {
   write("fuzz_ristretto_diff", "invert-l-minus-1",
         inversion_seed((ec::Scalar::zero() - ec::Scalar::one()).to_bytes()));
   write("fuzz_ristretto_diff", "invert-p-minus-1", inversion_seed(p_minus_1));
+  // Square-root seeds (point || scalar || u || v), DRBG-free: u/v = 2, a
+  // non-square mod p, and v = 0.
+  const auto sqrt_seed = [&](std::uint8_t u, std::uint8_t v) {
+    std::array<std::uint8_t, 32> ub{};
+    ub[0] = u;
+    Bytes out = inversion_seed(ub);
+    out.resize(out.size() + 32, 0);
+    out[96] = v;
+    return out;
+  };
+  write("fuzz_ristretto_diff", "sqrt-nonsquare", sqrt_seed(2, 1));
+  write("fuzz_ristretto_diff", "sqrt-v-zero", sqrt_seed(1, 0));
   write("fuzz_ristretto_diff", "hex", std::string_view("deadbeef"));
   write("fuzz_ristretto_diff", "hex-upper", std::string_view("DEADBEEF"));
   write("fuzz_ristretto_diff", "hex-odd", std::string_view("abc"));

@@ -25,6 +25,10 @@ floors (no baseline):
               kernel/scalar_mul (serial-ladder ns over the dispatched
               body's ns, same run) >= 1.3x when kernel=ifma, accepted
               at ~1x when kernel=serial (a CPU without AVX-512 IFMA);
+              kernel/scalar_mul_pair (two dispatched multiplications'
+              ns over one pair call's ns) >= 1.3x and
+              kernel/batch_hash_to_group >= 1.2x at batch 64 and 256
+              when kernel=ifma, any positive ratio when kernel=serial;
               every pipeline/qps value > 0
   tlog        sync/delta_bytes > 1.0x (delta smaller than the full
               download) at churn=2per1k; publish/epoch and
@@ -77,6 +81,14 @@ MAX_RESHAPE_EPOCH_SHARE_OF_FULL_BUILD = 1.5
 # in the same run. A scratch prototype ran at ~1.8x; below 1.3x the vector
 # body has lost most of what it exists for.
 MIN_IFMA_SCALAR_MUL_SPEEDUP = 1.3
+# bench_throughput on an IFMA CPU: kernel/scalar_mul_pair, two dispatched
+# multiplications over one two-point 512-bit ladder (--quick runs on a
+# 4-vCPU Xeon guest read 1.56-1.80x), and kernel/batch_hash_to_group, a
+# batch's four square roots per four-lane chain against hash_to_group's
+# two (1.26-1.55x at batch 64 in the same runs). Below these floors the
+# wide bodies have lost most of what they exist for.
+MIN_IFMA_PAIR_SPEEDUP = 1.3
+MIN_IFMA_BATCH_HASH_SPEEDUP = 1.2
 
 _CONFIG_KEYS = (
     "simulated_clients", "unique_addresses", "listed_addresses", "zipf_s",
@@ -232,13 +244,34 @@ def check_throughput(report: dict) -> str:
         _require(kernel == "serial", what,
                  f"unknown scalar_mul kernel {mul[0]['params']!r}")
         _require(ratio > 0, what, "scalar_mul ratio is not positive")
+    pair = _named(results, "kernel/scalar_mul_pair")
+    _require(len(pair) == 1, what, "no kernel/scalar_mul_pair record")
+    _require(pair[0]["params"] == f"kernel={kernel}", what,
+             f"scalar_mul_pair ran {pair[0]['params']!r}, "
+             f"scalar_mul kernel={kernel}")
+    pair_ratio = pair[0]["value"]
+    floor = MIN_IFMA_PAIR_SPEEDUP if kernel == "ifma" else 0.0
+    _require(pair_ratio > 0 and pair_ratio >= floor, what,
+             f"scalar_mul_pair regressed: one pair call is {pair_ratio:.2f}x "
+             f"two {kernel} multiplications, floor {floor}x")
+    hashes = {r["params"]: r["value"]
+              for r in _named(results, "kernel/batch_hash_to_group")}
+    floor = MIN_IFMA_BATCH_HASH_SPEEDUP if kernel == "ifma" else 0.0
+    for batch in (64, 256):
+        speedup = hashes.get(f"batch={batch}")
+        _require(speedup is not None, what,
+                 f"missing batch_hash_to_group batch={batch} record")
+        _require(speedup > 0 and speedup >= floor, what,
+                 f"batch_hash_to_group regressed: {speedup:.2f}x at "
+                 f"batch={batch} on kernel={kernel}, floor {floor}x")
     qps = _named(results, "pipeline/qps")
     _require(bool(qps), what, "no pipeline/qps records")
     _require(all(r["value"] > 0 for r in qps), what,
              "pipeline served zero queries")
     return (f"batch_encode {encode['batch=64']:.2f}x @64, "
             f"{encode['batch=256']:.2f}x @256, scalar_mul {kernel} "
-            f"{ratio:.2f}x serial, {len(qps)} QPS points")
+            f"{ratio:.2f}x serial, pair {pair_ratio:.2f}x, batch_hash "
+            f"{hashes['batch=64']:.2f}x @64, {len(qps)} QPS points")
 
 
 def check_tlog(report: dict) -> str:
@@ -445,6 +478,9 @@ def _synthetic_results() -> dict[str, dict]:
             _rec("kernel/batch_encode", "batch=64", value=2.5),
             _rec("kernel/batch_encode", "batch=256", value=2.8),
             _rec("kernel/scalar_mul", "kernel=ifma", value=1.8),
+            _rec("kernel/scalar_mul_pair", "kernel=ifma", value=1.7),
+            _rec("kernel/batch_hash_to_group", "batch=64", value=1.5),
+            _rec("kernel/batch_hash_to_group", "batch=256", value=1.5),
             _rec("pipeline/qps", "threads=1,max_batch=64", value=3000.0),
             _rec("pipeline/qps", "threads=2,max_batch=64", value=3100.0),
         ]},
@@ -515,6 +551,18 @@ def _self_test_results() -> None:
          "no kernel/scalar_mul record"),
         ("throughput", _set("kernel/scalar_mul", "", "params", "kernel=avx2"),
          "unknown scalar_mul kernel"),
+        ("throughput", _set("kernel/scalar_mul_pair", "kernel=ifma", "value",
+                            1.2), "scalar_mul_pair regressed"),
+        ("throughput", _drop("kernel/scalar_mul_pair"),
+         "no kernel/scalar_mul_pair record"),
+        ("throughput", _set("kernel/scalar_mul_pair", "", "params",
+                            "kernel=serial"), "scalar_mul_pair ran"),
+        ("throughput", _set("kernel/batch_hash_to_group", "batch=64",
+                            "value", 1.1), "batch_hash_to_group regressed"),
+        ("throughput", _set("kernel/batch_hash_to_group", "batch=256",
+                            "value", 1.0), "batch_hash_to_group regressed"),
+        ("throughput", _drop("kernel/batch_hash_to_group", "batch=256"),
+         "missing batch_hash_to_group batch=256"),
         ("tlog", _set("sync/delta_bytes", "churn=2per1k", "value", 1.0),
          "delta sync regressed"),
         ("tlog", _drop("sync/delta_bytes", "churn=2per1k"),
@@ -558,12 +606,20 @@ def _self_test_results() -> None:
                          f"{kind}: {needle}", needle)
     _expect_rejected(lambda: check_throughput({"results": []}),
                      "empty results", "empty results")
-    # A CPU without IFMA runs the serial ladder on both sides: ~1x passes.
+    # A CPU without IFMA runs the serial bodies on both sides: ~1x passes,
+    # for the single ladder, the pair and the hash batch alike.
     serial_host = _synthetic_results()["throughput"]
-    _set("kernel/scalar_mul", "", "params", "kernel=serial")(
+    for name in ("kernel/scalar_mul", "kernel/scalar_mul_pair"):
+        _set(name, "", "params", "kernel=serial")(serial_host["results"])
+        _set(name, "", "value", 0.97)(serial_host["results"])
+    _set("kernel/batch_hash_to_group", "", "value", 0.98)(
         serial_host["results"])
-    _set("kernel/scalar_mul", "", "value", 0.97)(serial_host["results"])
     check_throughput(serial_host)
+    # ...but not a ratio that is not positive.
+    _set("kernel/scalar_mul_pair", "", "value", 0.0)(serial_host["results"])
+    _expect_rejected(lambda: check_throughput(serial_host),
+                     "serial scalar_mul_pair at 0x",
+                     "scalar_mul_pair regressed")
 
 
 def _self_test_macro() -> None:

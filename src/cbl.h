@@ -24,7 +24,6 @@
 #include "netsim/desim.h"
 #include "oprf/anonymity.h"
 #include "oprf/client.h"
-#include "oprf/keyword_store.h"
 #include "oprf/server.h"
 #include "oprf/wire.h"
 #include "voting/ceremony.h"

@@ -19,6 +19,8 @@
 // memcheck "undefined" ranges, ctgrind style).
 
 #include <cstdio>
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
 #include <span>
@@ -143,6 +145,49 @@ std::vector<Check> audited_checks() {
   }
 #endif
 
+  checks.push_back({"scalar_mult_pair", [](Rng& rng) {
+    // The dispatched two-point body (the 512-bit IFMA ladder where the
+    // CPU has it) with two secret scalars, one per half.
+    static const ec::RistrettoPoint p0 =
+        ec::RistrettoPoint::hash_to_group(to_bytes("pair-0"), "ctcheck");
+    static const ec::RistrettoPoint p1 =
+        ec::RistrettoPoint::hash_to_group(to_bytes("pair-1"), "ctcheck");
+    ec::Scalar s0 = ec::Scalar::random(rng);
+    ec::Scalar s1 = ec::Scalar::random(rng);
+    auto b0 = s0.to_bytes();
+    auto b1 = s1.to_bytes();
+    ct::SecretScope scope0(b0.data(), b0.size());
+    ct::SecretScope scope1(b1.data(), b1.size());
+    const auto pair = ec::RistrettoKernels::mul_pair(p0, s0, p1, s1);
+    for (const auto& point : pair) {
+      const auto enc = point.encode();
+      // ct:declassify(group-element-encoding) — OPRF outputs go on the wire
+      ct::declassify(enc.data(), enc.size());
+      sink(enc.data(), enc.size());
+    }
+  }});
+
+  checks.push_back({"sqrt_ratio_m1_x4", [](Rng& rng) {
+    // Four Elligator-shaped ratios of secret field elements through the
+    // dispatched four-lane square-root chain; which of them are squares
+    // varies with the secret and must not shape the trace.
+    std::array<std::uint8_t, 128> raw{};
+    rng.fill(raw.data(), raw.size());
+    ct::SecretScope scope(raw.data(), raw.size());
+    std::array<ec::Fe25519, 4> u, v;
+    for (std::size_t i = 0; i < 4; ++i) {
+      std::array<std::uint8_t, 32> limb_bytes{};
+      std::copy_n(raw.begin() + 32 * i, 32, limb_bytes.begin());
+      u[i] = ec::Fe25519::from_bytes(limb_bytes);
+      v[i] = u[i].square() + ec::Fe25519::one();
+    }
+    const auto roots = ec::RistrettoKernels::sqrt_ratio_m1_x4(u, v, 4);
+    for (const auto& r : roots) {
+      const auto out = r.root.to_bytes();
+      sink(out.data(), out.size());
+    }
+  }});
+
   checks.push_back({"fe25519_invert", [](Rng& rng) {
     // Every double-and-encode pays one of these: safegcd over the
     // canonical encoding, 590 masked divsteps whatever the input.
@@ -197,7 +242,7 @@ std::vector<Check> audited_checks() {
   }});
 
   checks.push_back({"oprf_blind", [](Rng& rng) {
-    // The client's blind step as OprfClient and KeywordStore run it.
+    // The client's blind step as OprfClient runs it.
     static const ec::RistrettoPoint hashed =
         ec::RistrettoPoint::hash_to_group(to_bytes("fixed-entry"), "ctcheck");
     const Secret<ec::Scalar> r(ec::Scalar::random(rng));

@@ -205,10 +205,17 @@ const Fe25519& Fe25519::edwards_d() noexcept {
   return v;
 }
 
-SqrtRatioResult sqrt_ratio_m1(const Fe25519& u, const Fe25519& v) noexcept {
+SqrtRatioChain sqrt_ratio_m1_start(const Fe25519& u,
+                                   const Fe25519& v) noexcept {
   const Fe25519 v3 = v.square() * v;
   const Fe25519 v7 = v3.square() * v;
-  Fe25519 r = (u * v3) * (u * v7).pow_p58();
+  return SqrtRatioChain{u * v3, u * v7};
+}
+
+SqrtRatioResult sqrt_ratio_m1_finish(const Fe25519& u, const Fe25519& v,
+                                     const Fe25519& uv3,
+                                     const Fe25519& uv7_p58) noexcept {
+  Fe25519 r = uv3 * uv7_p58;
   const Fe25519 check = v * r.square();
 
   const Fe25519 neg_u = -u;
@@ -224,6 +231,11 @@ SqrtRatioResult sqrt_ratio_m1(const Fe25519& u, const Fe25519& v) noexcept {
   r = Fe25519::select(flipped, r * Fe25519::sqrt_m1(), r);
   const bool was_square = correct_sign | flipped_sign;
   return SqrtRatioResult{was_square, r.abs()};
+}
+
+SqrtRatioResult sqrt_ratio_m1(const Fe25519& u, const Fe25519& v) noexcept {
+  const SqrtRatioChain c = sqrt_ratio_m1_start(u, v);
+  return sqrt_ratio_m1_finish(u, v, c.uv3, c.uv7.pow_p58());
 }
 
 }  // namespace cbl::ec

@@ -250,4 +250,19 @@ struct SqrtRatioResult {
 };
 SqrtRatioResult sqrt_ratio_m1(const Fe25519& u, const Fe25519& v) noexcept;
 
+/// sqrt_ratio_m1 in two halves around its exponentiation, for callers
+/// that run several chains at once (RistrettoKernels::sqrt_ratio_m1_x4):
+/// with c = sqrt_ratio_m1_start(u, v),
+///   sqrt_ratio_m1(u, v) == sqrt_ratio_m1_finish(u, v, c.uv3,
+///                                               c.uv7.pow_p58()).
+struct SqrtRatioChain {
+  Fe25519 uv3;  // u * v^3
+  Fe25519 uv7;  // u * v^7, the chain's input
+};
+SqrtRatioChain sqrt_ratio_m1_start(const Fe25519& u,
+                                   const Fe25519& v) noexcept;
+SqrtRatioResult sqrt_ratio_m1_finish(const Fe25519& u, const Fe25519& v,
+                                     const Fe25519& uv3,
+                                     const Fe25519& uv7_p58) noexcept;
+
 }  // namespace cbl::ec

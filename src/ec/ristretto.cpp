@@ -1,5 +1,6 @@
 #include "ec/ristretto.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -54,18 +55,35 @@ const Fe25519& two_d() noexcept {
   return v;
 }
 
+// The two Elligator inputs of 64 uniform bytes, each half read as a field
+// element, into t[0] and t[1].
+void elligator_inputs(const std::array<std::uint8_t, 64>& bytes,
+                      Fe25519* t) noexcept {
+  std::array<std::uint8_t, 32> half;
+  for (std::size_t j = 0; j < 2; ++j) {
+    std::copy_n(bytes.begin() + 32 * j, 32, half.begin());
+    t[j] = Fe25519::from_bytes(half);
+  }
+}
+
 // Constant-initialised to the serial bodies, so a multiplication run by
 // another translation unit's static initialiser before this one's still
 // computes correctly; switched to IFMA once, during static
 // initialisation.
 constinit RistrettoKernels::MulFn g_mul = RistrettoKernels::mul_serial;
+constinit RistrettoKernels::MulPairFn g_mul_pair =
+    RistrettoKernels::mul_pair_serial;
 constinit RistrettoKernels::MultiscalarFn g_multiscalar =
     RistrettoKernels::multiscalar_serial;
+constinit RistrettoKernels::PowP58x4Fn g_pow_p58_x4 =
+    RistrettoKernels::pow_p58_x4_serial;
 [[maybe_unused]] const bool g_kernels_selected = [] {
 #if CBL_RISTRETTO_IFMA
   if (RistrettoKernels::ifma_supported()) {
     g_mul = RistrettoKernels::mul_ifma;
+    g_mul_pair = RistrettoKernels::mul_pair_ifma;
     g_multiscalar = RistrettoKernels::multiscalar_ifma;
+    g_pow_p58_x4 = RistrettoKernels::pow_p58_x4_ifma;
   }
 #endif
   return true;
@@ -306,44 +324,63 @@ std::vector<RistrettoPoint::Encoding> RistrettoPoint::double_and_encode_batch(
 std::vector<RistrettoPoint> RistrettoPoint::batch_hash_to_group(
     std::span<const Bytes> inputs, std::string_view domain_sep) {
   std::vector<RistrettoPoint> out(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    out[i] = hash_to_group(inputs[i], domain_sep);
+  std::size_t i = 0;
+  for (; i + 1 < inputs.size(); i += 2) {
+    // Two entries' SHA-512 outputs, split into four Elligator inputs.
+    std::array<Fe25519, 4> t;
+    for (std::size_t j = 0; j < 2; ++j) {
+      hash::Sha512 h;
+      h.update(domain_sep).update(inputs[i + j]);
+      elligator_inputs(h.finalize(), &t[2 * j]);
+    }
+    RistrettoPoint mapped[4];
+    elligator_map_x4(t, 4, mapped);
+    out[i] = mapped[0] + mapped[1];
+    out[i + 1] = mapped[2] + mapped[3];
   }
+  if (i < inputs.size()) out[i] = hash_to_group(inputs[i], domain_sep);
   return out;
 }
 
-RistrettoPoint RistrettoPoint::elligator_map(const Fe25519& t) noexcept {
+void RistrettoPoint::elligator_map_x4(const std::array<Fe25519, 4>& t,
+                                      std::size_t n,
+                                      RistrettoPoint* out) noexcept {
   const Fe25519& d = Fe25519::edwards_d();
-  const Fe25519 r = Fe25519::sqrt_m1() * t.square();
-  const Fe25519 u = (r + Fe25519::one()) * one_minus_d_sq();
-  const Fe25519 v = (-Fe25519::one() - r * d) * (r + d);
+  std::array<Fe25519, 4> r, u, v;
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = Fe25519::sqrt_m1() * t[i].square();
+    u[i] = (r[i] + Fe25519::one()) * one_minus_d_sq();
+    v[i] = (-Fe25519::one() - r[i] * d) * (r[i] + d);
+  }
 
   // Elligator runs over hashed-but-secret data (the queried entry), so
   // both fixups are selects rather than branches.
-  const auto sq = sqrt_ratio_m1(u, v);
-  const Fe25519 s_prime = -(sq.root * t).abs();
-  const Fe25519 s = Fe25519::select(sq.was_square, sq.root, s_prime);
-  const Fe25519 c = Fe25519::select(sq.was_square, -Fe25519::one(), r);
+  const auto roots = RistrettoKernels::sqrt_ratio_m1_x4(u, v, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const SqrtRatioResult& sq = roots[i];
+    const Fe25519 s_prime = -(sq.root * t[i]).abs();
+    const Fe25519 s = Fe25519::select(sq.was_square, sq.root, s_prime);
+    const Fe25519 c = Fe25519::select(sq.was_square, -Fe25519::one(), r[i]);
 
-  const Fe25519 n = c * (r - Fe25519::one()) * d_minus_one_sq() - v;
-  const Fe25519 s_sq = s.square();
+    const Fe25519 n_t = c * (r[i] - Fe25519::one()) * d_minus_one_sq() - v[i];
+    const Fe25519 s_sq = s.square();
 
-  const Fe25519 w0 = (s + s) * v;
-  const Fe25519 w1 = n * sqrt_ad_minus_one();
-  const Fe25519 w2 = Fe25519::one() - s_sq;
-  const Fe25519 w3 = Fe25519::one() + s_sq;
+    const Fe25519 w0 = (s + s) * v[i];
+    const Fe25519 w1 = n_t * sqrt_ad_minus_one();
+    const Fe25519 w2 = Fe25519::one() - s_sq;
+    const Fe25519 w3 = Fe25519::one() + s_sq;
 
-  return RistrettoPoint(w0 * w3, w2 * w1, w1 * w3, w0 * w2);
+    out[i] = RistrettoPoint(w0 * w3, w2 * w1, w1 * w3, w0 * w2);
+  }
 }
 
 RistrettoPoint RistrettoPoint::from_uniform_bytes(
     const std::array<std::uint8_t, 64>& bytes) noexcept {
-  std::array<std::uint8_t, 32> half;
-  std::copy(bytes.begin(), bytes.begin() + 32, half.begin());
-  const RistrettoPoint p1 = elligator_map(Fe25519::from_bytes(half));
-  std::copy(bytes.begin() + 32, bytes.end(), half.begin());
-  const RistrettoPoint p2 = elligator_map(Fe25519::from_bytes(half));
-  return p1 + p2;
+  std::array<Fe25519, 4> t;
+  elligator_inputs(bytes, t.data());
+  RistrettoPoint mapped[2];
+  elligator_map_x4(t, 2, mapped);
+  return mapped[0] + mapped[1];
 }
 
 RistrettoPoint RistrettoPoint::hash_to_group(
@@ -367,6 +404,57 @@ RistrettoPoint RistrettoPoint::operator-(const RistrettoPoint& o) const noexcept
 
 RistrettoPoint RistrettoPoint::operator*(const Scalar& s) const noexcept {
   return g_mul(*this, s);
+}
+
+std::vector<RistrettoPoint> RistrettoPoint::mul_batch(
+    std::span<const RistrettoPoint> points, const Secret<Scalar>& s) {
+  const Scalar& k = s.expose_secret();
+  std::vector<RistrettoPoint> out(points.size());
+  std::size_t i = 0;
+  for (; i + 1 < points.size(); i += 2) {
+    const auto pair = g_mul_pair(points[i], k, points[i + 1], k);
+    out[i] = pair[0];
+    out[i + 1] = pair[1];
+  }
+  if (i < points.size()) out[i] = g_mul(points[i], k);
+  return out;
+}
+
+std::array<RistrettoPoint, 2> RistrettoKernels::mul_pair(
+    const RistrettoPoint& p0, const Scalar& s0, const RistrettoPoint& p1,
+    const Scalar& s1) noexcept {
+  return g_mul_pair(p0, s0, p1, s1);
+}
+
+std::array<RistrettoPoint, 2> RistrettoKernels::mul_pair_serial(
+    const RistrettoPoint& p0, const Scalar& s0, const RistrettoPoint& p1,
+    const Scalar& s1) noexcept {
+  return {mul_serial(p0, s0), mul_serial(p1, s1)};
+}
+
+void RistrettoKernels::pow_p58_x4_serial(std::array<Fe25519, 4>& x,
+                                         std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) x[i] = x[i].pow_p58();
+}
+
+std::array<SqrtRatioResult, 4> RistrettoKernels::sqrt_ratio_m1_x4(
+    const std::array<Fe25519, 4>& u, const std::array<Fe25519, 4>& v,
+    std::size_t n) noexcept {
+  std::array<Fe25519, 4> uv3, chain;  // zero in the lanes from n on
+  for (std::size_t i = 0; i < n; ++i) {
+    const SqrtRatioChain c = sqrt_ratio_m1_start(u[i], v[i]);
+    uv3[i] = c.uv3;
+    chain[i] = c.uv7;
+  }
+  g_pow_p58_x4(chain, n);
+  std::array<SqrtRatioResult, 4> out{};
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = sqrt_ratio_m1_finish(u[i], v[i], uv3[i], chain[i]);
+  }
+  // Entangled with the (possibly secret) inputs.
+  secure_wipe(uv3);
+  secure_wipe(chain);
+  return out;
 }
 
 RistrettoPoint RistrettoKernels::mul_serial(const RistrettoPoint& p,
@@ -492,11 +580,12 @@ RistrettoKernels::Limbs RistrettoKernels::to_limbs(
   return {limbs(p.x_), limbs(p.y_), limbs(p.z_), limbs(p.t_)};
 }
 
+Fe25519 RistrettoKernels::fe(const std::array<std::uint64_t, 5>& l) noexcept {
+  return Fe25519(l[0], l[1], l[2], l[3], l[4]);
+}
+
 RistrettoPoint RistrettoKernels::from_limbs(const Limbs& l) noexcept {
-  auto fe = [&l](std::size_t c) {
-    return Fe25519(l[c][0], l[c][1], l[c][2], l[c][3], l[c][4]);
-  };
-  return RistrettoPoint(fe(0), fe(1), fe(2), fe(3));
+  return RistrettoPoint(fe(l[0]), fe(l[1]), fe(l[2]), fe(l[3]));
 }
 
 #if CBL_RISTRETTO_IFMA

@@ -61,17 +61,20 @@ class RistrettoPoint {
   /// encodes this way.
   Encoding double_and_encode() const noexcept;
 
-  /// Batched H(domain_sep || input_i). Elligator's sqrt_ratio_m1 must
-  /// accept non-square inputs, so unlike encoding there is no shared
-  /// inversion to amortize; this is the uniform batch surface (and the
-  /// seam bench/throughput tooling drives), computed per element exactly
-  /// as hash_to_group.
+  /// Batched H(domain_sep || input_i), element i equal to
+  /// hash_to_group(inputs[i], domain_sep). Elligator's sqrt_ratio_m1 must
+  /// accept non-square inputs, so its exponentiation does not ride
+  /// Montgomery's trick the way encoding's inversion does; what a batch
+  /// shares instead is the four-lane square-root chain
+  /// (RistrettoKernels::sqrt_ratio_m1_x4): two entries, four Elligator
+  /// roots, per chain. A lone or trailing entry runs as hash_to_group.
   static std::vector<RistrettoPoint> batch_hash_to_group(
       std::span<const Bytes> inputs, std::string_view domain_sep);
 
   /// Maps 64 uniformly random bytes to a group element (two Elligator2
   /// invocations, summed) — the "hash to group" used to build the random
-  /// oracle H: {0,1}* -> G of Fig. 2.
+  /// oracle H: {0,1}* -> G of Fig. 2. The two square roots run in one
+  /// RistrettoKernels::sqrt_ratio_m1_x4 call.
   static RistrettoPoint from_uniform_bytes(
       const std::array<std::uint8_t, 64>& bytes) noexcept;
 
@@ -95,6 +98,16 @@ class RistrettoPoint {
   /// element, so encodings do not depend on the CPU.
   RistrettoPoint operator*(const Scalar& s) const noexcept;
 
+  /// points[i] * s for every i, each bit-identical to operator*. The
+  /// points run two at a time through the dispatched pair body (on IFMA
+  /// CPUs one ladder over 512-bit registers that holds both), and an odd
+  /// last point through operator*. Constant-time in s; the batch size is
+  /// public. Takes the scalar as Secret<> like the operator* overloads
+  /// below, for the same reason: the products may leave the taint, the
+  /// scalar may not.
+  static std::vector<RistrettoPoint> mul_batch(
+      std::span<const RistrettoPoint> points, const Secret<Scalar>& s);
+
   /// Group equality (encoding-independent, per the ristretto spec).
   bool operator==(const RistrettoPoint& o) const noexcept;
 
@@ -115,7 +128,10 @@ class RistrettoPoint {
                  const Fe25519& t) noexcept
       : x_(x), y_(y), z_(z), t_(t) {}
 
-  static RistrettoPoint elligator_map(const Fe25519& t) noexcept;
+  /// The ristretto255 Elligator map of t[i] into out[i] for i < n
+  /// (n <= 4, public), with the n square roots in one sqrt_ratio_m1_x4.
+  static void elligator_map_x4(const std::array<Fe25519, 4>& t,
+                               std::size_t n, RistrettoPoint* out) noexcept;
 
   // The intermediate forms of the addition and doubling formulas
   // (defined in ristretto.cpp): Cached is an addend (Y+X, Y-X, Z, 2dT)

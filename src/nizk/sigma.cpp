@@ -50,7 +50,10 @@ bool SchnorrProof::verify(const ec::RistrettoPoint& base,
                           const ec::RistrettoPoint& y,
                           std::string_view domain) const {
   const ec::Scalar c = schnorr_challenge(domain, base, y, commitment);
-  return base * response == commitment + y * c;
+  // vartime: public-inputs-only — z*base - c*y == commitment, as one
+  // two-term multiscalar over the proof and the statement.
+  return ec::RistrettoPoint::multiscalar_mul({response, -c}, {base, y}) ==
+         commitment;
 }
 
 Bytes SchnorrProof::to_bytes() const {
@@ -97,7 +100,11 @@ bool RepresentationProof::verify(const ec::RistrettoPoint& base_g,
                                  std::string_view domain) const {
   const ec::Scalar c =
       representation_challenge(domain, base_g, base_h, p, commitment);
-  return base_g * z1 + base_h * z2 == commitment + p * c;
+  // vartime: public-inputs-only — z1*g + z2*h - c*p == commitment, as
+  // one three-term multiscalar over the proof and the statement.
+  return ec::RistrettoPoint::multiscalar_mul({z1, z2, -c},
+                                             {base_g, base_h, p}) ==
+         commitment;
 }
 
 Bytes RepresentationProof::to_bytes() const {
@@ -130,8 +137,14 @@ bool DleqProof::verify(const ec::RistrettoPoint& base1,
                        std::string_view domain) const {
   const ec::Scalar c =
       dleq_challenge(domain, base1, y1, base2, y2, commitment1, commitment2);
-  return base1 * response == commitment1 + y1 * c &&
-         base2 * response == commitment2 + y2 * c;
+  // vartime: public-inputs-only — z*base_i - c*y_i == commitment_i for
+  // i = 1, 2, as two two-term multiscalars over the proof and the
+  // statement (the verifiable-OPRF check runs on wire data only).
+  const ec::Scalar neg_c = -c;
+  return ec::RistrettoPoint::multiscalar_mul({response, neg_c},
+                                             {base1, y1}) == commitment1 &&
+         ec::RistrettoPoint::multiscalar_mul({response, neg_c},
+                                             {base2, y2}) == commitment2;
 }
 
 Bytes DleqProof::to_bytes() const {

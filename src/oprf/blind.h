@@ -1,5 +1,5 @@
-// The client's two secret-scalar steps of Fig. 2, shared by OprfClient and
-// KeywordStore: blinding m = H(u)^r and unblinding psi^(1/r). Both encode
+// The client's two secret-scalar steps of Fig. 2, as OprfClient runs
+// them: blinding m = H(u)^r and unblinding psi^(1/r). Both encode
 // through RistrettoPoint::double_and_encode (one field inversion) instead
 // of encode() (one inverse square root), so each folds a factor 1/2 into
 // its scalar; halve() is that fold, also used for the server's R/2.

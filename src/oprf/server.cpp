@@ -244,12 +244,12 @@ std::vector<OprfServer::BatchOutcome> OprfServer::evaluate_batch(
     masked_points.push_back(*masked);
   }
 
-  // The crypto core: all exponentiations use R/2, the shared batched
-  // encode doubles them back to psi_i = masked_i^R.
+  // The crypto core: all exponentiations use R/2, two live requests per
+  // pair ladder, and the shared batched encode doubles them back to
+  // psi_i = masked_i^R.
   const std::uint64_t t0 = observing ? registry.clock().now_ns() : 0;
-  std::vector<ec::RistrettoPoint> halves;
-  halves.reserve(live.size());
-  for (const auto& m : masked_points) halves.push_back(m * half_mask_);
+  const std::vector<ec::RistrettoPoint> halves =
+      ec::RistrettoPoint::mul_batch(masked_points, half_mask_);
   const auto encodings = ec::RistrettoPoint::double_and_encode_batch(halves);
   if (observing && !live.empty()) {
     const double per_query_ms =
@@ -302,11 +302,8 @@ void OprfServer::blind_into(std::span<IndexSlot* const> slots,
   for (std::size_t i = 0; i < slots.size(); ++i) {
     raw[i] = to_bytes(slots[i]->first);
   }
-  const auto hashed = oracle_.map_to_group_batch(raw);
-  std::vector<ec::RistrettoPoint> halves(hashed.size());
-  for (std::size_t i = 0; i < hashed.size(); ++i) {
-    halves[i] = hashed[i] * half_mask;
-  }
+  const auto halves = ec::RistrettoPoint::mul_batch(
+      oracle_.map_to_group_batch(raw), half_mask);
   const auto encodings = ec::RistrettoPoint::double_and_encode_batch(halves);
   for (std::size_t i = 0; i < slots.size(); ++i) {
     slots[i]->second = {Oracle::prefix(raw[i], lambda_), encodings[i]};

@@ -232,7 +232,8 @@ class OprfServer {
   using IndexSlot = std::pair<const std::string, Entry>;
   /// Fills each slot's Entry: the prefix, and the blinded encoding
   /// H(q)^R computed as H(q)^(R/2) batch-doubled, so the whole span pays
-  /// one field inversion. Reads no guarded state, so rebuild's workers
+  /// one field inversion; hashing and multiplication run two entries at
+  /// a time (batch_hash_to_group, RistrettoPoint::mul_batch). Reads no guarded state, so rebuild's workers
   /// call it with the mask bound under the caller's lock.
   void blind_into(std::span<IndexSlot* const> slots,
                   const Secret<ec::Scalar>& half_mask) const;

@@ -190,6 +190,12 @@ TEST(CtTiming, ScalarMultShowsNoFixedVsRandomDistinction) {
 #if CBL_RISTRETTO_IFMA
   if (ec::RistrettoKernels::ifma_supported()) {
     kernels.push_back({"ifma", ec::RistrettoKernels::mul_ifma});
+    // The two-point body with the sample's scalar in both halves.
+    kernels.push_back(
+        {"ifma-pair",
+         [](const ec::RistrettoPoint& p, const ec::Scalar& s) noexcept {
+           return ec::RistrettoKernels::mul_pair_ifma(p, s, p, s)[0];
+         }});
   }
 #endif
   for (const auto& [name, mul] : kernels) {

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/secret.h"
 #include "ec/fe25519.h"
 #include "ec/ristretto.h"
 #include "ec/ristretto_kernels.h"
 #include "ec/scalar.h"
 #include "hash/sha512.h"
+#include "oprf/client.h"
+#include "oprf/server.h"
+#include "oprf/wire.h"
 
 namespace cbl::ec {
 namespace {
@@ -615,6 +619,234 @@ TEST(RistrettoKernels, IfmaMultiscalarMatchesSerial) {
     EXPECT_EQ(multiscalar(scalars, terms).encode(),
               RistrettoKernels::multiscalar_serial(scalars, terms).encode())
         << "n=" << n;
+  }
+}
+
+// -------------------------------- Two points per ladder, four roots per chain
+
+RistrettoKernels::MulPairFn ifma_mul_pair() {
+#if CBL_RISTRETTO_IFMA
+  if (RistrettoKernels::ifma_supported()) {
+    return RistrettoKernels::mul_pair_ifma;
+  }
+#endif
+  return nullptr;
+}
+
+// Checks pair(p0, s0, p1, s1) against two serial ladders.
+void expect_pair_matches(RistrettoKernels::MulPairFn pair,
+                         const RistrettoPoint& p0, const Scalar& s0,
+                         const RistrettoPoint& p1, const Scalar& s1) {
+  const auto got = pair(p0, s0, p1, s1);
+  EXPECT_EQ(got[0].encode(), RistrettoKernels::mul_serial(p0, s0).encode())
+      << "s0=" << to_hex(ByteView(s0.to_bytes()))
+      << " s1=" << to_hex(ByteView(s1.to_bytes()));
+  EXPECT_EQ(got[1].encode(), RistrettoKernels::mul_serial(p1, s1).encode())
+      << "s0=" << to_hex(ByteView(s0.to_bytes()))
+      << " s1=" << to_hex(ByteView(s1.to_bytes()));
+}
+
+TEST(RistrettoKernels, PairMatchesTwoLaddersOnRecodingEdges) {
+  const auto pair = ifma_mul_pair();
+  if (!pair) GTEST_SKIP() << kNoIfma;
+  const auto points = ladder_points();
+  const auto edges = recoding_edge_scalars();
+  // Every ordered pair of edge scalars (equal ones on the diagonal), on
+  // unequal points, so a digit or lane taken from the wrong half shows.
+  for (std::size_t a = 0; a < edges.size(); ++a) {
+    for (std::size_t b = 0; b < edges.size(); ++b) {
+      expect_pair_matches(pair, points[a % points.size()], edges[a],
+                          points[(a + b + 1) % points.size()], edges[b]);
+    }
+  }
+}
+
+TEST(RistrettoKernels, PairMatchesTwoLaddersOnEqualAndIdentityInputs) {
+  const auto pair = ifma_mul_pair();
+  if (!pair) GTEST_SKIP() << kNoIfma;
+  auto rng = ChaChaRng::from_string_seed("ristretto-pair-edges");
+  const RistrettoPoint& id = RistrettoPoint::identity();
+  for (const RistrettoPoint& p : ladder_points()) {
+    const Scalar s = Scalar::random(rng);
+    expect_pair_matches(pair, p, s, p, s);  // one point, one scalar twice
+    expect_pair_matches(pair, p, s, p, -s);
+    expect_pair_matches(pair, id, s, p, s);
+    expect_pair_matches(pair, p, s, id, s);
+    expect_pair_matches(pair, p, Scalar::zero(), p, s);
+  }
+  expect_pair_matches(pair, id, Scalar::one(), id, Scalar::zero());
+}
+
+TEST(RistrettoKernels, PairMatchesTwoLaddersAtTopOfLimbBound) {
+  const auto pair = ifma_mul_pair();
+  if (!pair) GTEST_SKIP() << kNoIfma;
+  auto rng = ChaChaRng::from_string_seed("ristretto-pair-top");
+  const auto points = ladder_points();
+  std::vector<Scalar> scalars = recoding_edge_scalars();
+  for (int i = 0; i < 4; ++i) scalars.push_back(Scalar::random(rng));
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const RistrettoPoint top = at_top_of_limb_bound(points[k]);
+    const RistrettoPoint& other = points[(k + 1) % points.size()];
+    for (std::size_t i = 0; i < scalars.size(); ++i) {
+      const Scalar& s0 = scalars[i];
+      const Scalar& s1 = scalars[(i + 3) % scalars.size()];
+      expect_pair_matches(pair, top, s0, other, s1);
+      expect_pair_matches(pair, other, s0, top, s1);
+      expect_pair_matches(pair, top, s0, top, s1);
+    }
+  }
+}
+
+TEST(RistrettoKernels, PairMatchesTwoLaddersOnRandomPairs) {
+  const auto pair = ifma_mul_pair();
+  if (!pair) GTEST_SKIP() << kNoIfma;
+  auto rng = ChaChaRng::from_string_seed("ristretto-pair-random");
+  for (int i = 0; i < 200; ++i) {
+    const RistrettoPoint p0 = RistrettoPoint::hash_to_group(rng.bytes(16),
+                                                           "test_ec/pair");
+    const RistrettoPoint p1 = RistrettoPoint::hash_to_group(rng.bytes(16),
+                                                           "test_ec/pair");
+    const Scalar s0 = Scalar::random(rng);
+    const Scalar s1 = Scalar::random(rng);
+    expect_pair_matches(pair, p0, s0, p1, s1);
+  }
+}
+
+// The dispatched pair body and mul_batch, on any CPU.
+TEST(RistrettoKernels, DispatchedPairMatchesTwoLadders) {
+  auto rng = ChaChaRng::from_string_seed("ristretto-pair-dispatch");
+  const auto points = ladder_points();
+  for (int i = 0; i < 8; ++i) {
+    expect_pair_matches(RistrettoKernels::mul_pair, points[i % 4],
+                        Scalar::random(rng), points[(i + 1) % 4],
+                        Scalar::random(rng));
+  }
+}
+
+TEST(Ristretto, MulBatchMatchesScalarMul) {
+  auto rng = ChaChaRng::from_string_seed("ristretto-mul-batch");
+  const Secret<Scalar> s(Scalar::random(rng));
+  for (std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u}) {
+    std::vector<RistrettoPoint> points;
+    for (std::size_t i = 0; i < n; ++i) {
+      points.push_back(RistrettoPoint::hash_to_group(rng.bytes(8), "mb"));
+    }
+    const auto got = RistrettoPoint::mul_batch(points, s);
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i].encode(), (points[i] * s).encode())
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+// Field elements of every kind sqrt_ratio_m1 tells apart, as (u, v):
+// squares, non-squares, i times a square, u = 0, v = 0 and randoms.
+std::vector<std::pair<Fe25519, Fe25519>> sqrt_ratio_inputs() {
+  auto rng = ChaChaRng::from_string_seed("sqrt-ratio-x4");
+  const Fe25519 two = Fe25519::from_u64(2);  // a non-square mod p
+  std::vector<std::pair<Fe25519, Fe25519>> out;
+  for (int i = 0; i < 4; ++i) {
+    const Fe25519 x = random_fe(rng);
+    const Fe25519 v = random_fe(rng);
+    out.emplace_back(x.square() * v, v);                      // square ratio
+    out.emplace_back(two * x.square() * v, v);                // non-square
+    out.emplace_back(Fe25519::sqrt_m1() * x.square() * v, v);  // i * square
+    out.emplace_back(Fe25519::zero(), v);                     // u = 0
+    out.emplace_back(x, Fe25519::zero());                     // v = 0
+    out.emplace_back(random_fe(rng), random_fe(rng));         // random
+  }
+  out.emplace_back(Fe25519::zero(), Fe25519::zero());
+  out.emplace_back(Fe25519::one(), Fe25519::one());
+  return out;
+}
+
+TEST(RistrettoKernels, SqrtRatioX4MatchesSerial) {
+  const auto inputs = sqrt_ratio_inputs();
+  // Every window of four consecutive inputs mixes the kinds across lanes,
+  // and every lane count from 1 to 4.
+  for (std::size_t n = 1; n <= 4; ++n) {
+    for (std::size_t at = 0; at + n <= inputs.size(); ++at) {
+      std::array<Fe25519, 4> u, v;
+      for (std::size_t i = 0; i < n; ++i) {
+        u[i] = inputs[at + i].first;
+        v[i] = inputs[at + i].second;
+      }
+      const auto got = RistrettoKernels::sqrt_ratio_m1_x4(u, v, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const SqrtRatioResult want = sqrt_ratio_m1(u[i], v[i]);
+        EXPECT_EQ(got[i].was_square, want.was_square)
+            << "n=" << n << " at=" << at << " lane=" << i;
+        EXPECT_EQ(got[i].root.to_bytes(), want.root.to_bytes())
+            << "n=" << n << " at=" << at << " lane=" << i;
+      }
+    }
+  }
+}
+
+TEST(RistrettoKernels, IfmaPowP58MatchesSerial) {
+#if CBL_RISTRETTO_IFMA
+  if (!RistrettoKernels::ifma_supported()) GTEST_SKIP() << kNoIfma;
+  const auto inputs = sqrt_ratio_inputs();
+  for (std::size_t at = 0; at + 4 <= inputs.size(); ++at) {
+    std::array<Fe25519, 4> x;
+    for (std::size_t i = 0; i < 4; ++i) {
+      x[i] = i % 2 == 0 ? inputs[at + i].first : inputs[at + i].second;
+    }
+    const std::array<Fe25519, 4> in = x;
+    RistrettoKernels::pow_p58_x4_ifma(x, 4);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(x[i].to_bytes(), in[i].pow_p58().to_bytes())
+          << "at=" << at << " lane=" << i;
+    }
+  }
+#else
+  GTEST_SKIP() << kNoIfma;
+#endif
+}
+
+TEST(Ristretto, BatchHashToGroupMatchesHashToGroupAtSmallSizes) {
+  auto rng = ChaChaRng::from_string_seed("batch-hash-small");
+  for (std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u}) {
+    std::vector<Bytes> inputs;
+    for (std::size_t i = 0; i < n; ++i) inputs.push_back(rng.bytes(1 + i));
+    const auto got = RistrettoPoint::batch_hash_to_group(inputs, "small");
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i].encode(),
+                RistrettoPoint::hash_to_group(inputs[i], "small").encode())
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+// evaluate_batch pairs its live requests through mul_batch: every batch
+// size from 1 to 5 (pairs, and pairs plus a tail) answers byte for byte
+// like one-element batches.
+TEST(Ristretto, EvaluateBatchPairsMatchOneElementBatches) {
+  auto rng = ChaChaRng::from_string_seed("evaluate-batch-pairs");
+  oprf::OprfServer server(oprf::Oracle::fast(), /*lambda=*/3, rng);
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 40; ++i) corpus.push_back("pair-" + std::to_string(i));
+  server.setup(corpus);
+  oprf::OprfClient client(oprf::Oracle::fast(), /*lambda=*/3, rng);
+  for (std::size_t n = 1; n <= 5; ++n) {
+    std::vector<oprf::QueryRequest> requests;
+    for (std::size_t i = 0; i < n; ++i) {
+      requests.push_back(
+          client.prepare(i % 2 == 0 ? corpus[n + i] : "absent-" +
+                                                          std::to_string(i))
+              .request);
+    }
+    const auto batch = server.evaluate_batch(requests);
+    ASSERT_EQ(batch.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto single = server.evaluate_batch(
+          std::span<const oprf::QueryRequest>(&requests[i], 1));
+      EXPECT_EQ(oprf::serialize(batch[i].response),
+                oprf::serialize(single[0].response))
+          << "n=" << n << " i=" << i;
+    }
   }
 }
 

@@ -196,6 +196,170 @@ TEST_F(NizkTest, DleqRejectsUnequalLogs) {
   EXPECT_FALSE(proof.verify(crs_.g, y1, crs_.h, y2, "test"));
 }
 
+// ------------------------------ Sigma verifiers as variable-time MSMs
+
+// The challenges the verifiers derive, rebuilt from the same transcript
+// labels, so the tests below can evaluate the constant-time formulas
+// the verifiers used before they became multiscalar checks.
+Scalar schnorr_c(const RistrettoPoint& base, const RistrettoPoint& y,
+                 const RistrettoPoint& commitment) {
+  Transcript t("cbl/nizk/schnorr");
+  t.absorb("domain", to_bytes("test"));
+  t.absorb_point("base", base).absorb_point("y", y);
+  t.absorb_point("commitment", commitment);
+  return t.challenge("c");
+}
+
+Scalar representation_c(const RistrettoPoint& g, const RistrettoPoint& h,
+                        const RistrettoPoint& p,
+                        const RistrettoPoint& commitment) {
+  Transcript t("cbl/nizk/representation");
+  t.absorb("domain", to_bytes("test"));
+  t.absorb_point("base_g", g).absorb_point("base_h", h);
+  t.absorb_point("p", p).absorb_point("commitment", commitment);
+  return t.challenge("c");
+}
+
+Scalar dleq_c(const RistrettoPoint& b1, const RistrettoPoint& y1,
+              const RistrettoPoint& b2, const RistrettoPoint& y2,
+              const DleqProof& proof) {
+  Transcript t("cbl/nizk/dleq");
+  t.absorb("domain", to_bytes("test"));
+  t.absorb_point("base1", b1).absorb_point("y1", y1);
+  t.absorb_point("base2", b2).absorb_point("y2", y2);
+  t.absorb_point("a1", proof.commitment1)
+      .absorb_point("a2", proof.commitment2);
+  return t.challenge("c");
+}
+
+RistrettoPoint random_point(Rng& rng) {
+  return RistrettoPoint::base() * Scalar::random(rng);
+}
+
+TEST_F(NizkTest, SchnorrMsmVerifierAcceptsValidRejectsTamperedAndAgrees) {
+  const Scalar x = Scalar::random(rng_);
+  const RistrettoPoint y = crs_.h * x;
+  const auto proof = SchnorrProof::prove(crs_.h, y, x, "test", rng_);
+  EXPECT_TRUE(proof.verify(crs_.h, y, "test"));
+  auto bad = proof;
+  bad.commitment = bad.commitment + crs_.g;
+  EXPECT_FALSE(bad.verify(crs_.h, y, "test"));
+  bad = proof;
+  bad.response = bad.response + Scalar::one();
+  EXPECT_FALSE(bad.verify(crs_.h, y, "test"));
+  EXPECT_FALSE(proof.verify(crs_.g, y, "test"));           // base
+  EXPECT_FALSE(proof.verify(crs_.h, y + crs_.g, "test"));  // statement
+
+  // 200 seeded proofs, valid or with one random part replaced: the MSM
+  // verifier agrees with s*base == commitment + c*y on every one.
+  auto rng = ChaChaRng::from_string_seed("nizk-schnorr-msm");
+  int accepted = 0;
+  for (int i = 0; i < 200; ++i) {
+    const Scalar w = Scalar::random(rng);
+    const RistrettoPoint base = random_point(rng);
+    RistrettoPoint stmt = base * w;
+    auto p = SchnorrProof::prove(base, stmt, w, "test", rng);
+    switch (i % 4) {
+      case 1: p.response = Scalar::random(rng); break;
+      case 2: p.commitment = random_point(rng); break;
+      case 3: stmt = random_point(rng); break;
+      default: break;
+    }
+    const Scalar c = schnorr_c(base, stmt, p.commitment);
+    const bool old_formula = base * p.response == p.commitment + stmt * c;
+    EXPECT_EQ(p.verify(base, stmt, "test"), old_formula) << "i=" << i;
+    accepted += old_formula;
+  }
+  EXPECT_EQ(accepted, 50);
+}
+
+TEST_F(NizkTest, RepresentationMsmVerifierAcceptsValidRejectsTamperedAndAgrees) {
+  const Scalar m = Scalar::random(rng_);
+  const Scalar r = Scalar::random(rng_);
+  const RistrettoPoint p = crs_.g * m + crs_.h * r;
+  const auto proof =
+      RepresentationProof::prove(crs_.g, crs_.h, p, m, r, "test", rng_);
+  EXPECT_TRUE(proof.verify(crs_.g, crs_.h, p, "test"));
+  auto bad = proof;
+  bad.commitment = bad.commitment + crs_.g;
+  EXPECT_FALSE(bad.verify(crs_.g, crs_.h, p, "test"));
+  bad = proof;
+  bad.z1 = bad.z1 + Scalar::one();
+  EXPECT_FALSE(bad.verify(crs_.g, crs_.h, p, "test"));
+  bad = proof;
+  bad.z2 = bad.z2 + Scalar::one();
+  EXPECT_FALSE(bad.verify(crs_.g, crs_.h, p, "test"));
+  EXPECT_FALSE(proof.verify(crs_.h, crs_.g, p, "test"));  // bases swapped
+  EXPECT_FALSE(proof.verify(crs_.g, crs_.h, p + crs_.g, "test"));
+
+  auto rng = ChaChaRng::from_string_seed("nizk-representation-msm");
+  int accepted = 0;
+  for (int i = 0; i < 200; ++i) {
+    const Scalar a = Scalar::random(rng);
+    const Scalar b = Scalar::random(rng);
+    const RistrettoPoint g = random_point(rng);
+    const RistrettoPoint h = random_point(rng);
+    RistrettoPoint stmt = g * a + h * b;
+    auto pr = RepresentationProof::prove(g, h, stmt, a, b, "test", rng);
+    switch (i % 5) {
+      case 1: pr.z1 = Scalar::random(rng); break;
+      case 2: pr.z2 = Scalar::random(rng); break;
+      case 3: pr.commitment = random_point(rng); break;
+      case 4: stmt = random_point(rng); break;
+      default: break;
+    }
+    const Scalar c = representation_c(g, h, stmt, pr.commitment);
+    const bool old_formula =
+        g * pr.z1 + h * pr.z2 == pr.commitment + stmt * c;
+    EXPECT_EQ(pr.verify(g, h, stmt, "test"), old_formula) << "i=" << i;
+    accepted += old_formula;
+  }
+  EXPECT_EQ(accepted, 40);
+}
+
+TEST_F(NizkTest, DleqMsmVerifierAcceptsValidRejectsTamperedAndAgrees) {
+  const Scalar x = Scalar::random(rng_);
+  const RistrettoPoint y1 = crs_.g * x;
+  const RistrettoPoint y2 = crs_.h * x;
+  const auto proof = DleqProof::prove(crs_.g, y1, crs_.h, y2, x, "test", rng_);
+  EXPECT_TRUE(proof.verify(crs_.g, y1, crs_.h, y2, "test"));
+  auto bad = proof;
+  bad.commitment1 = bad.commitment1 + crs_.g;
+  EXPECT_FALSE(bad.verify(crs_.g, y1, crs_.h, y2, "test"));
+  bad = proof;
+  bad.commitment2 = bad.commitment2 + crs_.g;
+  EXPECT_FALSE(bad.verify(crs_.g, y1, crs_.h, y2, "test"));
+  bad = proof;
+  bad.response = bad.response + Scalar::one();
+  EXPECT_FALSE(bad.verify(crs_.g, y1, crs_.h, y2, "test"));
+  EXPECT_FALSE(proof.verify(crs_.g, y1 + crs_.g, crs_.h, y2, "test"));
+  EXPECT_FALSE(proof.verify(crs_.g, y1, crs_.h, y2 + crs_.g, "test"));
+
+  auto rng = ChaChaRng::from_string_seed("nizk-dleq-msm");
+  int accepted = 0;
+  for (int i = 0; i < 200; ++i) {
+    const Scalar w = Scalar::random(rng);
+    const RistrettoPoint b1 = random_point(rng);
+    const RistrettoPoint b2 = random_point(rng);
+    RistrettoPoint s1 = b1 * w;
+    RistrettoPoint s2 = b2 * w;
+    auto pr = DleqProof::prove(b1, s1, b2, s2, w, "test", rng);
+    switch (i % 5) {
+      case 1: pr.response = Scalar::random(rng); break;
+      case 2: pr.commitment1 = random_point(rng); break;
+      case 3: pr.commitment2 = random_point(rng); break;
+      case 4: s2 = random_point(rng); break;
+      default: break;
+    }
+    const Scalar c = dleq_c(b1, s1, b2, s2, pr);
+    const bool old_formula = b1 * pr.response == pr.commitment1 + s1 * c &&
+                             b2 * pr.response == pr.commitment2 + s2 * c;
+    EXPECT_EQ(pr.verify(b1, s1, b2, s2, "test"), old_formula) << "i=" << i;
+    accepted += old_formula;
+  }
+  EXPECT_EQ(accepted, 40);
+}
+
 // ----------------------------------------------------------------- Proof A
 
 TEST_F(NizkTest, ProofACompleteness) {

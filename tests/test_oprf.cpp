@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <set>
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
+#include "oprf/blind.h"
 #include "oprf/client.h"
 #include "oprf/oracle.h"
 #include "oprf/server.h"
@@ -309,6 +311,142 @@ TEST(OprfMetadata, SealOpenRejectsTampering) {
   sealed[20] ^= 1;
   EXPECT_FALSE(OprfServer::open_metadata(wrong_key, sealed).has_value());
   EXPECT_FALSE(OprfServer::open_metadata(key, Bytes(5, 0)).has_value());
+}
+
+// The private keyword search of Section IV-B on the server's metadata
+// path: a keyword is a listed entry, its value the sealed metadata.
+class OprfKeywordSearch : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    server_.emplace(Oracle::fast(), /*lambda=*/3, server_rng_);
+    server_->set_metadata_provider([this](const std::string& keyword) {
+      const auto it = values_.find(keyword);
+      return it == values_.end() ? Bytes{} : it->second;
+    });
+    for (int i = 0; i < 40; ++i) {
+      values_["keyword-" + std::to_string(i)] =
+          to_bytes("value-" + std::to_string(i));
+    }
+    build();
+    client_.emplace(Oracle::fast(), /*lambda=*/3, client_rng_);
+  }
+
+  void build() {
+    std::vector<std::string> keywords;
+    for (const auto& [keyword, value] : values_) keywords.push_back(keyword);
+    server_->setup(keywords);
+  }
+
+  // The value for `keyword`, or nullopt when the server does not hold it.
+  std::optional<Bytes> lookup(const std::string& keyword) {
+    const auto prepared = client_->prepare(keyword);
+    const auto result = client_->finish(prepared.pending,
+                                        server_->handle(prepared.request));
+    if (!result.listed) return std::nullopt;
+    return result.metadata;
+  }
+
+  // The keyword's tag H(keyword)^R, unblinded from a server response.
+  static ec::RistrettoPoint::Encoding tag_of(const OprfClient::Prepared& p,
+                                             const QueryResponse& response) {
+    return unblind(*ec::RistrettoPoint::decode(response.evaluated),
+                   p.pending.blinding);
+  }
+
+  ChaChaRng server_rng_ = ChaChaRng::from_string_seed("kws-server");
+  ChaChaRng client_rng_ = ChaChaRng::from_string_seed("kws-client");
+  std::map<std::string, Bytes> values_;
+  std::optional<OprfServer> server_;
+  std::optional<OprfClient> client_;
+};
+
+TEST_F(OprfKeywordSearch, HeldKeywordsResolve) {
+  for (int i = 0; i < 40; i += 7) {
+    const auto value = lookup("keyword-" + std::to_string(i));
+    ASSERT_TRUE(value.has_value()) << i;
+    EXPECT_EQ(to_string(*value), "value-" + std::to_string(i));
+  }
+}
+
+TEST_F(OprfKeywordSearch, AbsentKeywordsResolveToNothing) {
+  EXPECT_FALSE(lookup("keyword-99").has_value());
+  EXPECT_FALSE(lookup("").has_value());
+  EXPECT_FALSE(lookup("Keyword-1").has_value());  // case
+}
+
+TEST_F(OprfKeywordSearch, ServerSeesOnlyBlindedPoints) {
+  const auto p1 = client_->prepare("keyword-1");
+  const auto p2 = client_->prepare("keyword-1");
+  // Fresh blinding each time: identical keywords are unlinkable on the wire.
+  EXPECT_NE(p1.request.masked_query, p2.request.masked_query);
+  EXPECT_EQ(p1.request.prefix, p2.request.prefix);  // only the prefix leaks
+}
+
+TEST_F(OprfKeywordSearch, BucketCiphertextsAreUselessWithoutTheKeyword) {
+  // A nosy client receives the whole bucket but can only decrypt the
+  // record whose keyword it actually holds: other ciphertexts fail
+  // authentication under its derived key.
+  const auto prepared = client_->prepare("keyword-2");
+  const auto response = server_->handle(prepared.request);
+  ASSERT_GE(response.metadata.size(), 2u);
+  const auto key = OprfServer::metadata_key(tag_of(prepared, response));
+  int decrypted = 0;
+  for (const Bytes& sealed : response.metadata) {
+    if (OprfServer::open_metadata(key, sealed)) ++decrypted;
+  }
+  EXPECT_EQ(decrypted, 1);
+}
+
+TEST_F(OprfKeywordSearch, MalformedInputsRejected) {
+  QueryRequest bad = client_->prepare("keyword-0").request;
+  bad.prefix = 1u << 3;
+  EXPECT_THROW((void)server_->handle(bad), ProtocolError);
+  bad.prefix = 0;
+  bad.masked_query.fill(0xff);
+  EXPECT_THROW((void)server_->handle(bad), ProtocolError);
+
+  // A malformed server evaluation is rejected by the client.
+  const auto prepared = client_->prepare("keyword-0");
+  QueryResponse forged = server_->handle(prepared.request);
+  forged.evaluated.fill(0xff);
+  EXPECT_THROW((void)client_->finish(prepared.pending, forged),
+               ProtocolError);
+}
+
+TEST_F(OprfKeywordSearch, RebuildReKeysEverything) {
+  // Capture a record's tag under the old mask.
+  const auto prepared = client_->prepare("keyword-5");
+  const auto tag_before =
+      tag_of(prepared, server_->handle(prepared.request));
+
+  values_ = {{"keyword-5", to_bytes("new-value")}};
+  build();
+  EXPECT_EQ(server_->entry_count(), 1u);
+
+  // Fresh lookups work against the new mask...
+  const auto value = lookup("keyword-5");
+  ASSERT_TRUE(value.has_value());
+  EXPECT_EQ(to_string(*value), "new-value");
+
+  // ...and the rebuild genuinely re-keyed: the keyword's tag changed, so
+  // keys hoarded from the old epoch open nothing in the new bucket.
+  QueryRequest again = prepared.request;
+  again.cached_epoch = kNoEpoch;
+  const auto after = server_->handle(again);
+  EXPECT_NE(tag_of(prepared, after), tag_before);
+  for (const Bytes& sealed : after.metadata) {
+    EXPECT_FALSE(OprfServer::open_metadata(
+        OprfServer::metadata_key(tag_before), sealed));
+  }
+}
+
+TEST_F(OprfKeywordSearch, BinaryValuesSurvive) {
+  auto rng = ChaChaRng::from_string_seed("kws-binary");
+  values_ = {{"blob", rng.bytes(1'000)}};
+  build();
+  const auto value = lookup("blob");
+  ASSERT_TRUE(value.has_value());
+  EXPECT_EQ(*value, values_["blob"]);
 }
 
 TEST(OprfSetup, ParallelMatchesSequential) {
