@@ -7,7 +7,8 @@
 #                  discipline — see DESIGN.md "Concurrency & locking
 #                  policy"), and scripts/secret_flow_lint.py (secret-flow
 #                  policy), self-tested where applicable and run
-#                  concurrently
+#                  concurrently; then prints the size of src/ (lines
+#                  and files, not gated)
 #   2. clang-tidy  .clang-tidy profile over src/ (skipped with a notice
 #                  when clang-tidy is not installed)
 #   3. thread-safety  clang capability analysis: a negative/positive
@@ -158,6 +159,14 @@ stage_lint() {
     fi
     cat "${logs[$i]}"
   done
+  # Informational, not a gate: the size of src/ that every change
+  # records (ROADMAP aim 2).
+  local src_lines src_files
+  src_lines="$(cd "${repo_root}" &&
+    find src -name '*.cpp' -o -name '*.h' | xargs cat | wc -l)"
+  src_files="$(cd "${repo_root}" &&
+    find src -name '*.cpp' -o -name '*.h' | wc -l)"
+  echo "=== [lint] src/ size: ${src_lines} lines in ${src_files} files ==="
   return "${failed}"
 }
 

@@ -9,6 +9,7 @@
 
 #include "chaos/chaos.h"
 #include "load/arrivals.h"
+#include "load/virtual_queue.h"
 #include "net/query_pipeline.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
@@ -163,13 +164,14 @@ MacroReport run_macro(const MacroConfig& config) {
   server.setup(workload.listed());
 
   net::QueryPipeline pipeline(server, net::PipelineOptions());
-  net::NodeLimits limits;
-  limits.service_ms = config.service_ms;
-  limits.max_inflight = config.max_inflight;
+  // Declared before the node, whose destructor unregisters the handler
+  // that points at the queue.
+  VirtualQueue queue(config.service_ms, config.max_inflight);
   const std::string endpoint = "macro-node";
   net::BlocklistServiceNode node(transport, endpoint, server,
-                                 oprf::Oracle::fast(), limits,
+                                 oprf::Oracle::fast(), net::NodeLimits(),
                                  &pipeline);
+  queue.install(transport, node);
 
   std::optional<chaos::FaultInjector> injector;
   net::Channel* channel = &transport;
@@ -184,29 +186,12 @@ MacroReport run_macro(const MacroConfig& config) {
     channel = &*injector;
   }
 
-  // The stage hook reports the virtual queue wait + service time the
-  // query's FINAL admission charged (shed attempts are skipped, retries
-  // overwrite) — exactly the server-side share of end-to-end latency.
-  struct StageCapture {
-    double queue_ms = 0.0;
-    bool fired = false;
-  };
-  StageCapture capture;
-  node.set_stage_hook([&capture](const net::QueryStageTiming& timing) {
-    if (!timing.shed) {
-      capture.queue_ms = timing.queue_wait_ms + timing.service_ms;
-      capture.fired = true;
-    }
-  });
-
   net::ResilientClient client(*channel, {endpoint}, client_rng,
                               net::ResilienceConfig(), &clock);
   client.sync();  // connect + prefix list, outside any measured level
 
   // Shared global counters are read as deltas, so a dirty registry
   // (earlier tests in the same process) cannot skew the report.
-  auto& shed_counter =
-      global.counter("cbl_net_shed_total", {{"endpoint", endpoint}});
   auto& pipeline_shed_counter =
       global.counter("cbl_net_pipeline_shed_total");
   auto& parse_counter =
@@ -241,7 +226,7 @@ MacroReport run_macro(const MacroConfig& config) {
     const std::uint64_t level_start_ns = clock.now_ns();
     PoissonArrivals arrivals(level.offered_qps, level_start_ns);
     const std::uint64_t shed0 =
-        shed_counter.value() + pipeline_shed_counter.value();
+        queue.shed() + pipeline_shed_counter.value();
     std::uint64_t usable = 0;
     std::uint64_t max_completion_ns = level_start_ns;
 
@@ -265,13 +250,16 @@ MacroReport run_macro(const MacroConfig& config) {
         continue;
       }
 
+      // The queue's charge for the query's final admission (shed
+      // attempts charge nothing, retries overwrite) is the server-side
+      // share of end-to-end latency.
       ++level.wire_queries;
-      capture.fired = false;
+      const std::uint64_t admitted0 = queue.admitted();
       const auto out = client.query(*query.address);
       level.wire_attempts += out.attempts;
       double latency_ms =
           static_cast<double>(clock.now_ns() - t_arrival) / 1e6;
-      if (capture.fired) latency_ms += capture.queue_ms;
+      if (queue.admitted() != admitted0) latency_ms += queue.last_charge_ms();
       latency.observe(latency_ms);
       max_completion_ns =
           std::max(max_completion_ns,
@@ -289,8 +277,7 @@ MacroReport run_macro(const MacroConfig& config) {
       }
     }
 
-    level.shed =
-        shed_counter.value() + pipeline_shed_counter.value() - shed0;
+    level.shed = queue.shed() + pipeline_shed_counter.value() - shed0;
     level.p50_ms = latency.p50();
     level.p99_ms = latency.p99();
     level.p999_ms = latency.p999();

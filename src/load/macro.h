@@ -16,11 +16,11 @@
 // Per-query timeline (the "dilated timeline" trick): the virtual clock
 // is set to each arrival instant before the query is issued; the
 // client then advances the clock by every RTT and backoff sleep it
-// consumes, and the node's stage hook reports the virtual queue wait +
-// service time its final admission charged. End-to-end latency is the
-// sum of the two. The next arrival rewinds the clock to its own
-// instant — safe because the node's queue model only ratchets busy
-// time forward and the breaker tolerates non-monotonic reads.
+// consumes, and the VirtualQueue in front of the node reports the
+// virtual wait + service time its final admission charged. End-to-end
+// latency is the sum of the two. The next arrival rewinds the clock to
+// its own instant (see virtual_queue.h for why the queue tolerates
+// that; the breaker tolerates non-monotonic reads).
 #pragma once
 
 #include <cstdint>
@@ -49,13 +49,13 @@ struct MacroConfig {
   std::vector<double> offered_qps = {100.0, 200.0, 400.0, 800.0, 1600.0};
   std::size_t queries_per_level = 2000;
   SloConfig slo;
-  /// Virtual service model of the node (NodeLimits): service_ms per
-  /// query, max_inflight queue slots. The client's prefix list
-  /// legitimately short-circuits most clean-address traffic, so only
-  /// may-be-listed queries (roughly the listed share plus prefix
-  /// collisions) reach the server; 20ms/8 = a 50 QPS scalar server
-  /// with a 160ms queue, which the top offered levels genuinely
-  /// overload — that is the point of the trajectory.
+  /// Virtual service model in front of the node (VirtualQueue):
+  /// service_ms per query, max_inflight queue slots. The client's
+  /// prefix list legitimately short-circuits most clean-address
+  /// traffic, so only may-be-listed queries (roughly the listed share
+  /// plus prefix collisions) reach the server; 20ms/8 = a 50 QPS
+  /// scalar server with a 160ms queue, which the top offered levels
+  /// genuinely overload — that is the point of the trajectory.
   double service_ms = 20.0;
   unsigned max_inflight = 8;
   /// Base transport RTT range (uniform, seeded).

@@ -64,8 +64,8 @@ void QueryPipeline::run_batch(std::vector<Pending*>& batch) {
           result.status = Status::kBadRequest;
           break;
         case oprf::OprfServer::BatchOutcome::Status::kRateLimited:
-          // Server-level rate limit (auth / query budget): the caller
-          // supplies its own hint (NodeLimits::retry_after_hint_ms).
+          // Server-level rate limit (auth / query budget): no hint here;
+          // the node attaches NodeLimits::retry_after_hint_ms.
           result.status = Status::kRateLimited;
           break;
       }

@@ -10,10 +10,9 @@
 //
 // Backpressure is shed-before-enqueue: a query arriving at a full queue
 // is refused with kRateLimited (plus a retry hint) without ever
-// occupying a batch slot or touching crypto. Node-level admission
-// (NodeLimits) still runs first in BlocklistServiceNode, so the two
-// shedding layers compose: virtual-time overload is rejected before the
-// pipeline sees the frame, and real queue overflow is rejected here.
+// occupying a batch slot or touching crypto. This is the node's only
+// load shedding; a modelled capacity limit lives in the load harness
+// (load::VirtualQueue), in front of the node.
 #pragma once
 
 #include <condition_variable>
@@ -52,8 +51,8 @@ class QueryPipeline {
     Status status = Status::kBadRequest;
     /// Serialized QueryResponse when status == kOk; empty otherwise.
     Bytes body;
-    /// Backoff hint for pipeline-level sheds; 0 when the caller should
-    /// fall back to its own hint (e.g. NodeLimits::retry_after_hint_ms).
+    /// Backoff hint for pipeline sheds; 0 on the server's own rate
+    /// limit, where the node attaches NodeLimits::retry_after_hint_ms.
     std::uint32_t retry_after_ms = 0;
   };
 

@@ -22,12 +22,6 @@ Bytes frame_checksum(ByteView sealed) {
   return hash::Blake2b::digest(sealed, kFrameChecksumSize, key);
 }
 
-Bytes retry_after_body(std::uint32_t hint_ms) {
-  ec::WireWriter w;
-  w.u32(hint_ms);
-  return w.take();
-}
-
 /// Real elapsed nanoseconds between two steady-clock points. Stage CPU
 /// accounting deliberately uses wall time, not the obs registry clock:
 /// the registry clock is virtual in load harnesses, while per-stage
@@ -49,6 +43,12 @@ Bytes encode_response_frame(Status status, ByteView body) {
   const Bytes sum = frame_checksum(out);
   append(out, sum);
   return out;
+}
+
+Bytes encode_retry_after(std::uint32_t hint_ms) {
+  ec::WireWriter w;
+  w.u32(hint_ms);
+  return w.take();
 }
 
 Bytes encode_info(const ServiceInfo& info) {
@@ -168,9 +168,6 @@ BlocklistServiceNode::BlocklistServiceNode(Transport& transport,
   responses_ok_ = response_counter("ok");
   responses_bad_request_ = response_counter("bad_request");
   responses_rate_limited_ = response_counter("rate_limited");
-  shed_ = &registry.counter(
-      "cbl_net_shed_total", {{"endpoint", endpoint_}},
-      "Queries shed by the bounded in-flight budget (overload)");
   const auto stage_counter = [&](const char* stage) {
     return &registry.counter("cbl_net_stage_cpu_ns_total",
                              {{"stage", stage}},
@@ -179,10 +176,6 @@ BlocklistServiceNode::BlocklistServiceNode(Transport& transport,
   stage_parse_ns_ = stage_counter("parse");
   stage_crypto_ns_ = stage_counter("crypto");
   stage_seal_ns_ = stage_counter("seal");
-  queue_wait_ms_ = &registry.histogram(
-      "cbl_net_queue_wait_ms", obs::Histogram::default_latency_ms_buckets(),
-      {{"endpoint", endpoint_}},
-      "Virtual-time wait admitted queries spend behind the service queue");
   transport.register_endpoint(
       endpoint_, [this](ByteView frame) { return handle_frame(frame); });
 }
@@ -219,32 +212,6 @@ obs::Counter& BlocklistServiceNode::status_counter(Status status) {
       break;
   }
   return *responses_bad_request_;
-}
-
-std::uint32_t BlocklistServiceNode::admit_or_shed_query(
-    double* queue_wait_ms) {
-  *queue_wait_ms = 0.0;
-  if (limits_.max_inflight == 0 || limits_.service_ms <= 0.0) return 0;
-  const double now =
-      static_cast<double>(obs::MetricsRegistry::global().clock().now_ns()) /
-      1e6;
-  if (busy_until_ms_ < now) busy_until_ms_ = now;  // queue drained
-  const double backlog_ms = busy_until_ms_ - now;
-  const double capacity_ms =
-      limits_.service_ms * static_cast<double>(limits_.max_inflight);
-  if (backlog_ms + limits_.service_ms > capacity_ms) {
-    // Queue full: shed rather than queue unboundedly. The hint is how
-    // long until a slot frees up.
-    shed_->inc();
-    const double wait_ms = backlog_ms + limits_.service_ms - capacity_ms;
-    return static_cast<std::uint32_t>(wait_ms) + 1;
-  }
-  // Admitted: this query waits out the existing backlog before its own
-  // service slot starts.
-  *queue_wait_ms = backlog_ms;
-  queue_wait_ms_->observe(backlog_ms);
-  busy_until_ms_ += limits_.service_ms;
-  return 0;
 }
 
 Bytes BlocklistServiceNode::respond(Status status, ByteView body) {
@@ -297,28 +264,7 @@ std::optional<Bytes> BlocklistServiceNode::handle_frame(ByteView frame) {
 
 Bytes BlocklistServiceNode::handle_query(ByteView body,
                                          std::uint64_t parse_ns) {
-  QueryStageTiming timing;
-  timing.parse_ns = parse_ns;
   stage_parse_ns_->inc(parse_ns);
-  const auto finish = [this, &timing](Status status, ByteView resp_body) {
-    status_counter(status).inc();
-    const auto seal_begin = std::chrono::steady_clock::now();
-    Bytes sealed = encode_response_frame(status, resp_body);
-    timing.seal_ns = elapsed_ns(seal_begin, std::chrono::steady_clock::now());
-    stage_seal_ns_->inc(timing.seal_ns);
-    if (stage_hook_) stage_hook_(timing);
-    return sealed;
-  };
-
-  // Overload shedding happens before any body parsing or crypto work —
-  // the whole point is to spend nothing on load we cannot serve.
-  if (const std::uint32_t hint_ms = admit_or_shed_query(&timing.queue_wait_ms)) {
-    timing.shed = true;
-    const Bytes hint = retry_after_body(hint_ms);
-    return finish(Status::kRateLimited, hint);
-  }
-  timing.service_ms = limits_.service_ms;
-
   // The pipeline parses, coalesces with other in-flight queries, and
   // hands back the serialized response. The crypto stage includes time
   // blocked on the shared batch.
@@ -328,12 +274,15 @@ Bytes BlocklistServiceNode::handle_query(ByteView body,
     const std::uint32_t hint = result.retry_after_ms != 0
                                    ? result.retry_after_ms
                                    : limits_.retry_after_hint_ms;
-    if (hint > 0) result.body = retry_after_body(hint);
+    if (hint > 0) result.body = encode_retry_after(hint);
   }
-  timing.crypto_ns =
-      elapsed_ns(crypto_begin, std::chrono::steady_clock::now());
-  stage_crypto_ns_->inc(timing.crypto_ns);
-  return finish(result.status, result.body);
+  stage_crypto_ns_->inc(
+      elapsed_ns(crypto_begin, std::chrono::steady_clock::now()));
+  status_counter(result.status).inc();
+  const auto seal_begin = std::chrono::steady_clock::now();
+  Bytes sealed = encode_response_frame(result.status, result.body);
+  stage_seal_ns_->inc(elapsed_ns(seal_begin, std::chrono::steady_clock::now()));
+  return sealed;
 }
 
 Bytes BlocklistServiceNode::handle_tlog(Method method, ByteView body) {

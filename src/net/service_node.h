@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "net/transport.h"
@@ -57,6 +56,10 @@ inline constexpr std::size_t kFrameChecksumSize = 4;
 /// it to craft frames that reach the body parsers.
 Bytes encode_response_frame(Status status, ByteView body = {});
 
+/// The optional body of a kRateLimited response: a u32 retry-after hint
+/// in ms.
+Bytes encode_retry_after(std::uint32_t hint_ms);
+
 /// A validated request frame: a known method tag plus its body. Bodyless
 /// methods (kPrefixList, kInfo) reject trailing bytes here, so a frame
 /// either maps onto the protocol exactly or is malformed.
@@ -92,46 +95,24 @@ Bytes encode_info(const ServiceInfo& info);
 // wire:untrusted fuzz=fuzz_net_frame
 [[nodiscard]] std::optional<ServiceInfo> decode_info(ByteView data);
 
-/// Overload-shedding budget for a service node. With max_inflight > 0
-/// the node models a bounded service queue in virtual time (the obs
-/// registry clock): each query occupies the server for service_ms, and
-/// a query arriving when max_inflight are already queued is shed with
-/// kRateLimited (plus a retry-after hint) instead of queuing
-/// unboundedly — load-shedding beats collapse under a traffic storm.
+/// Per-node serving policy.
 struct NodeLimits {
-  double service_ms = 0.0;            // simulated per-query service time
-  unsigned max_inflight = 0;          // 0 = unlimited (no shedding)
   /// Retry-after hint attached to rate-limiter rejections, in ms
-  /// (shedding computes its own hint from the queue depth). 0 = none.
+  /// (pipeline sheds carry their own hint). 0 = none.
   std::uint32_t retry_after_hint_ms = 0;
 };
 
 class QueryPipeline;
 
-/// Per-query stage accounting delivered to the node's stage hook: the
-/// virtual-time queue wait charged by NodeLimits admission, plus real
-/// (steady-clock) CPU nanoseconds spent in each serving stage. For a
-/// shed query only parse_ns and queue-independent fields are meaningful.
-/// Load harnesses fold queue_wait_ms into end-to-end latency; the CPU
-/// fields feed the per-stage breakdown in BENCH_macro.json.
-struct QueryStageTiming {
-  double queue_wait_ms = 0.0;   // virtual-time wait behind the queue
-  double service_ms = 0.0;      // virtual service time charged on admit
-  std::uint64_t parse_ns = 0;   // request-frame parsing
-  std::uint64_t crypto_ns = 0;  // OPRF evaluation + response serialize
-  std::uint64_t seal_ns = 0;    // response sealing (status + checksum)
-  bool shed = false;            // rejected by NodeLimits admission
-};
-
 /// Binds an OprfServer to a transport endpoint. The destructor tears the
 /// endpoint down again, so a destroyed node is unreachable (drops) — the
 /// crash half of crash-restart — rather than a dangling handler.
 ///
-/// Admitted queries are served through a QueryPipeline (coalesced
-/// crypto, pipeline-level shedding): the one passed in, which several
-/// nodes may share and which must outlive them, or else a
-/// default-options pipeline the node owns. Node-level admission
-/// (NodeLimits) runs first, so shed load never reaches the pipeline.
+/// Queries are served through a QueryPipeline (coalesced crypto, the
+/// node's only load shedding): the one passed in, which several nodes
+/// may share and which must outlive them, or else a default-options
+/// pipeline the node owns. Beyond its metric counters the node keeps no
+/// mutable state, so handle_frame may run on any number of threads.
 class BlocklistServiceNode {
  public:
   /// With a publisher attached the node serves the kTlog* methods; a
@@ -149,14 +130,11 @@ class BlocklistServiceNode {
 
   const std::string& endpoint() const { return endpoint_; }
 
-  /// Observes every kQuery frame, admitted or shed. Set it before
-  /// traffic starts — the hook is not synchronized against in-flight
-  /// frames. Pass nullptr (default) to disable.
-  using StageHook = std::function<void(const QueryStageTiming&)>;
-  void set_stage_hook(StageHook hook) { stage_hook_ = std::move(hook); }
+  /// Serves one request frame; the handler registered on the endpoint.
+  /// Public so a harness can register a wrapper that calls it.
+  std::optional<Bytes> handle_frame(ByteView frame);
 
  private:
-  std::optional<Bytes> handle_frame(ByteView frame);
   /// Serves one kQuery request with per-stage timing; returns the
   /// sealed response frame.
   Bytes handle_query(ByteView body, std::uint64_t parse_ns);
@@ -166,11 +144,6 @@ class BlocklistServiceNode {
   Bytes respond(Status status, ByteView body = {});
   obs::Counter& method_counter(Method method);
   obs::Counter& status_counter(Status status);
-  /// Returns the shed retry-after hint in ms when the query must be
-  /// shed, 0 when it was admitted (and the backlog charged). On
-  /// admission *queue_wait_ms receives the virtual-time backlog the
-  /// query waits behind before its own service slot.
-  std::uint32_t admit_or_shed_query(double* queue_wait_ms);
 
   Transport* transport_;
   std::string endpoint_;
@@ -180,8 +153,6 @@ class BlocklistServiceNode {
   std::unique_ptr<QueryPipeline> owned_pipeline_;  // when none was passed
   QueryPipeline* pipeline_;  // the serving path: shared or owned_pipeline_
   tlog::EpochPublisher* publisher_;  // optional transparency log; not owned
-  double busy_until_ms_ = 0.0;  // virtual-time end of the service queue
-  StageHook stage_hook_;        // optional per-query timing observer
   // Per-method / per-status request accounting, resolved once.
   obs::Counter* requests_query_;
   obs::Counter* requests_prefix_list_;
@@ -191,13 +162,10 @@ class BlocklistServiceNode {
   obs::Counter* responses_ok_;
   obs::Counter* responses_bad_request_;
   obs::Counter* responses_rate_limited_;
-  obs::Counter* shed_;
-  // Per-stage CPU spend (real steady-clock ns, not virtual time) and
-  // virtual-time queue wait of admitted queries.
+  // Per-stage CPU spend (real steady-clock ns, not virtual time).
   obs::Counter* stage_parse_ns_;
   obs::Counter* stage_crypto_ns_;
   obs::Counter* stage_seal_ns_;
-  obs::Histogram* queue_wait_ms_;
 };
 
 /// Client side: discovers the service parameters over the wire, then

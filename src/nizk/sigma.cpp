@@ -120,13 +120,16 @@ DleqProof DleqProof::prove(const ec::RistrettoPoint& base1,
                            const ec::RistrettoPoint& base2,
                            const ec::RistrettoPoint& y2, const ec::Scalar& x,
                            std::string_view domain, Rng& rng) {
-  const ec::Scalar k = ec::Scalar::random(rng);
+  // One nonce on two bases: one two-point ladder computes both.
+  const Secret<ec::Scalar> k(ec::Scalar::random(rng));
+  const ec::RistrettoPoint bases[] = {base1, base2};
+  const auto commitments = ec::RistrettoPoint::mul_batch(bases, k);
   DleqProof proof;
-  proof.commitment1 = base1 * k;
-  proof.commitment2 = base2 * k;
+  proof.commitment1 = commitments[0];
+  proof.commitment2 = commitments[1];
   const ec::Scalar c = dleq_challenge(domain, base1, y1, base2, y2,
                                       proof.commitment1, proof.commitment2);
-  proof.response = k + c * x;
+  proof.response = k.expose_secret() + c * x;
   return proof;
 }
 

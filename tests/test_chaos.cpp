@@ -30,6 +30,7 @@
 #include "chaos/chaos.h"
 #include "chaos/fault_fs.h"
 #include "common/rng.h"
+#include "load/virtual_queue.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
 #include "obs/clock.h"
@@ -59,17 +60,24 @@ int chaos_queries(int fallback = 400) {
   return fallback;
 }
 
+/// Parameters of a load::VirtualQueue put in front of every node.
+struct QueueModel {
+  double service_ms = 0.0;
+  unsigned slots = 0;
+};
+
 /// One self-contained universe per plan: a seeded transport, an OPRF
 /// server + service node per endpoint, the fault injector in front of
 /// it all, and a resilient client driving the shared virtual clock.
+/// With `queue` set, every node sits behind its own virtual-time queue,
+/// re-installed after each crash-restart.
 class ChaosWorld {
  public:
   ChaosWorld(FaultPlan plan, std::vector<std::string> endpoints,
              ResilienceConfig config = ResilienceConfig(),
-             net::NodeLimits limits = net::NodeLimits())
+             std::optional<QueueModel> queue = std::nullopt)
       : plan_(std::move(plan)),
         endpoints_(std::move(endpoints)),
-        limits_(limits),
         query_rng_(ChaChaRng::from_string_seed(
             plan_.name + "/traffic/" + std::to_string(plan_.seed))),
         transport_(net::TransportConfig{.latency_ms_min = 1.0,
@@ -88,6 +96,9 @@ class ChaosWorld {
       if (!listed_set_.contains(address)) clean_.push_back(std::move(address));
     }
 
+    for (std::size_t i = 0; queue && i < endpoints_.size(); ++i) {
+      queues_.emplace_back(queue->service_ms, queue->slots);
+    }
     fs_.resize(endpoints_.size());
     epoch_logs_.resize(endpoints_.size());
     servers_.resize(endpoints_.size());
@@ -193,6 +204,12 @@ class ChaosWorld {
   FaultInjector& injector() { return injector_; }
   net::Transport& transport() { return transport_; }
   obs::ManualClock& clock() { return clock_; }
+  /// Queries shed by the virtual-time queues, summed over endpoints.
+  std::uint64_t queue_shed() const {
+    std::uint64_t total = 0;
+    for (const auto& queue : queues_) total += queue.shed();
+    return total;
+  }
   std::uint64_t server_epoch(std::size_t i) const {
     return servers_[i]->epoch();
   }
@@ -218,7 +235,8 @@ class ChaosWorld {
         [log = &*epoch_logs_[i]](std::uint64_t epoch) { log->note(epoch); });
     servers_[i]->setup(listed_);
     nodes_[i].emplace(transport_, endpoints_[i], *servers_[i],
-                      oprf::Oracle::fast(), limits_);
+                      oprf::Oracle::fast());
+    if (!queues_.empty()) queues_[i].install(transport_, *nodes_[i]);
   }
 
   static std::uint64_t fault_counter(const char* kind) {
@@ -239,7 +257,6 @@ class ChaosWorld {
 
   FaultPlan plan_;
   std::vector<std::string> endpoints_;
-  net::NodeLimits limits_;
   obs::ManualClock clock_;
   ChaChaRng corpus_rng_ = ChaChaRng::from_string_seed("chaos-corpus");
   ChaChaRng server_rng_ = ChaChaRng::from_string_seed("chaos-server");
@@ -256,6 +273,9 @@ class ChaosWorld {
   std::deque<store::MemFs> fs_;
   std::deque<std::optional<store::EpochLog>> epoch_logs_;
   std::deque<std::optional<oprf::OprfServer>> servers_;
+  // Declared before nodes_: a node's destructor unregisters the wrapped
+  // handler, which points into its queue.
+  std::deque<load::VirtualQueue> queues_;
   std::deque<std::optional<net::BlocklistServiceNode>> nodes_;
   FaultInjector injector_;
   std::optional<ResilientClient> client_;
@@ -396,10 +416,6 @@ TEST(ChaosTest, CrashRestartRecoversWithAFreshEpoch) {
 }
 
 TEST(ChaosTest, KitchenSinkWithOverloadSheddingStaysAccountable) {
-  auto& shed = obs::MetricsRegistry::global().counter(
-      "cbl_net_shed_total", {{"endpoint", "alpha"}});
-  const auto shed_before = shed.value();
-
   FaultPlan plan;
   plan.name = "kitchen-sink";
   plan.seed = chaos_seed(606);
@@ -410,18 +426,16 @@ TEST(ChaosTest, KitchenSinkWithOverloadSheddingStaysAccountable) {
   plan.all.duplicate_prob = 0.08;
   plan.all.latency.spike_prob = 0.05;
   plan.all.latency.spike_ms = 200.0;
-  // A slow node with a bounded queue: ~30ms of work per query arriving
+  // Slow nodes with a bounded queue: ~30ms of work per query arriving
   // every ~12ms of virtual time means the backlog fills and sheds.
-  net::NodeLimits limits;
-  limits.service_ms = 30.0;
-  limits.max_inflight = 2;
-  ChaosWorld world(plan, {"alpha", "beta"}, ResilienceConfig(), limits);
+  ChaosWorld world(plan, {"alpha", "beta"}, ResilienceConfig(),
+                   QueueModel{.service_ms = 30.0, .slots = 2});
 
   const auto s = world.run(chaos_queries(), /*inter_arrival_ms=*/1.0);
   EXPECT_EQ(s.wrong, 0);
   // Overload shedding fired (kRateLimited + retry-after, not a hung
   // queue) and the client still converted most queries into answers.
-  EXPECT_GT(shed.value(), shed_before);
+  EXPECT_GT(world.queue_shed(), 0u);
   EXPECT_GE(s.fresh, s.queries / 2);
   world.expect_calls_accounted();
   world.expect_faults_mirrored();
@@ -435,15 +449,11 @@ TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
                                    obs::Histogram::log_buckets(1.0, 4096.0, 4));
   auto& query_requests =
       reg.counter("cbl_net_requests_total", {{"method", "query"}});
-  auto& shed_alpha =
-      reg.counter("cbl_net_shed_total", {{"endpoint", "alpha"}});
-  auto& shed_beta = reg.counter("cbl_net_shed_total", {{"endpoint", "beta"}});
   const auto enqueued_before = enqueued.value();
   const auto pipeline_shed_before = pipeline_shed.value();
   const auto batches_before = batch_size.count();
   const auto batch_sum_before = batch_size.sum();
   const auto queries_before = query_requests.value();
-  const auto node_shed_before = shed_alpha.value() + shed_beta.value();
 
   FaultPlan plan;
   plan.name = "pipeline-drops-blackout";
@@ -451,13 +461,10 @@ TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
   plan.all.drop_request = 0.08;
   plan.all.drop_response = 0.08;
   plan.per_endpoint["alpha"].blackouts = {{1500.0, 3000.0}};
-  // An overloaded node in front of the batched path: node-level
-  // admission sheds BEFORE the pipeline, so refused queries must never
-  // occupy a batch slot.
-  net::NodeLimits limits;
-  limits.service_ms = 30.0;
-  limits.max_inflight = 2;
-  ChaosWorld world(plan, {"alpha", "beta"}, ResilienceConfig(), limits);
+  // An overloaded queue in front of the batched path sheds BEFORE the
+  // node, so refused queries must never occupy a batch slot.
+  ChaosWorld world(plan, {"alpha", "beta"}, ResilienceConfig(),
+                   QueueModel{.service_ms = 30.0, .slots = 2});
 
   const auto s = world.run(chaos_queries(), /*inter_arrival_ms=*/1.0);
   // The batched serving path changes throughput, never answers: no
@@ -467,14 +474,11 @@ TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
   EXPECT_GT(world.injector().stats().dropped_requests, 0u);
   EXPECT_GT(world.injector().stats().blackout_drops, 0u);
 
-  const auto node_shed =
-      (shed_alpha.value() + shed_beta.value()) - node_shed_before;
-  EXPECT_GT(node_shed, 0u);
-  // Shed accounting: every query frame the nodes admitted was enqueued
-  // into a pipeline batch, and every shed one never reached it —
-  // admitted == arrived - shed, exactly.
+  EXPECT_GT(world.queue_shed(), 0u);
+  // Shed accounting: shed frames never reach a node, and every query
+  // frame a node saw was enqueued into a pipeline batch, exactly.
   EXPECT_EQ(enqueued.value() - enqueued_before,
-            (query_requests.value() - queries_before) - node_shed);
+            query_requests.value() - queries_before);
   // The single-threaded harness never fills the pipeline queue, so the
   // pipeline's own shedding stayed quiet...
   EXPECT_EQ(pipeline_shed.value(), pipeline_shed_before);

@@ -2,8 +2,9 @@
 // Zipf sampler (shape vs the closed-form pmf, seed replay), the
 // open-loop Poisson arrival schedule (mean/variance of gaps,
 // monotonicity), SLO accounting (histogram quantiles vs brute-force
-// sort), and the workload model (universe layout, ground truth,
-// resolution-flag ratios).
+// sort), the workload model (universe layout, ground truth,
+// resolution-flag ratios), and the virtual-time service queue the
+// harnesses put in front of a service node.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -14,10 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include "blocklist/generator.h"
+#include "common/codec.h"
 #include "common/rng.h"
 #include "load/arrivals.h"
+#include "load/virtual_queue.h"
 #include "load/workload.h"
 #include "load/zipf.h"
+#include "net/service_node.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
 
 namespace {
@@ -249,6 +255,133 @@ TEST(Workload, SampleStreamReplaysExactly) {
     ASSERT_EQ(qa.cache_hit, qb.cache_hit);
     ASSERT_EQ(qa.prefix_local, qb.prefix_local);
   }
+}
+
+using Queue = cbl::load::VirtualQueue;
+
+/// Points the global registry at a ManualClock for the test's lifetime;
+/// the queue reads virtual time from there.
+class VirtualQueue : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    cbl::obs::MetricsRegistry::global().set_clock(&clock_);
+  }
+  void TearDown() override {
+    cbl::obs::MetricsRegistry::global().set_clock(nullptr);
+  }
+  cbl::obs::ManualClock clock_;
+};
+
+// The bounded queue sheds excess queries with kRateLimited instead of
+// queuing unboundedly, before the node sees them, and admits again once
+// the virtual-time backlog drains.
+TEST_F(VirtualQueue, OverloadSheddingBoundsTheQueueThenRecovers) {
+  using Kind = cbl::net::RemoteBlocklistClient::QueryOutcome::Kind;
+  auto corpus_rng = ChaChaRng::from_string_seed("net-corpus");
+  auto server_rng = ChaChaRng::from_string_seed("net-server");
+  auto client_rng = ChaChaRng::from_string_seed("net-client");
+  auto transport_rng = ChaChaRng::from_string_seed("net-transport");
+  const auto corpus =
+      cbl::blocklist::generate_corpus(150, corpus_rng).addresses();
+  cbl::oprf::OprfServer server(cbl::oprf::Oracle::fast(), 5, server_rng);
+  server.setup(corpus);
+  cbl::net::Transport transport(
+      cbl::net::TransportConfig{
+          .latency_ms_min = 1, .latency_ms_max = 10, .drop_rate = 0.0},
+      transport_rng);
+  Queue queue(/*service_ms=*/10.0, /*slots=*/2);  // outlives the node
+  cbl::net::BlocklistServiceNode node(transport, "scamdb", server,
+                                      cbl::oprf::Oracle::fast());
+  queue.install(transport, node);
+  cbl::net::RemoteBlocklistClient client(transport, "scamdb", client_rng);
+  const auto shed_before = queue.shed();
+
+  // No virtual time passes between arrivals, so the 10ms-per-query
+  // budget admits exactly two queries before the queue is full.
+  const auto q1 = client.query(corpus[0]);
+  const auto q2 = client.query(corpus[1]);
+  const auto q3 = client.query(corpus[2]);
+  EXPECT_EQ(q1.kind, Kind::kOk);
+  EXPECT_EQ(q2.kind, Kind::kOk);
+  EXPECT_EQ(q3.kind, Kind::kRateLimited);
+  EXPECT_GT(q3.retry_after_ms, 0u);   // how long until a slot frees
+  EXPECT_LE(q3.retry_after_ms, 11u);  // one service slot, rounded up
+  EXPECT_EQ(queue.shed(), shed_before + 1);
+
+  // Shedding spent no crypto: the backlog is unchanged, and once it
+  // drains the queue admits again.
+  clock_.advance_ms(50);
+  const auto q4 = client.query(corpus[3]);
+  EXPECT_EQ(q4.kind, Kind::kOk);
+}
+
+// Admission charges the backlog ahead of a query plus its own service
+// slot, and a shed reply is the sealed kRateLimited frame carrying the
+// hint a client reads.
+TEST_F(VirtualQueue, ChargesBacklogAndShedsWithAHint) {
+  int forwarded = 0;
+  Queue queue(/*service_ms=*/10.0, /*slots=*/2);
+  const auto handler = queue.wrap([&forwarded](cbl::ByteView) {
+    ++forwarded;
+    return std::optional<cbl::Bytes>(cbl::Bytes{0x42});
+  });
+  const cbl::Bytes query = {
+      static_cast<std::uint8_t>(cbl::net::Method::kQuery), 1, 2, 3};
+
+  EXPECT_EQ(handler(query), cbl::Bytes{0x42});
+  EXPECT_DOUBLE_EQ(queue.last_charge_ms(), 10.0);  // idle: service only
+  EXPECT_EQ(handler(query), cbl::Bytes{0x42});
+  EXPECT_DOUBLE_EQ(queue.last_charge_ms(), 20.0);  // 10ms backlog ahead
+  const auto shed = handler(query);
+  EXPECT_EQ(forwarded, 2);
+  EXPECT_EQ(queue.admitted(), 2u);
+  EXPECT_EQ(queue.shed(), 1u);
+
+  ASSERT_TRUE(shed.has_value());
+  const auto frame = cbl::net::parse_response_frame(*shed);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->status, cbl::net::Status::kRateLimited);
+  cbl::ByteReader r(frame->body);
+  EXPECT_EQ(r.u32(), 11u);  // 20 backlog + 10 service - 20 capacity, +1
+  EXPECT_TRUE(r.finish());
+}
+
+// Only well-formed kQuery frames are admitted and charged; everything
+// else reaches the node as sent and leaves the backlog alone.
+TEST_F(VirtualQueue, NonQueryAndMalformedFramesPassThroughUncharged) {
+  std::vector<cbl::Bytes> forwarded;
+  Queue queue(/*service_ms=*/10.0, /*slots=*/1);
+  const auto handler = queue.wrap([&forwarded](cbl::ByteView frame) {
+    forwarded.emplace_back(frame.begin(), frame.end());
+    return std::optional<cbl::Bytes>();
+  });
+  const auto tag = [](cbl::net::Method m) {
+    return static_cast<std::uint8_t>(m);
+  };
+  const std::vector<cbl::Bytes> frames = {
+      {tag(cbl::net::Method::kInfo)},
+      {tag(cbl::net::Method::kPrefixList)},
+      {tag(cbl::net::Method::kTlogCheckpoint)},
+      {tag(cbl::net::Method::kInfo), 0x00},  // trailing byte: malformed
+      {0xff, 1, 2},                          // unknown method
+      {},                                    // empty
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (const cbl::Bytes& frame : frames) handler(frame);
+  }
+  ASSERT_EQ(forwarded.size(), 3 * frames.size());
+  for (std::size_t i = 0; i < forwarded.size(); ++i) {
+    EXPECT_EQ(forwarded[i], frames[i % frames.size()]);
+  }
+  EXPECT_EQ(queue.admitted(), 0u);
+  EXPECT_EQ(queue.shed(), 0u);
+
+  // One slot, no backlog charged by the frames above: the next query is
+  // admitted at an idle queue.
+  handler(cbl::Bytes{tag(cbl::net::Method::kQuery), 7});
+  EXPECT_EQ(queue.admitted(), 1u);
+  EXPECT_EQ(queue.shed(), 0u);
+  EXPECT_DOUBLE_EQ(queue.last_charge_ms(), 10.0);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+#include "hash/sha256.h"
 #include "load/macro.h"
 
 namespace {
@@ -134,6 +136,24 @@ TEST(MacroSmoke, TrajectoryIsCorrectShedsUnderOverloadAndReplays) {
   // measures the machine and may differ.)
   const MacroReport replay = run_macro(config);
   EXPECT_EQ(model_slice(json), model_slice(replay.to_json()));
+}
+
+// The model section for smoke_config(), pinned as a SHA-256 of its bytes,
+// with and without the chaos injector. Any change to how the harness
+// admits, sheds, charges or orders queries (including the injector's
+// draws) moves these digests; a change that only moves the cpu section
+// does not.
+TEST(MacroSmoke, ModelSliceMatchesPinnedDigest) {
+  const auto model_digest = [](bool chaos) {
+    MacroConfig config = smoke_config();
+    config.chaos = chaos;
+    const std::string model = model_slice(run_macro(config).to_json());
+    return cbl::to_hex(cbl::hash::Sha256::digest(model));
+  };
+  EXPECT_EQ(model_digest(false),
+            "e2662c85821f6a89f81c6ceee262509468d6ff57fffcd8e030fb11903a97c54b");
+  EXPECT_EQ(model_digest(true),
+            "0c008ad9338853c56beb261db9c4a305a8e9b5c6f33ca35c5e190defcf6f2cf2");
 }
 
 TEST(MacroSmoke, RejectsEmptyLevelList) {

@@ -585,49 +585,6 @@ TEST_F(NetTest, InvalidQueriesAreBadRequestNotRateLimited) {
   }
 }
 
-// The bounded in-flight budget sheds excess queries with kRateLimited
-// instead of queuing unboundedly, and admits again once the virtual-time
-// backlog drains.
-TEST_F(NetTest, OverloadSheddingBoundsTheQueueThenRecovers) {
-  using Kind = RemoteBlocklistClient::QueryOutcome::Kind;
-  obs::ManualClock clock;
-  auto& registry = obs::MetricsRegistry::global();
-  registry.set_clock(&clock);
-
-  auto transport = make_transport();
-  NodeLimits limits;
-  limits.service_ms = 10.0;
-  limits.max_inflight = 2;
-  BlocklistServiceNode node(transport, "scamdb", *server_,
-                            oprf::Oracle::fast(), limits);
-  RemoteBlocklistClient client(transport, "scamdb", client_rng_);
-  const auto shed_before =
-      registry.counter("cbl_net_shed_total", {{"endpoint", "scamdb"}})
-          .value();
-
-  // No virtual time passes between arrivals, so the 10ms-per-query
-  // budget admits exactly max_inflight before the queue is full.
-  const auto q1 = client.query(corpus_[0]);
-  const auto q2 = client.query(corpus_[1]);
-  const auto q3 = client.query(corpus_[2]);
-  EXPECT_EQ(q1.kind, Kind::kOk);
-  EXPECT_EQ(q2.kind, Kind::kOk);
-  EXPECT_EQ(q3.kind, Kind::kRateLimited);
-  EXPECT_GT(q3.retry_after_ms, 0u);   // how long until a slot frees
-  EXPECT_LE(q3.retry_after_ms, 11u);  // one service slot, rounded up
-  EXPECT_EQ(registry.counter("cbl_net_shed_total", {{"endpoint", "scamdb"}})
-                .value(),
-            shed_before + 1);
-
-  // Shedding spent no crypto: the backlog is unchanged, and once it
-  // drains the node admits again.
-  clock.advance_ms(50);
-  const auto q4 = client.query(corpus_[3]);
-  EXPECT_EQ(q4.kind, Kind::kOk);
-
-  registry.set_clock(&obs::SteadyClock::instance());
-}
-
 // The resilient client honors kRateLimited: it backs off (at least the
 // server's hint) instead of hammering, never trips the breaker over it,
 // and serves the deadline-exceeded query honestly from cache.

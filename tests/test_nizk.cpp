@@ -360,6 +360,32 @@ TEST_F(NizkTest, DleqMsmVerifierAcceptsValidRejectsTamperedAndAgrees) {
   EXPECT_EQ(accepted, 40);
 }
 
+// The prover computes both commitments with one RistrettoPoint::mul_batch
+// (the two-point ladder). Its proofs must be byte-identical to the same
+// nonce applied by two separate operator* calls.
+TEST_F(NizkTest, DleqProveMatchesTwoSingleMultiplicationsByteForByte) {
+  auto statements = ChaChaRng::from_string_seed("nizk-dleq-pair");
+  for (int i = 0; i < 24; ++i) {
+    const Scalar x = Scalar::random(statements);
+    const RistrettoPoint b1 = random_point(statements);
+    const RistrettoPoint b2 = random_point(statements);
+    const RistrettoPoint y1 = b1 * x;
+    const RistrettoPoint y2 = b2 * x;
+    const std::string seed = "nizk-dleq-pair/" + std::to_string(i);
+    auto rng = ChaChaRng::from_string_seed(seed);
+    auto twin = ChaChaRng::from_string_seed(seed);
+    const auto proof = DleqProof::prove(b1, y1, b2, y2, x, "test", rng);
+
+    const Scalar k = Scalar::random(twin);  // the prover's one draw
+    DleqProof expected;
+    expected.commitment1 = b1 * k;
+    expected.commitment2 = b2 * k;
+    expected.response = k + dleq_c(b1, y1, b2, y2, expected) * x;
+    EXPECT_EQ(proof.to_bytes(), expected.to_bytes()) << "i=" << i;
+    EXPECT_TRUE(proof.verify(b1, y1, b2, y2, "test")) << "i=" << i;
+  }
+}
+
 // ----------------------------------------------------------------- Proof A
 
 TEST_F(NizkTest, ProofACompleteness) {

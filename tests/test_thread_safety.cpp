@@ -11,24 +11,31 @@
 //   * OprfServer read accessors (key_commitment / epoch / serves /
 //     entry_count) and limiter maintenance, which used to touch guarded
 //     state without the lock, stay coherent under concurrent rotation
-//     and maintenance.
+//     and maintenance;
+//   * BlocklistServiceNode::handle_frame, driven by N threads over one
+//     shared QueryPipeline (the load benchmark's shape), answers every
+//     query correctly and accounts for it exactly once.
 //
 // Designed to run under the TSan CI stage (scripts/ci.sh, stage 6).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
+#include "net/query_pipeline.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
 #include "obs/clock.h"
 #include "oprf/client.h"
 #include "oprf/server.h"
+#include "oprf/wire.h"
 #include "tlog/tlog.h"
 
 namespace cbl {
@@ -326,6 +333,104 @@ TEST(OprfServerLocking, LimiterMaintenanceRacesQueries) {
   auto refused = client.prepare(corpus[0]);
   refused.request.api_key = api_key;
   EXPECT_THROW((void)server.handle(refused.request), ProtocolError);
+}
+
+// ------------------------------------------ service node frame handler
+
+// The node keeps no unsynchronised state of its own: concurrent frames
+// meet only in the pipeline, the server and the metric counters.
+TEST(ServiceNodeConcurrency, HandleFrameAnswersEveryThreadCorrectly) {
+  auto corpus_rng = ChaChaRng::from_string_seed("ts-node-corpus");
+  auto server_rng = ChaChaRng::from_string_seed("ts-node-server");
+  auto transport_rng = ChaChaRng::from_string_seed("ts-node-trans");
+  const auto corpus = blocklist::generate_corpus(64, corpus_rng).addresses();
+  const std::span<const std::string> listed(corpus.data(), 32);
+  oprf::OprfServer server(oprf::Oracle::fast(), 4, server_rng);
+  server.setup(listed);
+  net::QueryPipeline pipeline(server, net::PipelineOptions());
+  net::Transport transport(net::TransportConfig{}, transport_rng);
+  net::BlocklistServiceNode node(transport, "ts-node", server,
+                                 oprf::Oracle::fast(), net::NodeLimits(),
+                                 &pipeline);
+
+  // Frames are built up front, one client per thread, so the threads
+  // only contend inside handle_frame.
+  constexpr int kThreads = 8;
+  constexpr std::size_t kQueriesPerThread = 24;
+  struct Query {
+    Bytes frame;
+    oprf::PendingQuery pending;
+    bool listed;
+  };
+  std::deque<ChaChaRng> rngs;  // each client keeps a reference to one
+  std::vector<std::optional<oprf::OprfClient>> clients(kThreads);
+  std::vector<std::vector<Query>> queries(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    auto& rng = rngs.emplace_back(
+        ChaChaRng::from_string_seed("ts-node-client-" + std::to_string(t)));
+    auto& client = clients[static_cast<std::size_t>(t)].emplace(
+        oprf::Oracle::fast(), 4, rng);
+    for (std::size_t i = 0; i < kQueriesPerThread; ++i) {
+      const std::size_t index = (static_cast<std::size_t>(t) * 7 + i * 5) %
+                                corpus.size();
+      auto prepared = client.prepare(corpus[index]);
+      Bytes frame = {static_cast<std::uint8_t>(net::Method::kQuery)};
+      append(frame, oprf::serialize(prepared.request));
+      queries[static_cast<std::size_t>(t)].push_back(
+          {std::move(frame), std::move(prepared.pending),
+           index < listed.size()});
+    }
+  }
+
+  const auto requests_before =
+      counter_value("cbl_net_requests_total", {{"method", "query"}});
+  const auto enqueued_before =
+      counter_value("cbl_net_pipeline_enqueued_total", {});
+  const auto shed_before = counter_value("cbl_net_pipeline_shed_total", {});
+
+  std::atomic<bool> go{false};
+  std::atomic<int> wrong{0};
+  std::atomic<int> unanswered{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      while (!go.load()) {
+      }
+      auto& client = *clients[static_cast<std::size_t>(t)];
+      for (const Query& q : queries[static_cast<std::size_t>(t)]) {
+        const auto reply = node.handle_frame(q.frame);
+        const auto frame =
+            reply ? net::parse_response_frame(*reply) : std::nullopt;
+        const auto response =
+            frame && frame->status == net::Status::kOk
+                ? oprf::parse_query_response(frame->body)
+                : std::nullopt;
+        try {
+          if (!response) {
+            ++unanswered;
+          } else if (client.finish(q.pending, *response).listed != q.listed) {
+            ++wrong;
+          }
+        } catch (const ProtocolError&) {
+          ++unanswered;
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (auto& th : workers) th.join();
+
+  EXPECT_EQ(unanswered.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  const double requests =
+      counter_value("cbl_net_requests_total", {{"method", "query"}}) -
+      requests_before;
+  EXPECT_EQ(requests, kThreads * kQueriesPerThread);
+  EXPECT_EQ(requests,
+            (counter_value("cbl_net_pipeline_enqueued_total", {}) -
+             enqueued_before) +
+                (counter_value("cbl_net_pipeline_shed_total", {}) -
+                 shed_before));
 }
 
 }  // namespace
