@@ -12,6 +12,7 @@
 #include "net/resilient_client.h"
 #include "net/service_node.h"
 #include "obs/clock.h"
+#include "obs/metrics.h"
 
 int main() {
   using namespace cbl;
@@ -83,13 +84,20 @@ int main() {
               "%d blocked\n",
               attempts, local, online, online ? total_latency / online : 0.0,
               listed);
-  const auto& stats = transport.stats();
+  // The transport's accounting is the process-wide registry, one series
+  // per endpoint; this process has just the one transport and endpoint.
+  const auto net_total = [](const char* name) {
+    return static_cast<unsigned long long>(
+        obs::MetricsRegistry::global()
+            .counter(name, {{"endpoint", "blocklist.example:443"}})
+            .value());
+  };
   std::printf("network: %llu calls, %llu drops ridden out by retries, "
               "%llu B up / %llu B down\n",
-              static_cast<unsigned long long>(stats.calls),
-              static_cast<unsigned long long>(stats.drops),
-              static_cast<unsigned long long>(stats.bytes_sent),
-              static_cast<unsigned long long>(stats.bytes_received));
+              net_total("cbl_net_calls_total"),
+              net_total("cbl_net_drops_total"),
+              net_total("cbl_net_bytes_sent_total"),
+              net_total("cbl_net_bytes_received_total"));
   std::printf("\nThe provider never saw a plaintext address: only %u-bit "
               "prefixes and blinded points crossed the wire.\n",
               server.lambda());

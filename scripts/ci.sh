@@ -27,7 +27,13 @@
 #                  then the full-tree run. Uses libclang +
 #                  compile_commands.json when the python bindings exist,
 #                  the regex fallback (with a notice) otherwise
-#   5. release     optimized build + full test suite
+#   5. release     optimized build + full test suite, then test_net,
+#                  test_store, test_tlog and test_obs each run once as a
+#                  whole binary with --gtest_shuffle --gtest_repeat=2: the
+#                  metrics registry is process-wide, so a test that reads
+#                  a counter's absolute value instead of a delta passes
+#                  under ctest's one-test-per-process runs and fails here.
+#                  The shuffle seed and the replay command are printed
 #   6. asan-ubsan  Debug + AddressSanitizer + UBSan, full test suite
 #   7. tsan        Debug + ThreadSanitizer, full test suite (query-service
 #                  and voting paths are concurrent; see src/oprf locking)
@@ -269,6 +275,15 @@ stage_secret_flow() {
 
 stage_release() {
   run_config release -DCMAKE_BUILD_TYPE=Release
+  local dir="${build_root}/release" seed=$((RANDOM % 99999 + 1)) t
+  echo "=== [release] whole binaries, shuffled: seed=${seed} ==="
+  for t in test_net test_store test_tlog test_obs; do
+    echo "=== [release] replay any failure with:" \
+      "${dir}/tests/${t} --gtest_shuffle --gtest_repeat=2" \
+      "--gtest_random_seed=${seed} ==="
+    "${dir}/tests/${t}" --gtest_shuffle --gtest_repeat=2 \
+      --gtest_random_seed="${seed}"
+  done
 }
 
 stage_asan_ubsan() {

@@ -30,18 +30,16 @@ TxReceipt Blockchain::execute(AccountId payer, std::string method,
   receipts_.push_back(receipt);
 
   auto& registry = obs::MetricsRegistry::global();
-  if (registry.enabled()) {
-    const obs::Labels labels = {{"method", receipt.method}};
-    registry
-        .counter("cbl_chain_tx_total", labels,
-                 "Executed contract transactions by method")
-        .inc();
-    registry
-        .histogram("cbl_chain_gas_per_tx",
-                   obs::Histogram::log_buckets(1e3, 1e9, 3), labels,
-                   "Gas consumed per contract call")
-        .observe(static_cast<double>(receipt.gas_used));
-  }
+  const obs::Labels labels = {{"method", receipt.method}};
+  registry
+      .counter("cbl_chain_tx_total", labels,
+               "Executed contract transactions by method")
+      .inc();
+  registry
+      .histogram("cbl_chain_gas_per_tx",
+                 obs::Histogram::log_buckets(1e3, 1e9, 3), labels,
+                 "Gas consumed per contract call")
+      .observe(static_cast<double>(receipt.gas_used));
   return receipt;
 }
 

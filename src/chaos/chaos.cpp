@@ -58,6 +58,8 @@ FaultInjector::FaultInjector(net::Transport& inner, FaultPlan plan,
       clock_(clock),
       rng_(seed_key(plan_.seed)) {
   auto& registry = obs::MetricsRegistry::global();
+  calls_ = &registry.counter("cbl_chaos_calls_total", {},
+                             "Calls through the fault injector");
   const auto fault_counter = [&](const char* kind) {
     return &registry.counter("cbl_chaos_faults_total", {{"kind", kind}},
                              "Faults injected into the transport, by kind");
@@ -115,7 +117,6 @@ void FaultInjector::maybe_crash_restart(const std::string& endpoint,
     // with it. Later calls are unknown-endpoint drops.
     inner_.unregister_endpoint(endpoint);
     state.crashed = true;
-    ++stats_.crashes;
     fault_crash_->inc();
   }
   if (state.crashed && !state.restarted && faults.restart_at_ms >= 0 &&
@@ -124,7 +125,6 @@ void FaultInjector::maybe_crash_restart(const std::string& endpoint,
     if (hook != restart_hooks_.end()) {
       hook->second();  // rebuild fresh state + restore_epoch + re-register
       state.restarted = true;
-      ++stats_.restarts;
       fault_restart_->inc();
     }
   }
@@ -132,7 +132,7 @@ void FaultInjector::maybe_crash_restart(const std::string& endpoint,
 
 net::CallResult FaultInjector::call(const std::string& endpoint,
                                     ByteView request) {
-  ++stats_.calls;
+  calls_->inc();
   const EndpointFaults& faults = faults_for(endpoint);
   maybe_crash_restart(endpoint, faults);
 
@@ -142,7 +142,6 @@ net::CallResult FaultInjector::call(const std::string& endpoint,
       // Black hole: the caller still waits out a full (priced) RTT.
       net::CallResult result;
       result.rtt_ms = inner_.sample_rtt();
-      ++stats_.blackout_drops;
       fault_blackout_->inc();
       return result;
     }
@@ -151,7 +150,6 @@ net::CallResult FaultInjector::call(const std::string& endpoint,
   if (roll(faults.drop_request)) {
     net::CallResult result;
     result.rtt_ms = inner_.sample_rtt();
-    ++stats_.dropped_requests;
     fault_drop_request_->inc();
     return result;
   }
@@ -163,7 +161,6 @@ net::CallResult FaultInjector::call(const std::string& endpoint,
     // discarded on the client side but the server did the work (and its
     // admission budget was charged) twice.
     inner_.call(endpoint, request);
-    ++stats_.duplicated;
     fault_duplicate_->inc();
   }
 
@@ -172,7 +169,6 @@ net::CallResult FaultInjector::call(const std::string& endpoint,
   if (roll(faults.latency.tail_prob)) extra_ms += tail_delay_ms(faults.latency);
   if (extra_ms > 0.0) {
     result.rtt_ms += extra_ms;
-    ++stats_.delayed;
     fault_delay_->inc();
   }
 
@@ -180,7 +176,6 @@ net::CallResult FaultInjector::call(const std::string& endpoint,
     result.delivered = false;
     result.rejected = false;
     result.response.clear();
-    ++stats_.dropped_responses;
     fault_drop_response_->inc();
     return result;
   }
@@ -190,14 +185,12 @@ net::CallResult FaultInjector::call(const std::string& endpoint,
     const std::size_t byte = rng_.uniform(result.response.size());
     const auto bit = static_cast<std::uint8_t>(1u << rng_.uniform(8));
     result.response[byte] ^= bit;
-    ++stats_.corrupted;
     fault_corrupt_->inc();
   }
 
   if (result.delivered && !result.response.empty() &&
       roll(faults.truncate_prob)) {
     result.response.resize(rng_.uniform(result.response.size()));
-    ++stats_.truncated;
     fault_truncate_->inc();
   }
 

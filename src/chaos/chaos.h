@@ -9,6 +9,10 @@
 // injected (virtual) clock — so a failing chaos run replays bit-exactly
 // from its printed seed.
 //
+// What the injector did is recorded in the global cbl::obs registry
+// only: cbl_chaos_calls_total counts calls through it and
+// cbl_chaos_faults_total{kind} each injected fault.
+//
 // The injector is a *channel* fault model, not an adversary: it damages
 // frames in flight the way a lossy WAN would, which the response-frame
 // checksum must turn into kMalformed (never into a wrong membership
@@ -74,20 +78,6 @@ struct FaultPlan {
   std::string describe() const;
 };
 
-/// What the injector actually did — asserted against obs counters.
-struct ChaosStats {
-  std::uint64_t calls = 0;
-  std::uint64_t blackout_drops = 0;
-  std::uint64_t dropped_requests = 0;
-  std::uint64_t dropped_responses = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t truncated = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t delayed = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t restarts = 0;
-};
-
 /// The chaos channel. Wraps a concrete Transport (it needs sample_rtt()
 /// and endpoint teardown, not just the call surface) and applies the
 /// plan to every call flowing through.
@@ -108,7 +98,6 @@ class FaultInjector final : public net::Channel {
   net::CallResult call(const std::string& endpoint,
                        ByteView request) override;
 
-  const ChaosStats& stats() const { return stats_; }
   const FaultPlan& plan() const { return plan_; }
   double now_ms() const;
 
@@ -130,9 +119,9 @@ class FaultInjector final : public net::Channel {
   ChaChaRng rng_;
   std::map<std::string, EndpointState> endpoint_state_;
   std::map<std::string, std::function<void()>> restart_hooks_;
-  ChaosStats stats_;
 
-  // cbl_chaos_faults_total{kind}, resolved once.
+  // cbl_chaos_calls_total and cbl_chaos_faults_total{kind}, resolved once.
+  obs::Counter* calls_;
   obs::Counter* fault_blackout_;
   obs::Counter* fault_drop_request_;
   obs::Counter* fault_drop_response_;

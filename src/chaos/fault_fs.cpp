@@ -53,22 +53,17 @@ bool FaultFs::roll(double probability) {
 }
 
 bool FaultFs::begin_op() {
-  ++stats_.ops;
-  if (crashed_) {
-    ++stats_.post_crash_fails;
-    return false;
-  }
-  return true;
+  ++ops_;
+  return !crashed_;
 }
 
 bool FaultFs::is_crash_now() const {
   return plan_.crash_at_op >= 0 &&
-         static_cast<std::int64_t>(stats_.ops) - 1 == plan_.crash_at_op;
+         static_cast<std::int64_t>(ops_) - 1 == plan_.crash_at_op;
 }
 
 void FaultFs::enter_crash() {
   crashed_ = true;
-  ++stats_.crashes;
   metrics_.crash->inc();
 }
 
@@ -94,19 +89,16 @@ bool FaultFs::apply_mutation(const std::string& path, ByteView data,
       // Honest partial failure: strict prefix applied, call says so.
       cut = rng_.uniform(data.size());
       report_ok = false;
-      ++stats_.short_writes;
       metrics_.short_write->inc();
     } else if (!data.empty() && roll(plan_.torn_write_prob)) {
       // Lying disk cache: strict prefix applied, call reports success.
       cut = rng_.uniform(data.size());
-      ++stats_.torn_writes;
       metrics_.torn_write->inc();
     } else if (!data.empty() && roll(plan_.bit_flip_prob)) {
       // At-rest rot on the way in: everything lands, one bit wrong.
       flipped.assign(data.begin(), data.end());
       const std::size_t byte = rng_.uniform(flipped.size());
       flipped[byte] ^= static_cast<std::uint8_t>(1u << rng_.uniform(8));
-      ++stats_.bit_flips;
       metrics_.bit_flip->inc();
     }
   }
@@ -134,7 +126,6 @@ bool FaultFs::sync(const std::string& path) {
     }
     if (roll(plan_.fsync_lie_prob)) {
       // Write-cache betrayal: success reported, nothing made durable.
-      ++stats_.fsync_lies;
       metrics_.fsync_lie->inc();
       return true;
     }
@@ -151,7 +142,6 @@ bool FaultFs::rename(const std::string& from, const std::string& to) {
       return false;
     }
     if (roll(plan_.rename_fail_prob)) {
-      ++stats_.rename_fails;
       metrics_.rename_fail->inc();
       return false;
     }
@@ -184,7 +174,6 @@ bool FaultFs::sync_dir() {
       return false;
     }
     if (roll(plan_.fsync_lie_prob)) {
-      ++stats_.fsync_lies;
       metrics_.fsync_lie->inc();
       return true;
     }
@@ -197,9 +186,9 @@ bool FaultFs::crashed() const {
   return crashed_;
 }
 
-FsFaultStats FaultFs::stats() const {
+std::uint64_t FaultFs::ops() const {
   MutexLock lock(mutex_);
-  return stats_;
+  return ops_;
 }
 
 }  // namespace cbl::chaos

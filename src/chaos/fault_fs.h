@@ -27,6 +27,10 @@
 // FaultFs wraps any store::Fs; reads pass through untouched (at-rest
 // damage is injected on the write side so it is durable and visible
 // after crash(), exactly like real bit rot).
+//
+// Every injected fault is recorded in the global cbl::obs registry only,
+// as cbl_chaos_fs_faults_total{kind}; the mutating-op index that drives
+// crash_at_op is the one count kept here (ops()).
 #pragma once
 
 #include <cstdint>
@@ -56,18 +60,6 @@ struct FsFaultPlan {
   std::string describe() const;
 };
 
-/// What the fault fs actually did — asserted against obs counters.
-struct FsFaultStats {
-  std::uint64_t ops = 0;  // mutating operations seen
-  std::uint64_t short_writes = 0;
-  std::uint64_t torn_writes = 0;
-  std::uint64_t bit_flips = 0;
-  std::uint64_t fsync_lies = 0;
-  std::uint64_t rename_fails = 0;
-  std::uint64_t crashes = 0;          // crash point reached (0 or 1)
-  std::uint64_t post_crash_fails = 0;  // ops refused after the crash
-};
-
 class FaultFs final : public store::Fs {
  public:
   FaultFs(store::Fs& inner, FsFaultPlan plan);
@@ -89,7 +81,9 @@ class FaultFs final : public store::Fs {
   /// then power-cycle the inner fs (MemFs::crash()) and recover.
   bool crashed() const CBL_EXCLUDES(mutex_);
 
-  FsFaultStats stats() const CBL_EXCLUDES(mutex_);
+  /// Mutating operations seen so far, refused ones included: a
+  /// fault-free probe run's ops() is the crash sweep's op-boundary count.
+  std::uint64_t ops() const CBL_EXCLUDES(mutex_);
   const FsFaultPlan& plan() const { return plan_; }
 
  private:
@@ -108,9 +102,9 @@ class FaultFs final : public store::Fs {
   store::Fs& inner_;
   const FsFaultPlan plan_;
 
-  mutable cbl::Mutex mutex_;  // lock: rng, stats and crash latch
+  mutable cbl::Mutex mutex_;  // lock: rng, op index and crash latch
   ChaChaRng rng_ CBL_GUARDED_BY(mutex_);
-  FsFaultStats stats_ CBL_GUARDED_BY(mutex_);
+  std::uint64_t ops_ CBL_GUARDED_BY(mutex_) = 0;
   bool crashed_ CBL_GUARDED_BY(mutex_) = false;
 
   // cbl_chaos_fs_faults_total{kind}, resolved once.

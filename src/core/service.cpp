@@ -6,14 +6,14 @@ namespace cbl::core {
 
 namespace {
 
-obs::Counter& provider_counter(const char* op) {
-  return obs::MetricsRegistry::global().counter(
+obs::Counter* provider_counter(const char* op) {
+  return &obs::MetricsRegistry::global().counter(
       "cbl_core_provider_ops_total", {{"op", op}},
       "Provider lifecycle operations (ingest / expire / rotate)");
 }
 
-obs::Counter& user_query_counter(const char* path) {
-  return obs::MetricsRegistry::global().counter(
+obs::Counter* user_query_counter(const char* path) {
+  return &obs::MetricsRegistry::global().counter(
       "cbl_core_user_queries_total", {{"path", path}},
       "BlocklistUser queries by resolution path");
 }
@@ -26,28 +26,31 @@ BlocklistProvider::BlocklistProvider(std::string name, ProviderConfig config,
       config_(config),
       rng_(rng),
       oracle_(config.slow_oracle ? oprf::Oracle::slow(config.argon2)
-                                 : oprf::Oracle::fast()) {
+                                 : oprf::Oracle::fast()),
+      ingest_ops_(provider_counter("ingest")),
+      expire_ops_(provider_counter("expire")),
+      rotate_ops_(provider_counter("rotate_key")) {
   server_ = std::make_unique<oprf::OprfServer>(oracle_, config_.lambda, rng_);
   republish();
 }
 
 std::size_t BlocklistProvider::ingest(
     const std::vector<blocklist::Entry>& feed) {
-  provider_counter("ingest").inc();
+  ingest_ops_->inc();
   const std::size_t added = store_.merge(feed);
   if (added > 0) republish();
   return added;
 }
 
 std::size_t BlocklistProvider::expire_entries(std::uint64_t cutoff) {
-  provider_counter("expire").inc();
+  expire_ops_->inc();
   const std::size_t removed = store_.expire_older_than(cutoff);
   if (removed > 0) republish();
   return removed;
 }
 
 void BlocklistProvider::rotate_key() {
-  provider_counter("rotate_key").inc();
+  rotate_ops_->inc();
   CBL_SPAN("core.rotate_key");
   server_->rotate_key(config_.setup_threads);
 }
@@ -66,7 +69,9 @@ void BlocklistProvider::republish() {
 
 BlocklistUser::BlocklistUser(BlocklistProvider& provider, Rng& rng)
     : provider_(provider),
-      client_(provider.oracle(), provider.lambda(), rng) {
+      client_(provider.oracle(), provider.lambda(), rng),
+      local_queries_(user_query_counter("local")),
+      online_queries_(user_query_counter("online")) {
   sync_prefix_list();
 }
 
@@ -82,10 +87,10 @@ BlocklistUser::QueryResult BlocklistUser::query_one(std::string_view address,
                                                     bool* bucket_omitted) {
   QueryResult result;
   if (!client_.may_be_listed(address)) {
-    user_query_counter("local").inc();
+    local_queries_->inc();
     return result;  // resolved locally: definitely not listed
   }
-  user_query_counter("online").inc();
+  online_queries_->inc();
   result.required_interaction = true;
   const auto prepared = client_.prepare(address);
   const auto response = provider_.server().handle(prepared.request);

@@ -19,6 +19,7 @@
 #include "blocklist/store.h"
 #include "chain/blockchain.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "oprf/client.h"
 #include "oprf/server.h"
 #include "voting/audit.h"
@@ -67,6 +68,10 @@ class BlocklistProvider {
   oprf::Oracle oracle_;
   blocklist::Store store_;
   std::unique_ptr<oprf::OprfServer> server_;
+  // cbl_core_provider_ops_total{op}, resolved once.
+  obs::Counter* ingest_ops_;
+  obs::Counter* expire_ops_;
+  obs::Counter* rotate_ops_;
 };
 
 class BlocklistUser {
@@ -105,6 +110,9 @@ class BlocklistUser {
 
   BlocklistProvider& provider_;
   oprf::OprfClient client_;
+  // cbl_core_user_queries_total{path}, resolved once.
+  obs::Counter* local_queries_;
+  obs::Counter* online_queries_;
 };
 
 struct RegistryEntry {

@@ -71,8 +71,6 @@ CallResult Transport::call(const std::string& endpoint, ByteView request) {
         "Simulated round-trip time of delivered calls");
   }
   EndpointMetrics& ep = metrics_for(endpoint);
-  ++stats_.calls;
-  ++ep.stats.calls;
   ep.calls->inc();
 
   CallResult result;
@@ -80,16 +78,10 @@ CallResult Transport::call(const std::string& endpoint, ByteView request) {
 
   const auto it = endpoints_.find(endpoint);
   if (it == endpoints_.end()) {
-    ++stats_.drops;
-    ++ep.stats.drops;
     ep.drops->inc();
     return result;
   }
   if (leg_dropped()) {  // request leg: the server never sees the frame
-    ++stats_.drops;
-    ++ep.stats.drops;
-    ++stats_.drops_request;
-    ++ep.stats.drops_request;
     ep.drops->inc();
     ep.drops_request->inc();
     return result;
@@ -97,15 +89,11 @@ CallResult Transport::call(const std::string& endpoint, ByteView request) {
 
   // The request made it onto the wire and into the handler; its bytes
   // count as sent even if the response leg is lost below.
-  stats_.bytes_sent += request.size();
-  ep.stats.bytes_sent += request.size();
   ep.bytes_sent->inc(request.size());
   const auto response = it->second(request);
   if (!response) {
     // Handler rejection: the endpoint saw the frame and refused it. A
     // distinct outcome — not an empty success, not a drop.
-    ++stats_.rejected;
-    ++ep.stats.rejected;
     ep.rejected->inc();
     result.delivered = true;
     result.rejected = true;
@@ -113,10 +101,6 @@ CallResult Transport::call(const std::string& endpoint, ByteView request) {
     return result;
   }
   if (leg_dropped()) {  // response leg: the server worked for nothing
-    ++stats_.drops;
-    ++ep.stats.drops;
-    ++stats_.drops_response;
-    ++ep.stats.drops_response;
     ep.drops->inc();
     ep.drops_response->inc();
     return result;
@@ -124,30 +108,8 @@ CallResult Transport::call(const std::string& endpoint, ByteView request) {
   result.delivered = true;
   rtt_ms_->observe(result.rtt_ms);
   result.response = *response;
-  stats_.bytes_received += result.response.size();
-  ep.stats.bytes_received += result.response.size();
   ep.bytes_received->inc(result.response.size());
   return result;
-}
-
-TransportStats Transport::endpoint_stats(const std::string& endpoint) const {
-  const auto it = per_endpoint_.find(endpoint);
-  return it == per_endpoint_.end() ? TransportStats{} : it->second.stats;
-}
-
-std::map<std::string, TransportStats> Transport::stats_by_endpoint() const {
-  std::map<std::string, TransportStats> out;
-  for (const auto& [name, metrics] : per_endpoint_) {
-    out.emplace(name, metrics.stats);
-  }
-  return out;
-}
-
-void Transport::reset_stats() {
-  stats_ = TransportStats{};
-  for (auto& [name, metrics] : per_endpoint_) {
-    metrics.stats = TransportStats{};
-  }
 }
 
 }  // namespace cbl::net

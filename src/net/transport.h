@@ -14,10 +14,15 @@
 // differ between the two cases, which is what retry-safety and the
 // chaos harness exercise.
 //
-// Accounting is kept twice: a local TransportStats per endpoint (so
-// multi-provider experiments stay attributable, resettable between
-// phases) and mirrored onto the global cbl::obs registry as
-// cbl_net_* counters plus an RTT histogram.
+// Accounting lives in the global cbl::obs registry only, one series per
+// endpoint label: cbl_net_calls_total, cbl_net_drops_total (leg losses
+// plus calls to an unknown endpoint) with its leg split
+// cbl_net_drops_{request,response}_total, cbl_net_rejected_total
+// (handler refusals: delivered, not dropped) and
+// cbl_net_bytes_{sent,received}_total, plus the cbl_net_rtt_ms
+// histogram. Every Transport adds into the same series, so two
+// transports serving one endpoint name sum into one count; readers take
+// deltas around what they measure.
 #pragma once
 
 #include <functional>
@@ -47,20 +52,6 @@ struct CallResult {
   bool rejected = false;
   Bytes response;
   double rtt_ms = 0.0;
-};
-
-struct TransportStats {
-  std::uint64_t calls = 0;
-  /// Total undelivered calls: leg losses plus unknown-endpoint calls.
-  std::uint64_t drops = 0;
-  /// Leg-loss split: drops_request + drops_response counts only sampled
-  /// loss; the remainder of `drops` is calls to unknown endpoints.
-  std::uint64_t drops_request = 0;
-  std::uint64_t drops_response = 0;
-  /// Handler rejections (nullopt responses) — delivered, but an error.
-  std::uint64_t rejected = 0;
-  std::uint64_t bytes_sent = 0;      // client -> server
-  std::uint64_t bytes_received = 0;  // server -> client
 };
 
 /// The call surface of the transport, as seen by clients. Wrappers that
@@ -99,23 +90,10 @@ class Transport final : public Channel {
   /// timeouts of calls they swallow themselves.
   double sample_rtt() { return sample_latency() + sample_latency(); }
 
-  /// Aggregate over every endpoint (plus calls to unknown endpoints).
-  const TransportStats& stats() const { return stats_; }
-
-  /// Per-endpoint breakdown; zero stats for endpoints never called.
-  /// Calls to unregistered endpoints are attributed to the name given.
-  TransportStats endpoint_stats(const std::string& endpoint) const;
-  /// Every endpoint with recorded traffic, sorted by name.
-  std::map<std::string, TransportStats> stats_by_endpoint() const;
-
-  /// Zeroes the local accounting (global and per-endpoint) so separate
-  /// experiment phases measure only their own traffic. Does not touch
-  /// the process-wide obs registry (monotone by design).
-  void reset_stats();
-
  private:
+  /// cbl_net_*{endpoint} handles, resolved on first use of the name.
+  /// Calls to unregistered endpoints are counted under the name given.
   struct EndpointMetrics {
-    TransportStats stats;
     obs::Counter* calls = nullptr;
     obs::Counter* drops = nullptr;
     obs::Counter* drops_request = nullptr;
@@ -134,7 +112,6 @@ class Transport final : public Channel {
   TransportConfig config_;
   Rng& rng_;
   std::unordered_map<std::string, Handler> endpoints_;
-  TransportStats stats_;
   std::map<std::string, EndpointMetrics> per_endpoint_;
   obs::Histogram* rtt_ms_ = nullptr;  // lazily resolved
 };

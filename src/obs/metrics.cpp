@@ -38,9 +38,8 @@ const std::vector<double>& Histogram::default_bytes_buckets() {
   return bounds;
 }
 
-Histogram::Histogram(const std::atomic<bool>* enabled,
-                     std::vector<double> bounds)
-    : bounds_(std::move(bounds)), enabled_(enabled) {
+Histogram::Histogram(std::vector<double> bounds)
+    : bounds_(std::move(bounds)) {
   if (bounds_.empty() || !std::is_sorted(bounds_.begin(), bounds_.end())) {
     throw std::invalid_argument("Histogram: bounds must be ascending");
   }
@@ -49,7 +48,6 @@ Histogram::Histogram(const std::atomic<bool>* enabled,
 }
 
 void Histogram::observe(double v) {
-  if (!enabled_->load(std::memory_order_relaxed)) return;
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
   counts_[idx].fetch_add(1, std::memory_order_relaxed);
@@ -92,22 +90,6 @@ double Histogram::quantile(double q) const {
   return quantile_from_buckets(bounds_, bucket_counts(), q);
 }
 
-void Histogram::merge_from(const Histogram& other) {
-  if (bounds_ != other.bounds_) {
-    throw std::invalid_argument("Histogram::merge_from: bounds mismatch");
-  }
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    counts_[i].fetch_add(other.counts_[i].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  const double delta = other.sum();
-  while (!sum_.compare_exchange_weak(cur, cur + delta,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
   std::vector<std::uint64_t> out(bounds_.size() + 1);
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
@@ -127,7 +109,7 @@ Counter& MetricsRegistry::counter(const std::string& name,
   MutexLock lock(mutex_);
   auto& entry = counters_[Key{name, labels}];
   if (!entry.metric) {
-    entry.metric.reset(new Counter(&enabled_));
+    entry.metric.reset(new Counter());
     entry.help = help;
   }
   return *entry.metric;
@@ -138,7 +120,7 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels,
   MutexLock lock(mutex_);
   auto& entry = gauges_[Key{name, labels}];
   if (!entry.metric) {
-    entry.metric.reset(new Gauge(&enabled_));
+    entry.metric.reset(new Gauge());
     entry.help = help;
   }
   return *entry.metric;
@@ -151,28 +133,10 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   MutexLock lock(mutex_);
   auto& entry = histograms_[Key{name, labels}];
   if (!entry.metric) {
-    entry.metric.reset(new Histogram(&enabled_, std::move(bounds)));
+    entry.metric.reset(new Histogram(std::move(bounds)));
     entry.help = help;
   }
   return *entry.metric;
-}
-
-void MetricsRegistry::reset() {
-  MutexLock lock(mutex_);
-  for (auto& [key, entry] : counters_) {
-    entry.metric->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [key, entry] : gauges_) {
-    entry.metric->value_.store(0.0, std::memory_order_relaxed);
-  }
-  for (auto& [key, entry] : histograms_) {
-    auto& h = *entry.metric;
-    for (std::size_t i = 0; i <= h.bounds_.size(); ++i) {
-      h.counts_[i].store(0, std::memory_order_relaxed);
-    }
-    h.count_.store(0, std::memory_order_relaxed);
-    h.sum_.store(0.0, std::memory_order_relaxed);
-  }
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
@@ -215,44 +179,6 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
               return a.labels < b.labels;
             });
   return out;
-}
-
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  // Copy the other registry's state under its lock, then fold it in under
-  // ours (never both at once, so cross-merges cannot deadlock).
-  const auto samples = other.snapshot();
-  for (const auto& s : samples) {
-    switch (s.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        counter(s.name, s.labels, s.help)
-            .value_.fetch_add(static_cast<std::uint64_t>(s.value),
-                              std::memory_order_relaxed);
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        // Gauges are point-in-time values; the merged view keeps the
-        // incoming sample (last writer wins across shards).
-        gauge(s.name, s.labels, s.help)
-            .value_.store(s.value, std::memory_order_relaxed);
-        break;
-      case MetricSnapshot::Kind::kHistogram: {
-        auto& h = histogram(s.name, s.bounds, s.labels, s.help);
-        if (h.bounds() != s.bounds) {
-          throw std::invalid_argument(
-              "MetricsRegistry::merge_from: histogram bounds mismatch");
-        }
-        for (std::size_t i = 0; i < s.bucket_counts.size(); ++i) {
-          h.counts_[i].fetch_add(s.bucket_counts[i],
-                                 std::memory_order_relaxed);
-        }
-        h.count_.fetch_add(s.count, std::memory_order_relaxed);
-        double cur = h.sum_.load(std::memory_order_relaxed);
-        while (!h.sum_.compare_exchange_weak(cur, cur + s.sum,
-                                             std::memory_order_relaxed)) {
-        }
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace cbl::obs

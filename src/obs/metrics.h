@@ -1,14 +1,16 @@
 // Process-wide metrics for the blocklist service: named, labelled
 // counters, gauges, and fixed-bucket latency histograms behind a
-// registry that snapshots for exposition (Prometheus text / JSON) and
-// merges across shards. Metric naming convention: cbl_<module>_<name>
-// with unit suffixes (_total, _ms, _bytes).
+// registry that snapshots for exposition (Prometheus text / JSON).
+// Metric naming convention: cbl_<module>_<name> with unit suffixes
+// (_total, _ms, _bytes).
+//
+// A registry counter is the only record of the event it counts: no
+// instrumented class keeps a private copy. Counters are monotone for the
+// life of the process, so readers (tests included) take deltas around
+// the code they measure.
 //
 // Hot-path cost model: instrumented classes resolve their handles once
 // (registry lookup takes a mutex) and then increment lock-free atomics.
-// A disabled registry turns every increment into one relaxed atomic load
-// and a predictable branch, so observability is opt-out at run time
-// without recompiling.
 #pragma once
 
 #include <atomic>
@@ -42,7 +44,6 @@ double quantile_from_buckets(const std::vector<double>& bounds,
 class Counter {
  public:
   void inc(std::uint64_t delta = 1) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::uint64_t value() const {
@@ -51,19 +52,14 @@ class Counter {
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  Counter() = default;
   std::atomic<std::uint64_t> value_{0};
-  const std::atomic<bool>* enabled_;
 };
 
 class Gauge {
  public:
-  void set(double v) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    value_.store(v, std::memory_order_relaxed);
-  }
+  void set(double v) { value_.store(v, std::memory_order_relaxed); }
   void add(double delta) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
     double cur = value_.load(std::memory_order_relaxed);
     while (!value_.compare_exchange_weak(cur, cur + delta,
                                          std::memory_order_relaxed)) {
@@ -73,9 +69,8 @@ class Gauge {
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  Gauge() = default;
   std::atomic<double> value_{0.0};
-  const std::atomic<bool>* enabled_;
 };
 
 /// Fixed-bucket histogram with cumulative-"le" semantics (Prometheus
@@ -111,25 +106,18 @@ class Histogram {
   double p99() const { return quantile(0.99); }
   double p999() const { return quantile(0.999); }
 
-  /// Adds another histogram's counts into this one. Merging is
-  /// commutative and associative, so shard-local registries can be
-  /// folded in any order. Throws std::invalid_argument on mismatched
-  /// bucket bounds.
-  void merge_from(const Histogram& other);
-
   const std::vector<double>& bounds() const { return bounds_; }
   /// Per-bucket (non-cumulative) counts; last element is +Inf overflow.
   std::vector<std::uint64_t> bucket_counts() const;
 
  private:
   friend class MetricsRegistry;
-  Histogram(const std::atomic<bool>* enabled, std::vector<double> bounds);
+  explicit Histogram(std::vector<double> bounds);
 
   std::vector<double> bounds_;  // ascending upper bounds
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  // bounds_.size()+1
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  const std::atomic<bool>* enabled_;
 };
 
 /// One exported sample family, ready for exposition.
@@ -169,13 +157,6 @@ class MetricsRegistry {
                        const Labels& labels = {},
                        const std::string& help = {});
 
-  /// Kill switch: a disabled registry keeps every handle valid but makes
-  /// increments no-ops (one relaxed load each).
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   /// The clock spans and timers read. Never null; defaults to steady.
   void set_clock(const Clock* clock) {
     clock_.store(clock ? clock : &SteadyClock::instance(),
@@ -185,17 +166,9 @@ class MetricsRegistry {
     return *clock_.load(std::memory_order_acquire);
   }
 
-  /// Zeroes every metric in place (handles stay valid) — test isolation.
-  void reset();
-
   /// Consistent-enough point-in-time copy of every metric, sorted by
   /// (name, labels) for stable exposition.
   std::vector<MetricSnapshot> snapshot() const;
-
-  /// Folds every metric of `other` into this registry (creating missing
-  /// families), the multi-shard aggregation path: each shard owns a
-  /// private registry and the exporter merges them.
-  void merge_from(const MetricsRegistry& other);
 
  private:
   struct Key {
@@ -212,8 +185,6 @@ class MetricsRegistry {
     std::string help;
   };
 
-  // lock:unguarded(lock-free atomics; handles read them on the hot path)
-  std::atomic<bool> enabled_{true};
   // lock:unguarded(atomic pointer swap with acquire/release ordering)
   std::atomic<const Clock*> clock_{&SteadyClock::instance()};
   mutable cbl::Mutex mutex_;  // lock: the metric family maps below

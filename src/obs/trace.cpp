@@ -58,7 +58,6 @@ TraceLog* trace_log() { return g_trace_log.load(std::memory_order_acquire); }
 
 ScopedSpan::ScopedSpan(const char* name, MetricsRegistry& registry)
     : name_(name), registry_(&registry) {
-  if (!registry_->enabled()) return;
   histogram_ = &registry_->histogram(
       kSpanHistogramName, Histogram::default_latency_ms_buckets(),
       {{"span", name_}}, "Scoped span durations in milliseconds");

@@ -2,8 +2,7 @@
 // against the registry clock, records the duration into the
 // cbl_span_duration_ms{span="..."} histogram, and (when a TraceLog is
 // attached) appends a begin/duration event to a bounded ring buffer for
-// post-mortem inspection. Spans on a disabled registry cost one relaxed
-// atomic load and touch neither the clock nor the histogram map.
+// post-mortem inspection.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +66,7 @@ class ScopedSpan {
  private:
   const char* name_;
   MetricsRegistry* registry_;
-  Histogram* histogram_ = nullptr;  // null when the registry is disabled
+  Histogram* histogram_ = nullptr;  // null once finished
   std::uint64_t start_ns_ = 0;
 };
 

@@ -189,7 +189,6 @@ QueryResponse OprfServer::handle(const QueryRequest& request) {
 std::vector<OprfServer::BatchOutcome> OprfServer::evaluate_batch(
     std::span<const QueryRequest> requests) {
   auto& registry = obs::MetricsRegistry::global();
-  const bool observing = registry.enabled();
   std::vector<BatchOutcome> out(requests.size());
 
   const auto fail = [&](std::size_t i, BatchOutcome::Status status,
@@ -247,11 +246,11 @@ std::vector<OprfServer::BatchOutcome> OprfServer::evaluate_batch(
   // The crypto core: all exponentiations use R/2, two live requests per
   // pair ladder, and the shared batched encode doubles them back to
   // psi_i = masked_i^R.
-  const std::uint64_t t0 = observing ? registry.clock().now_ns() : 0;
+  const std::uint64_t t0 = registry.clock().now_ns();
   const std::vector<ec::RistrettoPoint> halves =
       ec::RistrettoPoint::mul_batch(masked_points, half_mask_);
   const auto encodings = ec::RistrettoPoint::double_and_encode_batch(halves);
-  if (observing && !live.empty()) {
+  if (!live.empty()) {
     const double per_query_ms =
         static_cast<double>(registry.clock().now_ns() - t0) / 1e6 /
         static_cast<double>(live.size());

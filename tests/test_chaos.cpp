@@ -31,6 +31,7 @@
 #include "chaos/fault_fs.h"
 #include "common/rng.h"
 #include "load/virtual_queue.h"
+#include "metric_delta.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
 #include "obs/clock.h"
@@ -44,6 +45,18 @@ using net::CircuitBreaker;
 using net::Freshness;
 using net::ResilienceConfig;
 using net::ResilientClient;
+using test::CounterDelta;
+using test::FamilyDelta;
+
+/// cbl_chaos_faults_total{kind}, read as a delta.
+CounterDelta fault_delta(const char* kind) {
+  return CounterDelta("cbl_chaos_faults_total", {{"kind", kind}});
+}
+
+/// cbl_chaos_fs_faults_total{kind}, read as a delta.
+CounterDelta fs_fault_delta(const char* kind) {
+  return CounterDelta("cbl_chaos_fs_faults_total", {{"kind", kind}});
+}
 
 std::uint64_t chaos_seed(std::uint64_t fallback) {
   if (const char* env = std::getenv("CBL_CHAOS_SEED")) {
@@ -113,7 +126,6 @@ class ChaosWorld {
         start_node(i);
       });
     }
-    snapshot_fault_counters();
     client_.emplace(injector_, endpoints_, client_rng_, config, &clock_);
   }
 
@@ -178,32 +190,18 @@ class ChaosWorld {
   /// swallowed (blackouts, request drops) never reached the inner
   /// transport, and duplicates reached it twice.
   void expect_calls_accounted() const {
-    const ChaosStats& cs = injector_.stats();
-    EXPECT_EQ(transport_.stats().calls,
-              cs.calls - cs.blackout_drops - cs.dropped_requests +
-                  cs.duplicated)
+    EXPECT_EQ(transport_calls_.value(),
+              injector_calls_.value() - faults("blackout") -
+                  faults("drop_request") + faults("duplicate"))
         << plan_.describe();
   }
 
-  /// The cbl_chaos_faults_total{kind} counters mirror the local stats
-  /// exactly (deltas since this world was built).
-  void expect_faults_mirrored() const {
-    const ChaosStats& cs = injector_.stats();
-    EXPECT_EQ(fault_delta("blackout"), cs.blackout_drops);
-    EXPECT_EQ(fault_delta("drop_request"), cs.dropped_requests);
-    EXPECT_EQ(fault_delta("drop_response"), cs.dropped_responses);
-    EXPECT_EQ(fault_delta("corrupt"), cs.corrupted);
-    EXPECT_EQ(fault_delta("truncate"), cs.truncated);
-    EXPECT_EQ(fault_delta("duplicate"), cs.duplicated);
-    EXPECT_EQ(fault_delta("delay"), cs.delayed);
-    EXPECT_EQ(fault_delta("crash"), cs.crashes);
-    EXPECT_EQ(fault_delta("restart"), cs.restarts);
+  /// cbl_chaos_faults_total{kind} injected since this world was built.
+  std::uint64_t faults(const char* kind) const {
+    return faults_.at(kind).value();
   }
 
   ResilientClient& client() { return *client_; }
-  FaultInjector& injector() { return injector_; }
-  net::Transport& transport() { return transport_; }
-  obs::ManualClock& clock() { return clock_; }
   /// Queries shed by the virtual-time queues, summed over endpoints.
   std::uint64_t queue_shed() const {
     std::uint64_t total = 0;
@@ -239,20 +237,14 @@ class ChaosWorld {
     if (!queues_.empty()) queues_[i].install(transport_, *nodes_[i]);
   }
 
-  static std::uint64_t fault_counter(const char* kind) {
-    return obs::MetricsRegistry::global()
-        .counter("cbl_chaos_faults_total", {{"kind", kind}})
-        .value();
-  }
-  void snapshot_fault_counters() {
+  static std::map<std::string, CounterDelta> fault_deltas() {
+    std::map<std::string, CounterDelta> out;
     for (const char* kind :
          {"blackout", "drop_request", "drop_response", "corrupt", "truncate",
           "duplicate", "delay", "crash", "restart"}) {
-      fault_before_[kind] = fault_counter(kind);
+      out.emplace(kind, fault_delta(kind));
     }
-  }
-  std::uint64_t fault_delta(const char* kind) const {
-    return fault_counter(kind) - fault_before_.at(kind);
+    return out;
   }
 
   FaultPlan plan_;
@@ -278,8 +270,11 @@ class ChaosWorld {
   std::deque<load::VirtualQueue> queues_;
   std::deque<std::optional<net::BlocklistServiceNode>> nodes_;
   FaultInjector injector_;
+  // What the reconciliation reads, counted from this world's creation.
+  const CounterDelta injector_calls_{"cbl_chaos_calls_total"};
+  const FamilyDelta transport_calls_{"cbl_net_calls_total"};
+  const std::map<std::string, CounterDelta> faults_ = fault_deltas();
   std::optional<ResilientClient> client_;
-  std::map<std::string, std::uint64_t> fault_before_;
 };
 
 // ---------------------------------------------------------------- plans
@@ -296,10 +291,9 @@ TEST(ChaosTest, FlakyLinksNeverProduceWrongAnswers) {
   EXPECT_EQ(s.wrong, 0);
   // Retries + two providers ride out 30% call loss almost completely.
   EXPECT_GE(s.fresh, (s.queries * 9) / 10);
-  EXPECT_GT(world.injector().stats().dropped_requests, 0u);
-  EXPECT_GT(world.injector().stats().dropped_responses, 0u);
+  EXPECT_GT(world.faults("drop_request"), 0u);
+  EXPECT_GT(world.faults("drop_response"), 0u);
   world.expect_calls_accounted();
-  world.expect_faults_mirrored();
 }
 
 TEST(ChaosTest, HeavyTailsAndDuplicatesHedgeAndStayCorrect) {
@@ -324,10 +318,9 @@ TEST(ChaosTest, HeavyTailsAndDuplicatesHedgeAndStayCorrect) {
   // Slow primaries were hedged; duplicates hit the server but never the
   // verdict.
   EXPECT_GT(hedges.value(), hedges_before);
-  EXPECT_GT(world.injector().stats().duplicated, 0u);
-  EXPECT_GT(world.injector().stats().delayed, 0u);
+  EXPECT_GT(world.faults("duplicate"), 0u);
+  EXPECT_GT(world.faults("delay"), 0u);
   world.expect_calls_accounted();
-  world.expect_faults_mirrored();
 }
 
 TEST(ChaosTest, CorruptionStormIsMalformedNeverAFalseVerdict) {
@@ -343,12 +336,11 @@ TEST(ChaosTest, CorruptionStormIsMalformedNeverAFalseVerdict) {
   // all responses were damaged in flight and not one produced a wrong
   // membership answer.
   EXPECT_EQ(s.wrong, 0);
-  EXPECT_GT(world.injector().stats().corrupted, 100u);
-  EXPECT_GT(world.injector().stats().truncated, 0u);
+  EXPECT_GT(world.faults("corrupt"), 100u);
+  EXPECT_GT(world.faults("truncate"), 0u);
   // Retries still get most queries through; the rest degrade honestly.
   EXPECT_GE(s.fresh + s.stale + s.prefix_only, s.queries / 2);
   world.expect_calls_accounted();
-  world.expect_faults_mirrored();
 }
 
 TEST(ChaosTest, BlackoutTripsBreakerThenWalksHalfOpenToClosed) {
@@ -370,7 +362,7 @@ TEST(ChaosTest, BlackoutTripsBreakerThenWalksHalfOpenToClosed) {
 
   const auto s = world.run(chaos_queries(), /*inter_arrival_ms=*/25.0);
   EXPECT_EQ(s.wrong, 0);
-  EXPECT_GT(world.injector().stats().blackout_drops, 0u);
+  EXPECT_GT(world.faults("blackout"), 0u);
   // The full breaker cycle: tripped open during the blackout (probably
   // several times — each cooled-off probe fails while the window
   // lasts), half-opened on probes, and closed again after it.
@@ -385,7 +377,6 @@ TEST(ChaosTest, BlackoutTripsBreakerThenWalksHalfOpenToClosed) {
   EXPECT_GT(s.prefix_only, 0);
   EXPECT_GT(s.fresh, 0);
   world.expect_calls_accounted();
-  world.expect_faults_mirrored();
 }
 
 TEST(ChaosTest, CrashRestartRecoversWithAFreshEpoch) {
@@ -401,8 +392,8 @@ TEST(ChaosTest, CrashRestartRecoversWithAFreshEpoch) {
 
   const auto s = world.run(chaos_queries(), /*inter_arrival_ms=*/10.0);
   EXPECT_EQ(s.wrong, 0);
-  EXPECT_EQ(world.injector().stats().crashes, 1u);
-  EXPECT_EQ(world.injector().stats().restarts, 1u);
+  EXPECT_EQ(world.faults("crash"), 1u);
+  EXPECT_EQ(world.faults("restart"), 1u);
   // The rebuilt server came back ABOVE the epoch it crashed at — the
   // floor that keeps pre-crash client caches from matching a new mask.
   EXPECT_GT(world.server_epoch(0), epoch_before);
@@ -412,7 +403,6 @@ TEST(ChaosTest, CrashRestartRecoversWithAFreshEpoch) {
   EXPECT_EQ(world.client().breaker_state("alpha"),
             CircuitBreaker::State::kClosed);
   world.expect_calls_accounted();
-  world.expect_faults_mirrored();
 }
 
 TEST(ChaosTest, KitchenSinkWithOverloadSheddingStaysAccountable) {
@@ -437,8 +427,8 @@ TEST(ChaosTest, KitchenSinkWithOverloadSheddingStaysAccountable) {
   // queue) and the client still converted most queries into answers.
   EXPECT_GT(world.queue_shed(), 0u);
   EXPECT_GE(s.fresh, s.queries / 2);
+  EXPECT_GT(world.faults("duplicate"), 0u);
   world.expect_calls_accounted();
-  world.expect_faults_mirrored();
 }
 
 TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
@@ -471,8 +461,8 @@ TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
   // wrong verdict under drops + a blackout + overload shedding.
   EXPECT_EQ(s.wrong, 0);
   EXPECT_GE(s.fresh, s.queries / 2);
-  EXPECT_GT(world.injector().stats().dropped_requests, 0u);
-  EXPECT_GT(world.injector().stats().blackout_drops, 0u);
+  EXPECT_GT(world.faults("drop_request"), 0u);
+  EXPECT_GT(world.faults("blackout"), 0u);
 
   EXPECT_GT(world.queue_shed(), 0u);
   // Shed accounting: shed frames never reach a node, and every query
@@ -488,7 +478,6 @@ TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
             enqueued.value() - enqueued_before);
   EXPECT_GT(batch_size.count(), batches_before);
   world.expect_calls_accounted();
-  world.expect_faults_mirrored();
 }
 
 // ------------------------------------------- transparency sync under chaos
@@ -503,12 +492,6 @@ struct ClockGuard {
     obs::MetricsRegistry::global().set_clock(&obs::SteadyClock::instance());
   }
 };
-
-double counter_value(const char* name, obs::Labels labels) {
-  return obs::MetricsRegistry::global()
-      .counter(name, std::move(labels))
-      .value();
-}
 
 TEST(ChaosTest, TlogSyncUnderCorruptionNeverAppliesUnverifiedState) {
   FaultPlan plan;
@@ -557,20 +540,18 @@ TEST(ChaosTest, TlogSyncUnderCorruptionNeverAppliesUnverifiedState) {
   tlog::Auditor auditor(key.pk, "tlog-chaos");
 
   const auto sync_count = [](const char* result) {
-    return counter_value("cbl_tlog_sync_total", {{"endpoint", "tlog-chaos"},
-                                                 {"result", result}});
+    return CounterDelta("cbl_tlog_sync_total",
+                        {{"endpoint", "tlog-chaos"}, {"result", result}});
   };
-  const auto ok_before = sync_count("ok");
-  const auto transport_before = sync_count("transport");
-  const auto audit_before = sync_count("audit");
-  const auto applied_before = counter_value("cbl_tlog_deltas_applied_total",
-                                            {{"endpoint", "tlog-chaos"}});
-  const auto equiv_before = counter_value("cbl_tlog_equivocations_total",
-                                          {{"endpoint", "tlog-chaos"}});
-  const auto corrupt_before =
-      counter_value("cbl_chaos_faults_total", {{"kind", "corrupt"}});
-  const auto truncate_before =
-      counter_value("cbl_chaos_faults_total", {{"kind", "truncate"}});
+  const CounterDelta ok_count = sync_count("ok");
+  const CounterDelta transport_count = sync_count("transport");
+  const CounterDelta audit_count = sync_count("audit");
+  const CounterDelta applied("cbl_tlog_deltas_applied_total",
+                             {{"endpoint", "tlog-chaos"}});
+  const CounterDelta equivocations("cbl_tlog_equivocations_total",
+                                   {{"endpoint", "tlog-chaos"}});
+  const CounterDelta corrupted = fault_delta("corrupt");
+  const CounterDelta truncated = fault_delta("truncate");
 
   // Every bucket state the provider has ever committed to, keyed by
   // epoch. The auditor's mirror must ALWAYS be one of these — a sync
@@ -620,29 +601,17 @@ TEST(ChaosTest, TlogSyncUnderCorruptionNeverAppliesUnverifiedState) {
   // heavy enough to mean something.
   EXPECT_GT(ok_syncs, 0);
   EXPECT_GT(transport_syncs, 0);
-  const ChaosStats& cs = injector.stats();
-  EXPECT_GT(cs.corrupted, 0u);
-  EXPECT_GT(cs.truncated, 0u);
+  EXPECT_GT(corrupted.value(), 0u);
+  EXPECT_GT(truncated.value(), 0u);
 
-  // Counter reconciliation, exact: every sync outcome and every injected
-  // fault is accounted for in cbl::obs.
-  EXPECT_EQ(sync_count("ok") - ok_before, ok_syncs);
-  EXPECT_EQ(sync_count("transport") - transport_before, transport_syncs);
-  EXPECT_EQ(sync_count("audit") - audit_before, 0.0);
-  EXPECT_EQ(counter_value("cbl_tlog_deltas_applied_total",
-                          {{"endpoint", "tlog-chaos"}}) -
-                applied_before,
-            deltas_applied);
-  EXPECT_EQ(counter_value("cbl_tlog_equivocations_total",
-                          {{"endpoint", "tlog-chaos"}}) -
-                equiv_before,
-            0.0);
-  EXPECT_EQ(counter_value("cbl_chaos_faults_total", {{"kind", "corrupt"}}) -
-                corrupt_before,
-            cs.corrupted);
-  EXPECT_EQ(counter_value("cbl_chaos_faults_total", {{"kind", "truncate"}}) -
-                truncate_before,
-            cs.truncated);
+  // Counter reconciliation, exact: every sync outcome is accounted for
+  // in cbl::obs.
+  EXPECT_EQ(ok_count.value(), static_cast<std::uint64_t>(ok_syncs));
+  EXPECT_EQ(transport_count.value(),
+            static_cast<std::uint64_t>(transport_syncs));
+  EXPECT_EQ(audit_count.value(), 0u);
+  EXPECT_EQ(applied.value(), deltas_applied);
+  EXPECT_EQ(equivocations.value(), 0u);
 
   // The channel heals nothing by itself, but retried syncs converge: run
   // until one lands and check the mirror is the server's current state.
@@ -671,6 +640,7 @@ TEST(ChaosTest, CorruptedTlogSyncDegradesHonestlyThenEquivocatorIsCondemned) {
                                                 .drop_rate = 0.0},
                            transport_rng);
   FaultInjector injector(transport, plan, &clock);
+  const CounterDelta corrupted = fault_delta("corrupt");
   std::cout << "[chaos] " << plan.describe() << "\n";
   SCOPED_TRACE(plan.describe() + "  (replay: CBL_CHAOS_SEED=" +
                std::to_string(plan.seed) + ")");
@@ -694,8 +664,7 @@ TEST(ChaosTest, CorruptedTlogSyncDegradesHonestlyThenEquivocatorIsCondemned) {
   ResilientClient client(injector, {"tlog-ladder"}, client_rng, config,
                          &clock);
   client.pin_tlog_key("tlog-ladder", key.pk);
-  const auto distrusted_before =
-      counter_value("cbl_tlog_providers_distrusted_total", {});
+  const CounterDelta distrusted("cbl_tlog_providers_distrusted_total");
 
   // Phase 1: heavy corruption against an HONEST provider. Syncs fail
   // transport-style and queries degrade down the ladder, but the
@@ -728,9 +697,8 @@ TEST(ChaosTest, CorruptedTlogSyncDegradesHonestlyThenEquivocatorIsCondemned) {
     clock.advance_ms(10);
   }
   EXPECT_GT(answered, 0);
-  EXPECT_GT(injector.stats().corrupted, 0u);
-  EXPECT_EQ(counter_value("cbl_tlog_providers_distrusted_total", {}),
-            distrusted_before);
+  EXPECT_GT(corrupted.value(), 0u);
+  EXPECT_EQ(distrusted.value(), 0u);
 
   // Phase 2: the provider turns equivocator — same tree size, different
   // signed root. Corruption may delay the evidence (damaged copies are
@@ -760,8 +728,7 @@ TEST(ChaosTest, CorruptedTlogSyncDegradesHonestlyThenEquivocatorIsCondemned) {
     clock.advance_ms(10);
   }
   EXPECT_TRUE(client.distrusted("tlog-ladder"));
-  EXPECT_EQ(counter_value("cbl_tlog_providers_distrusted_total", {}),
-            distrusted_before + 1);
+  EXPECT_EQ(distrusted.value(), 1u);
 
   // Condemned means condemned: answers come from the ladder, never
   // fresh, and sync() refuses to put the endpoint on the wire at all.
@@ -770,9 +737,9 @@ TEST(ChaosTest, CorruptedTlogSyncDegradesHonestlyThenEquivocatorIsCondemned) {
   if (degraded.verdict != ResilientClient::Outcome::Verdict::kUnknown) {
     EXPECT_EQ(degraded.verdict, ResilientClient::Outcome::Verdict::kListed);
   }
-  const auto calls_before = injector.stats().calls;
+  const CounterDelta injector_calls("cbl_chaos_calls_total");
   EXPECT_EQ(client.sync(), 0u);
-  EXPECT_EQ(injector.stats().calls, calls_before);
+  EXPECT_EQ(injector_calls.value(), 0u);
 }
 
 // ----------------------------------------- durable state crash sweeps
@@ -953,7 +920,7 @@ TEST(ChaosTest, CrashSweepAtEveryFsOpBoundaryRecoversConsistently) {
     const auto out = drive_scenario(t, ffs);
     EXPECT_FALSE(out.crashed);
     EXPECT_TRUE(out.distrust_durable);
-    total_ops = ffs.stats().ops;
+    total_ops = ffs.ops();
     mem.crash();  // even the clean run must survive a power cut
     assert_recovered(t, mem, out, /*strict_durability=*/true,
                      "fault-free baseline");
@@ -970,9 +937,10 @@ TEST(ChaosTest, CrashSweepAtEveryFsOpBoundaryRecoversConsistently) {
     plan.crash_at_op = static_cast<std::int64_t>(k);
     store::MemFs mem;
     FaultFs ffs(mem, plan);
+    const CounterDelta crashes = fs_fault_delta("crash");
     const auto out = drive_scenario(t, ffs);
     EXPECT_TRUE(ffs.crashed());
-    EXPECT_EQ(ffs.stats().crashes, 1u);
+    EXPECT_EQ(crashes.value(), 1u);
     mem.crash();
     assert_recovered(t, mem, out, /*strict_durability=*/true,
                      plan.describe() + "  (replay: CBL_CHAOS_SEED=" +
@@ -988,15 +956,11 @@ TEST(ChaosTest, CrashSweepAtEveryFsOpBoundaryRecoversConsistently) {
 TEST(ChaosTest, StoreGremlinsNeverYieldUnpublishedRecoveredState) {
   const TlogTimeline t = build_timeline();
   const std::uint64_t base_seed = chaos_seed(1111);
-  FsFaultStats totals;
-  const auto fs_fault_before = [](const char* kind) {
-    return counter_value("cbl_chaos_fs_faults_total", {{"kind", kind}});
-  };
-  const double short_before = fs_fault_before("short_write");
-  const double torn_before = fs_fault_before("torn_write");
-  const double flip_before = fs_fault_before("bit_flip");
-  const double lie_before = fs_fault_before("fsync_lie");
-  const double rename_before = fs_fault_before("rename_fail");
+  const CounterDelta short_writes = fs_fault_delta("short_write");
+  const CounterDelta torn_writes = fs_fault_delta("torn_write");
+  const CounterDelta bit_flips = fs_fault_delta("bit_flip");
+  const CounterDelta fsync_lies = fs_fault_delta("fsync_lie");
+  const CounterDelta rename_fails = fs_fault_delta("rename_fail");
 
   for (std::uint64_t round = 0; round < 24; ++round) {
     FsFaultPlan plan;
@@ -1014,28 +978,13 @@ TEST(ChaosTest, StoreGremlinsNeverYieldUnpublishedRecoveredState) {
     assert_recovered(t, mem, out, /*strict_durability=*/false,
                      plan.describe() + "  (replay: CBL_CHAOS_SEED=" +
                          std::to_string(plan.seed) + ")");
-    const auto st = ffs.stats();
-    totals.ops += st.ops;
-    totals.short_writes += st.short_writes;
-    totals.torn_writes += st.torn_writes;
-    totals.bit_flips += st.bit_flips;
-    totals.fsync_lies += st.fsync_lies;
-    totals.rename_fails += st.rename_fails;
   }
-  // Every fault class actually fired across the rounds, and the obs
-  // counters mirror the local stats exactly.
-  EXPECT_GT(totals.short_writes, 0u);
-  EXPECT_GT(totals.torn_writes, 0u);
-  EXPECT_GT(totals.bit_flips, 0u);
-  EXPECT_GT(totals.fsync_lies, 0u);
-  EXPECT_GT(totals.rename_fails, 0u);
-  EXPECT_EQ(fs_fault_before("short_write") - short_before,
-            totals.short_writes);
-  EXPECT_EQ(fs_fault_before("torn_write") - torn_before, totals.torn_writes);
-  EXPECT_EQ(fs_fault_before("bit_flip") - flip_before, totals.bit_flips);
-  EXPECT_EQ(fs_fault_before("fsync_lie") - lie_before, totals.fsync_lies);
-  EXPECT_EQ(fs_fault_before("rename_fail") - rename_before,
-            totals.rename_fails);
+  // Every fault class actually fired across the rounds.
+  EXPECT_GT(short_writes.value(), 0u);
+  EXPECT_GT(torn_writes.value(), 0u);
+  EXPECT_GT(bit_flips.value(), 0u);
+  EXPECT_GT(fsync_lies.value(), 0u);
+  EXPECT_GT(rename_fails.value(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "blocklist/generator.h"
 #include "core/service.h"
+#include "metric_delta.h"
 #include "obs/metrics.h"
 
 namespace cbl::core {
@@ -238,18 +239,6 @@ TEST_F(CoreTest, ChallengeRequiresMatchingDeposit) {
   EXPECT_EQ(chain.ledger().balance(challenger), balance_before);
 }
 
-namespace {
-
-double counter_value(const std::vector<obs::MetricSnapshot>& samples,
-                     const std::string& name, const obs::Labels& labels) {
-  for (const auto& s : samples) {
-    if (s.name == name && s.labels == labels) return s.value;
-  }
-  return 0.0;
-}
-
-}  // namespace
-
 TEST_F(CoreTest, QueryManyMetricsMatchBatchAccounting) {
   // Sparse prefix space (2^12 buckets, 400 entries) so random negatives
   // mostly resolve via the local prefix list.
@@ -274,38 +263,38 @@ TEST_F(CoreTest, QueryManyMetricsMatchBatchAccounting) {
         blocklist::random_address(blocklist::Chain::kEthereum, neg_rng));
   }
 
-  const auto before = obs::MetricsRegistry::global().snapshot();
+  const test::CounterDelta user_local("cbl_core_user_queries_total",
+                                      {{"path", "local"}});
+  const test::CounterDelta user_online("cbl_core_user_queries_total",
+                                       {{"path", "online"}});
+  const test::CounterDelta fastpath_local("cbl_oprf_client_fastpath_total",
+                                          {{"result", "local"}});
+  const test::CounterDelta fastpath_online("cbl_oprf_client_fastpath_total",
+                                           {{"result", "online"}});
+  const test::CounterDelta cache_miss("cbl_oprf_client_cache_total",
+                                      {{"result", "miss"}});
+  const test::CounterDelta cache_hit("cbl_oprf_client_cache_total",
+                                     {{"result", "hit"}});
+  const test::CounterDelta server_ok("cbl_oprf_queries_total",
+                                     {{"result", "ok"}});
   const auto result = user.query_many(batch);
-  const auto after = obs::MetricsRegistry::global().snapshot();
 
   ASSERT_EQ(result.results.size(), batch.size());
   EXPECT_EQ(result.resolved_locally + result.online_round_trips, batch.size());
   EXPECT_LE(result.buckets_transferred, result.online_round_trips);
 
-  const auto delta = [&](const std::string& name, const obs::Labels& labels) {
-    return counter_value(after, name, labels) -
-           counter_value(before, name, labels);
-  };
-
   // The facade's path counters must agree with the batch accounting...
-  EXPECT_EQ(delta("cbl_core_user_queries_total", {{"path", "local"}}),
-            static_cast<double>(result.resolved_locally));
-  EXPECT_EQ(delta("cbl_core_user_queries_total", {{"path", "online"}}),
-            static_cast<double>(result.online_round_trips));
+  EXPECT_EQ(user_local.value(), result.resolved_locally);
+  EXPECT_EQ(user_online.value(), result.online_round_trips);
   // ...and so must the OPRF client's own fast-path counters.
-  EXPECT_EQ(delta("cbl_oprf_client_fastpath_total", {{"result", "local"}}),
-            static_cast<double>(result.resolved_locally));
-  EXPECT_EQ(delta("cbl_oprf_client_fastpath_total", {{"result", "online"}}),
-            static_cast<double>(result.online_round_trips));
+  EXPECT_EQ(fastpath_local.value(), result.resolved_locally);
+  EXPECT_EQ(fastpath_online.value(), result.online_round_trips);
   // Every transferred bucket is a client cache miss; omitted ones are hits.
-  EXPECT_EQ(delta("cbl_oprf_client_cache_total", {{"result", "miss"}}),
-            static_cast<double>(result.buckets_transferred));
-  EXPECT_EQ(delta("cbl_oprf_client_cache_total", {{"result", "hit"}}),
-            static_cast<double>(result.online_round_trips -
-                                result.buckets_transferred));
+  EXPECT_EQ(cache_miss.value(), result.buckets_transferred);
+  EXPECT_EQ(cache_hit.value(),
+            result.online_round_trips - result.buckets_transferred);
   // The server saw exactly the online round trips, all successful.
-  EXPECT_EQ(delta("cbl_oprf_queries_total", {{"result", "ok"}}),
-            static_cast<double>(result.online_round_trips));
+  EXPECT_EQ(server_ok.value(), result.online_round_trips);
 
   // The batch exercised every path at least once.
   EXPECT_GT(result.resolved_locally, 0u);

@@ -8,6 +8,7 @@
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
+#include "metric_delta.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
 #include "obs/clock.h"
@@ -16,6 +17,24 @@ namespace cbl::net {
 namespace {
 
 using cbl::ChaChaRng;
+using test::CounterDelta;
+using test::FamilyDelta;
+
+/// The seven cbl_net_* counters of one endpoint, read as deltas.
+struct EndpointDelta {
+  explicit EndpointDelta(const std::string& endpoint)
+      : calls("cbl_net_calls_total", {{"endpoint", endpoint}}),
+        drops("cbl_net_drops_total", {{"endpoint", endpoint}}),
+        drops_request("cbl_net_drops_request_total", {{"endpoint", endpoint}}),
+        drops_response("cbl_net_drops_response_total",
+                       {{"endpoint", endpoint}}),
+        rejected("cbl_net_rejected_total", {{"endpoint", endpoint}}),
+        bytes_sent("cbl_net_bytes_sent_total", {{"endpoint", endpoint}}),
+        bytes_received("cbl_net_bytes_received_total",
+                       {{"endpoint", endpoint}}) {}
+  CounterDelta calls, drops, drops_request, drops_response, rejected,
+      bytes_sent, bytes_received;
+};
 
 class NetTest : public ::testing::Test {
  protected:
@@ -83,6 +102,7 @@ TEST_F(NetTest, PrefixListSyncEnablesLocalResolution) {
 }
 
 TEST_F(NetTest, RetriesRideOutPacketLoss) {
+  const CounterDelta drops("cbl_net_drops_total", {{"endpoint", "scamdb"}});
   auto transport = make_transport(/*drop_rate=*/0.4);
   BlocklistServiceNode node(transport, "scamdb", *server_,
                             oprf::Oracle::fast());
@@ -99,7 +119,7 @@ TEST_F(NetTest, RetriesRideOutPacketLoss) {
   // The default attempt budget rides out 40% loss: effectively
   // everything gets through.
   EXPECT_GE(fresh, 19);
-  EXPECT_GT(transport.stats().drops, 0u);
+  EXPECT_GT(drops.value(), 0u);
 }
 
 TEST_F(NetTest, UnreachableEndpointFailsConstruction) {
@@ -347,17 +367,23 @@ TEST_F(NetTest, SyncPrefixListRejectsTrailingJunk) {
 }
 
 TEST_F(NetTest, TransportAccountsBytes) {
+  const EndpointDelta net("scamdb");
   auto transport = make_transport();
   BlocklistServiceNode node(transport, "scamdb", *server_,
                             oprf::Oracle::fast());
   RemoteBlocklistClient client(transport, "scamdb", client_rng_);
   (void)client.query(corpus_[0]);
-  EXPECT_GT(transport.stats().bytes_sent, 0u);
-  EXPECT_GT(transport.stats().bytes_received, transport.stats().bytes_sent);
-  EXPECT_GE(transport.stats().calls, 2u);  // info + query
+  EXPECT_GT(net.bytes_sent.value(), 0u);
+  EXPECT_GT(net.bytes_received.value(), net.bytes_sent.value());
+  EXPECT_GE(net.calls.value(), 2u);  // info + query
 }
 
 TEST_F(NetTest, TransportBreaksStatsDownPerEndpoint) {
+  const EndpointDelta a("provider-a");
+  const EndpointDelta b("provider-b");
+  const FamilyDelta calls("cbl_net_calls_total");
+  const FamilyDelta bytes_sent("cbl_net_bytes_sent_total");
+  const FamilyDelta bytes_received("cbl_net_bytes_received_total");
   auto transport = make_transport();
   BlocklistServiceNode node_a(transport, "provider-a", *server_,
                               oprf::Oracle::fast());
@@ -369,46 +395,50 @@ TEST_F(NetTest, TransportBreaksStatsDownPerEndpoint) {
   (void)client_a.query(corpus_[1]);
   (void)client_b.query(corpus_[2]);
 
-  const auto a = transport.endpoint_stats("provider-a");
-  const auto b = transport.endpoint_stats("provider-b");
-  EXPECT_GT(a.calls, b.calls);  // two queries vs one, plus discovery each
-  EXPECT_GT(a.bytes_sent, 0u);
-  EXPECT_GT(b.bytes_sent, 0u);
-  // Per-endpoint stats partition the global aggregate exactly.
-  EXPECT_EQ(a.calls + b.calls, transport.stats().calls);
-  EXPECT_EQ(a.bytes_sent + b.bytes_sent, transport.stats().bytes_sent);
-  EXPECT_EQ(a.bytes_received + b.bytes_received,
-            transport.stats().bytes_received);
-  EXPECT_EQ(transport.stats_by_endpoint().size(), 2u);
-  // Unknown endpoints report zero (and are attributed if actually called).
-  EXPECT_EQ(transport.endpoint_stats("nowhere").calls, 0u);
+  // Two queries vs one, plus discovery each.
+  EXPECT_GT(a.calls.value(), b.calls.value());
+  EXPECT_GT(a.bytes_sent.value(), 0u);
+  EXPECT_GT(b.bytes_sent.value(), 0u);
+  // Per-endpoint series partition the total over all endpoints exactly.
+  EXPECT_EQ(a.calls.value() + b.calls.value(), calls.value());
+  EXPECT_EQ(a.bytes_sent.value() + b.bytes_sent.value(), bytes_sent.value());
+  EXPECT_EQ(a.bytes_received.value() + b.bytes_received.value(),
+            bytes_received.value());
+  // A call to an unknown endpoint is attributed to the name given: one
+  // call, one drop.
+  const EndpointDelta nowhere("nowhere");
   (void)transport.call("nowhere", Bytes{1});
-  EXPECT_EQ(transport.endpoint_stats("nowhere").calls, 1u);
-  EXPECT_EQ(transport.endpoint_stats("nowhere").drops, 1u);
+  EXPECT_EQ(nowhere.calls.value(), 1u);
+  EXPECT_EQ(nowhere.drops.value(), 1u);
+  EXPECT_EQ(calls.value(), a.calls.value() + b.calls.value() + 1);
 }
 
-TEST_F(NetTest, TransportResetStatsZeroesAllAccounting) {
-  auto transport = make_transport();
-  BlocklistServiceNode node(transport, "scamdb", *server_,
-                            oprf::Oracle::fast());
-  RemoteBlocklistClient client(transport, "scamdb", client_rng_);
-  (void)client.query(corpus_[0]);
-  ASSERT_GT(transport.stats().calls, 0u);
-  transport.reset_stats();
-  EXPECT_EQ(transport.stats().calls, 0u);
-  EXPECT_EQ(transport.stats().bytes_sent, 0u);
-  EXPECT_EQ(transport.endpoint_stats("scamdb").calls, 0u);
-  // Accounting resumes cleanly after the reset.
-  (void)client.query(corpus_[1]);
-  EXPECT_EQ(transport.endpoint_stats("scamdb").calls,
-            transport.stats().calls);
+// Transports share the registry's series: two of them serving one
+// endpoint name add their calls and bytes into one cbl_net_*{endpoint}.
+TEST_F(NetTest, TransportsSharingAnEndpointNameAddIntoOneSeries) {
+  const EndpointDelta shared("shared-echo");
+  const auto echo = [](ByteView request) -> std::optional<Bytes> {
+    return Bytes(request.begin(), request.end());
+  };
+  auto first = make_transport();
+  auto second = make_transport();
+  first.register_endpoint("shared-echo", echo);
+  second.register_endpoint("shared-echo", echo);
+  for (int i = 0; i < 3; ++i) (void)first.call("shared-echo", Bytes{1, 2});
+  for (int i = 0; i < 2; ++i) (void)second.call("shared-echo", Bytes{3});
+
+  EXPECT_EQ(shared.calls.value(), 5u);
+  EXPECT_EQ(shared.bytes_sent.value(), 3u * 2u + 2u * 1u);
+  EXPECT_EQ(shared.bytes_received.value(), shared.bytes_sent.value());
+  EXPECT_EQ(shared.drops.value(), 0u);
 }
 
-// The two legs of a lossy call are sampled independently, so the stats
+// The two legs of a lossy call are sampled independently, so the counters
 // split request-leg losses (server never saw the frame) from
 // response-leg losses (server worked, reply lost) — and request bytes
 // count as sent whenever the request leg survived.
 TEST_F(NetTest, TransportSplitsDropLegsAndKeepsAggregateLoss) {
+  const EndpointDelta net("echo");
   auto transport = make_transport(/*drop_rate=*/0.5);
   transport.register_endpoint("echo",
                               [](ByteView request) -> std::optional<Bytes> {
@@ -417,42 +447,27 @@ TEST_F(NetTest, TransportSplitsDropLegsAndKeepsAggregateLoss) {
   const Bytes request = {1, 2, 3};
   for (int i = 0; i < 400; ++i) (void)transport.call("echo", request);
 
-  const auto stats = transport.endpoint_stats("echo");
-  EXPECT_EQ(stats.calls, 400u);
-  EXPECT_GT(stats.drops_request, 0u);
-  EXPECT_GT(stats.drops_response, 0u);
-  EXPECT_EQ(stats.drops, stats.drops_request + stats.drops_response);
+  const std::uint64_t calls = net.calls.value();
+  const std::uint64_t drops = net.drops.value();
+  const std::uint64_t drops_request = net.drops_request.value();
+  EXPECT_EQ(calls, 400u);
+  EXPECT_GT(drops_request, 0u);
+  EXPECT_GT(net.drops_response.value(), 0u);
+  EXPECT_EQ(drops, drops_request + net.drops_response.value());
   // Aggregate loss stays ~drop_rate (200 of 400; generous 3-sigma+ band).
-  EXPECT_GT(stats.drops, 150u);
-  EXPECT_LT(stats.drops, 250u);
+  EXPECT_GT(drops, 150u);
+  EXPECT_LT(drops, 250u);
   // Bytes hit the wire on every call that survived the request leg,
   // including the ones whose response was then lost.
-  EXPECT_EQ(stats.bytes_sent,
-            (stats.calls - stats.drops_request) * request.size());
-  EXPECT_EQ(stats.bytes_received,
-            (stats.calls - stats.drops) * request.size());
-  // The split is mirrored onto the obs registry.
-  auto& registry = obs::MetricsRegistry::global();
-  EXPECT_GE(registry
-                .counter("cbl_net_drops_request_total",
-                         {{"endpoint", "echo"}})
-                .value(),
-            stats.drops_request);
-  EXPECT_GE(registry
-                .counter("cbl_net_drops_response_total",
-                         {{"endpoint", "echo"}})
-                .value(),
-            stats.drops_response);
+  EXPECT_EQ(net.bytes_sent.value(), (calls - drops_request) * request.size());
+  EXPECT_EQ(net.bytes_received.value(), (calls - drops) * request.size());
 }
 
 // Regression: a handler returning nullopt used to be indistinguishable
 // from a successful empty response. It is now a delivered error with its
 // own accounting.
 TEST_F(NetTest, HandlerRejectionIsADeliveredErrorAndCounted) {
-  auto& rejected_total = obs::MetricsRegistry::global().counter(
-      "cbl_net_rejected_total", {{"endpoint", "picky"}});
-  const auto before = rejected_total.value();
-
+  const EndpointDelta net("picky");
   auto transport = make_transport();
   transport.register_endpoint(
       "picky", [](ByteView) -> std::optional<Bytes> { return std::nullopt; });
@@ -460,9 +475,9 @@ TEST_F(NetTest, HandlerRejectionIsADeliveredErrorAndCounted) {
   EXPECT_TRUE(result.delivered);
   EXPECT_TRUE(result.rejected);
   EXPECT_TRUE(result.response.empty());
-  EXPECT_EQ(transport.endpoint_stats("picky").rejected, 1u);
-  EXPECT_EQ(transport.stats().drops, 0u);  // not a drop: the server spoke
-  EXPECT_EQ(rejected_total.value(), before + 1);
+  EXPECT_EQ(net.calls.value(), 1u);
+  EXPECT_EQ(net.rejected.value(), 1u);
+  EXPECT_EQ(net.drops.value(), 0u);  // not a drop: the server spoke
 }
 
 // kRateLimited round-trips through the wire with its retry-after hint,
@@ -671,9 +686,9 @@ TEST_F(NetTest, ResilientClientBreakerOpensAndRecovers) {
 
   // Open means *no traffic*: the transport sees nothing, the caller
   // still gets an honest degraded answer.
-  const auto calls_before = transport.stats().calls;
+  const FamilyDelta calls("cbl_net_calls_total");
   const auto shed = client.query(corpus_[0]);
-  EXPECT_EQ(transport.stats().calls, calls_before);
+  EXPECT_EQ(calls.value(), 0u);
   EXPECT_EQ(shed.freshness, Freshness::kStaleCache);
   EXPECT_EQ(shed.attempts, 0u);
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -15,6 +16,7 @@
 #include "blocklist/generator.h"
 #include "chaos/fault_fs.h"
 #include "common/rng.h"
+#include "metric_delta.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
 #include "oprf/server.h"
@@ -32,11 +34,7 @@ using chaos::FsFaultPlan;
 using store::MemFs;
 using store::RecoverStatus;
 
-double counter_value(const char* name, obs::Labels labels) {
-  return obs::MetricsRegistry::global()
-      .counter(name, std::move(labels))
-      .value();
-}
+using test::CounterDelta;
 
 // ------------------------------------------------------------------ MemFs
 
@@ -432,27 +430,32 @@ TEST(FaultFsTest, SameSeedSameFaultsAndCountersMirrorStats) {
   plan.fsync_lie_prob = 0.1;
   plan.rename_fail_prob = 0.1;
 
-  const double short_before =
-      counter_value("cbl_chaos_fs_faults_total", {{"kind", "short_write"}});
-
+  // One run's footprint: the fs-fault counters it moved, kind by kind,
+  // plus the mutating ops it saw.
+  const auto run = [&](MemFs& mem) {
+    std::map<std::string, std::uint64_t> out;
+    std::map<std::string, CounterDelta> faults;
+    for (const char* kind : {"short_write", "torn_write", "bit_flip",
+                             "fsync_lie", "rename_fail", "crash"}) {
+      faults.emplace(kind, CounterDelta("cbl_chaos_fs_faults_total",
+                                        {{"kind", kind}}));
+    }
+    FaultFs fs(mem, plan);
+    drive(fs);
+    for (const auto& [kind, delta] : faults) out[kind] = delta.value();
+    out["ops"] = fs.ops();
+    return out;
+  };
   MemFs mem_a;
-  FaultFs fs_a(mem_a, plan);
-  drive(fs_a);
+  const auto a = run(mem_a);
   MemFs mem_b;
-  FaultFs fs_b(mem_b, plan);
-  drive(fs_b);
+  const auto b = run(mem_b);
 
-  const auto sa = fs_a.stats();
-  const auto sb = fs_b.stats();
-  EXPECT_EQ(sa.ops, sb.ops);
-  EXPECT_EQ(sa.short_writes, sb.short_writes);
-  EXPECT_EQ(sa.torn_writes, sb.torn_writes);
-  EXPECT_EQ(sa.bit_flips, sb.bit_flips);
-  EXPECT_EQ(sa.fsync_lies, sb.fsync_lies);
-  EXPECT_EQ(sa.rename_fails, sb.rename_fails);
-  EXPECT_GT(sa.short_writes + sa.torn_writes + sa.bit_flips + sa.fsync_lies +
-                sa.rename_fails,
+  EXPECT_EQ(a, b);
+  EXPECT_GT(a.at("short_write") + a.at("torn_write") + a.at("bit_flip") +
+                a.at("fsync_lie") + a.at("rename_fail"),
             0u);
+  EXPECT_EQ(a.at("crash"), 0u);
 
   // Identical fault schedules leave bit-identical durable worlds.
   mem_a.crash();
@@ -462,11 +465,6 @@ TEST(FaultFsTest, SameSeedSameFaultsAndCountersMirrorStats) {
     EXPECT_EQ(mem_a.read(path), mem_b.read(path)) << path;
     EXPECT_EQ(mem_a.read(path + ".r"), mem_b.read(path + ".r")) << path;
   }
-
-  EXPECT_EQ(counter_value("cbl_chaos_fs_faults_total",
-                          {{"kind", "short_write"}}) -
-                short_before,
-            static_cast<double>(sa.short_writes + sb.short_writes));
 }
 
 TEST(FaultFsTest, CrashPointAppliesAPrefixThenRefusesEverything) {
@@ -476,6 +474,7 @@ TEST(FaultFsTest, CrashPointAppliesAPrefixThenRefusesEverything) {
   plan.seed = 7;
   plan.crash_at_op = 2;
   FaultFs fs(mem, plan);
+  const CounterDelta crashes("cbl_chaos_fs_faults_total", {{"kind", "crash"}});
 
   EXPECT_TRUE(fs.write("a", to_bytes("first")));   // op 0
   EXPECT_TRUE(fs.sync("a"));                       // op 1
@@ -489,9 +488,8 @@ TEST(FaultFsTest, CrashPointAppliesAPrefixThenRefusesEverything) {
   // Reads still pass through (the harness inspects the dead disk).
   EXPECT_EQ(fs.read("a"), to_bytes("first"));
 
-  const auto stats = fs.stats();
-  EXPECT_EQ(stats.crashes, 1u);
-  EXPECT_GE(stats.post_crash_fails, 4u);
+  EXPECT_EQ(crashes.value(), 1u);
+  EXPECT_EQ(fs.ops(), 7u);  // refused ops still advance the op index
 
   mem.crash();
   EXPECT_EQ(mem.read("a"), to_bytes("first"));
@@ -704,8 +702,7 @@ TEST(StoreTest, ResilientClientRestoresDistrustFromStoreWithoutRecounting) {
   net::Transport transport(net::TransportConfig(), transport_rng);
   store::StateStore store(fs, "aud");  // outlives the client below
   net::ResilientClient client(transport, {"rc-distrust"}, client_rng);
-  const auto distrusted_before =
-      counter_value("cbl_tlog_providers_distrusted_total", {});
+  const CounterDelta distrusted("cbl_tlog_providers_distrusted_total");
   client.pin_tlog_key("rc-distrust", key.pk, &store);
 
   // The condemnation is restored, the endpoint is skipped on the wire,
@@ -716,8 +713,7 @@ TEST(StoreTest, ResilientClientRestoresDistrustFromStoreWithoutRecounting) {
   EXPECT_FALSE(auditor->trusted());
   ASSERT_TRUE(auditor->equivocation_evidence().has_value());
   EXPECT_EQ(client.sync(), 0u);
-  EXPECT_EQ(counter_value("cbl_tlog_providers_distrusted_total", {}),
-            distrusted_before);
+  EXPECT_EQ(distrusted.value(), 0u);
 }
 
 // ----------------------------------------------------------------- RealFs

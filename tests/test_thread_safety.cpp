@@ -29,6 +29,7 @@
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
+#include "metric_delta.h"
 #include "net/query_pipeline.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
@@ -45,11 +46,7 @@ using net::Freshness;
 using net::ResilienceConfig;
 using net::ResilientClient;
 
-double counter_value(const char* name, obs::Labels labels) {
-  return obs::MetricsRegistry::global()
-      .counter(name, std::move(labels))
-      .value();
-}
+using test::CounterDelta;
 
 // ---------------------------------------------------- distrust latch
 
@@ -69,12 +66,12 @@ TEST(DistrustLatch, AuditorConvergesOnOneEquivocation) {
   other_root[7] ^= 0x20;  // same tree size, different signed root
   const auto forged = tlog::sign_checkpoint(key, 5, other_root, 1, rng);
 
-  const auto equiv_before = counter_value("cbl_tlog_equivocations_total",
-                                          {{"endpoint", endpoint}});
-  const auto audit_equiv_before = counter_value(
+  const CounterDelta equiv_total("cbl_tlog_equivocations_total",
+                                 {{"endpoint", endpoint}});
+  const CounterDelta audit_equiv(
       "cbl_tlog_audit_total",
       {{"endpoint", endpoint}, {"result", "equivocation"}});
-  const auto audit_distrusted_before = counter_value(
+  const CounterDelta audit_distrusted(
       "cbl_tlog_audit_total",
       {{"endpoint", endpoint}, {"result", "distrusted"}});
 
@@ -107,18 +104,10 @@ TEST(DistrustLatch, AuditorConvergesOnOneEquivocation) {
 
   // The counters reconcile with the transition count, not the caller
   // count: one equivocation, N-1 distrusted refusals.
-  EXPECT_EQ(counter_value("cbl_tlog_equivocations_total",
-                          {{"endpoint", endpoint}}) -
-                equiv_before,
-            1.0);
-  EXPECT_EQ(counter_value("cbl_tlog_audit_total", {{"endpoint", endpoint},
-                                                   {"result", "equivocation"}}) -
-                audit_equiv_before,
-            1.0);
-  EXPECT_EQ(counter_value("cbl_tlog_audit_total", {{"endpoint", endpoint},
-                                                   {"result", "distrusted"}}) -
-                audit_distrusted_before,
-            static_cast<double>(kThreads - 1));
+  EXPECT_EQ(equiv_total.value(), 1u);
+  EXPECT_EQ(audit_equiv.value(), 1u);
+  EXPECT_EQ(audit_distrusted.value(),
+            static_cast<std::uint64_t>(kThreads - 1));
 }
 
 TEST(DistrustLatch, ResilientClientCountsOneDistrustUnderConcurrentSyncs) {
@@ -151,8 +140,7 @@ TEST(DistrustLatch, ResilientClientCountsOneDistrustUnderConcurrentSyncs) {
   ResilientClient client(transport, {endpoint}, client_rng, config, &clock);
   client.pin_tlog_key(endpoint, key.pk);
 
-  const auto distrusted_before =
-      counter_value("cbl_tlog_providers_distrusted_total", {});
+  const CounterDelta distrusted("cbl_tlog_providers_distrusted_total");
 
   // One honest verified sync establishes the checkpoint to equivocate
   // against.
@@ -197,9 +185,7 @@ TEST(DistrustLatch, ResilientClientCountsOneDistrustUnderConcurrentSyncs) {
   for (auto& th : syncers) th.join();
 
   EXPECT_TRUE(client.distrusted(endpoint));
-  EXPECT_EQ(counter_value("cbl_tlog_providers_distrusted_total", {}) -
-                distrusted_before,
-            1.0);
+  EXPECT_EQ(distrusted.value(), 1u);
   // Condemned means off the wire entirely.
   EXPECT_EQ(client.sync(), 0u);
   const auto out = client.query(corpus[0]);
@@ -382,11 +368,9 @@ TEST(ServiceNodeConcurrency, HandleFrameAnswersEveryThreadCorrectly) {
     }
   }
 
-  const auto requests_before =
-      counter_value("cbl_net_requests_total", {{"method", "query"}});
-  const auto enqueued_before =
-      counter_value("cbl_net_pipeline_enqueued_total", {});
-  const auto shed_before = counter_value("cbl_net_pipeline_shed_total", {});
+  const CounterDelta requests("cbl_net_requests_total", {{"method", "query"}});
+  const CounterDelta enqueued("cbl_net_pipeline_enqueued_total");
+  const CounterDelta shed("cbl_net_pipeline_shed_total");
 
   std::atomic<bool> go{false};
   std::atomic<int> wrong{0};
@@ -422,15 +406,9 @@ TEST(ServiceNodeConcurrency, HandleFrameAnswersEveryThreadCorrectly) {
 
   EXPECT_EQ(unanswered.load(), 0);
   EXPECT_EQ(wrong.load(), 0);
-  const double requests =
-      counter_value("cbl_net_requests_total", {{"method", "query"}}) -
-      requests_before;
-  EXPECT_EQ(requests, kThreads * kQueriesPerThread);
-  EXPECT_EQ(requests,
-            (counter_value("cbl_net_pipeline_enqueued_total", {}) -
-             enqueued_before) +
-                (counter_value("cbl_net_pipeline_shed_total", {}) -
-                 shed_before));
+  EXPECT_EQ(requests.value(),
+            static_cast<std::uint64_t>(kThreads * kQueriesPerThread));
+  EXPECT_EQ(requests.value(), enqueued.value() + shed.value());
 }
 
 }  // namespace

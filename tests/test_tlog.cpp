@@ -10,9 +10,9 @@
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
+#include "metric_delta.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
-#include "obs/metrics.h"
 #include "tlog/tlog.h"
 
 namespace cbl::tlog {
@@ -21,6 +21,8 @@ namespace {
 using cbl::ChaChaRng;
 using net::BlocklistServiceNode;
 using net::RemoteBlocklistClient;
+using test::CounterDelta;
+using test::FamilyDelta;
 
 class TlogTest : public ::testing::Test {
  protected:
@@ -35,11 +37,6 @@ class TlogTest : public ::testing::Test {
   /// Fresh-entry batches for add_entries (addresses 80.. are unused).
   std::span<const std::string> fresh(std::size_t offset, std::size_t n) {
     return std::span<const std::string>(corpus_).subspan(80 + offset, n);
-  }
-
-  double counter(const char* name, obs::Labels labels) {
-    return obs::MetricsRegistry::global().counter(name, std::move(labels))
-        .value();
   }
 
   ChaChaRng corpus_rng_ = ChaChaRng::from_string_seed("tlog-corpus");
@@ -138,8 +135,8 @@ TEST_F(TlogTest, DiffAndFoldAreInverse) {
 
 TEST_F(TlogTest, AuditorAcceptsHonestDeltaSync) {
   Auditor auditor(key_.pk, "unit");
-  const auto applied_before =
-      counter("cbl_tlog_deltas_applied_total", {{"endpoint", "unit"}});
+  const CounterDelta applied("cbl_tlog_deltas_applied_total",
+                             {{"endpoint", "unit"}});
 
   publisher_->publish_epoch(*server_);
   ASSERT_EQ(auditor.observe_checkpoint(publisher_->latest_checkpoint(),
@@ -164,8 +161,7 @@ TEST_F(TlogTest, AuditorAcceptsHonestDeltaSync) {
   EXPECT_EQ(auditor.mirror_root(), BucketTree(auditor.buckets()).root());
   EXPECT_EQ(auditor.mirror_epoch(), server_->epoch());
   EXPECT_TRUE(auditor.trusted());
-  EXPECT_EQ(counter("cbl_tlog_deltas_applied_total", {{"endpoint", "unit"}}),
-            applied_before + 1);
+  EXPECT_EQ(applied.value(), 1u);
 
   // The audit path for any mirrored prefix binds mirror to checkpoint.
   const auto prefix = auditor.buckets().begin()->first;
@@ -189,8 +185,8 @@ TEST_F(TlogTest, TamperedDeltaIsRejectedAndCounted) {
                                    &consistency);
   auto delta = *publisher_->delta_from(base_epoch);
 
-  const auto rejected_before =
-      counter("cbl_tlog_deltas_rejected_total", {{"endpoint", "tamper"}});
+  const CounterDelta rejected("cbl_tlog_deltas_rejected_total",
+                              {{"endpoint", "tamper"}});
   // Dropping one addition breaks the signature; nothing is applied.
   auto tampered = delta;
   ASSERT_FALSE(tampered.prefixes.empty());
@@ -198,8 +194,7 @@ TEST_F(TlogTest, TamperedDeltaIsRejectedAndCounted) {
   EXPECT_EQ(auditor.apply_delta(tampered), Auditor::Status::kBadSignature);
   EXPECT_EQ(auditor.buckets(), base);
   EXPECT_FALSE(auditor.trusted());
-  EXPECT_EQ(counter("cbl_tlog_deltas_rejected_total", {{"endpoint", "tamper"}}),
-            rejected_before + 1);
+  EXPECT_EQ(rejected.value(), 1u);
 }
 
 TEST_F(TlogTest, ValidlySignedDeltaWithWrongPostRootIsRejected) {
@@ -233,8 +228,8 @@ TEST_F(TlogTest, ValidlySignedDeltaWithWrongPostRootIsRejected) {
 
 TEST_F(TlogTest, EquivocationIsProofNotSuspicion) {
   Auditor auditor(key_.pk, "equiv");
-  const auto equiv_before = counter("cbl_tlog_equivocations_total",
-                                    {{"endpoint", "equiv"}});
+  const CounterDelta equivocations("cbl_tlog_equivocations_total",
+                                   {{"endpoint", "equiv"}});
   publisher_->publish_epoch(*server_);
   const auto honest = publisher_->latest_checkpoint();
   ASSERT_EQ(auditor.observe_checkpoint(honest, nullptr),
@@ -249,8 +244,7 @@ TEST_F(TlogTest, EquivocationIsProofNotSuspicion) {
   EXPECT_EQ(auditor.observe_checkpoint(forged, nullptr),
             Auditor::Status::kEquivocation);
   EXPECT_FALSE(auditor.trusted());
-  EXPECT_EQ(counter("cbl_tlog_equivocations_total", {{"endpoint", "equiv"}}),
-            equiv_before + 1);
+  EXPECT_EQ(equivocations.value(), 1u);
 
   // A bad signature, by contrast, never reaches the equivocation check.
   Auditor fresh_auditor(key_.pk, "equiv2");
@@ -639,8 +633,8 @@ TEST_F(TlogWireTest, VerifiedSyncDeltaStateIsBitIdenticalToFullDownload) {
                             &*publisher_);
   RemoteBlocklistClient client(transport, "scamdb", client_rng_);
   Auditor auditor(key_.pk, "scamdb");
-  const auto ok_before = counter("cbl_tlog_sync_total",
-                                 {{"endpoint", "scamdb"}, {"result", "ok"}});
+  const CounterDelta ok_syncs("cbl_tlog_sync_total",
+                              {{"endpoint", "scamdb"}, {"result", "ok"}});
 
   // First contact: full verified download.
   auto report = client.verified_sync(auditor);
@@ -676,9 +670,7 @@ TEST_F(TlogWireTest, VerifiedSyncDeltaStateIsBitIdenticalToFullDownload) {
   ASSERT_TRUE(report.ok);
   EXPECT_EQ(report.deltas_applied, 0u);
   EXPECT_EQ(report.delta_bytes + report.full_bytes, 0u);
-  EXPECT_EQ(counter("cbl_tlog_sync_total",
-                    {{"endpoint", "scamdb"}, {"result", "ok"}}),
-            ok_before + 4);
+  EXPECT_EQ(ok_syncs.value(), 4u);
 }
 
 TEST_F(TlogWireTest, UnreachableTlogEndpointsAreTransportNotAudit) {
@@ -690,17 +682,14 @@ TEST_F(TlogWireTest, UnreachableTlogEndpointsAreTransportNotAudit) {
                             oprf::Oracle::fast());
   RemoteBlocklistClient client(transport, "scamdb", client_rng_);
   Auditor auditor(key_.pk, "scamdb");
-  const auto transport_before =
-      counter("cbl_tlog_sync_total",
-              {{"endpoint", "scamdb"}, {"result", "transport"}});
+  const CounterDelta transport_syncs(
+      "cbl_tlog_sync_total", {{"endpoint", "scamdb"}, {"result", "transport"}});
   const auto report = client.verified_sync(auditor);
   EXPECT_FALSE(report.ok);
   EXPECT_EQ(report.failure,
             RemoteBlocklistClient::SyncReport::Failure::kTransport);
   EXPECT_TRUE(auditor.trusted());
-  EXPECT_EQ(counter("cbl_tlog_sync_total",
-                    {{"endpoint", "scamdb"}, {"result", "transport"}}),
-            transport_before + 1);
+  EXPECT_EQ(transport_syncs.value(), 1u);
 }
 
 TEST_F(TlogWireTest, EquivocatingEndpointIsAuditFailureOverTheWire) {
@@ -730,20 +719,18 @@ TEST_F(TlogWireTest, EquivocatingEndpointIsAuditFailureOverTheWire) {
         return net::encode_response_frame(net::Status::kBadRequest);
       });
 
-  const auto audit_before = counter(
+  const CounterDelta audit_syncs(
       "cbl_tlog_sync_total", {{"endpoint", "scamdb"}, {"result", "audit"}});
   const auto report = client.verified_sync(auditor);
   EXPECT_FALSE(report.ok);
   EXPECT_EQ(report.failure,
             RemoteBlocklistClient::SyncReport::Failure::kAudit);
   EXPECT_FALSE(auditor.trusted());
-  EXPECT_EQ(counter("cbl_tlog_sync_total",
-                    {{"endpoint", "scamdb"}, {"result", "audit"}}),
-            audit_before + 1);
+  EXPECT_EQ(audit_syncs.value(), 1u);
   // Distrust is sticky: later syncs fail without touching the wire.
-  const auto calls_before = transport.stats().calls;
+  const FamilyDelta calls("cbl_net_calls_total");
   EXPECT_FALSE(client.verified_sync(auditor).ok);
-  EXPECT_EQ(transport.stats().calls, calls_before);
+  EXPECT_EQ(calls.value(), 0u);
 }
 
 TEST_F(TlogWireTest, ChecksumValidGarbageBodyIsAudit) {
@@ -819,12 +806,10 @@ TEST_F(TlogWireTest, ResilientClientDistrustsEquivocatorPermanently) {
         return net::encode_response_frame(net::Status::kBadRequest);
       });
 
-  const auto distrusted_before =
-      counter("cbl_tlog_providers_distrusted_total", {});
+  const CounterDelta distrusted("cbl_tlog_providers_distrusted_total");
   (void)client.sync();
   EXPECT_TRUE(client.distrusted("scamdb"));
-  EXPECT_EQ(counter("cbl_tlog_providers_distrusted_total", {}),
-            distrusted_before + 1);
+  EXPECT_EQ(distrusted.value(), 1u);
 
   // A condemned provider gets no query traffic: the answer degrades
   // (stale cache here) and is never kFresh again, even though the
@@ -834,9 +819,9 @@ TEST_F(TlogWireTest, ResilientClientDistrustsEquivocatorPermanently) {
   EXPECT_EQ(degraded.verdict,
             net::ResilientClient::Outcome::Verdict::kListed);
   // And sync() refuses to talk to it at all.
-  const auto calls_before = transport.stats().calls;
+  const FamilyDelta calls("cbl_net_calls_total");
   EXPECT_EQ(client.sync(), 0u);
-  EXPECT_EQ(transport.stats().calls, calls_before);
+  EXPECT_EQ(calls.value(), 0u);
 }
 
 }  // namespace
