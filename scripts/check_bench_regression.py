@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
 """Gate BENCH_macro.json against a committed baseline.
 
-Compares the *model* section of a fresh macro-load run (bit-reproducible
-virtual-time numbers — see src/load/macro.h) against the baseline
-committed at the repo root, and fails when the trajectory drifted:
-
-  * candidate p99 latency      >  baseline * (1 + --max-drift)
-  * candidate sustained QPS    <  baseline * (1 - --max-drift)
+A macro-load report is computed in virtual time from its seed (see
+src/load/macro.h), so the file is a golden: a fresh run's seed, config
+and model must equal the baseline committed at the repo root exactly.
+The first path that differs (e.g. `model.p99_ms`) is named, with both
+values. If the change is intentional, regenerate the baseline.
 
 Before comparing, both files must pass schema + self-consistency
-validation (all canonical fields present, p50 <= p99 <= p999, shed rate
-in [0, 1], zero wrong verdicts, per-level counts that add up), and the
-candidate must have been produced by the same (seed, config) as the
-baseline — otherwise the comparison is meaningless and the script fails
-loudly rather than green-lighting apples vs oranges.
-
-The "cpu" section (real machine time) is intentionally ignored.
+validation: exactly the sections bench, schema, seed, config and model
+(a section measured in machine time cannot be reproduced from the seed,
+so an unknown one is rejected), all canonical fields present,
+p50 <= p99 <= p999, shed rate in [0, 1], zero wrong verdicts, and
+per-level counts that add up.
 
 --check-results KIND PATH instead sanity-checks one `--quick --json`
 report of bench_throughput, bench_tlog or bench_store against fixed
@@ -62,7 +59,6 @@ import copy
 import json
 import sys
 
-DEFAULT_MAX_DRIFT = 0.15
 # bench_tlog: publish and fold at the lowest churn level, as a share of a
 # full bucket-tree build of the same shape in the same run.
 MAX_EPOCH_SHARE_OF_FULL_BUILD = 0.5
@@ -94,9 +90,9 @@ _CONFIG_KEYS = (
     "simulated_clients", "unique_addresses", "listed_addresses", "zipf_s",
     "cache_hit_ratio", "prefix_local_ratio", "offered_qps",
     "queries_per_level", "service_ms", "max_inflight",
-    "transport_latency_ms", "lambda", "chaos",
-    "burst_threads", "burst_queries", "slo",
+    "transport_latency_ms", "lambda", "chaos", "slo",
 )
+_SECTIONS = ("bench", "schema", "seed", "config", "model")
 _MODEL_KEYS = (
     "sustained_qps_at_slo", "p50_ms", "p99_ms", "p999_ms", "shed_rate",
     "wrong_verdicts", "freshness", "levels",
@@ -128,9 +124,13 @@ def validate(report: dict, what: str) -> None:
     _require(report.get("schema") == 1, what,
              f"unknown schema {report.get('schema')!r}")
     _require(isinstance(report.get("seed"), int), what, "missing seed")
-    for section in ("config", "model", "cpu"):
+    for section in ("config", "model"):
         _require(isinstance(report.get(section), dict), what,
                  f"missing section {section!r}")
+    for key in report:
+        _require(key in _SECTIONS, what,
+                 f"unknown section {key!r}: a macro report holds only "
+                 f"{', '.join(_SECTIONS)}")
     for key in _CONFIG_KEYS:
         _require(key in report["config"], what, f"config missing {key!r}")
     model = report["model"]
@@ -177,31 +177,41 @@ def validate(report: dict, what: str) -> None:
                  f"{level['wrong']} wrong verdicts")
 
 
-def compare(baseline: dict, candidate: dict, max_drift: float) -> list[str]:
-    """Returns a list of human-readable regression findings (empty = OK)."""
-    _require(baseline["seed"] == candidate["seed"], "compare",
-             f"seed mismatch: baseline {baseline['seed']} vs candidate "
-             f"{candidate['seed']} — rerun with the baseline seed")
-    _require(baseline["config"] == candidate["config"], "compare",
-             "config mismatch: baseline and candidate measured different "
-             "setups; regenerate the baseline if the config change is "
-             "intentional")
+def _first_difference(base, cand, path: str) -> str | None:
+    """The first path, in the baseline's key order, where two decoded JSON
+    values differ, with both values; None when they are equal."""
+    if isinstance(base, dict) and isinstance(cand, dict):
+        for key in base:
+            if key not in cand:
+                return f"{path}.{key}: missing from the candidate"
+            found = _first_difference(base[key], cand[key], f"{path}.{key}")
+            if found:
+                return found
+        extra = [key for key in cand if key not in base]
+        return f"{path}.{extra[0]}: not in the baseline" if extra else None
+    if isinstance(base, list) and isinstance(cand, list):
+        for i, (b, c) in enumerate(zip(base, cand)):
+            found = _first_difference(b, c, f"{path}[{i}]")
+            if found:
+                return found
+        if len(base) != len(cand):
+            return (f"{path}: {len(base)} entries in the baseline, "
+                    f"{len(cand)} in the candidate")
+        return None
+    if type(base) is type(cand) and base == cand:
+        return None
+    return f"{path}: baseline {base!r}, candidate {cand!r}"
 
-    base, cand = baseline["model"], candidate["model"]
-    findings = []
-    p99_limit = base["p99_ms"] * (1.0 + max_drift)
-    if cand["p99_ms"] > p99_limit:
-        findings.append(
-            f"p99 regression: {cand['p99_ms']:.3f} ms > "
-            f"{p99_limit:.3f} ms (baseline {base['p99_ms']:.3f} ms "
-            f"+{max_drift:.0%})")
-    qps_floor = base["sustained_qps_at_slo"] * (1.0 - max_drift)
-    if cand["sustained_qps_at_slo"] < qps_floor:
-        findings.append(
-            f"sustained-QPS regression: {cand['sustained_qps_at_slo']:.1f} "
-            f"< {qps_floor:.1f} (baseline "
-            f"{base['sustained_qps_at_slo']:.1f} -{max_drift:.0%})")
-    return findings
+
+def compare(baseline: dict, candidate: dict) -> None:
+    """Requires the candidate's seed, config and model to equal the
+    baseline's; raises BenchError naming the first path that differs."""
+    for section in ("seed", "config", "model"):
+        found = _first_difference(baseline[section], candidate[section],
+                                  section)
+        _require(found is None, "compare",
+                 f"{found} (the file is a seed-deterministic golden: if "
+                 "the change is intentional, regenerate it)")
 
 
 # --- per-bench result floors ------------------------------------------------
@@ -392,8 +402,7 @@ def check_results(kind: str, path: str) -> int:
     return 0
 
 
-def check_files(baseline_path: str, candidate_path: str,
-                max_drift: float) -> int:
+def check_files(baseline_path: str, candidate_path: str) -> int:
     try:
         with open(baseline_path) as f:
             baseline = json.load(f)
@@ -405,19 +414,14 @@ def check_files(baseline_path: str, candidate_path: str,
     try:
         validate(baseline, f"baseline {baseline_path}")
         validate(candidate, f"candidate {candidate_path}")
-        findings = compare(baseline, candidate, max_drift)
+        compare(baseline, candidate)
     except BenchError as e:
         print(f"FAIL: {e}", file=sys.stderr)
         return 1
-    if findings:
-        for finding in findings:
-            print(f"FAIL: {finding}", file=sys.stderr)
-        return 1
-    base, cand = baseline["model"], candidate["model"]
-    print(f"OK: sustained {cand['sustained_qps_at_slo']:.0f} qps "
-          f"(baseline {base['sustained_qps_at_slo']:.0f}), "
-          f"p99 {cand['p99_ms']:.2f} ms (baseline {base['p99_ms']:.2f}), "
-          f"drift tolerance {max_drift:.0%}")
+    model = candidate["model"]
+    print(f"OK: seed, config and model equal the baseline (sustained "
+          f"{model['sustained_qps_at_slo']:.0f} qps, p99 "
+          f"{model['p99_ms']:.2f} ms)")
     return 0
 
 
@@ -441,7 +445,6 @@ def _synthetic_report() -> dict:
             "freshness": {key: 0 for key in _FRESHNESS_KEYS},
             "levels": [level],
         },
-        "cpu": {"per_stage_ns": {}, "burst_qps": 0.0},
     }
 
 
@@ -454,13 +457,13 @@ def _expect(cond: bool, detail: str) -> None:
         raise SelfTestFailure(detail)
 
 
-def _expect_rejected(fn, reason: str, needle: str = "") -> None:
+def _expect_rejected(fn, reason: str, needle: str = "") -> str:
     try:
         fn()
     except BenchError as e:
         _expect(needle in str(e), f"{reason}: wrong finding {e}")
-    else:
-        raise SelfTestFailure(f"gate missed: {reason}")
+        return str(e)
+    raise SelfTestFailure(f"gate missed: {reason}")
 
 
 def _rec(name: str, params: str, ns: float = 1000.0, nbytes: float = 0.0,
@@ -625,22 +628,7 @@ def _self_test_results() -> None:
 def _self_test_macro() -> None:
     base = _synthetic_report()
     validate(base, "self-test base")
-
-    ok = copy.deepcopy(base)
-    ok["model"]["p99_ms"] = 44.0  # +10% < 15% drift
-    _expect(not compare(base, ok, DEFAULT_MAX_DRIFT), "in-tolerance drift")
-
-    inflated = copy.deepcopy(base)
-    inflated["model"]["p99_ms"] = 80.0
-    inflated["model"]["p999_ms"] = 90.0
-    findings = compare(base, inflated, DEFAULT_MAX_DRIFT)
-    _expect(any("p99 regression" in f for f in findings), "p99 gate dead")
-
-    slower = copy.deepcopy(base)
-    slower["model"]["sustained_qps_at_slo"] = 50.0
-    findings = compare(base, slower, DEFAULT_MAX_DRIFT)
-    _expect(any("sustained-QPS regression" in f for f in findings),
-            "QPS gate dead")
+    compare(base, copy.deepcopy(base))  # an identical run passes
 
     for mutate, reason in (
         (lambda r: r["model"].pop("p99_ms"), "missing field"),
@@ -658,15 +646,45 @@ def _self_test_macro() -> None:
         _expect_rejected(lambda: validate(broken, "self-test broken"),
                          reason)
 
-    other_seed = copy.deepcopy(base)
-    other_seed["seed"] = 2
-    _expect_rejected(lambda: compare(base, other_seed, DEFAULT_MAX_DRIFT),
-                     "seed mismatch", "seed mismatch")
+    # The gates the golden rests on; each prints the finding it raised.
+    def changed(mutate):
+        report = copy.deepcopy(base)
+        mutate(report)
+        return report
 
-    other_config = copy.deepcopy(base)
-    other_config["config"]["offered_qps"] = [100.0, 200.0]
-    _expect_rejected(lambda: compare(base, other_config, DEFAULT_MAX_DRIFT),
-                     "config mismatch", "config mismatch")
+    exact = (
+        ("changed model value",
+         lambda: compare(base, changed(
+             lambda r: r["model"].__setitem__("p99_ms", 40.000001))),
+         "model.p99_ms: baseline 40.0, candidate 40.000001"),
+        ("changed level value",
+         lambda: compare(base, changed(
+             lambda r: r["model"]["levels"][0].__setitem__("shed", 1))),
+         "model.levels[0].shed"),
+        ("changed config value",
+         lambda: compare(base, changed(
+             lambda r: r["config"].__setitem__("service_ms", 21.0))),
+         "config.service_ms: baseline 0, candidate 21.0"),
+        ("changed config list",
+         lambda: compare(base, changed(
+             lambda r: r["config"].__setitem__("offered_qps",
+                                               [100.0, 200.0]))),
+         "config.offered_qps: 1 entries in the baseline, 2"),
+        ("changed seed",
+         lambda: compare(base, changed(lambda r: r.__setitem__("seed", 2))),
+         "seed: baseline 1, candidate 2"),
+        ("extra section",
+         lambda: validate(changed(
+             lambda r: r.__setitem__("cpu", {"qps": 1.0})),
+             "self-test extra"),
+         "unknown section 'cpu'"),
+        ("missing section",
+         lambda: validate(changed(lambda r: r.pop("model")),
+                          "self-test missing"),
+         "missing section 'model'"),
+    )
+    for reason, fn, needle in exact:
+        print(f"  fires on {reason}: {_expect_rejected(fn, reason, needle)}")
 
 
 def self_test() -> int:
@@ -685,8 +703,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", help="committed BENCH_macro.json")
     parser.add_argument("--candidate", help="freshly generated report")
-    parser.add_argument("--max-drift", type=float, default=DEFAULT_MAX_DRIFT,
-                        help="allowed relative drift (default 0.15)")
     parser.add_argument("--check-results", nargs=2,
                         metavar=("{" + ",".join(RESULT_CHECKS) + "}", "PATH"),
                         help="sanity-check one bench --json report")
@@ -704,9 +720,7 @@ def main() -> int:
     if not args.baseline or not args.candidate:
         parser.error("--baseline and --candidate are required "
                      "(or use --self-test)")
-    if not 0.0 < args.max_drift < 1.0:
-        parser.error("--max-drift must be in (0, 1)")
-    return check_files(args.baseline, args.candidate, args.max_drift)
+    return check_files(args.baseline, args.candidate)
 
 
 if __name__ == "__main__":

@@ -28,12 +28,14 @@
 #                  compile_commands.json when the python bindings exist,
 #                  the regex fallback (with a notice) otherwise
 #   5. release     optimized build + full test suite, then test_net,
-#                  test_store, test_tlog and test_obs each run once as a
-#                  whole binary with --gtest_shuffle --gtest_repeat=2: the
-#                  metrics registry is process-wide, so a test that reads
-#                  a counter's absolute value instead of a delta passes
-#                  under ctest's one-test-per-process runs and fails here.
-#                  The shuffle seed and the replay command are printed
+#                  test_store, test_tlog, test_obs, test_load and
+#                  test_macro_smoke each run once as a whole binary with
+#                  --gtest_shuffle --gtest_repeat=2: the metrics registry
+#                  is process-wide (run_macro and VirtualQueue read its
+#                  counters too), so a test that reads a counter's
+#                  absolute value instead of a delta passes under ctest's
+#                  one-test-per-process runs and fails here. The shuffle
+#                  seed and the replay command are printed
 #   6. asan-ubsan  Debug + AddressSanitizer + UBSan, full test suite
 #   7. tsan        Debug + ThreadSanitizer, full test suite (query-service
 #                  and voting paths are concurrent; see src/oprf locking)
@@ -78,14 +80,14 @@
 #                  journal record (all checked by
 #                  scripts/check_bench_regression.py --check-results)
 #  13. macro-smoke Release build of bench_macro (the open-loop macro-load
-#                  harness, src/load): scripts/check_bench_regression.py
-#                  self-tests, a fresh --quick run under the pinned
-#                  CBL_MACRO_SEED is gated against the committed
-#                  BENCH_macro.json baseline (>15% p99 or sustained-QPS
-#                  drift fails), and the doctored fixture
-#                  tests/fixtures/BENCH_macro_inflated_p99.json MUST fail
-#                  the gate — proving the gate is armed. The replay
-#                  command is printed before the run
+#                  harness, src/load, run in virtual time):
+#                  scripts/check_bench_regression.py self-tests, a fresh
+#                  --quick run under the pinned CBL_MACRO_SEED must equal
+#                  the committed BENCH_macro.json golden in seed, config
+#                  and model (the first differing path is named), and the
+#                  doctored fixture tests/fixtures/BENCH_macro_inflated_p99.json
+#                  MUST fail on model.p99_ms — proving the gate is armed.
+#                  The replay command is printed before the run
 #  14. e2e-smoke   bench/e2e configured as its own CMake project (Release)
 #                  under the CI build root, bench_e2e built against the
 #                  checkout's src/, then bench/e2e/smoke.py runs every
@@ -277,7 +279,8 @@ stage_release() {
   run_config release -DCMAKE_BUILD_TYPE=Release
   local dir="${build_root}/release" seed=$((RANDOM % 99999 + 1)) t
   echo "=== [release] whole binaries, shuffled: seed=${seed} ==="
-  for t in test_net test_store test_tlog test_obs; do
+  for t in test_net test_store test_tlog test_obs test_load \
+      test_macro_smoke; do
     echo "=== [release] replay any failure with:" \
       "${dir}/tests/${t} --gtest_shuffle --gtest_repeat=2" \
       "--gtest_random_seed=${seed} ==="
@@ -427,7 +430,7 @@ stage_macro_smoke() {
     "${macro_dir}/bench/bench_macro --quick --seed ${macro_seed} ==="
   "${macro_dir}/bench/bench_macro" --quick --seed "${macro_seed}" \
     --json "${fresh_json}" >/dev/null
-  echo "=== [macro-smoke] gate fresh run vs committed BENCH_macro.json ==="
+  echo "=== [macro-smoke] fresh run must equal committed BENCH_macro.json ==="
   python3 "${repo_root}/scripts/check_bench_regression.py" \
     --baseline "${repo_root}/BENCH_macro.json" \
     --candidate "${fresh_json}"
@@ -437,15 +440,15 @@ stage_macro_smoke() {
       --candidate "${repo_root}/tests/fixtures/BENCH_macro_inflated_p99.json" \
       2>"${macro_dir}/doctored.log"; then
     echo "macro-smoke gate is NOT armed: the doctored fixture with an" \
-      "inflated p99 passed the regression check" >&2
+      "inflated p99 passed the golden check" >&2
     exit 1
   fi
-  grep -q "p99 regression" "${macro_dir}/doctored.log" || {
+  grep -q "model.p99_ms" "${macro_dir}/doctored.log" || {
     echo "doctored fixture failed for the wrong reason:" >&2
     cat "${macro_dir}/doctored.log" >&2
     exit 1
   }
-  echo "=== [macro-smoke] OK: gate armed, trajectory within drift ==="
+  echo "=== [macro-smoke] OK: gate armed, trajectory equals the golden ==="
 }
 
 stage_e2e_smoke() {

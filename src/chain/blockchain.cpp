@@ -29,6 +29,8 @@ TxReceipt Blockchain::execute(AccountId payer, std::string method,
   receipt.usd_cost = schedule_.gas_to_usd(receipt.gas_used);
   receipts_.push_back(receipt);
 
+  static const std::vector<double> kGasBuckets =
+      obs::Histogram::log_buckets(1e3, 1e9, 3);
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels labels = {{"method", receipt.method}};
   registry
@@ -37,7 +39,7 @@ TxReceipt Blockchain::execute(AccountId payer, std::string method,
       .inc();
   registry
       .histogram("cbl_chain_gas_per_tx",
-                 obs::Histogram::log_buckets(1e3, 1e9, 3), labels,
+                 kGasBuckets, labels,
                  "Gas consumed per contract call")
       .observe(static_cast<double>(receipt.gas_used));
   return receipt;

@@ -1,7 +1,5 @@
 #include "common/bytes.h"
 
-#include "common/ct.h"
-
 namespace cbl {
 
 namespace {
@@ -44,10 +42,6 @@ Bytes to_bytes(std::string_view s) {
 
 std::string to_string(ByteView data) {
   return std::string(data.begin(), data.end());
-}
-
-bool constant_time_eq(ByteView a, ByteView b) noexcept {
-  return ct_equal(a, b);  // legacy name, kept for existing call sites
 }
 
 void append(Bytes& dst, ByteView src) {

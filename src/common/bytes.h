@@ -30,10 +30,6 @@ Bytes to_bytes(std::string_view s);
 /// Converts a byte buffer into a std::string (no re-encoding).
 std::string to_string(ByteView data);
 
-/// Comparison that runs in time independent of where the inputs differ.
-/// Returns false for mismatched lengths (length is not secret here).
-bool constant_time_eq(ByteView a, ByteView b) noexcept;
-
 /// Appends `src` to `dst`.
 void append(Bytes& dst, ByteView src);
 

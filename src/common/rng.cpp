@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <random>
 
 namespace cbl {
 
@@ -78,15 +77,6 @@ ChaChaRng ChaChaRng::from_string_seed(std::string_view label) {
   chacha20_block(key, 0xfeedbeefu, nonce, block);
   std::memcpy(key.data(), block, 32);
   return ChaChaRng(key);
-}
-
-ChaChaRng ChaChaRng::from_entropy() {
-  std::random_device rd;
-  std::array<std::uint8_t, 32> seed{};
-  for (std::size_t i = 0; i < seed.size(); i += 4) {
-    store_le32(seed.data() + i, rd());
-  }
-  return ChaChaRng(seed);
 }
 
 void ChaChaRng::refill() {

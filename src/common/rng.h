@@ -55,9 +55,6 @@ class ChaChaRng final : public Rng {
   /// Convenience: seeds by hashing an arbitrary label (useful in tests).
   static ChaChaRng from_string_seed(std::string_view label);
 
-  /// Seeds from std::random_device.
-  static ChaChaRng from_entropy();
-
   void fill(std::uint8_t* out, std::size_t len) override;
 
   ChaChaRng(const ChaChaRng&) = default;

@@ -1,10 +1,8 @@
 #include "load/macro.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "chaos/chaos.h"
@@ -15,9 +13,7 @@
 #include "net/service_node.h"
 #include "obs/export.h"
 #include "obs/obs.h"
-#include "oprf/client.h"
 #include "oprf/server.h"
-#include "oprf/wire.h"
 
 namespace cbl::load {
 
@@ -93,8 +89,6 @@ std::string MacroReport::to_json() const {
          format_double(config.transport_latency_max_ms) + "]";
   out += ",\"lambda\":" + std::to_string(config.lambda);
   out += ",\"chaos\":" + json_bool(config.chaos);
-  out += ",\"burst_threads\":" + std::to_string(config.burst_threads);
-  out += ",\"burst_queries\":" + std::to_string(config.burst_queries);
   out += ",\"slo\":{\"p99_ms\":" + format_double(config.slo.p99_ms);
   out += ",\"max_shed_rate\":" + format_double(config.slo.max_shed_rate);
   out += ",\"max_unavailable_rate\":" +
@@ -120,15 +114,7 @@ std::string MacroReport::to_json() const {
     if (i) out += ",";
     out += level_json(levels[i]);
   }
-  out += "]}";
-
-  out += ",\"cpu\":{\"per_stage_ns\":{";
-  out += "\"parse\":" + std::to_string(parse_ns);
-  out += ",\"crypto\":" + std::to_string(crypto_ns);
-  out += ",\"seal\":" + std::to_string(seal_ns);
-  out += ",\"pipeline_crypto\":" + std::to_string(pipeline_crypto_ns);
-  out += "},\"burst_qps\":" + format_double(burst_qps);
-  out += "}}";
+  out += "]}}";
   return out;
 }
 
@@ -150,7 +136,6 @@ MacroReport run_macro(const MacroConfig& config) {
   auto server_rng = seeded(config, "server");
   auto client_rng = seeded(config, "client");
   auto traffic_rng = seeded(config, "traffic");
-  auto burst_rng = seeded(config, "burst");
 
   Workload workload(config.workload, corpus_rng);
 
@@ -190,22 +175,10 @@ MacroReport run_macro(const MacroConfig& config) {
                               net::ResilienceConfig(), &clock);
   client.sync();  // connect + prefix list, outside any measured level
 
-  // Shared global counters are read as deltas, so a dirty registry
+  // The shared global counter is read as a delta, so a dirty registry
   // (earlier tests in the same process) cannot skew the report.
   auto& pipeline_shed_counter =
       global.counter("cbl_net_pipeline_shed_total");
-  auto& parse_counter =
-      global.counter("cbl_net_stage_cpu_ns_total", {{"stage", "parse"}});
-  auto& crypto_counter =
-      global.counter("cbl_net_stage_cpu_ns_total", {{"stage", "crypto"}});
-  auto& seal_counter =
-      global.counter("cbl_net_stage_cpu_ns_total", {{"stage", "seal"}});
-  auto& pipeline_crypto_counter =
-      global.counter("cbl_net_pipeline_crypto_ns_total");
-  const std::uint64_t parse0 = parse_counter.value();
-  const std::uint64_t crypto0 = crypto_counter.value();
-  const std::uint64_t seal0 = seal_counter.value();
-  const std::uint64_t pipeline_crypto0 = pipeline_crypto_counter.value();
 
   obs::MetricsRegistry local;  // harness-side latency histograms
 
@@ -324,51 +297,6 @@ MacroReport run_macro(const MacroConfig& config) {
     report.p999_ms = first.p999_ms;
     report.shed_rate = first.shed_rate;
   }
-
-  // Real-time burst phase: threads hammering QueryPipeline::serve with
-  // pre-serialized bodies — machine throughput, informational only.
-  if (config.burst_threads > 0 && config.burst_queries > 0) {
-    oprf::OprfClient oprf_client(oprf::Oracle::fast(), config.lambda,
-                                 burst_rng);
-    std::vector<Bytes> bodies;
-    bodies.reserve(config.burst_queries);
-    const auto& addresses = workload.addresses();
-    for (std::size_t i = 0; i < config.burst_queries; ++i) {
-      const auto prepared =
-          oprf_client.prepare(addresses[burst_rng.uniform(addresses.size())]);
-      bodies.push_back(oprf::serialize(prepared.request));
-    }
-    const unsigned threads = config.burst_threads;
-    std::vector<std::uint64_t> served_per_thread(threads, 0);
-    const auto wall_begin = std::chrono::steady_clock::now();
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        for (std::size_t i = t; i < bodies.size();
-             i += static_cast<std::size_t>(threads)) {
-          const auto result = pipeline.serve(bodies[i]);
-          if (result.status == net::Status::kOk) ++served_per_thread[t];
-        }
-      });
-    }
-    for (auto& worker : workers) worker.join();
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_begin)
-            .count();
-    std::uint64_t served = 0;
-    for (const std::uint64_t v : served_per_thread) served += v;
-    if (wall_s > 0.0) {
-      report.burst_qps = static_cast<double>(served) / wall_s;
-    }
-  }
-
-  report.parse_ns = parse_counter.value() - parse0;
-  report.crypto_ns = crypto_counter.value() - crypto0;
-  report.seal_ns = seal_counter.value() - seal0;
-  report.pipeline_crypto_ns =
-      pipeline_crypto_counter.value() - pipeline_crypto0;
   return report;
 }
 

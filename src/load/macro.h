@@ -5,13 +5,12 @@
 // faults in between), reporting sustained QPS at SLO, tail latencies,
 // shed rate, and freshness mix.
 //
-// Determinism contract: everything in the "model" section of the
-// report — latencies, quantiles, QPS, shed rates, verdict counts — is
-// computed in virtual time from seeded ChaCha streams and is
-// bit-reproducible for a fixed (seed, config). The "cpu" section
-// (per-stage CPU nanoseconds, real-time burst throughput) measures the
-// actual machine and varies run to run; regression gates must only
-// compare the model section.
+// Determinism contract: the whole report — latencies, quantiles, QPS,
+// shed rates, verdict counts — is computed in virtual time from seeded
+// ChaCha streams and is bit-reproducible for a fixed (seed, config), so
+// a committed BENCH_macro.json is a golden a fresh run must equal.
+// Machine throughput is measured elsewhere: bench_throughput's
+// thread-swept pipeline/qps and bench/e2e's server_qps.
 //
 // Per-query timeline (the "dilated timeline" trick): the virtual clock
 // is set to each arrival instant before the query is issued; the
@@ -65,11 +64,6 @@ struct MacroConfig {
   /// Layer a mild chaos::FaultInjector over the transport (request
   /// drops + latency spikes). Off for the canonical trajectory run.
   bool chaos = false;
-  /// Real-time burst phase: threads hammering QueryPipeline::serve
-  /// directly to measure machine throughput. 0 threads or 0 queries
-  /// skips the phase.
-  unsigned burst_threads = 4;
-  std::size_t burst_queries = 1024;
 };
 
 /// Outcome of one offered-load level.
@@ -113,22 +107,15 @@ struct MacroReport {
   std::uint64_t stale_cache = 0;
   std::uint64_t prefix_only = 0;
   std::uint64_t unavailable = 0;
-  // "cpu" section: real-machine measurements, NOT gated.
-  std::uint64_t parse_ns = 0;
-  std::uint64_t crypto_ns = 0;
-  std::uint64_t seal_ns = 0;
-  std::uint64_t pipeline_crypto_ns = 0;
-  double burst_qps = 0.0;
 
   /// Canonical BENCH_macro.json rendering (deterministic field order;
-  /// the model section is bit-stable for a fixed seed+config).
+  /// bit-stable for a fixed seed+config).
   std::string to_json() const;
 };
 
-/// Runs the whole trajectory: per-level open-loop model phase, then the
-/// optional real-time burst phase. Installs a ManualClock into the
-/// global metrics registry for the duration and restores the steady
-/// clock on exit.
+/// Runs the whole trajectory, one open-loop phase per offered level.
+/// Installs a ManualClock into the global metrics registry for the
+/// duration and restores the steady clock on exit.
 MacroReport run_macro(const MacroConfig& config);
 
 }  // namespace cbl::load

@@ -104,7 +104,7 @@ ResilientClient::ResilientClient(Channel& channel,
   for (auto& endpoint : endpoints) {
     providers_.push_back(Provider{
         endpoint, std::nullopt, CircuitBreaker(endpoint, config_.breaker),
-        false, nullptr, false});
+        false, nullptr});
   }
   auto& registry = obs::MetricsRegistry::global();
   const auto answer_counter = [&](const char* freshness) {
@@ -166,7 +166,7 @@ std::size_t ResilientClient::sync() {
   MutexLock lock(mutex_);
   std::size_t connected = 0;
   for (auto& provider : providers_) {
-    if (provider.distrusted) continue;  // never talk to a condemned peer
+    if (provider.distrusted()) continue;  // never talk to a condemned peer
     if (ensure_connected(provider)) {
       ++connected;
       tlog_sync(provider);
@@ -183,12 +183,6 @@ void ResilientClient::pin_tlog_key(const std::string& endpoint,
     if (provider.endpoint == endpoint) {
       provider.auditor =
           std::make_unique<tlog::Auditor>(provider_pk, endpoint, store);
-      if (!provider.auditor->trusted()) {
-        // The store recovered a latched distrust: the provider was
-        // condemned before a restart and stays condemned. The latch
-        // is restored without re-counting a new distrust transition.
-        provider.distrusted = true;
-      }
       return;
     }
   }
@@ -208,25 +202,21 @@ const tlog::Auditor* ResilientClient::tlog_auditor(
 bool ResilientClient::distrusted(const std::string& endpoint) const {
   MutexLock lock(mutex_);
   for (const auto& provider : providers_) {
-    if (provider.endpoint == endpoint) return provider.distrusted;
+    if (provider.endpoint == endpoint) return provider.distrusted();
   }
   return false;
 }
 
 void ResilientClient::tlog_sync(Provider& provider) {
   if (!provider.auditor || !provider.client) return;
-  const auto report = provider.client->verified_sync(*provider.auditor);
-  if (report.failure ==
-      RemoteBlocklistClient::SyncReport::Failure::kAudit) {
-    // Audit evidence is about the provider, not the channel: condemn it
-    // for good. Transport failures just leave the mirror stale until a
-    // later sync() succeeds. The latch guard keeps the distrust counter
-    // at exactly one increment per provider no matter how many threads
-    // observe the same equivocation.
-    if (!provider.distrusted) {
-      provider.distrusted = true;
-      metrics_.distrusted->inc();
-    }
+  // An audit failure latches distrust in the auditor for good (and in
+  // its store, so a restart recovers it); a transport failure just
+  // leaves the mirror stale until a later sync() succeeds. Only the
+  // flip is counted, so a latch recovered from the store is not.
+  const bool was_trusted = provider.auditor->trusted();
+  provider.client->verified_sync(*provider.auditor);
+  if (was_trusted && !provider.auditor->trusted()) {
+    metrics_.distrusted->inc();
   }
 }
 
@@ -325,7 +315,7 @@ void ResilientClient::remember(std::string_view address, bool listed) {
   std::string key(address);
   const auto it = cache_.find(key);
   if (it != cache_.end()) {
-    it->second = CachedVerdict{listed, now_ms()};
+    it->second = listed;
     return;
   }
   while (cache_.size() >= config_.response_cache_max &&
@@ -333,7 +323,7 @@ void ResilientClient::remember(std::string_view address, bool listed) {
     cache_.erase(cache_order_.front());
     cache_order_.pop_front();
   }
-  cache_.emplace(key, CachedVerdict{listed, now_ms()});
+  cache_.emplace(key, listed);
   cache_order_.push_back(std::move(key));
 }
 
@@ -353,7 +343,7 @@ ResilientClient::Outcome ResilientClient::query(std::string_view address) {
     std::size_t primary_index = 0;
     for (std::size_t i = 0; i < providers_.size(); ++i) {
       const std::size_t index = (next_primary_ + i) % providers_.size();
-      if (providers_[index].distrusted) continue;  // failed its audit
+      if (providers_[index].distrusted()) continue;  // failed its audit
       if (providers_[index].breaker.allow(now_ms())) {
         primary = &providers_[index];
         primary_index = index;
@@ -378,7 +368,7 @@ ResilientClient::Outcome ResilientClient::query(std::string_view address) {
     if (should_hedge) {
       for (std::size_t i = 1; i < providers_.size(); ++i) {
         const std::size_t index = (primary_index + i) % providers_.size();
-        if (providers_[index].distrusted) continue;
+        if (providers_[index].distrusted()) continue;
         if (providers_[index].breaker.allow(now_ms())) {
           secondary = &providers_[index];
           break;
@@ -448,8 +438,8 @@ ResilientClient::Outcome ResilientClient::degrade(std::string_view address,
   Outcome out = std::move(partial);
   const auto cached = cache_.find(std::string(address));
   if (cached != cache_.end()) {
-    out.verdict = cached->second.listed ? Outcome::Verdict::kListed
-                                        : Outcome::Verdict::kNotListed;
+    out.verdict = cached->second ? Outcome::Verdict::kListed
+                                 : Outcome::Verdict::kNotListed;
     out.freshness = Freshness::kStaleCache;
     metrics_.stale_cache->inc();
     return out;
@@ -458,7 +448,7 @@ ResilientClient::Outcome ResilientClient::degrade(std::string_view address,
   // (and leaks nothing new — the prefix list is public anyway). A prefix
   // hit decides nothing, so it cannot be answered here.
   for (const auto& provider : providers_) {
-    if (provider.distrusted) continue;  // its prefix list may be a lie
+    if (provider.distrusted()) continue;  // its prefix list may be a lie
     if (provider.client && provider.client->has_prefix_list() &&
         !provider.client->may_be_listed(address)) {
       out.verdict = Outcome::Verdict::kNotListed;

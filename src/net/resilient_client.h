@@ -180,16 +180,13 @@ class ResilientClient {
   /// and the Auditor is internally synchronized.
   const tlog::Auditor* tlog_auditor(const std::string& endpoint) const
       CBL_EXCLUDES(mutex_);
-  /// True once an audit failure has condemned the endpoint.
+  /// True once an audit failure has condemned the endpoint: read from
+  /// its auditor, so a latch recovered from the store counts too.
   bool distrusted(const std::string& endpoint) const CBL_EXCLUDES(mutex_);
 
   CircuitBreaker::State breaker_state(const std::string& endpoint) const
       CBL_EXCLUDES(mutex_);
   std::size_t connected_providers() const CBL_EXCLUDES(mutex_);
-  std::size_t cached_responses() const CBL_EXCLUDES(mutex_) {
-    cbl::MutexLock lock(mutex_);
-    return cache_.size();
-  }
   double now_ms() const;
 
  private:
@@ -202,11 +199,9 @@ class ResilientClient {
     /// Mutex, so it is immovable) — which also keeps the pointer
     /// escaped via tlog_auditor() stable for the client's lifetime.
     std::unique_ptr<tlog::Auditor> auditor;
-    bool distrusted = false;               // latched by audit failures
-  };
-  struct CachedVerdict {
-    bool listed = false;
-    double at_ms = 0.0;
+
+    /// The auditor's latch is the one record of distrust.
+    bool distrusted() const { return auditor && !auditor->trusted(); }
   };
   struct AttemptResult {
     RemoteBlocklistClient::QueryOutcome outcome;
@@ -214,9 +209,9 @@ class ResilientClient {
   };
 
   bool ensure_connected(Provider& provider) CBL_REQUIRES(mutex_);
-  /// Runs the verified transparency sync for a pinned provider; latches
-  /// `distrusted` on audit failure (exactly one counter increment per
-  /// provider, however many threads observe the same evidence).
+  /// Runs the verified transparency sync for a pinned provider; counts
+  /// the provider as distrusted when this sync flips its auditor from
+  /// trusted to distrusted.
   void tlog_sync(Provider& provider) CBL_REQUIRES(mutex_);
   AttemptResult attempt(Provider& provider, std::string_view address)
       CBL_REQUIRES(mutex_);
@@ -244,8 +239,8 @@ class ResilientClient {
   /// stay stable for the client's lifetime.
   std::vector<Provider> providers_ CBL_GUARDED_BY(mutex_);
   std::string api_key_ CBL_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, CachedVerdict> cache_
-      CBL_GUARDED_BY(mutex_);
+  /// Last fresh verdict per address (true = listed).
+  std::unordered_map<std::string, bool> cache_ CBL_GUARDED_BY(mutex_);
   std::deque<std::string> cache_order_
       CBL_GUARDED_BY(mutex_);  // FIFO eviction
   /// Round-robin start among providers.

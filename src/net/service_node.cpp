@@ -385,22 +385,16 @@ RemoteBlocklistClient::RemoteBlocklistClient(Channel& channel,
 }
 
 std::optional<Bytes> RemoteBlocklistClient::call_tlog(Method method,
-                                                      ByteView body,
-                                                      bool* transport_failed) {
-  *transport_failed = false;
+                                                      ByteView body) {
   Bytes frame = {static_cast<std::uint8_t>(method)};
   append(frame, body);
   const auto result = channel_.call(endpoint_, frame);
-  if (!result.delivered) {
-    *transport_failed = true;
-    return std::nullopt;
-  }
+  if (!result.delivered) return std::nullopt;
   const auto response = parse_response_frame(result.response);
   if (!response || response->status != Status::kOk) {
     // A failed integrity checksum is channel damage; a non-kOk status is
     // a service that is not publishing (or a stale argument). Neither is
     // evidence of provider dishonesty.
-    *transport_failed = true;
     return std::nullopt;
   }
   return Bytes(response->body.begin(), response->body.end());
@@ -408,6 +402,7 @@ std::optional<Bytes> RemoteBlocklistClient::call_tlog(Method method,
 
 RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     tlog::Auditor& auditor) {
+  using AuditStatus = tlog::Auditor::Status;
   SyncReport report;
   const auto finish = [&](SyncReport::Failure failure) {
     report.failure = failure;
@@ -422,17 +417,26 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     sync_bytes_full_->inc(report.full_bytes);
     return report;
   };
-  if (!auditor.trusted()) return finish(SyncReport::Failure::kAudit);
+  const auto transport = [&] {
+    return finish(SyncReport::Failure::kTransport);
+  };
+  // A failed auditor check has latched distrust already. Evidence the
+  // checks never see (a body that passed the checksum but does not
+  // decode) is latched here, under the status of the artifact at fault.
+  const auto audit_failed = [&] {
+    return finish(SyncReport::Failure::kAudit);
+  };
+  const auto reject = [&](AuditStatus reason) {
+    auditor.reject(reason);
+    return audit_failed();
+  };
+  if (!auditor.trusted()) return audit_failed();
 
   // 1. Latest signed checkpoint.
-  bool transport_failed = false;
-  const auto cp_body = call_tlog(Method::kTlogCheckpoint, {}, &transport_failed);
-  if (!cp_body) {
-    return finish(transport_failed ? SyncReport::Failure::kTransport
-                                   : SyncReport::Failure::kAudit);
-  }
+  const auto cp_body = call_tlog(Method::kTlogCheckpoint, {});
+  if (!cp_body) return transport();
   const auto checkpoint = tlog::Checkpoint::from_bytes(*cp_body);
-  if (!checkpoint) return finish(SyncReport::Failure::kAudit);
+  if (!checkpoint) return reject(AuditStatus::kBadSignature);
 
   // 2. Append-only consistency when the log grew since our last accepted
   // checkpoint.
@@ -441,62 +445,48 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
   if (previous && checkpoint->tree_size > previous->tree_size) {
     ec::WireWriter w;
     w.u64(previous->tree_size);
-    const auto proof_body =
-        call_tlog(Method::kTlogConsistency, w.take(), &transport_failed);
-    if (!proof_body) {
-      return finish(transport_failed ? SyncReport::Failure::kTransport
-                                     : SyncReport::Failure::kAudit);
-    }
+    const auto proof_body = call_tlog(Method::kTlogConsistency, w.take());
+    if (!proof_body) return transport();
     const auto parsed = tlog::parse_consistency_proof(*proof_body);
-    if (!parsed) return finish(SyncReport::Failure::kAudit);
+    if (!parsed) return reject(AuditStatus::kInconsistent);
     consistency = *parsed;
   }
   if (auditor.observe_checkpoint(*checkpoint,
                                  consistency ? &*consistency : nullptr) !=
-      tlog::Auditor::Status::kOk) {
-    return finish(SyncReport::Failure::kAudit);
+      AuditStatus::kOk) {
+    return audit_failed();
   }
 
-  // 3. Advance the mirror: fold signed one-step deltas while the service
-  // has the hop we need; fall back to a full verified download on first
-  // contact or when a hop is gone (e.g. the provider pruned old deltas).
-  bool need_full = !auditor.has_state();
-  while (!need_full && auditor.mirror_epoch() < checkpoint->epoch) {
+  // 3. Advance the mirror: a full verified download on first contact,
+  // then signed one-step deltas up to the checkpoint. The service keeps
+  // every hop, so one it does not serve is a transport failure.
+  if (!auditor.has_state()) {
+    const auto buckets_body = call_tlog(Method::kTlogBuckets, {});
+    if (!buckets_body) return transport();
+    auto snapshot = tlog::parse_bucket_map(*buckets_body);
+    if (!snapshot) return reject(AuditStatus::kBadProof);
+    if (auditor.adopt_snapshot(std::move(*snapshot)) != AuditStatus::kOk) {
+      return audit_failed();
+    }
+    report.full_bytes += buckets_body->size();
+  }
+  while (auditor.mirror_epoch() < checkpoint->epoch) {
     ec::WireWriter w;
     w.u64(auditor.mirror_epoch());
-    const auto delta_body =
-        call_tlog(Method::kTlogDelta, w.take(), &transport_failed);
-    if (!delta_body) {
-      if (transport_failed) return finish(SyncReport::Failure::kTransport);
-      need_full = true;  // hop unavailable: recover via full download
-      break;
-    }
+    const auto delta_body = call_tlog(Method::kTlogDelta, w.take());
+    if (!delta_body) return transport();
     const auto delta = tlog::EpochDelta::from_bytes(*delta_body);
-    if (!delta) return finish(SyncReport::Failure::kAudit);
-    if (auditor.apply_delta(*delta) != tlog::Auditor::Status::kOk) {
-      return finish(SyncReport::Failure::kAudit);
+    if (!delta) return reject(AuditStatus::kBadDelta);
+    if (auditor.apply_delta(*delta) != AuditStatus::kOk) {
+      return audit_failed();
     }
     report.delta_bytes += delta_body->size();
     ++report.deltas_applied;
   }
-  if (need_full) {
-    const auto buckets_body =
-        call_tlog(Method::kTlogBuckets, {}, &transport_failed);
-    if (!buckets_body) {
-      return finish(transport_failed ? SyncReport::Failure::kTransport
-                                     : SyncReport::Failure::kAudit);
-    }
-    auto snapshot = tlog::parse_bucket_map(*buckets_body);
-    if (!snapshot) return finish(SyncReport::Failure::kAudit);
-    if (auditor.adopt_snapshot(std::move(*snapshot)) !=
-        tlog::Auditor::Status::kOk) {
-      return finish(SyncReport::Failure::kAudit);
-    }
-    report.full_bytes += buckets_body->size();
-  }
   if (auditor.mirror_epoch() != checkpoint->epoch) {
-    // Deltas stopped short of the checkpointed epoch.
-    return finish(SyncReport::Failure::kAudit);
+    // The mirror already stands past the signed checkpoint's epoch: the
+    // checkpoint contradicts deltas this provider signed before.
+    return reject(AuditStatus::kBadDelta);
   }
 
   // 4. Bind the mirror root to the signed checkpoint with one audit
@@ -506,17 +496,13 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
   if (const auto audit_prefix = auditor.first_prefix()) {
     ec::WireWriter w;
     w.u32(*audit_prefix);
-    const auto path_body =
-        call_tlog(Method::kTlogAuditPath, w.take(), &transport_failed);
-    if (!path_body) {
-      return finish(transport_failed ? SyncReport::Failure::kTransport
-                                     : SyncReport::Failure::kAudit);
-    }
+    const auto path_body = call_tlog(Method::kTlogAuditPath, w.take());
+    if (!path_body) return transport();
     const auto path = tlog::parse_audit_path(*path_body);
-    if (!path) return finish(SyncReport::Failure::kAudit);
+    if (!path) return reject(AuditStatus::kBadProof);
     if (auditor.verify_audit_path(*audit_prefix, *path) !=
-        tlog::Auditor::Status::kOk) {
-      return finish(SyncReport::Failure::kAudit);
+        AuditStatus::kOk) {
+      return audit_failed();
     }
   }
   return finish(SyncReport::Failure::kNone);

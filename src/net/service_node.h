@@ -199,11 +199,12 @@ class RemoteBlocklistClient {
   /// Outcome of one verified_sync pass, with the failure classified for
   /// the resilience layer: kTransport covers undelivered calls and
   /// frames that failed the integrity checksum (channel damage — retry,
-  /// never distrust) plus non-kOk statuses (service not publishing);
-  /// kAudit covers everything a checksum-VALID response got wrong —
-  /// undecodable bodies, bad signatures, consistency/equivocation
-  /// failures, root mismatches. kAudit is evidence about the provider,
-  /// not the channel, and callers must stop trusting the endpoint.
+  /// never distrust) plus non-kOk statuses (service not publishing, or
+  /// a delta hop it does not serve); kAudit covers everything a
+  /// checksum-VALID response got wrong — undecodable bodies, bad
+  /// signatures, consistency/equivocation failures, root mismatches.
+  /// kAudit is evidence about the provider, not the channel: the
+  /// auditor has latched distrust (durably, when it has a store).
   struct SyncReport {
     enum class Failure : std::uint8_t { kNone, kTransport, kAudit };
     bool ok = false;
@@ -216,12 +217,12 @@ class RemoteBlocklistClient {
 
   /// Brings `auditor`'s bucket mirror up to the provider's latest signed
   /// checkpoint: fetches the checkpoint (with a consistency proof when
-  /// the log grew), then either folds signed one-step deltas into the
-  /// mirror or — on first contact or when a delta hop is unavailable —
-  /// adopts a full bucket download, and finally binds the mirror root to
-  /// the checkpoint with an audit path. Every step goes through the
-  /// auditor; nothing is applied unverified. A distrusted auditor is
-  /// refused up front (failure kAudit).
+  /// the log grew), adopts a full bucket download on first contact,
+  /// folds signed one-step deltas into the mirror up to the checkpoint,
+  /// and finally binds the mirror root to the checkpoint with an audit
+  /// path. Every step goes through the auditor; nothing is applied
+  /// unverified. A distrusted auditor is refused up front (failure
+  /// kAudit).
   SyncReport verified_sync(tlog::Auditor& auditor);
 
   const ServiceInfo& info() const { return info_; }
@@ -239,10 +240,8 @@ class RemoteBlocklistClient {
  private:
   QueryOutcome query_uncounted(std::string_view address);
   /// One tlog method call; returns the response BODY on kOk, nullopt on
-  /// transport failure or non-kOk status (`*transport_failed` says
-  /// which).
-  std::optional<Bytes> call_tlog(Method method, ByteView body,
-                                 bool* transport_failed);
+  /// transport failure or non-kOk status (both kTransport to the sync).
+  std::optional<Bytes> call_tlog(Method method, ByteView body);
 
   Channel& channel_;
   std::string endpoint_;

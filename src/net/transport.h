@@ -79,9 +79,6 @@ class Transport final : public Channel {
   /// Tears an endpoint down (crash simulation / node shutdown): later
   /// calls are unknown-endpoint drops until a handler is re-registered.
   void unregister_endpoint(const std::string& name);
-  bool has_endpoint(const std::string& name) const {
-    return endpoints_.contains(name);
-  }
 
   CallResult call(const std::string& endpoint, ByteView request) override;
 

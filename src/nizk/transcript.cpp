@@ -26,13 +26,6 @@ Transcript& Transcript::absorb_point(std::string_view label,
   return *this;
 }
 
-Transcript& Transcript::absorb_scalar(std::string_view label,
-                                      const ec::Scalar& s) {
-  const auto enc = s.to_bytes();
-  frame(label, ByteView(enc.data(), enc.size()));
-  return *this;
-}
-
 Transcript& Transcript::absorb_u64(std::string_view label, std::uint64_t v) {
   std::uint8_t enc[8];
   store_le64(enc, v);

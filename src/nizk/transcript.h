@@ -18,7 +18,6 @@ class Transcript {
 
   Transcript& absorb(std::string_view label, ByteView data);
   Transcript& absorb_point(std::string_view label, const ec::RistrettoPoint& p);
-  Transcript& absorb_scalar(std::string_view label, const ec::Scalar& s);
   Transcript& absorb_u64(std::string_view label, std::uint64_t v);
 
   /// Derives a challenge scalar; the transcript evolves, so successive

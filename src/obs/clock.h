@@ -46,7 +46,6 @@ class ManualClock final : public Clock {
   void advance_ns(std::uint64_t delta) {
     now_ns_.fetch_add(delta, std::memory_order_relaxed);
   }
-  void advance_us(std::uint64_t delta) { advance_ns(delta * 1'000); }
   void advance_ms(std::uint64_t delta) { advance_ns(delta * 1'000'000); }
   void set_ns(std::uint64_t t) { now_ns_.store(t, std::memory_order_relaxed); }
 

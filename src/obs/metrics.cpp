@@ -33,11 +33,6 @@ const std::vector<double>& Histogram::default_latency_ms_buckets() {
   return bounds;
 }
 
-const std::vector<double>& Histogram::default_bytes_buckets() {
-  static const std::vector<double> bounds = log_buckets(1.0, 1e8, 3);
-  return bounds;
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)) {
   if (bounds_.empty() || !std::is_sorted(bounds_.begin(), bounds_.end())) {

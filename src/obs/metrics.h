@@ -87,8 +87,6 @@ class Histogram {
 
   /// Default latency scale: 1 us .. 100 s, in milliseconds.
   static const std::vector<double>& default_latency_ms_buckets();
-  /// Default size scale: 1 B .. 100 MiB.
-  static const std::vector<double>& default_bytes_buckets();
 
   void observe(double v);
 

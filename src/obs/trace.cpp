@@ -56,13 +56,19 @@ void set_trace_log(TraceLog* log) {
 
 TraceLog* trace_log() { return g_trace_log.load(std::memory_order_acquire); }
 
-ScopedSpan::ScopedSpan(const char* name, MetricsRegistry& registry)
-    : name_(name), registry_(&registry) {
-  histogram_ = &registry_->histogram(
-      kSpanHistogramName, Histogram::default_latency_ms_buckets(),
-      {{"span", name_}}, "Scoped span durations in milliseconds");
-  start_ns_ = registry_->clock().now_ns();
+Histogram& span_histogram(const char* name, MetricsRegistry& registry) {
+  return registry.histogram(kSpanHistogramName,
+                            Histogram::default_latency_ms_buckets(),
+                            {{"span", name}},
+                            "Scoped span durations in milliseconds");
 }
+
+ScopedSpan::ScopedSpan(const char* name, Histogram& histogram,
+                       MetricsRegistry& registry)
+    : name_(name),
+      registry_(&registry),
+      histogram_(&histogram),
+      start_ns_(registry.clock().now_ns()) {}
 
 void ScopedSpan::finish() {
   if (!histogram_) return;

@@ -49,12 +49,23 @@ TraceLog* trace_log();
 
 inline constexpr const char* kSpanHistogramName = "cbl_span_duration_ms";
 
+/// The cbl_span_duration_ms{span=name} histogram of `registry`.
+Histogram& span_histogram(const char* name,
+                          MetricsRegistry& registry = MetricsRegistry::global());
+
 /// RAII span. Prefer the CBL_SPAN macro; construct directly to target a
 /// non-global registry.
 class ScopedSpan {
  public:
+  /// Looks the histogram up in `registry` on every construction (a map
+  /// search under the registry mutex).
   explicit ScopedSpan(const char* name,
-                      MetricsRegistry& registry = MetricsRegistry::global());
+                      MetricsRegistry& registry = MetricsRegistry::global())
+      : ScopedSpan(name, span_histogram(name, registry), registry) {}
+  /// Times into a histogram already resolved by span_histogram() on the
+  /// same registry.
+  ScopedSpan(const char* name, Histogram& histogram,
+             MetricsRegistry& registry = MetricsRegistry::global());
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -72,8 +83,14 @@ class ScopedSpan {
 
 #define CBL_OBS_CONCAT_INNER(a, b) a##b
 #define CBL_OBS_CONCAT(a, b) CBL_OBS_CONCAT_INNER(a, b)
-/// Times the current scope: CBL_SPAN("ceremony.vote");
-#define CBL_SPAN(name) \
-  ::cbl::obs::ScopedSpan CBL_OBS_CONCAT(cbl_span_, __LINE__)(name)
+/// Times the current scope against the global registry:
+/// CBL_SPAN("ceremony.vote"). The histogram is resolved once per call
+/// site, on its first pass, so `name` must be fixed per site (a literal).
+#define CBL_SPAN(name)                                                  \
+  static ::cbl::obs::Histogram& CBL_OBS_CONCAT(cbl_span_histogram_,    \
+                                               __LINE__) =             \
+      ::cbl::obs::span_histogram(name);                                \
+  ::cbl::obs::ScopedSpan CBL_OBS_CONCAT(cbl_span_, __LINE__)(          \
+      name, CBL_OBS_CONCAT(cbl_span_histogram_, __LINE__))
 
 }  // namespace cbl::obs

@@ -28,7 +28,7 @@ OprfClient::OprfClient(Oracle oracle, unsigned lambda, Rng& rng)
   metrics_.cache_misses = cache("miss");
 }
 
-OprfClient::Prepared OprfClient::begin_query(std::string_view entry) const {
+OprfClient::Prepared OprfClient::prepare(std::string_view entry) const {
   const Bytes raw = to_bytes(entry);
   Prepared p;
   p.pending.blinding = Secret(ec::Scalar::random(rng_));
@@ -45,30 +45,8 @@ OprfClient::Prepared OprfClient::begin_query(std::string_view entry) const {
     p.pending.used_cache_hint = true;
     p.pending.cached_epoch = it->second.epoch;
   }
-  return p;
-}
-
-OprfClient::Prepared OprfClient::prepare(std::string_view entry) const {
-  Prepared p = begin_query(entry);
   p.request.masked_query = p.pending.half_blinded.double_and_encode();
   return p;
-}
-
-std::vector<OprfClient::Prepared> OprfClient::blind_batch(
-    std::span<const std::string> entries) const {
-  std::vector<Prepared> out;
-  std::vector<ec::RistrettoPoint> halves;
-  out.reserve(entries.size());
-  halves.reserve(entries.size());
-  for (const auto& entry : entries) {
-    out.push_back(begin_query(entry));
-    halves.push_back(out.back().pending.half_blinded);
-  }
-  const auto encodings = ec::RistrettoPoint::double_and_encode_batch(halves);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].request.masked_query = encodings[i];
-  }
-  return out;
 }
 
 OprfClient::Result OprfClient::finish(const PendingQuery& pending,

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -32,17 +31,10 @@ class OprfClient {
   };
 
   /// Secure query (stage 2 of Fig. 2): m = H(u)^r plus the plaintext
-  /// prefix. Expensive under the slow oracle — by design. This is the
-  /// one-element blind_batch, without its vectors.
+  /// prefix. Expensive under the slow oracle — by design. Keeps
+  /// H(u)^(r/2) in pending.half_blinded; the request carries its
+  /// doubling.
   Prepared prepare(std::string_view entry) const;
-
-  /// Batched prepare(): one blinding factor per entry, drawn from the rng
-  /// in entry order (a twin-seeded rng reproduces the sequential
-  /// prepare() stream exactly), with every masked-query encoding produced
-  /// by one shared double_and_encode_batch — the whole batch pays a
-  /// single field inversion. Requests and pending state are byte- and
-  /// value-identical to per-entry prepare() calls.
-  std::vector<Prepared> blind_batch(std::span<const std::string> entries) const;
 
   struct Result {
     bool listed = false;
@@ -85,10 +77,6 @@ class OprfClient {
   unsigned lambda() const { return lambda_; }
 
  private:
-  // prepare() up to the masked-query encoding: draws r, keeps H(u)^(r/2)
-  // in pending.half_blinded, and fills every other request field.
-  Prepared begin_query(std::string_view entry) const;
-
   struct CachedBucket {
     std::uint64_t epoch;
     std::vector<ec::RistrettoPoint::Encoding> bucket;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "common/ct.h"
 #include "exec/parallel_for.h"
 #include "hash/sha256.h"
 #include "oprf/blind.h"
@@ -503,7 +504,7 @@ std::optional<Bytes> OprfServer::open_metadata(
   const ByteView tag(ciphertext.data(), 16);
   const ByteView body(ciphertext.data() + 16, ciphertext.size() - 16);
   const auto expected = hash::hmac_sha256(key, body);
-  if (!constant_time_eq(tag, ByteView(expected.data(), 16))) {
+  if (!ct_equal(tag, ByteView(expected.data(), 16))) {
     return std::nullopt;
   }
   ChaChaRng stream(key);

@@ -96,13 +96,6 @@ void MemFs::crash() {
   durable_ = std::move(fresh);
 }
 
-std::optional<Bytes> MemFs::durable_view(const std::string& path) const {
-  MutexLock lock(mutex_);
-  const auto it = durable_.find(path);
-  if (it == durable_.end()) return std::nullopt;
-  return it->second->content_durable ? it->second->durable : Bytes{};
-}
-
 // ----------------------------------------------------------------- RealFs
 
 RealFs::RealFs(std::string root) : root_(std::move(root)) {

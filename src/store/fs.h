@@ -80,11 +80,6 @@ class MemFs final : public Fs {
   /// still-durable files reappear.
   void crash() CBL_EXCLUDES(mutex_);
 
-  /// The durable image of `path` (what a crash would leave); nullopt
-  /// when the name itself is not durable. Test/assertion hook.
-  std::optional<Bytes> durable_view(const std::string& path) const
-      CBL_EXCLUDES(mutex_);
-
  private:
   struct Inode {
     Bytes live;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/codec.h"
+#include "common/ct.h"
 #include "hash/blake2b.h"
 
 namespace cbl::store {
@@ -46,7 +47,7 @@ std::optional<Bytes> parse_journal_record(ByteView data) {
   const Bytes checksum = r.raw(kJournalChecksumSize);
   const Bytes payload = r.raw(len);
   if (!r.finish()) return std::nullopt;
-  if (!constant_time_eq(checksum, record_checksum(payload))) {
+  if (!ct_equal(checksum, record_checksum(payload))) {
     return std::nullopt;
   }
   return payload;
@@ -94,7 +95,7 @@ RecoveredJournal scan_journal(ByteView file) {
       out.status = RecoverStatus::kTornTail;
       break;
     }
-    if (!constant_time_eq(checksum, record_checksum(payload))) {
+    if (!ct_equal(checksum, record_checksum(payload))) {
       // Structurally complete record, wrong checksum: bit rot, not a
       // torn append. The verified prefix stands; the owner must not.
       out.status = RecoverStatus::kCorrupt;

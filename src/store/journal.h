@@ -93,15 +93,10 @@ class Journal {
   /// owning StateStore committed a snapshot. Clears the wounded latch.
   bool reset() CBL_EXCLUDES(mutex_);
 
-  bool wounded() const CBL_EXCLUDES(mutex_) {
-    cbl::MutexLock lock(mutex_);
-    return wounded_;
-  }
   std::size_t record_count() const CBL_EXCLUDES(mutex_) {
     cbl::MutexLock lock(mutex_);
     return record_count_;
   }
-  const std::string& path() const { return path_; }
 
  private:
   // lock:unguarded(reference bound in the ctor and never reseated; Fs

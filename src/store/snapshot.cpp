@@ -3,6 +3,7 @@
 #include "store/snapshot.h"
 
 #include "common/codec.h"
+#include "common/ct.h"
 #include "hash/blake2b.h"
 
 namespace cbl::store {
@@ -38,7 +39,7 @@ std::optional<Bytes> parse_snapshot(ByteView file) {
   const Bytes checksum = r.raw(kSnapshotChecksumSize);
   const Bytes payload = r.raw(len);
   if (!r.finish()) return std::nullopt;
-  if (!constant_time_eq(checksum, snapshot_checksum(payload))) {
+  if (!ct_equal(checksum, snapshot_checksum(payload))) {
     return std::nullopt;
   }
   return payload;

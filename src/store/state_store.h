@@ -57,9 +57,6 @@ class StateStore {
   bool checkpoint(ByteView payload);
 
   std::size_t journal_records() const { return journal_.record_count(); }
-  bool journal_wounded() const { return journal_.wounded(); }
-  const std::string& snapshot_path() const { return snap_path_; }
-  const std::string& journal_path() const { return journal_.path(); }
 
  private:
   // lock:unguarded(reference bound in the ctor and never reseated; Fs

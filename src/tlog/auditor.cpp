@@ -86,6 +86,11 @@ Auditor::Status Auditor::fail(Status status) {
   return status;
 }
 
+Auditor::Status Auditor::reject(Status reason) {
+  MutexLock lock(mutex_);
+  return fail(reason);
+}
+
 Auditor::Status Auditor::observe_checkpoint(
     const Checkpoint& checkpoint, const ConsistencyProofMsg* consistency) {
   MutexLock lock(mutex_);

@@ -92,6 +92,13 @@ class Auditor {
   Status verify_audit_path(std::uint32_t prefix, const AuditPath& path)
       CBL_EXCLUDES(mutex_);
 
+  /// Latches distrust on evidence judged before it reaches a check
+  /// above: a checksum-valid body that does not decode, or deltas that
+  /// stop short of the signed checkpoint. `reason` (not kOk) names the
+  /// artifact at fault; the latch is counted and persisted exactly as a
+  /// failed check's is, so the provider stays condemned across restarts.
+  Status reject(Status reason) CBL_EXCLUDES(mutex_);
+
   /// False once any audit check has failed; never resets. A distrusted
   /// provider's data must not be folded into caches (the resilient
   /// client drops to the degradation ladder instead).

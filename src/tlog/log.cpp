@@ -114,17 +114,6 @@ std::size_t TransparencyLog::append(const EpochRecord& record) {
   return records_.size();
 }
 
-std::optional<std::size_t> TransparencyLog::index_of_epoch(
-    std::uint64_t epoch) const {
-  // Epochs are appended in increasing order but need not be contiguous
-  // (rotations may skip numbers), so binary-search the records.
-  const auto it = std::lower_bound(
-      records_.begin(), records_.end(), epoch,
-      [](const EpochRecord& r, std::uint64_t e) { return r.epoch < e; });
-  if (it == records_.end() || it->epoch != epoch) return std::nullopt;
-  return static_cast<std::size_t>(it - records_.begin());
-}
-
 InclusionProof TransparencyLog::prove_record(std::size_t index) const {
   InclusionProof proof;
   proof.index = index;

@@ -85,8 +85,6 @@ class TransparencyLog {
   const EpochRecord& record(std::size_t index) const {
     return records_.at(index);
   }
-  /// Slot of the record for `epoch`, or nullopt if never published.
-  std::optional<std::size_t> index_of_epoch(std::uint64_t epoch) const;
 
   /// Index-bound inclusion proof for the record at `index` under the
   /// current root.

@@ -81,7 +81,6 @@ class RegistryContract {
 
   bool is_listed(const std::string& name) const;
   std::optional<Listing> lookup(const std::string& name) const;
-  const std::map<std::string, Listing>& listings() const { return listings_; }
 
  private:
   Listing& require_listing(const std::string& name);

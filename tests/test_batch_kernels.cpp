@@ -2,8 +2,8 @@
 // layer's foundation): every batch kernel must be bit-identical to the
 // scalar path it amortizes, on random inputs and on the edge cases —
 // empty batch, size-1, identity points, zero field elements — plus the
-// OPRF batch APIs (evaluate_batch / blind_batch) byte-for-byte against
-// their per-element counterparts, and the rebuild(num_threads)
+// OPRF batch API (evaluate_batch) byte-for-byte against its
+// per-element counterpart, and the rebuild(num_threads)
 // determinism sweep. See DESIGN.md "Throughput architecture".
 #include <gtest/gtest.h>
 
@@ -362,40 +362,6 @@ TEST_F(EvaluateBatchTest, EvaluationProofsVerify) {
   EXPECT_TRUE(result.listed);
 }
 
-// ---------------------------------------------------------------------------
-// OprfClient::blind_batch vs prepare(), byte-for-byte
-// ---------------------------------------------------------------------------
-
-TEST(BlindBatch, MatchesSequentialPrepare) {
-  // Twin-seeded rngs: blind_batch draws one blinding factor per entry in
-  // entry order, so the sequential client must produce identical requests.
-  auto rng_a = ChaChaRng::from_string_seed("blind-batch-twin");
-  auto rng_b = ChaChaRng::from_string_seed("blind-batch-twin");
-  cbl::oprf::OprfClient sequential(cbl::oprf::Oracle::fast(), 6, rng_a);
-  cbl::oprf::OprfClient batched(cbl::oprf::Oracle::fast(), 6, rng_b);
-  sequential.set_api_key("key");
-  batched.set_api_key("key");
-
-  std::vector<std::string> entries;
-  for (int i = 0; i < 25; ++i) entries.push_back("q-" + std::to_string(i));
-
-  std::vector<cbl::oprf::OprfClient::Prepared> expected;
-  for (const auto& e : entries) expected.push_back(sequential.prepare(e));
-  const auto got = batched.blind_batch(entries);
-
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(cbl::oprf::serialize(got[i].request),
-              cbl::oprf::serialize(expected[i].request))
-        << "i=" << i;
-    EXPECT_EQ(got[i].pending.blinding.expose_secret().to_bytes(),
-              expected[i].pending.blinding.expose_secret().to_bytes());
-    EXPECT_TRUE(got[i].pending.half_blinded ==
-                expected[i].pending.half_blinded);
-    EXPECT_EQ(got[i].pending.prefix, expected[i].pending.prefix);
-  }
-}
-
 TEST(BlindHelpers, UnblindUndoesBlindAndEvaluation) {
   // blind_half doubled is H(u)^r; unblind(psi, r) is psi^(1/r) encoded.
   auto rng = ChaChaRng::from_string_seed("blind-helpers");
@@ -419,10 +385,15 @@ TEST(BlindBatch, RoundTripsThroughEvaluateBatch) {
   for (int i = 0; i < 64; ++i) corpus.push_back("c-" + std::to_string(i));
   server.setup(corpus);
 
+  // Four prepare()d requests evaluated as one batch, each finished
+  // against its own pending state.
   std::vector<std::string> queries = {"c-0", "nope", "c-63", "also-nope"};
-  const auto prepared = client.blind_batch(queries);
+  std::vector<cbl::oprf::OprfClient::Prepared> prepared;
   std::vector<cbl::oprf::QueryRequest> requests;
-  for (const auto& p : prepared) requests.push_back(p.request);
+  for (const auto& q : queries) {
+    prepared.push_back(client.prepare(q));
+    requests.push_back(prepared.back().request);
+  }
   const auto outcomes = server.evaluate_batch(requests);
   const bool expected[] = {true, false, true, false};
   for (std::size_t i = 0; i < queries.size(); ++i) {

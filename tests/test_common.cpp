@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/bytes.h"
+#include "common/ct.h"
 #include "common/rng.h"
 
 namespace cbl {
@@ -44,9 +45,9 @@ TEST(Bytes, ConstantTimeEq) {
   const Bytes b = {1, 2, 3};
   const Bytes c = {1, 2, 4};
   const Bytes d = {1, 2};
-  EXPECT_TRUE(constant_time_eq(a, b));
-  EXPECT_FALSE(constant_time_eq(a, c));
-  EXPECT_FALSE(constant_time_eq(a, d));
+  EXPECT_TRUE(ct_equal(a, b));
+  EXPECT_FALSE(ct_equal(a, c));
+  EXPECT_FALSE(ct_equal(a, d));
 }
 
 TEST(Bytes, StringRoundTrip) {

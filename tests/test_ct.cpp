@@ -73,11 +73,6 @@ TEST(CtEqual, ArrayOverload) {
   EXPECT_FALSE(ct_equal(a, b));
 }
 
-TEST(CtEqual, LegacyNameStillWorks) {
-  const Bytes a = {9, 9, 9};
-  EXPECT_TRUE(constant_time_eq(a, a));
-}
-
 // --- Byte-buffer select / swap --------------------------------------------
 
 TEST(CtSelect, Bytes) {

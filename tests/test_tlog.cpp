@@ -13,6 +13,8 @@
 #include "metric_delta.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
+#include "store/fs.h"
+#include "store/state_store.h"
 #include "tlog/tlog.h"
 
 namespace cbl::tlog {
@@ -623,6 +625,26 @@ class TlogWireTest : public TlogTest {
     return net::Transport(cfg, transport_rng_);
   }
 
+  /// An endpoint that answers kInfo honestly and every other method with
+  /// properly sealed garbage: it passes the checksum gate and dies in the
+  /// body decoder, which is provider dishonesty, not channel noise.
+  void register_garbage_endpoint(net::Transport& transport,
+                                 const std::string& name) {
+    transport.register_endpoint(
+        name, [this](ByteView frame) -> std::optional<Bytes> {
+          const auto request = net::parse_request_frame(frame);
+          if (request && request->method == net::Method::kInfo) {
+            net::ServiceInfo info;
+            info.lambda = server_->lambda();
+            info.entry_count = server_->entry_count();
+            return net::encode_response_frame(net::Status::kOk,
+                                              net::encode_info(info));
+          }
+          return net::encode_response_frame(net::Status::kOk,
+                                            Bytes{0xde, 0xad, 0xbe, 0xef});
+        });
+  }
+
   ChaChaRng transport_rng_ = ChaChaRng::from_string_seed("tlog-transport");
 };
 
@@ -735,27 +757,50 @@ TEST_F(TlogWireTest, EquivocatingEndpointIsAuditFailureOverTheWire) {
 
 TEST_F(TlogWireTest, ChecksumValidGarbageBodyIsAudit) {
   auto transport = make_transport();
-  transport.register_endpoint(
-      "evil", [this](ByteView frame) -> std::optional<Bytes> {
-        const auto request = net::parse_request_frame(frame);
-        if (request && request->method == net::Method::kInfo) {
-          net::ServiceInfo info;
-          info.lambda = server_->lambda();
-          info.entry_count = server_->entry_count();
-          return net::encode_response_frame(net::Status::kOk,
-                                            net::encode_info(info));
-        }
-        // Properly sealed garbage: passes the checksum gate, dies in the
-        // Checkpoint decoder — that is provider dishonesty, not noise.
-        return net::encode_response_frame(net::Status::kOk,
-                                          Bytes{0xde, 0xad, 0xbe, 0xef});
-      });
+  register_garbage_endpoint(transport, "evil");
   RemoteBlocklistClient client(transport, "evil", client_rng_);
   Auditor auditor(key_.pk, "evil");
   const auto report = client.verified_sync(auditor);
   EXPECT_FALSE(report.ok);
   EXPECT_EQ(report.failure,
             RemoteBlocklistClient::SyncReport::Failure::kAudit);
+  // The auditor itself holds the latch, not only the sync's caller.
+  EXPECT_FALSE(auditor.trusted());
+}
+
+// Audit evidence must outlive the client process: a provider condemned
+// for an undecodable checkpoint is still condemned when a restarted
+// client recovers its auditor from the same store, and the recovery is
+// not counted as a second condemnation.
+TEST_F(TlogWireTest, GarbageCheckpointDistrustSurvivesRestart) {
+  auto transport = make_transport();
+  register_garbage_endpoint(transport, "evil");
+  net::ResilienceConfig config;
+  config.hedge_after_ms = 0.0;
+  obs::ManualClock clock;
+  store::MemFs fs;
+  {
+    store::StateStore store(fs, "evil-aud");
+    net::ResilientClient client(transport, {"evil"}, client_rng_, config,
+                                &clock);
+    client.pin_tlog_key("evil", key_.pk, &store);
+    const CounterDelta distrusted("cbl_tlog_providers_distrusted_total");
+    EXPECT_EQ(client.sync(), 1u);
+    EXPECT_TRUE(client.distrusted("evil"));
+    EXPECT_EQ(distrusted.value(), 1u);
+  }
+  fs.crash();
+
+  store::StateStore store(fs, "evil-aud");  // outlives the client below
+  net::ResilientClient client(transport, {"evil"}, client_rng_, config,
+                              &clock);
+  const CounterDelta distrusted("cbl_tlog_providers_distrusted_total");
+  const FamilyDelta calls("cbl_net_calls_total");
+  client.pin_tlog_key("evil", key_.pk, &store);
+  EXPECT_TRUE(client.distrusted("evil"));
+  EXPECT_EQ(client.sync(), 0u);
+  EXPECT_EQ(calls.value(), 0u);
+  EXPECT_EQ(distrusted.value(), 0u);
 }
 
 TEST_F(TlogWireTest, ResilientClientDistrustsEquivocatorPermanently) {
