@@ -20,6 +20,10 @@
 //                                        ns over one pair-body call's ns
 //                                        (the two-point 512-bit ladder on
 //                                        IFMA CPUs, ~1 serial)
+//   client/finish_repeat       entries=N ns of OprfClient::finish taking
+//                                        the full path (unblind) over ns of
+//                                        a memo-hit finish, same pendings
+//                                        and omitted-bucket responses
 //   rebuild/threads            threads=T entries/sec through setup()
 //   pipeline/qps               threads=T,batch=B  queries/sec via serve()
 #include <algorithm>
@@ -211,6 +215,78 @@ void bench_kernels(cbl::benchjson::Summary& summary, bool quick) {
   std::printf("\n");
 }
 
+void bench_finish_repeat(cbl::benchjson::Summary& summary, bool quick) {
+  std::printf("=== OprfClient::finish on a repeat: unblind vs memo ===\n\n");
+  // lambda = 1 puts about half the corpus in bucket 0; the first entry
+  // there primes the bucket, the next `n` are timed.
+  constexpr unsigned kLambda = 1;
+  const std::size_t n = 64;
+  const int reps = quick ? 5 : 15;
+  auto corpus_rng = ChaChaRng::from_string_seed("bench-throughput-finish");
+  const auto corpus =
+      cbl::blocklist::generate_corpus(4 * n, corpus_rng).addresses();
+  auto server_rng = ChaChaRng::from_string_seed("bench-throughput-finish-srv");
+  oprf::OprfServer server(oprf::Oracle::fast(), kLambda, server_rng);
+  server.setup(corpus);
+  auto client_rng = ChaChaRng::from_string_seed("bench-throughput-finish-cli");
+  oprf::OprfClient client(oprf::Oracle::fast(), kLambda, client_rng);
+
+  std::vector<std::string> bucket;
+  for (const auto& entry : corpus) {
+    if (oprf::Oracle::prefix(cbl::to_bytes(entry), kLambda) == 0) {
+      bucket.push_back(entry);
+    }
+  }
+  if (bucket.size() < n + 1) {
+    std::fprintf(stderr, "bench_finish_repeat: bucket 0 holds %zu entries\n",
+                 bucket.size());
+    return;
+  }
+  const auto primer = client.prepare(bucket[0]);
+  const auto primer_response = server.handle(primer.request);
+  (void)client.finish(primer.pending, primer_response);
+  std::vector<oprf::OprfClient::Prepared> prepared;
+  std::vector<oprf::QueryResponse> responses;
+  for (std::size_t i = 1; i <= n; ++i) {
+    prepared.push_back(client.prepare(bucket[i]));
+    responses.push_back(server.handle(prepared.back().request));
+  }
+
+  double full_ns = 1e300;
+  double hit_ns = 1e300;
+  std::size_t full_listed = 0;
+  std::size_t hit_listed = 0;
+  for (int r = 0; r < reps; ++r) {
+    // A re-sent bucket at the same epoch: cached again, memo empty.
+    client.clear_cache();
+    (void)client.finish(primer.pending, primer_response);
+    full_listed = hit_listed = 0;
+    auto t0 = Clock::now();
+    for (std::size_t i = 0; i < n; ++i) {
+      full_listed += client.finish(prepared[i].pending, responses[i]).listed;
+    }
+    full_ns = std::min(full_ns, seconds_since(t0));
+    t0 = Clock::now();
+    for (std::size_t i = 0; i < n; ++i) {
+      hit_listed += client.finish(prepared[i].pending, responses[i]).listed;
+    }
+    hit_ns = std::min(hit_ns, seconds_since(t0));
+  }
+  if (full_listed != n || hit_listed != n) {
+    std::fprintf(stderr, "bench_finish_repeat: %zu / %zu of %zu listed\n",
+                 full_listed, hit_listed, n);
+    return;
+  }
+  full_ns *= 1e9 / static_cast<double>(n);
+  hit_ns *= 1e9 / static_cast<double>(n);
+  std::printf("%-24s %-8s %14s %14s %10s\n", "finish", "entries",
+              "full ns/op", "memo ns/op", "speedup");
+  std::printf("%-24s %-8zu %14.1f %14.1f %9.2fx\n\n", "finish_repeat", n,
+              full_ns, hit_ns, full_ns / hit_ns);
+  summary.add({"client/finish_repeat", "entries=" + std::to_string(n), hit_ns,
+               0.0, full_ns / hit_ns, "x"});
+}
+
 void bench_rebuild(cbl::benchjson::Summary& summary, bool quick) {
   std::printf("=== Rebuild thread sweep (batched blinding path) ===\n\n");
   std::printf("%-10s %14s %14s\n", "threads", "setup ms", "entries/s");
@@ -316,6 +392,7 @@ int main(int argc, char** argv) {
   cbl::benchjson::Summary summary("throughput");
 
   bench_kernels(summary, quick);
+  bench_finish_repeat(summary, quick);
   bench_rebuild(summary, quick);
   bench_pipeline(summary, quick);
 
@@ -324,7 +401,8 @@ int main(int argc, char** argv) {
       "batch (one field inversion amortized over N elements, ~2x+ by "
       "batch 64); batch_hash_to_group and scalar_mul_pair read ~1.5x on "
       "CPUs with AVX-512 IFMA (four square roots, or two ladders, per "
-      "vector) and ~1x elsewhere; rebuild scales with threads; pipeline "
+      "vector) and ~1x elsewhere; finish_repeat well above 2x (a memo "
+      "hit skips the unblind); rebuild scales with threads; pipeline "
       "QPS rises with "
       "concurrent clients as coalescing packs larger crypto batches.\n");
 

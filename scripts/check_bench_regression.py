@@ -26,6 +26,8 @@ floors (no baseline):
               ns over one pair call's ns) >= 1.3x and
               kernel/batch_hash_to_group >= 1.2x at batch 64 and 256
               when kernel=ifma, any positive ratio when kernel=serial;
+              client/finish_repeat (a full OprfClient::finish over a
+              memo-hit one on the same inputs) >= 2.0x;
               every pipeline/qps value > 0
   tlog        sync/delta_bytes > 1.0x (delta smaller than the full
               download) at churn=2per1k; publish/epoch and
@@ -85,6 +87,12 @@ MIN_IFMA_SCALAR_MUL_SPEEDUP = 1.3
 # wide bodies have lost most of what they exist for.
 MIN_IFMA_PAIR_SPEEDUP = 1.3
 MIN_IFMA_BATCH_HASH_SPEEDUP = 1.2
+# bench_throughput client/finish_repeat: a finish that unblinds over one
+# answered from the bucket's verdict memo, same inputs, same run. Both
+# decode psi; the full one also runs a scalar inversion, a scalar
+# multiplication and an encoding. --quick runs on a 4-vCPU Xeon guest
+# with IFMA read ~5.6x; a memo that never hits reads ~1x.
+MIN_FINISH_REPEAT_SPEEDUP = 2.0
 
 _CONFIG_KEYS = (
     "simulated_clients", "unique_addresses", "listed_addresses", "zipf_s",
@@ -274,6 +282,12 @@ def check_throughput(report: dict) -> str:
         _require(speedup > 0 and speedup >= floor, what,
                  f"batch_hash_to_group regressed: {speedup:.2f}x at "
                  f"batch={batch} on kernel={kernel}, floor {floor}x")
+    repeat = _named(results, "client/finish_repeat")
+    _require(len(repeat) == 1, what, "no client/finish_repeat record")
+    repeat_ratio = repeat[0]["value"]
+    _require(repeat_ratio >= MIN_FINISH_REPEAT_SPEEDUP, what,
+             f"finish_repeat regressed: a full finish is {repeat_ratio:.2f}x "
+             f"a memo-hit one, floor {MIN_FINISH_REPEAT_SPEEDUP}x")
     qps = _named(results, "pipeline/qps")
     _require(bool(qps), what, "no pipeline/qps records")
     _require(all(r["value"] > 0 for r in qps), what,
@@ -281,7 +295,8 @@ def check_throughput(report: dict) -> str:
     return (f"batch_encode {encode['batch=64']:.2f}x @64, "
             f"{encode['batch=256']:.2f}x @256, scalar_mul {kernel} "
             f"{ratio:.2f}x serial, pair {pair_ratio:.2f}x, batch_hash "
-            f"{hashes['batch=64']:.2f}x @64, {len(qps)} QPS points")
+            f"{hashes['batch=64']:.2f}x @64, finish_repeat "
+            f"{repeat_ratio:.2f}x, {len(qps)} QPS points")
 
 
 def check_tlog(report: dict) -> str:
@@ -484,6 +499,7 @@ def _synthetic_results() -> dict[str, dict]:
             _rec("kernel/scalar_mul_pair", "kernel=ifma", value=1.7),
             _rec("kernel/batch_hash_to_group", "batch=64", value=1.5),
             _rec("kernel/batch_hash_to_group", "batch=256", value=1.5),
+            _rec("client/finish_repeat", "entries=64", value=5.5),
             _rec("pipeline/qps", "threads=1,max_batch=64", value=3000.0),
             _rec("pipeline/qps", "threads=2,max_batch=64", value=3100.0),
         ]},
@@ -566,6 +582,10 @@ def _self_test_results() -> None:
                             "value", 1.0), "batch_hash_to_group regressed"),
         ("throughput", _drop("kernel/batch_hash_to_group", "batch=256"),
          "missing batch_hash_to_group batch=256"),
+        ("throughput", _set("client/finish_repeat", "", "value", 1.05),
+         "finish_repeat regressed"),
+        ("throughput", _drop("client/finish_repeat"),
+         "no client/finish_repeat record"),
         ("tlog", _set("sync/delta_bytes", "churn=2per1k", "value", 1.0),
          "delta sync regressed"),
         ("tlog", _drop("sync/delta_bytes", "churn=2per1k"),

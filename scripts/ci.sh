@@ -28,14 +28,16 @@
 #                  compile_commands.json when the python bindings exist,
 #                  the regex fallback (with a notice) otherwise
 #   5. release     optimized build + full test suite, then test_net,
-#                  test_store, test_tlog, test_obs, test_load and
-#                  test_macro_smoke each run once as a whole binary with
-#                  --gtest_shuffle --gtest_repeat=2: the metrics registry
-#                  is process-wide (run_macro and VirtualQueue read its
-#                  counters too), so a test that reads a counter's
-#                  absolute value instead of a delta passes under ctest's
-#                  one-test-per-process runs and fails here. The shuffle
-#                  seed and the replay command are printed
+#                  test_store, test_tlog, test_obs, test_load,
+#                  test_macro_smoke and test_oprf each run once as a whole
+#                  binary with --gtest_shuffle --gtest_repeat=2: the
+#                  metrics registry is process-wide (run_macro and
+#                  VirtualQueue read its counters too, and test_oprf
+#                  reads the verdict-memo counters), so a test that
+#                  reads a counter's absolute value instead of a delta
+#                  passes under ctest's one-test-per-process runs and
+#                  fails here. The shuffle seed and the replay command
+#                  are printed
 #   6. asan-ubsan  Debug + AddressSanitizer + UBSan, full test suite
 #   7. tsan        Debug + ThreadSanitizer, full test suite (query-service
 #                  and voting paths are concurrent; see src/oprf locking)
@@ -69,7 +71,9 @@
 #                  multiplication must run >= 1.3x the serial ladder in
 #                  the same run when it is the AVX-512 IFMA body
 #                  (kernel/scalar_mul; a serial-only CPU reads ~1x and
-#                  passes), a signed epoch delta must cost fewer
+#                  passes), a full OprfClient::finish must cost >= 2x a
+#                  verdict-memo hit on the same inputs
+#                  (client/finish_repeat), a signed epoch delta must cost fewer
 #                  wire bytes than the full bucket download it replaces
 #                  at >= 2 changed entries per 1k, publishing and folding
 #                  that epoch must each cost under half a full bucket-tree
@@ -280,7 +284,7 @@ stage_release() {
   local dir="${build_root}/release" seed=$((RANDOM % 99999 + 1)) t
   echo "=== [release] whole binaries, shuffled: seed=${seed} ==="
   for t in test_net test_store test_tlog test_obs test_load \
-      test_macro_smoke; do
+      test_macro_smoke test_oprf; do
     echo "=== [release] replay any failure with:" \
       "${dir}/tests/${t} --gtest_shuffle --gtest_repeat=2" \
       "--gtest_random_seed=${seed} ==="

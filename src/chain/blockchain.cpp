@@ -29,20 +29,25 @@ TxReceipt Blockchain::execute(AccountId payer, std::string method,
   receipt.usd_cost = schedule_.gas_to_usd(receipt.gas_used);
   receipts_.push_back(receipt);
 
-  static const std::vector<double> kGasBuckets =
-      obs::Histogram::log_buckets(1e3, 1e9, 3);
-  auto& registry = obs::MetricsRegistry::global();
-  const obs::Labels labels = {{"method", receipt.method}};
-  registry
-      .counter("cbl_chain_tx_total", labels,
-               "Executed contract transactions by method")
-      .inc();
-  registry
-      .histogram("cbl_chain_gas_per_tx",
-                 kGasBuckets, labels,
-                 "Gas consumed per contract call")
-      .observe(static_cast<double>(receipt.gas_used));
+  MethodMetrics& metrics = method_metrics(receipt.method);
+  metrics.txs->inc();
+  metrics.gas->observe(static_cast<double>(receipt.gas_used));
   return receipt;
+}
+
+Blockchain::MethodMetrics& Blockchain::method_metrics(
+    const std::string& method) {
+  const auto it = method_metrics_.find(method);
+  if (it != method_metrics_.end()) return it->second;
+  auto& registry = obs::MetricsRegistry::global();
+  const obs::Labels labels = {{"method", method}};
+  MethodMetrics metrics;
+  metrics.txs = &registry.counter("cbl_chain_tx_total", labels,
+                                  "Executed contract transactions by method");
+  metrics.gas = &registry.histogram("cbl_chain_gas_per_tx",
+                                    obs::Histogram::log_buckets(1e3, 1e9, 3),
+                                    labels, "Gas consumed per contract call");
+  return method_metrics_.emplace(method, metrics).first->second;
 }
 
 hash::Sha256::Digest BlockHeader::hash() const {

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,11 @@
 #include "commit/crs.h"
 #include "common/bytes.h"
 #include "hash/sha256.h"
+
+namespace cbl::obs {
+class Counter;
+class Histogram;
+}  // namespace cbl::obs
 
 namespace cbl::chain {
 
@@ -111,6 +117,15 @@ class Blockchain {
   Ledger ledger_;
   ShieldedPool pool_;
   std::vector<Bytes> open_block_leaves(std::uint64_t block) const;
+
+  /// cbl_chain_tx_total and cbl_chain_gas_per_tx for one method,
+  /// resolved on its first transaction.
+  struct MethodMetrics {
+    obs::Counter* txs;
+    obs::Histogram* gas;
+  };
+  MethodMetrics& method_metrics(const std::string& method);
+  std::map<std::string, MethodMetrics> method_metrics_;
 
   std::uint64_t height_ = 0;
   std::vector<TxReceipt> receipts_;

@@ -26,6 +26,14 @@ OprfClient::OprfClient(Oracle oracle, unsigned lambda, Rng& rng)
   };
   metrics_.cache_hits = cache("hit");
   metrics_.cache_misses = cache("miss");
+  const auto memo = [&](const char* result) {
+    return &reg.counter("cbl_oprf_client_verdict_memo_total",
+                        {{"result", result}},
+                        "Finished online queries by whether the verdict "
+                        "came from the bucket's memo or an unblind");
+  };
+  metrics_.memo_hits = memo("hit");
+  metrics_.memo_misses = memo("miss");
 }
 
 OprfClient::Prepared OprfClient::prepare(std::string_view entry) const {
@@ -34,7 +42,9 @@ OprfClient::Prepared OprfClient::prepare(std::string_view entry) const {
   p.pending.blinding = Secret(ec::Scalar::random(rng_));
   p.pending.half_blinded =
       blind_half(oracle_.map_to_group(raw), p.pending.blinding);
-  p.pending.prefix = Oracle::prefix(raw, lambda_);
+  p.pending.entry_digest = hash::Sha256::digest(raw);
+  p.pending.prefix =
+      Oracle::prefix_of_digest(p.pending.entry_digest, lambda_);
 
   p.request.prefix = p.pending.prefix;
   p.request.api_key = api_key_;
@@ -68,12 +78,11 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
       throw ProtocolError("OprfClient: evaluation proof missing or invalid");
     }
   }
-  // verdict <- psi^(1/r) in s_p.
-  const ec::RistrettoPoint::Encoding unblinded =
-      unblind(*evaluated, pending.blinding);
-
-  const std::vector<ec::RistrettoPoint::Encoding>* bucket = nullptr;
-  const std::vector<Bytes>* metadata = nullptr;
+  const auto memo_position = [&pending](std::vector<MemoEntry>& verdicts) {
+    return std::ranges::lower_bound(verdicts, pending.entry_digest, {},
+                                    &MemoEntry::digest);
+  };
+  CachedBucket* slot = nullptr;
   if (response.bucket_omitted) {
     const auto it = cache_.find(pending.prefix);
     if (it == cache_.end() || it->second.epoch != pending.cached_epoch ||
@@ -81,11 +90,17 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
       throw ProtocolError(
           "OprfClient: server omitted bucket but no matching cache entry");
     }
-    // The server vouched that the bucket is unchanged up to its epoch.
+    // The server vouched that the bucket is unchanged up to its epoch,
+    // under the key it was cached under — so are the verdicts against it.
     it->second.epoch = response.epoch;
     metrics_.cache_hits->inc();
-    bucket = &it->second.bucket;
-    metadata = &it->second.metadata;
+    slot = &it->second;
+    const auto memo = memo_position(slot->verdicts);
+    if (memo != slot->verdicts.end() &&
+        memo->digest == pending.entry_digest) {
+      metrics_.memo_hits->inc();
+      return Result{memo->listed, std::nullopt};
+    }
   } else {
     metrics_.cache_misses->inc();
     // Validate before caching: a rejected bucket must not be served
@@ -93,25 +108,33 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
     if (!std::is_sorted(response.bucket.begin(), response.bucket.end())) {
       throw ProtocolError("OprfClient: bucket not in canonical order");
     }
-    auto& slot = cache_[pending.prefix];
-    slot.epoch = response.epoch;
-    slot.bucket = response.bucket;
-    slot.metadata = response.metadata;
-    bucket = &slot.bucket;
-    metadata = &slot.metadata;
+    slot = &cache_[pending.prefix];
+    slot->epoch = response.epoch;
+    slot->bucket = response.bucket;
+    slot->metadata = response.metadata;
+    slot->verdicts.clear();  // changed contents, a new key, or a restart
   }
+  metrics_.memo_misses->inc();
 
+  // verdict <- psi^(1/r) in s_p.
+  const ec::RistrettoPoint::Encoding unblinded =
+      unblind(*evaluated, pending.blinding);
+  const auto& bucket = slot->bucket;
+  const auto& metadata = slot->metadata;
   Result result;
-  const auto it = std::lower_bound(bucket->begin(), bucket->end(), unblinded);
-  result.listed = it != bucket->end() && *it == unblinded;
-  if (result.listed && !metadata->empty()) {
+  const auto it = std::lower_bound(bucket.begin(), bucket.end(), unblinded);
+  result.listed = it != bucket.end() && *it == unblinded;
+  if (result.listed && !metadata.empty()) {
     const std::size_t index =
-        static_cast<std::size_t>(std::distance(bucket->begin(), it));
-    if (index < metadata->size()) {
+        static_cast<std::size_t>(std::distance(bucket.begin(), it));
+    if (index < metadata.size()) {
       result.metadata = OprfServer::open_metadata(
-          OprfServer::metadata_key(unblinded), (*metadata)[index]);
+          OprfServer::metadata_key(unblinded), metadata[index]);
     }
+    return result;
   }
+  slot->verdicts.insert(memo_position(slot->verdicts),
+                        MemoEntry{pending.entry_digest, result.listed});
   return result;
 }
 

@@ -2,7 +2,9 @@
 // implements the two latency/bandwidth optimizations of the paper —
 // local prefix-list filtering (most negatives never touch the network)
 // and per-prefix bucket caching: a cached bucket is reused until the
-// server reports that bucket changed or the key rotated.
+// server reports that bucket changed or the key rotated. Each cached
+// bucket also memoises the verdicts judged against it, so a repeat
+// lookup whose bucket the server omits skips the unblind.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +49,10 @@ class OprfClient {
   /// Updates the bucket cache. An omitted bucket is read from the cache
   /// entry the request advertised, which then moves to the response
   /// epoch; throws ProtocolError if that entry is gone or changed, or the
-  /// response epoch is older than it.
+  /// response epoch is older than it. When the bucket is omitted and
+  /// this entry's verdict against it is memoised, that verdict is
+  /// returned without unblinding — after the same psi decode and proof
+  /// check. A re-sent bucket drops its memo.
   Result finish(const PendingQuery& pending, const QueryResponse& response);
 
   // --- Prefix list fast path ----------------------------------------------
@@ -77,10 +82,18 @@ class OprfClient {
   unsigned lambda() const { return lambda_; }
 
  private:
+  /// One entry's verdict against a cached bucket version (33 bytes).
+  struct MemoEntry {
+    hash::Sha256::Digest digest;
+    bool listed;
+  };
   struct CachedBucket {
     std::uint64_t epoch;
     std::vector<ec::RistrettoPoint::Encoding> bucket;
     std::vector<Bytes> metadata;
+    /// Verdicts judged against this bucket, sorted by digest. A listed
+    /// entry with metadata is not memoised: its answer carries plaintext.
+    std::vector<MemoEntry> verdicts;
   };
 
   Oracle oracle_;
@@ -97,6 +110,8 @@ class OprfClient {
     obs::Counter* fastpath_online;  // prefix collision, online query needed
     obs::Counter* cache_hits;       // server omitted the bucket
     obs::Counter* cache_misses;     // fresh bucket transferred
+    obs::Counter* memo_hits;        // verdict returned without unblinding
+    obs::Counter* memo_misses;      // verdict computed by unblinding
   };
   Metrics metrics_;
 };

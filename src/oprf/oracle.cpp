@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "hash/sha256.h"
 #include "hash/sha512.h"
 
 namespace cbl::oprf {
@@ -52,12 +51,15 @@ std::vector<ec::RistrettoPoint> Oracle::map_to_group_batch(
 }
 
 std::uint32_t Oracle::prefix(ByteView entry, unsigned lambda) {
+  return prefix_of_digest(hash::Sha256::digest(entry), lambda);
+}
+
+std::uint32_t Oracle::prefix_of_digest(const hash::Sha256::Digest& digest,
+                                       unsigned lambda) {
   if (lambda == 0 || lambda > 32) {
     throw std::invalid_argument("Oracle::prefix: lambda must be in [1,32]");
   }
-  const auto digest = hash::Sha256::digest(entry);
-  const std::uint32_t word = load_be32(digest.data());
-  return word >> (32 - lambda);
+  return load_be32(digest.data()) >> (32 - lambda);
 }
 
 }  // namespace cbl::oprf

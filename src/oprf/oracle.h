@@ -14,6 +14,7 @@
 #include "common/bytes.h"
 #include "ec/ristretto.h"
 #include "hash/argon2.h"
+#include "hash/sha256.h"
 
 namespace cbl::oprf {
 
@@ -42,6 +43,10 @@ class Oracle {
 
   /// The lambda-bit bucket prefix of an entry (lambda in [1, 32]).
   static std::uint32_t prefix(ByteView entry, unsigned lambda);
+  /// The same prefix from the entry's SHA-256 digest, for a caller that
+  /// keeps the digest.
+  static std::uint32_t prefix_of_digest(const hash::Sha256::Digest& digest,
+                                        unsigned lambda);
 
   Kind kind() const { return kind_; }
   const hash::Argon2Params& argon2_params() const { return params_; }

@@ -10,6 +10,7 @@
 #include "common/bytes.h"
 #include "common/secret.h"
 #include "ec/ristretto.h"
+#include "hash/sha256.h"
 #include "nizk/sigma.h"
 
 namespace cbl::oprf {
@@ -64,6 +65,9 @@ struct QueryResponse {
 struct PendingQuery {
   Secret<ec::Scalar> blinding;      // r  ct:secret
   ec::RistrettoPoint half_blinded;  // H(u)^(r/2); doubled it is m
+  /// SHA-256 of the entry, whole: the prefix is its top lambda bits, and
+  /// it keys the entry's verdict in the bucket's memo.
+  hash::Sha256::Digest entry_digest{};
   std::uint32_t prefix = 0;
   bool used_cache_hint = false;
   /// The cache epoch the request advertised (kNoEpoch when none): the

@@ -5,6 +5,8 @@
 
 #include "chain/blockchain.h"
 #include "common/rng.h"
+#include "metric_delta.h"
+#include "obs/metrics.h"
 
 namespace cbl::chain {
 namespace {
@@ -131,6 +133,37 @@ TEST_F(ChainTest, RevertedTransactionLeavesNoReceipt) {
                ChainError);
   EXPECT_TRUE(chain_.receipts().empty());
   EXPECT_EQ(chain_.total_gas(), 0u);
+}
+
+TEST_F(ChainTest, ExecuteCountsTransactionsAndGasPerMethod) {
+  const auto alice = funded_account("alice", 10);
+  auto& registry = obs::MetricsRegistry::global();
+  const auto gas_of = [&registry](const std::string& method) -> auto& {
+    return registry.histogram("cbl_chain_gas_per_tx",
+                              obs::Histogram::log_buckets(1e3, 1e9, 3),
+                              {{"method", method}});
+  };
+  const test::CounterDelta a_txs("cbl_chain_tx_total",
+                                 {{"method", "metrics-a"}});
+  const test::CounterDelta b_txs("cbl_chain_tx_total",
+                                 {{"method", "metrics-b"}});
+  const obs::Histogram& a_gas = gas_of("metrics-a");
+  const obs::Histogram& b_gas = gas_of("metrics-b");
+  const std::uint64_t a_count = a_gas.count();
+  const double a_sum = a_gas.sum();
+  const std::uint64_t b_count = b_gas.count();
+
+  std::uint64_t a_gas_used = 0;
+  for (std::size_t bytes : {100u, 300u}) {
+    a_gas_used += chain_.execute(alice, "metrics-a", bytes, [] {}).gas_used;
+  }
+  chain_.execute(alice, "metrics-b", 50, [] {});
+
+  EXPECT_EQ(a_txs.value(), 2u);
+  EXPECT_EQ(b_txs.value(), 1u);
+  EXPECT_EQ(a_gas.count() - a_count, 2u);
+  EXPECT_EQ(b_gas.count() - b_count, 1u);
+  EXPECT_DOUBLE_EQ(a_gas.sum() - a_sum, static_cast<double>(a_gas_used));
 }
 
 // -------------------------------------------------------- Events and beacon

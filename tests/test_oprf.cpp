@@ -1,7 +1,7 @@
 // Tests for the private blocklist query protocol (Fig. 2): completeness,
 // soundness (no false positives), k-anonymity bucketization, prefix-list
-// fast path, caching, rate limiting, the slow oracle, and the metadata
-// extension.
+// fast path, caching (buckets and the per-bucket verdict memo), rate
+// limiting, the slow oracle, and the metadata extension.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
+#include "metric_delta.h"
 #include "oprf/blind.h"
 #include "oprf/client.h"
 #include "oprf/oracle.h"
@@ -523,6 +524,7 @@ class OprfCacheChurn : public ::testing::Test {
   struct Answer {
     bool omitted = false;
     bool listed = false;
+    bool memo_hit = false;  // the verdict skipped the unblind
     std::uint64_t advertised = kNoEpoch;
   };
   Answer ask(const std::string& entry) {
@@ -531,9 +533,14 @@ class OprfCacheChurn : public ::testing::Test {
     Answer answer;
     answer.omitted = response.bucket_omitted;
     answer.advertised = p.request.cached_epoch;
+    const test::CounterDelta hits(kMemo, {{"result", "hit"}});
+    const test::CounterDelta misses(kMemo, {{"result", "miss"}});
     answer.listed = client_.finish(p.pending, response).listed;
+    EXPECT_EQ(hits.value() + misses.value(), 1u);
+    answer.memo_hit = hits.value() == 1;
     return answer;
   }
+  static constexpr const char* kMemo = "cbl_oprf_client_verdict_memo_total";
 
   ChaChaRng server_rng_ = ChaChaRng::from_string_seed("cache-churn-server");
   ChaChaRng client_rng_ = ChaChaRng::from_string_seed("cache-churn-client");
@@ -643,10 +650,135 @@ TEST_F(OprfCacheChurn, CachedEpochAboveServerEpochIsNotOmitted) {
   EXPECT_TRUE(server_->handle(request).bucket_omitted);
 }
 
+TEST_F(OprfCacheChurn, RepeatAfterChangeElsewhereIsAMemoHit) {
+  const std::string& a = pool_[0];
+  const std::string b = unlisted(prefix_of(a), /*same=*/true);
+  EXPECT_FALSE(ask(a).memo_hit);  // bucket from the wire
+  EXPECT_FALSE(ask(b).memo_hit);  // omitted, but b not yet judged
+  const std::string other = unlisted(prefix_of(a), /*same=*/false);
+  ASSERT_EQ(server_->add_entries(std::vector<std::string>{other}), 1u);
+  for (const auto& [entry, listed] :
+       {std::pair{a, true}, std::pair{b, false}}) {
+    const auto answer = ask(entry);
+    EXPECT_TRUE(answer.omitted);
+    EXPECT_TRUE(answer.memo_hit) << entry;
+    EXPECT_EQ(answer.listed, listed) << entry;
+  }
+}
+
+TEST_F(OprfCacheChurn, RepeatAfterChangeInItsBucketIsAMiss) {
+  const std::string& a = pool_[0];
+  const std::string b = unlisted(prefix_of(a), /*same=*/true);
+  EXPECT_FALSE(ask(b).listed);
+  EXPECT_TRUE(ask(a).listed);
+  EXPECT_TRUE(ask(b).memo_hit);
+
+  ASSERT_EQ(server_->add_entries(std::vector<std::string>{b}), 1u);
+  auto answer = ask(b);
+  EXPECT_FALSE(answer.memo_hit);
+  EXPECT_TRUE(answer.listed);
+  answer = ask(a);  // judged again against the re-sent bucket
+  EXPECT_FALSE(answer.memo_hit);
+  EXPECT_TRUE(answer.listed);
+
+  ASSERT_EQ(server_->remove_entries(std::vector<std::string>{b}), 1u);
+  answer = ask(b);
+  EXPECT_FALSE(answer.memo_hit);
+  EXPECT_FALSE(answer.listed);
+  EXPECT_TRUE(ask(b).memo_hit);
+}
+
+TEST_F(OprfCacheChurn, RepeatAfterKeyRotationIsAMiss) {
+  const std::string& a = pool_[0];
+  const std::string b = unlisted(prefix_of(a), /*same=*/true);
+  EXPECT_TRUE(ask(a).listed);
+  EXPECT_FALSE(ask(b).listed);
+  server_->rotate_key();
+  for (const auto& [entry, listed] :
+       {std::pair{a, true}, std::pair{b, false}}) {
+    const auto answer = ask(entry);
+    EXPECT_FALSE(answer.memo_hit) << entry;
+    EXPECT_EQ(answer.listed, listed) << entry;
+  }
+}
+
+TEST_F(OprfCacheChurn, RepeatAfterRestoreAndSetupIsAMiss) {
+  const std::string& a = pool_[0];
+  const std::string b = unlisted(prefix_of(a), /*same=*/true);
+  EXPECT_TRUE(ask(a).listed);
+  EXPECT_TRUE(ask(a).memo_hit);
+  // The restarted provider sets up without `a`. Another entry fetches
+  // the new bucket, so `a`'s repeat is omitted and must not come from
+  // the pre-crash memo.
+  const std::uint64_t served = server_->epoch();
+  ChaChaRng reborn_rng = ChaChaRng::from_string_seed("cache-churn-reborn");
+  server_.emplace(Oracle::fast(), kLambda, reborn_rng);
+  server_->restore_epoch(served);
+  server_->setup(std::span<const std::string>(pool_).subspan(1, 79));
+  EXPECT_FALSE(ask(b).omitted);
+  const auto answer = ask(a);
+  EXPECT_TRUE(answer.omitted);
+  EXPECT_FALSE(answer.memo_hit);
+  EXPECT_FALSE(answer.listed);
+  EXPECT_TRUE(ask(a).memo_hit);
+}
+
+TEST_F(OprfCacheChurn, MemoHitStillChecksProofAndPsi) {
+  const std::string& a = pool_[0];
+  client_.pin_key_commitment(server_->key_commitment());
+  EXPECT_TRUE(ask(a).listed);
+  ASSERT_TRUE(ask(a).memo_hit);
+
+  const test::CounterDelta hits(kMemo, {{"result", "hit"}});
+  auto p = client_.prepare(a);
+  auto response = server_->handle(p.request);
+  ASSERT_TRUE(response.bucket_omitted);
+  auto bad_proof = response;
+  ASSERT_TRUE(bad_proof.evaluation_proof.has_value());
+  bad_proof.evaluation_proof = server_->handle(client_.prepare(a).request)
+                                   .evaluation_proof;  // another query's
+  EXPECT_THROW((void)client_.finish(p.pending, bad_proof), ProtocolError);
+  auto no_proof = response;
+  no_proof.evaluation_proof.reset();
+  EXPECT_THROW((void)client_.finish(p.pending, no_proof), ProtocolError);
+  auto bad_psi = response;
+  bad_psi.evaluated.fill(0xff);  // not a canonical encoding
+  EXPECT_THROW((void)client_.finish(p.pending, bad_psi), ProtocolError);
+  EXPECT_EQ(hits.value(), 0u);
+  EXPECT_TRUE(client_.finish(p.pending, response).listed);
+  EXPECT_EQ(hits.value(), 1u);
+}
+
+TEST(OprfVerdictMemo, ListedEntryWithMetadataTakesTheFullPath) {
+  auto server_rng = ChaChaRng::from_string_seed("md-memo-server");
+  auto client_rng = ChaChaRng::from_string_seed("md-memo-client");
+  const auto corpus = test_corpus(30, "md-memo-corpus");
+  OprfServer server(Oracle::fast(), 2, server_rng);
+  server.set_metadata_provider([](const std::string& entry) {
+    return to_bytes("category=scam;addr=" + entry);
+  });
+  server.setup(corpus);
+  OprfClient client(Oracle::fast(), 2, client_rng);
+
+  const test::CounterDelta hits("cbl_oprf_client_verdict_memo_total",
+                                {{"result", "hit"}});
+  for (int round = 0; round < 3; ++round) {
+    const auto prepared = client.prepare(corpus[7]);
+    const auto response = server.handle(prepared.request);
+    EXPECT_EQ(response.bucket_omitted, round > 0);
+    const auto result = client.finish(prepared.pending, response);
+    ASSERT_TRUE(result.listed);
+    ASSERT_TRUE(result.metadata.has_value()) << "round " << round;
+    EXPECT_EQ(to_string(*result.metadata), "category=scam;addr=" + corpus[7]);
+  }
+  EXPECT_EQ(hits.value(), 0u);
+}
+
 TEST_F(OprfCacheChurn, SeededChurnSequenceMatchesReference) {
   // 200 steps of add/remove batches, key rotations and one restart, with
   // a caching client querying after every step; each verdict is judged
-  // against a reference set. Replays from the seed printed on failure.
+  // against a reference set, memo hits included. Replays from the seed
+  // printed on failure.
   constexpr std::string_view kSeed = "oprf-cache-churn-200";
   ChaChaRng rng = ChaChaRng::from_string_seed(kSeed);
   const auto draw = [&rng](std::size_t bound) {
@@ -655,6 +787,7 @@ TEST_F(OprfCacheChurn, SeededChurnSequenceMatchesReference) {
   std::set<std::string> reference(pool_.begin(), pool_.begin() + 80);
   ChaChaRng reborn_rng = ChaChaRng::from_string_seed("cache-churn-reborn");
   std::size_t omitted = 0;
+  const test::CounterDelta memo_hits(kMemo, {{"result", "hit"}});
   for (int step = 0; step < 200; ++step) {
     SCOPED_TRACE("seed " + std::string(kSeed) + " step " +
                  std::to_string(step));
@@ -687,8 +820,13 @@ TEST_F(OprfCacheChurn, SeededChurnSequenceMatchesReference) {
       omitted += answer.omitted ? 1 : 0;
       ASSERT_EQ(answer.listed, reference.contains(entry)) << entry;
     }
+    // One of eight hot entries, each asked every eighth step, so its
+    // repeats span churn both in other buckets and in its own.
+    const std::string& hot = pool_[static_cast<std::size_t>(step % 8) * 15];
+    ASSERT_EQ(ask(hot).listed, reference.contains(hot)) << hot;
   }
   EXPECT_GT(omitted, 100u);  // the cache was really in play
+  EXPECT_GT(memo_hits.value(), 100u);  // and so was the verdict memo
 }
 
 TEST(OprfConfig, InvalidLambdaRejected) {
