@@ -181,6 +181,8 @@ void ResilientClient::pin_tlog_key(const std::string& endpoint,
   MutexLock lock(mutex_);
   for (auto& provider : providers_) {
     if (provider.endpoint == endpoint) {
+      // The client's queries may read the auditor being replaced.
+      if (provider.client) provider.client->forget_mirror();
       provider.auditor =
           std::make_unique<tlog::Auditor>(provider_pk, endpoint, store);
       return;

@@ -6,6 +6,7 @@
 
 #include "ec/codec.h"
 #include "hash/blake2b.h"
+#include "hash/sha256.h"
 #include "net/query_pipeline.h"
 #include "tlog/auditor.h"
 #include "tlog/publisher.h"
@@ -409,9 +410,15 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     report.ok = failure == SyncReport::Failure::kNone;
     report.epoch = auditor.has_state() ? auditor.mirror_epoch() : 0;
     switch (failure) {
-      case SyncReport::Failure::kNone: sync_ok_->inc(); break;
+      case SyncReport::Failure::kNone:
+        sync_ok_->inc();
+        feed(auditor, report.epoch);
+        break;
       case SyncReport::Failure::kTransport: sync_transport_->inc(); break;
-      case SyncReport::Failure::kAudit: sync_audit_->inc(); break;
+      case SyncReport::Failure::kAudit:
+        sync_audit_->inc();
+        forget_mirror();
+        break;
     }
     sync_bytes_delta_->inc(report.delta_bytes);
     sync_bytes_full_->inc(report.full_bytes);
@@ -431,6 +438,10 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     return audit_failed();
   };
   if (!auditor.trusted()) return audit_failed();
+  if (&auditor != fed_auditor_ ||
+      (auditor.has_state() && auditor.mirror_epoch() != unfed_through_)) {
+    unfed_changes_.reset();  // deltas this client did not see
+  }
 
   // 1. Latest signed checkpoint.
   const auto cp_body = call_tlog(Method::kTlogCheckpoint, {});
@@ -469,6 +480,7 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
       return audit_failed();
     }
     report.full_bytes += buckets_body->size();
+    unfed_changes_.reset();
   }
   while (auditor.mirror_epoch() < checkpoint->epoch) {
     ec::WireWriter w;
@@ -482,6 +494,12 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     }
     report.delta_bytes += delta_body->size();
     ++report.deltas_applied;
+    if (unfed_changes_) {
+      for (const auto& change : delta->prefixes) {
+        unfed_changes_->push_back(change.prefix);
+      }
+      unfed_through_ = delta->to_epoch;
+    }
   }
   if (auditor.mirror_epoch() != checkpoint->epoch) {
     // The mirror already stands past the signed checkpoint's epoch: the
@@ -506,6 +524,24 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     }
   }
   return finish(SyncReport::Failure::kNone);
+}
+
+void RemoteBlocklistClient::forget_mirror() {
+  client_->drop_mirror();
+  unfed_changes_.reset();
+  fed_auditor_ = nullptr;
+}
+
+void RemoteBlocklistClient::feed(const tlog::Auditor& auditor,
+                                 std::uint64_t epoch) {
+  if (unfed_through_ != epoch) unfed_changes_.reset();
+  client_->feed_mirror(epoch, unfed_changes_,
+                       [&auditor](std::uint32_t prefix, std::uint64_t at) {
+                         return auditor.bucket_at(prefix, at);
+                       });
+  unfed_changes_.emplace();
+  unfed_through_ = epoch;
+  fed_auditor_ = &auditor;
 }
 
 bool RemoteBlocklistClient::sync_prefix_list() {
@@ -543,13 +579,14 @@ RemoteBlocklistClient::QueryOutcome RemoteBlocklistClient::query(
 RemoteBlocklistClient::QueryOutcome RemoteBlocklistClient::query_uncounted(
     std::string_view address) {
   QueryOutcome outcome;
-  if (client_->has_prefix_list() && !client_->may_be_listed(address)) {
+  const auto digest = hash::Sha256::digest(to_bytes(address));
+  if (!client_->may_be_listed(digest)) {
     outcome.kind = QueryOutcome::Kind::kOk;
     outcome.resolved_locally = true;
     return outcome;
   }
 
-  const auto prepared = client_->prepare(address);
+  const auto prepared = client_->prepare(address, digest);
   Bytes frame = {static_cast<std::uint8_t>(Method::kQuery)};
   append(frame, oprf::serialize(prepared.request));
 

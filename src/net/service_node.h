@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "net/transport.h"
 #include "oprf/client.h"
@@ -223,7 +224,18 @@ class RemoteBlocklistClient {
   /// path. Every step goes through the auditor; nothing is applied
   /// unverified. A distrusted auditor is refused up front (failure
   /// kAudit).
+  ///
+  /// A sync that succeeds feeds the query client from the mirror (see
+  /// OprfClient::feed_mirror) with the prefixes every delta folded since
+  /// the last feed changed — all of them after a full download, on the
+  /// first feed, or when the auditor differs from the last one fed. A
+  /// failed sync feeds nothing; an audit failure stops the client
+  /// reading the mirror. Queries read the fed auditor, so it must
+  /// outlive them.
   SyncReport verified_sync(tlog::Auditor& auditor);
+  /// Stops queries reading the last fed auditor's mirror, e.g. before
+  /// that auditor is destroyed; the next successful sync feeds anew.
+  void forget_mirror();
 
   const ServiceInfo& info() const { return info_; }
   void set_api_key(std::string key) { client_->set_api_key(std::move(key)); }
@@ -242,6 +254,8 @@ class RemoteBlocklistClient {
   /// One tlog method call; returns the response BODY on kOk, nullopt on
   /// transport failure or non-kOk status (both kTransport to the sync).
   std::optional<Bytes> call_tlog(Method method, ByteView body);
+  /// Feeds the query client from `auditor`'s mirror, audited at `epoch`.
+  void feed(const tlog::Auditor& auditor, std::uint64_t epoch);
 
   Channel& channel_;
   std::string endpoint_;
@@ -259,6 +273,12 @@ class RemoteBlocklistClient {
   obs::Counter* sync_audit_;
   obs::Counter* sync_bytes_delta_;
   obs::Counter* sync_bytes_full_;
+  // What the next feed must name: the prefixes folded deltas changed
+  // since the last feed (repeats allowed), through mirror epoch
+  // unfed_through_ of fed_auditor_; nullopt when that history is unknown.
+  std::optional<std::vector<std::uint32_t>> unfed_changes_;
+  std::uint64_t unfed_through_ = 0;
+  const tlog::Auditor* fed_auditor_ = nullptr;
 };
 
 }  // namespace cbl::net

@@ -1,6 +1,7 @@
 #include "net/transport.h"
 
 #include <cmath>
+#include <utility>
 
 namespace cbl::net {
 
@@ -90,7 +91,7 @@ CallResult Transport::call(const std::string& endpoint, ByteView request) {
   // The request made it onto the wire and into the handler; its bytes
   // count as sent even if the response leg is lost below.
   ep.bytes_sent->inc(request.size());
-  const auto response = it->second(request);
+  auto response = it->second(request);
   if (!response) {
     // Handler rejection: the endpoint saw the frame and refused it. A
     // distinct outcome — not an empty success, not a drop.
@@ -107,7 +108,7 @@ CallResult Transport::call(const std::string& endpoint, ByteView request) {
   }
   result.delivered = true;
   rtt_ms_->observe(result.rtt_ms);
-  result.response = *response;
+  result.response = std::move(*response);
   ep.bytes_received->inc(result.response.size());
   return result;
 }

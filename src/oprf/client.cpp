@@ -26,6 +26,14 @@ OprfClient::OprfClient(Oracle oracle, unsigned lambda, Rng& rng)
   };
   metrics_.cache_hits = cache("hit");
   metrics_.cache_misses = cache("miss");
+  const auto mirror = [&](const char* result) {
+    return &reg.counter("cbl_oprf_client_mirror_reads_total",
+                        {{"result", result}},
+                        "Omitted buckets looked up in the audited mirror, "
+                        "by whether it still stood at the advertised epoch");
+  };
+  metrics_.mirror_reads = mirror("read");
+  metrics_.mirror_refused = mirror("refused");
   const auto memo = [&](const char* result) {
     return &reg.counter("cbl_oprf_client_verdict_memo_total",
                         {{"result", result}},
@@ -37,26 +45,65 @@ OprfClient::OprfClient(Oracle oracle, unsigned lambda, Rng& rng)
 }
 
 OprfClient::Prepared OprfClient::prepare(std::string_view entry) const {
-  const Bytes raw = to_bytes(entry);
+  return prepare(entry, hash::Sha256::digest(to_bytes(entry)));
+}
+
+OprfClient::Prepared OprfClient::prepare(
+    std::string_view entry, const hash::Sha256::Digest& digest) const {
   Prepared p;
   p.pending.blinding = Secret(ec::Scalar::random(rng_));
   p.pending.half_blinded =
-      blind_half(oracle_.map_to_group(raw), p.pending.blinding);
-  p.pending.entry_digest = hash::Sha256::digest(raw);
-  p.pending.prefix =
-      Oracle::prefix_of_digest(p.pending.entry_digest, lambda_);
+      blind_half(oracle_.map_to_group(to_bytes(entry)), p.pending.blinding);
+  p.pending.entry_digest = digest;
+  p.pending.prefix = Oracle::prefix_of_digest(digest, lambda_);
 
   p.request.prefix = p.pending.prefix;
   p.request.api_key = api_key_;
   p.request.want_evaluation_proof = pinned_commitment_.has_value();
+  // A bucket not known to match the mirror, and no newer than it, is
+  // checked against the mirror's: advertising the mirror's epoch lets
+  // the server omit it whenever it has not changed since.
   const auto it = cache_.find(p.pending.prefix);
-  if (it != cache_.end()) {
-    p.request.cached_epoch = it->second.epoch;
+  const bool via_mirror =
+      mirror_ && mirror_->readable &&
+      (it == cache_.end() || (!it->second.matches_mirror &&
+                              it->second.epoch <= mirror_->epoch));
+  if (via_mirror) {
+    p.pending.mirror_hint = true;
+    p.pending.cached_epoch = mirror_->epoch;
+  } else if (it != cache_.end()) {
     p.pending.used_cache_hint = true;
-    p.pending.cached_epoch = it->second.epoch;
+    p.pending.cached_epoch = advertised_epoch(it->second);
   }
+  p.request.cached_epoch = p.pending.cached_epoch;
   p.request.masked_query = p.pending.half_blinded.double_and_encode();
   return p;
+}
+
+std::uint64_t OprfClient::advertised_epoch(const CachedBucket& slot) const {
+  if (slot.matches_mirror && mirror_) {
+    return std::max(slot.epoch, mirror_->epoch);
+  }
+  return slot.epoch;
+}
+
+void OprfClient::feed_mirror(
+    std::uint64_t epoch,
+    const std::optional<std::vector<std::uint32_t>>& changed,
+    MirrorRead read) {
+  // A bucket the deltas did not touch is unchanged from the last fed
+  // epoch to this one, so one that matched the mirror still does. The
+  // others stay the server's buckets at their own epochs; prepare()
+  // checks them against the mirror's.
+  if (!changed || !mirror_) {
+    for (auto& [prefix, slot] : cache_) slot.matches_mirror = false;
+  } else {
+    for (const std::uint32_t prefix : *changed) {
+      const auto it = cache_.find(prefix);
+      if (it != cache_.end()) it->second.matches_mirror = false;
+    }
+  }
+  mirror_ = Mirror{epoch, std::move(read), true};
 }
 
 OprfClient::Result OprfClient::finish(const PendingQuery& pending,
@@ -84,17 +131,48 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
   };
   CachedBucket* slot = nullptr;
   if (response.bucket_omitted) {
-    const auto it = cache_.find(pending.prefix);
-    if (it == cache_.end() || it->second.epoch != pending.cached_epoch ||
-        response.epoch < pending.cached_epoch) {
-      throw ProtocolError(
+    const auto no_match = [] {
+      return ProtocolError(
           "OprfClient: server omitted bucket but no matching cache entry");
+    };
+    if (response.epoch < pending.cached_epoch) throw no_match();
+    if (pending.mirror_hint) {
+      if (!mirror_ || mirror_->epoch != pending.cached_epoch) {
+        throw no_match();
+      }
+      auto bucket = mirror_->read(pending.prefix, pending.cached_epoch);
+      if (!bucket) {
+        // The mirror moved on without a feed (a sync that folded deltas
+        // and then failed): no prefix reads it until the next feed.
+        mirror_->readable = false;
+        metrics_.mirror_refused->inc();
+        throw no_match();
+      }
+      metrics_.mirror_reads->inc();
+      slot = &cache_[pending.prefix];
+      if (slot->bucket != *bucket) {
+        slot->bucket = std::move(*bucket);
+        slot->metadata.clear();  // the mirror carries no metadata
+        slot->verdicts.clear();
+      }
+      slot->matches_mirror = true;
+    } else {
+      const auto it = cache_.find(pending.prefix);
+      if (it == cache_.end() ||
+          advertised_epoch(it->second) != pending.cached_epoch) {
+        throw no_match();
+      }
+      slot = &it->second;
     }
-    // The server vouched that the bucket is unchanged up to its epoch,
-    // under the key it was cached under — so are the verdicts against it.
-    it->second.epoch = response.epoch;
+    // The server vouched that the bucket is unchanged from the advertised
+    // epoch up to its own, under the key it was cached under — so are the
+    // verdicts against it, and so is the mirror's bucket when the mirror's
+    // epoch lies in between.
+    slot->epoch = response.epoch;
+    slot->matches_mirror = slot->matches_mirror ||
+                           (mirror_ && pending.cached_epoch <= mirror_->epoch &&
+                            mirror_->epoch <= response.epoch);
     metrics_.cache_hits->inc();
-    slot = &it->second;
     const auto memo = memo_position(slot->verdicts);
     if (memo != slot->verdicts.end() &&
         memo->digest == pending.entry_digest) {
@@ -113,6 +191,7 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
     slot->bucket = response.bucket;
     slot->metadata = response.metadata;
     slot->verdicts.clear();  // changed contents, a new key, or a restart
+    slot->matches_mirror = mirror_ && mirror_->epoch == response.epoch;
   }
   metrics_.memo_misses->inc();
 
@@ -144,8 +223,13 @@ void OprfClient::set_prefix_list(std::vector<std::uint32_t> prefixes) {
 
 bool OprfClient::may_be_listed(std::string_view entry) const {
   if (!prefix_list_) return true;
+  return may_be_listed(hash::Sha256::digest(to_bytes(entry)));
+}
+
+bool OprfClient::may_be_listed(const hash::Sha256::Digest& digest) const {
+  if (!prefix_list_) return true;
   const bool collides =
-      prefix_list_->contains(Oracle::prefix(to_bytes(entry), lambda_));
+      prefix_list_->contains(Oracle::prefix_of_digest(digest, lambda_));
   (collides ? metrics_.fastpath_online : metrics_.fastpath_local)->inc();
   return collides;
 }

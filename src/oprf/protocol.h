@@ -73,6 +73,10 @@ struct PendingQuery {
   /// The cache epoch the request advertised (kNoEpoch when none): the
   /// only epoch an omitted bucket may be read from.
   std::uint64_t cached_epoch = kNoEpoch;
+  /// The advertised epoch was the fed mirror's, for a prefix with no
+  /// cached bucket known to match it: an omitted bucket is read from
+  /// the mirror.
+  bool mirror_hint = false;
 
   PendingQuery() = default;
   PendingQuery(const PendingQuery&) = default;

@@ -201,6 +201,17 @@ Auditor::Status Auditor::fold_locked(const EpochDelta& delta) {
   return Status::kOk;
 }
 
+std::optional<std::vector<ec::RistrettoPoint::Encoding>> Auditor::bucket_at(
+    std::uint32_t prefix, std::uint64_t epoch) const {
+  MutexLock lock(mutex_);
+  if (!trusted_ || !has_state_locked() || mirror_epoch_ != epoch) {
+    return std::nullopt;
+  }
+  const auto it = buckets_.find(prefix);
+  if (it == buckets_.end()) return std::vector<ec::RistrettoPoint::Encoding>{};
+  return it->second;
+}
+
 Auditor::Status Auditor::verify_audit_path(std::uint32_t prefix,
                                            const AuditPath& path) {
   MutexLock lock(mutex_);

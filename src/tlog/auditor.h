@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/thread_safety.h"
 #include "ec/ristretto.h"
@@ -121,6 +122,11 @@ class Auditor {
     cbl::MutexLock lock(mutex_);
     return buckets_;
   }
+  /// One mirrored bucket, by value, while the provider is trusted and the
+  /// mirror stands at `epoch`; a prefix without a bucket reads as empty.
+  /// nullopt otherwise. Costs one bucket, not the mirror.
+  std::optional<std::vector<ec::RistrettoPoint::Encoding>> bucket_at(
+      std::uint32_t prefix, std::uint64_t epoch) const CBL_EXCLUDES(mutex_);
   /// Precondition: has_state().
   Digest mirror_root() const CBL_EXCLUDES(mutex_) {
     cbl::MutexLock lock(mutex_);

@@ -122,9 +122,10 @@ TEST(DistrustLatch, ResilientClientCountsOneDistrustUnderConcurrentSyncs) {
   auto transport_rng = ChaChaRng::from_string_seed("ts-latch-trans");
   auto client_rng = ChaChaRng::from_string_seed("ts-latch-client");
 
-  const auto corpus = blocklist::generate_corpus(40, corpus_rng).addresses();
+  const auto corpus = blocklist::generate_corpus(60, corpus_rng).addresses();
+  const auto listed = std::span<const std::string>(corpus).first(40);
   oprf::OprfServer server(oprf::Oracle::fast(), 4, server_rng);
-  server.setup(corpus);
+  server.setup(listed);
   const auto key = nizk::SigningKey::generate(key_rng);
   tlog::EpochPublisher publisher(key, pub_rng);
   net::Transport transport(net::TransportConfig{.latency_ms_min = 0.5,
@@ -148,6 +149,39 @@ TEST(DistrustLatch, ResilientClientCountsOneDistrustUnderConcurrentSyncs) {
   ASSERT_FALSE(client.distrusted(endpoint));
   const tlog::Auditor* auditor = client.tlog_auditor(endpoint);
   ASSERT_NE(auditor, nullptr);
+
+  // Queries beside syncs: the query threads read buckets from the mirror
+  // (Auditor::mutex_ under the client's mutex_) while the sync thread
+  // folds list changes into it and re-feeds the query cache.
+  {
+    const CounterDelta reads("cbl_oprf_client_mirror_reads_total",
+                             {{"result", "read"}});
+    std::atomic<int> wrong{0};
+    std::thread syncer([&] {
+      for (std::size_t i = 40; i < corpus.size(); i += 5) {
+        server.add_entries(std::span<const std::string>(corpus).subspan(i, 5));
+        (void)client.sync();
+      }
+    });
+    std::vector<std::thread> queriers;
+    for (int t = 0; t < 2; ++t) {
+      queriers.emplace_back([&] {
+        for (int round = 0; round < 2; ++round) {
+          for (const auto& entry : listed) {
+            const auto out = client.query(entry);
+            if (out.freshness != Freshness::kFresh || !out.listed()) ++wrong;
+          }
+        }
+      });
+    }
+    syncer.join();
+    for (auto& th : queriers) th.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_GT(reads.value(), 0u);
+    ASSERT_EQ(client.sync(), 1u);
+    ASSERT_FALSE(client.distrusted(endpoint));
+  }
+
   const auto latest = auditor->latest_checkpoint();
   ASSERT_TRUE(latest.has_value());
 

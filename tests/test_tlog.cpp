@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
@@ -867,6 +868,367 @@ TEST_F(TlogWireTest, ResilientClientDistrustsEquivocatorPermanently) {
   const FamilyDelta calls("cbl_net_calls_total");
   EXPECT_EQ(client.sync(), 0u);
   EXPECT_EQ(calls.value(), 0u);
+}
+
+// ------------------------------------------- the query cache fed by the mirror
+
+/// Clients talk to "mirror", which forwards to an honest node except
+/// where a test makes it fail the audit path or serve a forged
+/// checkpoint. listed_ tracks the list the server holds.
+class MirrorFeedTest : public TlogWireTest {
+ protected:
+  void SetUp() override {
+    TlogWireTest::SetUp();
+    listed_.insert(corpus_.begin(), corpus_.begin() + 80);
+    node_.emplace(transport_, "honest", *server_, oprf::Oracle::fast(),
+                  net::NodeLimits(), nullptr, &*publisher_);
+    transport_.register_endpoint(
+        "mirror", [this](ByteView frame) -> std::optional<Bytes> {
+          const auto request = net::parse_request_frame(frame);
+          if (request && request->method == net::Method::kTlogAuditPath &&
+              fail_audit_path_) {
+            return net::encode_response_frame(net::Status::kBadRequest);
+          }
+          if (request && request->method == net::Method::kTlogCheckpoint &&
+              forged_) {
+            return net::encode_response_frame(net::Status::kOk,
+                                              forged_->to_bytes());
+          }
+          return node_->handle_frame(frame);
+        });
+  }
+
+  void add(std::span<const std::string> batch) {
+    server_->add_entries(batch);
+    listed_.insert(batch.begin(), batch.end());
+  }
+  void remove(std::span<const std::string> batch) {
+    server_->remove_entries(batch);
+    for (const auto& entry : batch) listed_.erase(entry);
+  }
+  std::uint32_t prefix(const std::string& entry) const {
+    return oprf::Oracle::prefix(to_bytes(entry), server_->lambda());
+  }
+  /// How many of `entries` are in a bucket named in `prefixes`.
+  std::size_t in_prefixes(std::span<const std::string> entries,
+                          const std::set<std::uint32_t>& prefixes) const {
+    return static_cast<std::size_t>(std::ranges::count_if(
+        entries, [&](const auto& e) { return prefixes.contains(prefix(e)); }));
+  }
+
+  struct Tally {
+    std::size_t wrong = 0;   // answered, but not what the list says
+    std::size_t failed = 0;  // no answer
+  };
+  Tally query_all(RemoteBlocklistClient& client,
+                  std::span<const std::string> entries) {
+    Tally tally;
+    for (const auto& entry : entries) {
+      const auto out = client.query(entry);
+      if (out.kind != RemoteBlocklistClient::QueryOutcome::Kind::kOk) {
+        ++tally.failed;
+      } else if (out.listed != listed_.contains(entry)) {
+        ++tally.wrong;
+      }
+    }
+    return tally;
+  }
+
+  net::Transport transport_ = make_transport();
+  std::optional<BlocklistServiceNode> node_;
+  bool fail_audit_path_ = false;
+  std::optional<Checkpoint> forged_;
+  std::set<std::string> listed_;
+};
+
+CounterDelta mirror_reads() {
+  return CounterDelta("cbl_oprf_client_mirror_reads_total",
+                      {{"result", "read"}});
+}
+CounterDelta memo(const char* result) {
+  return CounterDelta("cbl_oprf_client_verdict_memo_total",
+                      {{"result", result}});
+}
+CounterDelta buckets_served() {
+  return CounterDelta("cbl_oprf_buckets_served_total");
+}
+
+TEST_F(MirrorFeedTest, FirstQueryOfAnUnqueriedPrefixGetsNoBucket) {
+  RemoteBlocklistClient client(transport_, "mirror", client_rng_);
+  Auditor auditor(key_.pk, "mirror");
+  ASSERT_TRUE(client.verified_sync(auditor).ok);
+
+  // One address per bucket, so every query is its prefix's first.
+  std::vector<std::string> firsts;
+  std::set<std::uint32_t> seen;
+  for (const auto& entry : corpus_) {
+    if (seen.insert(prefix(entry)).second) firsts.push_back(entry);
+  }
+  ASSERT_TRUE(std::ranges::any_of(
+      firsts, [&](const auto& e) { return listed_.contains(e); }));
+  ASSERT_FALSE(std::ranges::all_of(
+      firsts, [&](const auto& e) { return listed_.contains(e); }));
+
+  const CounterDelta served = buckets_served();
+  const CounterDelta reads = mirror_reads();
+  const Tally tally = query_all(client, firsts);
+  EXPECT_EQ(tally.wrong, 0u);
+  EXPECT_EQ(tally.failed, 0u);
+  EXPECT_EQ(served.value(), 0u);
+  EXPECT_EQ(reads.value(), firsts.size());
+}
+
+TEST_F(MirrorFeedTest, ChurnDropsOnlyTheChangedBucketsMemo) {
+  RemoteBlocklistClient client(transport_, "mirror", client_rng_);
+  Auditor auditor(key_.pk, "mirror");
+  ASSERT_TRUE(client.verified_sync(auditor).ok);
+  const Tally warm = query_all(client, corpus_);  // caches and memoises all
+  ASSERT_EQ(warm.wrong + warm.failed, 0u);
+
+  const auto added = fresh(0, 6);
+  const auto gone = std::span<const std::string>(corpus_).first(3);
+  add(added);
+  remove(gone);
+  std::set<std::uint32_t> changed;
+  for (const auto& entry : added) changed.insert(prefix(entry));
+  for (const auto& entry : gone) changed.insert(prefix(entry));
+  ASSERT_TRUE(client.verified_sync(auditor).ok);
+
+  const CounterDelta misses = memo("miss");
+  const CounterDelta hits = memo("hit");
+  const CounterDelta served = buckets_served();
+  const CounterDelta reads = mirror_reads();
+  const Tally tally = query_all(client, corpus_);
+  EXPECT_EQ(tally.wrong, 0u);
+  EXPECT_EQ(tally.failed, 0u);
+  EXPECT_EQ(misses.value(), in_prefixes(corpus_, changed));
+  EXPECT_EQ(hits.value(), corpus_.size() - in_prefixes(corpus_, changed));
+  // The changed buckets come from the mirror, not the wire.
+  EXPECT_EQ(served.value(), 0u);
+  EXPECT_EQ(reads.value(), changed.size());
+}
+
+// A bucket cached from a response between two publications is the
+// server's bucket at that epoch, not necessarily the published one: an
+// entry added and removed again between them leaves no trace in the
+// delta, so the feed must not vouch for that bucket at the new epoch.
+TEST_F(MirrorFeedTest, BucketCachedBetweenPublicationsIsCheckedOnTheMirror) {
+  RemoteBlocklistClient client(transport_, "mirror", client_rng_);
+  Auditor auditor(key_.pk, "mirror");
+  ASSERT_TRUE(client.verified_sync(auditor).ok);
+  // A fresh address sharing a bucket with a listed one.
+  std::optional<std::size_t> fresh_index;
+  std::optional<std::size_t> listed_index;
+  for (std::size_t f = 80; f < corpus_.size() && !fresh_index; ++f) {
+    for (std::size_t l = 0; l < 80; ++l) {
+      if (prefix(corpus_[f]) == prefix(corpus_[l])) {
+        fresh_index = f;
+        listed_index = l;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(fresh_index.has_value());
+  const std::span<const std::string> x(&corpus_[*fresh_index], 1);
+
+  ASSERT_EQ(query_all(client, {&corpus_[*listed_index], 1}).wrong, 0u);
+  add(x);
+  ASSERT_EQ(query_all(client, x).wrong, 0u);  // caches the bucket with x
+  remove(x);
+  ASSERT_TRUE(client.verified_sync(auditor).ok);  // the delta skips x
+
+  const Tally tally = query_all(client, x);
+  EXPECT_EQ(tally.wrong, 0u);
+  EXPECT_EQ(tally.failed, 0u);
+}
+
+TEST_F(MirrorFeedTest, KeyRotationRereadsEveryBucket) {
+  RemoteBlocklistClient client(transport_, "mirror", client_rng_);
+  Auditor auditor(key_.pk, "mirror");
+  ASSERT_TRUE(client.verified_sync(auditor).ok);
+  ASSERT_EQ(query_all(client, corpus_).wrong, 0u);
+
+  server_->rotate_key();
+  ASSERT_TRUE(client.verified_sync(auditor).ok);
+  // Every entry is re-blinded, so every non-empty bucket changed.
+  std::set<std::uint32_t> nonempty;
+  for (const auto& [p, bucket] : server_->bucket_snapshot()) {
+    nonempty.insert(p);
+  }
+  std::set<std::uint32_t> queried;
+  for (const auto& entry : corpus_) {
+    if (nonempty.contains(prefix(entry))) queried.insert(prefix(entry));
+  }
+
+  const CounterDelta misses = memo("miss");
+  const CounterDelta served = buckets_served();
+  const CounterDelta reads = mirror_reads();
+  const Tally tally = query_all(client, corpus_);
+  EXPECT_EQ(tally.wrong, 0u);
+  EXPECT_EQ(tally.failed, 0u);
+  EXPECT_EQ(reads.value(), queried.size());
+  EXPECT_EQ(misses.value(), in_prefixes(corpus_, nonempty));
+  EXPECT_EQ(served.value(), 0u);
+}
+
+TEST_F(MirrorFeedTest, FailedAuditPathLeavesQueriesOnTheFedEpoch) {
+  RemoteBlocklistClient client(transport_, "mirror", client_rng_);
+  Auditor auditor(key_.pk, "mirror");
+  ASSERT_TRUE(client.verified_sync(auditor).ok);
+  const std::uint64_t fed = auditor.mirror_epoch();
+
+  add(fresh(0, 6));
+  fail_audit_path_ = true;
+  const auto report = client.verified_sync(auditor);
+  ASSERT_FALSE(report.ok);
+  ASSERT_EQ(report.failure,
+            RemoteBlocklistClient::SyncReport::Failure::kTransport);
+  ASSERT_GT(auditor.mirror_epoch(), fed);  // the deltas folded
+
+  // The mirror stands past the fed epoch: no query may read it. The
+  // first omitted bucket finds it moved and fails; later queries fetch
+  // their buckets instead.
+  const CounterDelta reads = mirror_reads();
+  const CounterDelta refused("cbl_oprf_client_mirror_reads_total",
+                             {{"result", "refused"}});
+  Tally tally = query_all(client, corpus_);
+  EXPECT_EQ(tally.wrong, 0u);
+  EXPECT_LE(tally.failed, 1u);
+  EXPECT_EQ(refused.value(), tally.failed);
+  EXPECT_EQ(reads.value(), 0u);
+
+  // The next complete sync feeds again, and the folded changes with it.
+  fail_audit_path_ = false;
+  ASSERT_TRUE(client.verified_sync(auditor).ok);
+  tally = query_all(client, corpus_);
+  EXPECT_EQ(tally.wrong, 0u);
+  EXPECT_EQ(tally.failed, 0u);
+  EXPECT_GT(reads.value(), 0u);
+}
+
+TEST_F(MirrorFeedTest, DistrustedProvidersMirrorIsNeverRead) {
+  RemoteBlocklistClient client(transport_, "mirror", client_rng_);
+  Auditor auditor(key_.pk, "mirror");
+  ASSERT_TRUE(client.verified_sync(auditor).ok);
+  const auto half = std::span<const std::string>(corpus_).first(60);
+  ASSERT_EQ(query_all(client, half).wrong, 0u);
+
+  // The provider equivocates: a second signed root for the same size.
+  const auto honest = publisher_->latest_checkpoint();
+  auto other_root = honest.root;
+  other_root[3] ^= 0x10;
+  forged_ = sign_checkpoint(key_, honest.tree_size, other_root, honest.epoch,
+                            publisher_rng_);
+  ASSERT_EQ(client.verified_sync(auditor).failure,
+            RemoteBlocklistClient::SyncReport::Failure::kAudit);
+  ASSERT_FALSE(auditor.trusted());
+  EXPECT_FALSE(auditor.bucket_at(prefix(corpus_[0]), auditor.mirror_epoch())
+                   .has_value());
+
+  const CounterDelta reads = mirror_reads();
+  const CounterDelta refused("cbl_oprf_client_mirror_reads_total",
+                             {{"result", "refused"}});
+  const Tally tally = query_all(client, corpus_);
+  EXPECT_EQ(tally.wrong, 0u);
+  EXPECT_EQ(tally.failed, 0u);
+  EXPECT_EQ(reads.value(), 0u);
+  EXPECT_EQ(refused.value(), 0u);
+}
+
+// Re-pinning a provider replaces its auditor; queries must stop reading
+// the old one's mirror (the sanitizer stages would flag a read of it).
+TEST_F(MirrorFeedTest, RepinnedProviderReadsOnlyTheNewMirror) {
+  net::ResilienceConfig config;
+  config.hedge_after_ms = 0.0;
+  obs::ManualClock clock;
+  net::ResilientClient client(transport_, {"mirror"}, client_rng_, config,
+                              &clock);
+  client.pin_tlog_key("mirror", key_.pk);
+  ASSERT_EQ(client.sync(), 1u);
+  client.pin_tlog_key("mirror", key_.pk);
+
+  const CounterDelta reads = mirror_reads();
+  for (const auto& entry : corpus_) {
+    const auto out = client.query(entry);
+    EXPECT_EQ(out.freshness, net::Freshness::kFresh);
+    EXPECT_EQ(out.listed(), listed_.contains(entry));
+  }
+  EXPECT_EQ(reads.value(), 0u);  // nothing fed from the new auditor yet
+
+  ASSERT_EQ(client.sync(), 1u);  // feeds from the new auditor
+  for (const auto& entry : corpus_) {
+    EXPECT_EQ(client.query(entry).listed(), listed_.contains(entry));
+  }
+  EXPECT_GT(reads.value(), 0u);
+}
+
+// A wallet restarted from its durable audit state knows nothing of what
+// its new query cache holds, so its first feed vouches for no cached
+// bucket — not only the ones the deltas name: each is checked against
+// the mirror before it answers at the mirror's epoch.
+TEST_F(MirrorFeedTest, RecoveredAuditorTreatsItsFirstFeedAsAll) {
+  net::ResilienceConfig config;
+  config.hedge_after_ms = 0.0;
+  obs::ManualClock clock;
+  store::MemFs fs;
+  const auto right = [&](net::ResilientClient& client,
+                         std::span<const std::string> entries) {
+    std::size_t bad = 0;
+    for (const auto& entry : entries) {
+      const auto out = client.query(entry);
+      bad += out.freshness != net::Freshness::kFresh ||
+             out.listed() != listed_.contains(entry);
+    }
+    return bad;
+  };
+  {
+    store::StateStore store(fs, "wallet");
+    net::ResilientClient client(transport_, {"mirror"}, client_rng_, config,
+                                &clock);
+    client.pin_tlog_key("mirror", key_.pk, &store);
+    ASSERT_EQ(client.sync(), 1u);
+    ASSERT_EQ(right(client, corpus_), 0u);
+  }
+  // The list changes while the wallet is down.
+  add(fresh(0, 6));
+  remove(std::span<const std::string>(corpus_).first(3));
+
+  store::StateStore store(fs, "wallet");
+  net::ResilientClient client(transport_, {"mirror"}, client_rng_, config,
+                              &clock);
+  client.pin_tlog_key("mirror", key_.pk, &store);
+  const Auditor* auditor = client.tlog_auditor("mirror");
+  ASSERT_TRUE(auditor->has_state());
+  ASSERT_LT(auditor->mirror_epoch(), server_->epoch());
+  // Queries before the first sync cache buckets the server sends.
+  const auto early = std::span<const std::string>(corpus_).subspan(10, 20);
+  const CounterDelta served = buckets_served();
+  ASSERT_EQ(right(client, early), 0u);
+  ASSERT_GT(served.value(), 0u);
+
+  ASSERT_EQ(client.sync(), 1u);  // folds the deltas, then feeds "all"
+  // The prefix list answers the empty buckets locally.
+  const auto nonempty = server_->prefix_list();
+  std::set<std::uint32_t> prefixes;
+  for (const auto& entry : corpus_) {
+    if (std::ranges::find(nonempty, prefix(entry)) != nonempty.end()) {
+      prefixes.insert(prefix(entry));
+    }
+  }
+  const CounterDelta hits = memo("hit");
+  const CounterDelta reads = mirror_reads();
+  const CounterDelta served_after = buckets_served();
+  EXPECT_EQ(right(client, corpus_), 0u);
+  EXPECT_EQ(reads.value(), prefixes.size());
+  EXPECT_EQ(served_after.value(), 0u);
+  // The early buckets equal the mirror's, so their memos survive the
+  // check: each early address is a memo hit, every other one a miss.
+  EXPECT_EQ(hits.value(),
+            static_cast<std::size_t>(std::ranges::count_if(
+                early, [&](const auto& e) {
+                  return std::ranges::find(nonempty, prefix(e)) !=
+                         nonempty.end();
+                })));
 }
 
 }  // namespace
