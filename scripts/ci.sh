@@ -29,11 +29,13 @@
 #                  the regex fallback (with a notice) otherwise
 #   5. release     optimized build + full test suite, then test_net,
 #                  test_store, test_tlog, test_obs, test_load,
-#                  test_macro_smoke and test_oprf each run once as a whole
-#                  binary with --gtest_shuffle --gtest_repeat=2: the
-#                  metrics registry is process-wide (run_macro and
-#                  VirtualQueue read its counters too, and test_oprf
-#                  reads the verdict-memo counters), so a test that
+#                  test_macro_smoke, test_oprf and test_chaos each run
+#                  once as a whole binary with --gtest_shuffle
+#                  --gtest_repeat=2: the metrics registry is process-wide
+#                  (run_macro and VirtualQueue read its counters too,
+#                  test_oprf reads the verdict-memo counters, and the
+#                  chaos plans read the resilient-client and breaker
+#                  counters), so a test that
 #                  reads a counter's absolute value instead of a delta
 #                  passes under ctest's one-test-per-process runs and
 #                  fails here. The shuffle seed and the replay command
@@ -284,7 +286,7 @@ stage_release() {
   local dir="${build_root}/release" seed=$((RANDOM % 99999 + 1)) t
   echo "=== [release] whole binaries, shuffled: seed=${seed} ==="
   for t in test_net test_store test_tlog test_obs test_load \
-      test_macro_smoke test_oprf; do
+      test_macro_smoke test_oprf test_chaos; do
     echo "=== [release] replay any failure with:" \
       "${dir}/tests/${t} --gtest_shuffle --gtest_repeat=2" \
       "--gtest_random_seed=${seed} ==="

@@ -55,12 +55,7 @@ bool CircuitBreaker::allow(double now_ms) {
 }
 
 void CircuitBreaker::on_success(double now_ms) {
-  if (state_ == State::kHalfOpen) {
-    if (++half_open_successes_ >= config_.half_open_successes) {
-      transition(State::kClosed, now_ms);
-    }
-    return;
-  }
+  if (state_ == State::kHalfOpen) transition(State::kClosed, now_ms);
   consecutive_failures_ = 0;
 }
 
@@ -85,7 +80,6 @@ void CircuitBreaker::transition(State to, double now_ms) {
       to_open_->inc();
       break;
     case State::kHalfOpen:
-      half_open_successes_ = 0;
       to_half_open_->inc();
       break;
     case State::kClosed:
@@ -312,23 +306,6 @@ double ResilientClient::backoff_ms(double previous_ms) const {
   return std::min(config_.backoff_cap_ms, base + u * (hi - base));
 }
 
-void ResilientClient::remember(std::string_view address, bool listed) {
-  if (config_.response_cache_max == 0) return;
-  std::string key(address);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    it->second = listed;
-    return;
-  }
-  while (cache_.size() >= config_.response_cache_max &&
-         !cache_order_.empty()) {
-    cache_.erase(cache_order_.front());
-    cache_order_.pop_front();
-  }
-  cache_.emplace(key, listed);
-  cache_order_.push_back(std::move(key));
-}
-
 ResilientClient::Outcome ResilientClient::query(std::string_view address) {
   using Kind = RemoteBlocklistClient::QueryOutcome::Kind;
   MutexLock lock(mutex_);
@@ -379,7 +356,6 @@ ResilientClient::Outcome ResilientClient::query(std::string_view address) {
     }
     if (secondary != nullptr) {
       metrics_.hedges->inc();
-      ++out.hedges;
       second = attempt(*secondary, address);
       ++out.attempts;
     }
@@ -393,12 +369,9 @@ ResilientClient::Outcome ResilientClient::query(std::string_view address) {
           (!first_good || second.outcome.rtt_ms < first.outcome.rtt_ms);
       if (second_wins) metrics_.hedge_wins->inc();
       const AttemptResult& winner = second_wins ? second : first;
-      const Provider& winner_provider = second_wins ? *secondary : *primary;
-      remember(address, winner.outcome.listed);
       out.verdict = winner.outcome.listed ? Outcome::Verdict::kListed
                                           : Outcome::Verdict::kNotListed;
       out.freshness = Freshness::kFresh;
-      out.provider = winner_provider.endpoint;
       out.latency_ms = now_ms() - start;
       metrics_.fresh->inc();
       next_primary_ = primary_index;  // stick with a working primary
@@ -438,21 +411,26 @@ ResilientClient::Outcome ResilientClient::query(std::string_view address) {
 ResilientClient::Outcome ResilientClient::degrade(std::string_view address,
                                                   Outcome partial) {
   Outcome out = std::move(partial);
-  const auto cached = cache_.find(std::string(address));
-  if (cached != cache_.end()) {
-    out.verdict = cached->second ? Outcome::Verdict::kListed
-                                 : Outcome::Verdict::kNotListed;
-    out.freshness = Freshness::kStaleCache;
-    metrics_.stale_cache->inc();
-    return out;
+  const auto digest = hash::Sha256::digest(to_bytes(address));
+  // Stale: the verdict a provider's query client judged against the
+  // entry's bucket as that provider last vouched for it. A condemned
+  // provider's verdicts, like its prefix list, may be lies.
+  for (const auto& provider : providers_) {
+    if (provider.distrusted() || !provider.client) continue;
+    if (const auto listed = provider.client->memoised_verdict(digest)) {
+      out.verdict =
+          *listed ? Outcome::Verdict::kListed : Outcome::Verdict::kNotListed;
+      out.freshness = Freshness::kStaleCache;
+      metrics_.stale_cache->inc();
+      return out;
+    }
   }
   // Prefix-list-only: a prefix miss is a definite negative even offline
   // (and leaks nothing new — the prefix list is public anyway). A prefix
   // hit decides nothing, so it cannot be answered here.
   for (const auto& provider : providers_) {
     if (provider.distrusted()) continue;  // its prefix list may be a lie
-    if (provider.client && provider.client->has_prefix_list() &&
-        !provider.client->may_be_listed(address)) {
+    if (provider.client && !provider.client->may_be_listed(digest)) {
       out.verdict = Outcome::Verdict::kNotListed;
       out.freshness = Freshness::kPrefixOnly;
       metrics_.prefix_only->inc();

@@ -19,10 +19,11 @@
 //                 kRateLimited honours the server's retry-after hint
 //                 instead of hammering.
 //   degradation — when every provider is down or tripped, the client
-//                 answers from what it still has, tagged honestly:
-//                 stale response cache, then prefix-list-only, then an
-//                 explicit kUnavailable. Never a silent failure, never
-//                 a fabricated verdict.
+//                 answers from what it still has, tagged honestly: a
+//                 trusted provider's memoised verdict (the query
+//                 client's bucket memo, no second cache), then
+//                 prefix-list-only, then an explicit kUnavailable.
+//                 Never a silent failure, never a fabricated verdict.
 //
 // Time is virtual: with a ManualClock the client *drives* it (advancing
 // by each attempt's RTT and by backoff sleeps), which is what makes
@@ -30,11 +31,9 @@
 // reads the obs registry clock and backoff becomes accounting-only.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_safety.h"
@@ -47,7 +46,7 @@ namespace cbl::net {
 /// How trustworthy an answer is — the degradation ladder, top to bottom.
 enum class Freshness : std::uint8_t {
   kFresh = 0,       // a provider answered the private query just now
-  kStaleCache = 1,  // replayed from the local response cache
+  kStaleCache = 1,  // memoised verdict of a trusted provider's client
   kPrefixOnly = 2,  // decided by the (public) prefix list alone
   kUnavailable = 3, // nothing to answer from — explicit failure
 };
@@ -58,13 +57,13 @@ struct BreakerConfig {
   unsigned failure_threshold = 5;
   /// How long an open breaker blocks traffic before probing.
   double open_ms = 1000.0;
-  /// Successful half-open probes required to close again.
-  unsigned half_open_successes = 1;
 };
 
-/// Per-endpoint circuit breaker. State is exported as the gauge
-/// cbl_net_breaker_state{endpoint} (0 closed / 1 open / 2 half-open)
-/// and every transition as cbl_net_breaker_transitions_total{endpoint,to}.
+/// Per-endpoint circuit breaker: a half-open breaker closes on its first
+/// successful probe and reopens on a failed one. State is exported as
+/// the gauge cbl_net_breaker_state{endpoint} (0 closed / 1 open / 2
+/// half-open) and every transition as
+/// cbl_net_breaker_transitions_total{endpoint,to}.
 ///
 /// Not internally synchronized: every instance lives inside a
 /// ResilientClient::Provider, and all access runs under the owning
@@ -88,7 +87,6 @@ class CircuitBreaker {
   BreakerConfig config_;
   State state_ = State::kClosed;
   unsigned consecutive_failures_ = 0;
-  unsigned half_open_successes_ = 0;
   double opened_at_ms_ = 0.0;
   obs::Gauge* state_gauge_;
   obs::Counter* to_closed_;
@@ -112,8 +110,6 @@ struct ResilienceConfig {
   /// (0 disables hedging).
   double hedge_after_ms = 150.0;
   BreakerConfig breaker;
-  /// Response cache entries kept for degraded answers (FIFO eviction).
-  std::size_t response_cache_max = 4096;
 };
 
 /// A membership client that composes every policy above over one or
@@ -130,10 +126,7 @@ class ResilientClient {
     Verdict verdict = Verdict::kUnknown;
     Freshness freshness = Freshness::kUnavailable;
     bool listed() const { return verdict == Verdict::kListed; }
-    /// Endpoint that produced a fresh answer; empty otherwise.
-    std::string provider;
     unsigned attempts = 0;  // transport attempts, hedges included
-    unsigned hedges = 0;    // hedged duplicate requests issued
     double latency_ms = 0;  // virtual time consumed, backoff included
     /// Kind of the last attempt failure (meaningful when degraded).
     RemoteBlocklistClient::QueryOutcome::Kind last_error =
@@ -143,7 +136,7 @@ class ResilientClient {
   /// One membership query under the full policy stack. Never throws on
   /// network trouble; the outcome says how good the answer is.
   /// Thread-safe; concurrent queries serialize on the client's one lock
-  /// (this is a wallet-side component — the latch and cache must be
+  /// (this is a wallet-side component — the latch and breakers must be
   /// correct, parallel wire throughput is not a goal here).
   Outcome query(std::string_view address) CBL_EXCLUDES(mutex_);
 
@@ -216,7 +209,6 @@ class ResilientClient {
   AttemptResult attempt(Provider& provider, std::string_view address)
       CBL_REQUIRES(mutex_);
   void sleep_ms(double ms);
-  void remember(std::string_view address, bool listed) CBL_REQUIRES(mutex_);
   Outcome degrade(std::string_view address, Outcome partial)
       CBL_REQUIRES(mutex_);
   double backoff_ms(double previous_ms) const CBL_REQUIRES(mutex_);
@@ -233,16 +225,12 @@ class ResilientClient {
 
   /// One coarse lock over all mutable client state. Held across wire
   /// attempts, so concurrent queries serialize — see query()'s contract.
-  mutable cbl::Mutex mutex_;  // lock: providers, cache, rotation cursor
+  mutable cbl::Mutex mutex_;  // lock: providers, api key, rotation cursor
   /// Sized once in the constructor and never resized, so Provider
   /// addresses (including Auditor pointers escaped via tlog_auditor)
   /// stay stable for the client's lifetime.
   std::vector<Provider> providers_ CBL_GUARDED_BY(mutex_);
   std::string api_key_ CBL_GUARDED_BY(mutex_);
-  /// Last fresh verdict per address (true = listed).
-  std::unordered_map<std::string, bool> cache_ CBL_GUARDED_BY(mutex_);
-  std::deque<std::string> cache_order_
-      CBL_GUARDED_BY(mutex_);  // FIFO eviction
   /// Round-robin start among providers.
   std::size_t next_primary_ CBL_GUARDED_BY(mutex_) = 0;
 

@@ -414,7 +414,13 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
         sync_ok_->inc();
         feed(auditor, report.epoch);
         break;
-      case SyncReport::Failure::kTransport: sync_transport_->inc(); break;
+      case SyncReport::Failure::kTransport:
+        sync_transport_->inc();
+        // Folded deltas moved the mirror past the fed epoch, where no
+        // query may read it. unfed_changes_ keeps their prefixes for the
+        // next feed.
+        if (report.deltas_applied > 0) client_->drop_mirror();
+        break;
       case SyncReport::Failure::kAudit:
         sync_audit_->inc();
         forget_mirror();

@@ -229,9 +229,10 @@ class RemoteBlocklistClient {
   /// OprfClient::feed_mirror) with the prefixes every delta folded since
   /// the last feed changed — all of them after a full download, on the
   /// first feed, or when the auditor differs from the last one fed. A
-  /// failed sync feeds nothing; an audit failure stops the client
-  /// reading the mirror. Queries read the fed auditor, so it must
-  /// outlive them.
+  /// failed sync feeds nothing; an audit failure, or a failure after
+  /// deltas folded, stops the client reading the mirror (the next feed
+  /// still names what those deltas changed). Queries read the fed
+  /// auditor, so it must outlive them.
   SyncReport verified_sync(tlog::Auditor& auditor);
   /// Stops queries reading the last fed auditor's mirror, e.g. before
   /// that auditor is destroyed; the next successful sync feeds anew.
@@ -240,11 +241,16 @@ class RemoteBlocklistClient {
   const ServiceInfo& info() const { return info_; }
   void set_api_key(std::string key) { client_->set_api_key(std::move(key)); }
 
-  /// Prefix-list state, exposed so a resilience layer can fall back to
-  /// prefix-only answers when the service is unreachable.
-  bool has_prefix_list() const { return client_->has_prefix_list(); }
-  bool may_be_listed(std::string_view address) const {
-    return client_->may_be_listed(address);
+  /// Local state a resilience layer falls back on when the service is
+  /// unreachable, looked up by the entry's SHA-256 digest: the verdict
+  /// memoised against its cached bucket, and the prefix list (true when
+  /// none is installed).
+  std::optional<bool> memoised_verdict(
+      const hash::Sha256::Digest& digest) const {
+    return client_->memoised_verdict(digest);
+  }
+  bool may_be_listed(const hash::Sha256::Digest& digest) const {
+    return client_->may_be_listed(digest);
   }
 
   const std::string& endpoint() const { return endpoint_; }

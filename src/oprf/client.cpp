@@ -95,7 +95,7 @@ void OprfClient::feed_mirror(
   // epoch to this one, so one that matched the mirror still does. The
   // others stay the server's buckets at their own epochs; prepare()
   // checks them against the mirror's.
-  if (!changed || !mirror_) {
+  if (!changed) {
     for (auto& [prefix, slot] : cache_) slot.matches_mirror = false;
   } else {
     for (const std::uint32_t prefix : *changed) {
@@ -125,10 +125,6 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
       throw ProtocolError("OprfClient: evaluation proof missing or invalid");
     }
   }
-  const auto memo_position = [&pending](std::vector<MemoEntry>& verdicts) {
-    return std::ranges::lower_bound(verdicts, pending.entry_digest, {},
-                                    &MemoEntry::digest);
-  };
   CachedBucket* slot = nullptr;
   if (response.bucket_omitted) {
     const auto no_match = [] {
@@ -142,8 +138,8 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
       }
       auto bucket = mirror_->read(pending.prefix, pending.cached_epoch);
       if (!bucket) {
-        // The mirror moved on without a feed (a sync that folded deltas
-        // and then failed): no prefix reads it until the next feed.
+        // The mirror moved on without a feed (a sync this client did not
+        // run): no prefix reads it until the next feed.
         mirror_->readable = false;
         metrics_.mirror_refused->inc();
         throw no_match();
@@ -173,11 +169,9 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
                            (mirror_ && pending.cached_epoch <= mirror_->epoch &&
                             mirror_->epoch <= response.epoch);
     metrics_.cache_hits->inc();
-    const auto memo = memo_position(slot->verdicts);
-    if (memo != slot->verdicts.end() &&
-        memo->digest == pending.entry_digest) {
+    if (const auto listed = memoised_verdict(pending.entry_digest)) {
       metrics_.memo_hits->inc();
-      return Result{memo->listed, std::nullopt};
+      return Result{*listed, std::nullopt};
     }
   } else {
     metrics_.cache_misses->inc();
@@ -212,9 +206,22 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
     }
     return result;
   }
-  slot->verdicts.insert(memo_position(slot->verdicts),
+  slot->verdicts.insert(std::ranges::lower_bound(slot->verdicts,
+                                                 pending.entry_digest, {},
+                                                 &MemoEntry::digest),
                         MemoEntry{pending.entry_digest, result.listed});
   return result;
+}
+
+std::optional<bool> OprfClient::memoised_verdict(
+    const hash::Sha256::Digest& digest) const {
+  const auto slot = cache_.find(Oracle::prefix_of_digest(digest, lambda_));
+  if (slot == cache_.end()) return std::nullopt;
+  const auto& verdicts = slot->second.verdicts;
+  const auto memo =
+      std::ranges::lower_bound(verdicts, digest, {}, &MemoEntry::digest);
+  if (memo == verdicts.end() || memo->digest != digest) return std::nullopt;
+  return memo->listed;
 }
 
 void OprfClient::set_prefix_list(std::vector<std::uint32_t> prefixes) {

@@ -64,10 +64,15 @@ class OprfClient {
   /// and proof check. A re-sent bucket drops its memo.
   Result finish(const PendingQuery& pending, const QueryResponse& response);
 
+  /// The verdict finish() memoised for this entry against its cached
+  /// bucket, nullopt when there is none. The bucket is the one the
+  /// server last vouched for; a re-sent bucket dropped its memo.
+  std::optional<bool> memoised_verdict(
+      const hash::Sha256::Digest& digest) const;
+
   // --- Prefix list fast path ----------------------------------------------
   /// Installs the server-distributed prefix list.
   void set_prefix_list(std::vector<std::uint32_t> prefixes);
-  bool has_prefix_list() const { return prefix_list_.has_value(); }
 
   /// False means "definitely not listed" — no interaction needed. True
   /// means the prefix collides with some blocklist entry, so an online
@@ -96,9 +101,8 @@ class OprfClient {
 
   /// Feeds the client from a mirror audited at `epoch`. `changed` names
   /// every prefix whose bucket changed since the previous feed (a prefix
-  /// may repeat); nullopt
-  /// means the history is unknown (first feed, a restart, a full
-  /// download), and a feed into a client not yet fed counts as that.
+  /// may repeat), a drop_mirror() in between included; nullopt means the
+  /// history is unknown (first feed, a restart, a full download).
   /// A cached bucket known to equal the mirror's, and not named, still
   /// does, and advertises `epoch` when it is newer than its own. Any
   /// other prefix not cached at a newer epoch advertises `epoch`, and
@@ -108,8 +112,9 @@ class OprfClient {
   void feed_mirror(std::uint64_t epoch,
                    const std::optional<std::vector<std::uint32_t>>& changed,
                    MirrorRead read);
-  /// Stops reading the mirror (its provider failed an audit). Cached
-  /// buckets advertise only their own epochs until the next feed.
+  /// Stops reading the mirror (its provider failed an audit, or the
+  /// mirror moved past the fed epoch). Cached buckets advertise only
+  /// their own epochs until the next feed.
   void drop_mirror() { mirror_.reset(); }
 
   // --- Cache ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 // retries under loss, rate-limit surfacing, and hostile-node behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -700,6 +701,54 @@ TEST_F(NetTest, ResilientClientBreakerOpensAndRecovers) {
   EXPECT_EQ(recovered.freshness, Freshness::kFresh);
   EXPECT_EQ(client.breaker_state("scamdb"),
             CircuitBreaker::State::kClosed);
+}
+
+// The stale rung replays a verdict only from the bucket the server last
+// sent: once a neighbour's query re-sends the bucket without a removed
+// entry, that entry is never replayed as listed.
+TEST_F(NetTest, ResilientClientNeverReplaysAVerdictFromAReSentBucket) {
+  obs::ManualClock clock;
+  auto transport = make_transport();
+  auto node = std::make_optional<BlocklistServiceNode>(
+      transport, "scamdb", *server_, oprf::Oracle::fast());
+
+  ResilienceConfig config;
+  config.max_attempts = 2;
+  config.attempt_timeout_ms = 1e6;
+  config.call_deadline_ms = 1e6;
+  config.hedge_after_ms = 0.0;
+  ResilientClient client(transport, {"scamdb"}, client_rng_, config, &clock);
+
+  const auto prefix = [](const std::string& entry) {
+    return oprf::Oracle::prefix(to_bytes(entry), 5);
+  };
+  const std::string& x = corpus_[0];
+  const auto y = std::find_if(corpus_.begin() + 1, corpus_.end(),
+                              [&](const auto& e) {
+                                return prefix(e) == prefix(x);
+                              });
+  ASSERT_NE(y, corpus_.end());
+
+  const auto listed = client.query(x);
+  ASSERT_EQ(listed.freshness, Freshness::kFresh);
+  ASSERT_TRUE(listed.listed());
+
+  server_->remove_entries(std::span<const std::string>(&x, 1));
+  const CounterDelta resent("cbl_oprf_client_cache_total",
+                            {{"result", "miss"}});
+  const auto neighbour = client.query(*y);
+  ASSERT_EQ(neighbour.freshness, Freshness::kFresh);
+  EXPECT_TRUE(neighbour.listed());
+  EXPECT_EQ(resent.value(), 1u);  // the bucket came back without x
+
+  node.reset();  // outage
+  const auto offline = client.query(x);
+  EXPECT_EQ(offline.freshness, Freshness::kUnavailable);
+  EXPECT_EQ(offline.verdict, ResilientClient::Outcome::Verdict::kUnknown);
+  // The neighbour's verdict against the re-sent bucket still replays.
+  const auto neighbour_offline = client.query(*y);
+  EXPECT_EQ(neighbour_offline.freshness, Freshness::kStaleCache);
+  EXPECT_TRUE(neighbour_offline.listed());
 }
 
 TEST_F(NetTest, SlowOracleParametersPropagate) {

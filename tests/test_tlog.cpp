@@ -646,6 +646,37 @@ class TlogWireTest : public TlogTest {
         });
   }
 
+  /// Serves `name` as an equivocator: kInfo honestly, kTlogCheckpoint as
+  /// a second signed root at the publisher's latest tree size, and
+  /// kBadRequest to everything else.
+  void register_equivocator(net::Transport& transport,
+                            const std::string& name) {
+    const auto honest = publisher_->latest_checkpoint();
+    auto other_root = honest.root;
+    other_root[11] ^= 0x80;
+    const auto forged = sign_checkpoint(key_, honest.tree_size, other_root,
+                                        honest.epoch, publisher_rng_);
+    transport.register_endpoint(
+        name, [this, forged](ByteView frame) -> std::optional<Bytes> {
+          const auto request = net::parse_request_frame(frame);
+          if (!request) {
+            return net::encode_response_frame(net::Status::kBadRequest);
+          }
+          if (request->method == net::Method::kInfo) {
+            net::ServiceInfo info;
+            info.lambda = server_->lambda();
+            info.entry_count = server_->entry_count();
+            return net::encode_response_frame(net::Status::kOk,
+                                              net::encode_info(info));
+          }
+          if (request->method == net::Method::kTlogCheckpoint) {
+            return net::encode_response_frame(net::Status::kOk,
+                                              forged.to_bytes());
+          }
+          return net::encode_response_frame(net::Status::kBadRequest);
+        });
+  }
+
   ChaChaRng transport_rng_ = ChaChaRng::from_string_seed("tlog-transport");
 };
 
@@ -827,47 +858,64 @@ TEST_F(TlogWireTest, ResilientClientDistrustsEquivocatorPermanently) {
 
   // The provider turns equivocator.
   node.reset();
-  const auto honest = publisher_->latest_checkpoint();
-  auto other_root = honest.root;
-  other_root[11] ^= 0x80;
-  const auto forged = sign_checkpoint(key_, honest.tree_size, other_root,
-                                      honest.epoch, publisher_rng_);
-  transport.register_endpoint(
-      "scamdb", [this, &forged](ByteView frame) -> std::optional<Bytes> {
-        const auto request = net::parse_request_frame(frame);
-        if (!request) {
-          return net::encode_response_frame(net::Status::kBadRequest);
-        }
-        if (request->method == net::Method::kInfo) {
-          net::ServiceInfo info;
-          info.lambda = server_->lambda();
-          info.entry_count = server_->entry_count();
-          return net::encode_response_frame(net::Status::kOk,
-                                            net::encode_info(info));
-        }
-        if (request->method == net::Method::kTlogCheckpoint) {
-          return net::encode_response_frame(net::Status::kOk,
-                                            forged.to_bytes());
-        }
-        return net::encode_response_frame(net::Status::kBadRequest);
-      });
+  register_equivocator(transport, "scamdb");
 
   const CounterDelta distrusted("cbl_tlog_providers_distrusted_total");
   (void)client.sync();
   EXPECT_TRUE(client.distrusted("scamdb"));
   EXPECT_EQ(distrusted.value(), 1u);
 
-  // A condemned provider gets no query traffic: the answer degrades
-  // (stale cache here) and is never kFresh again, even though the
-  // endpoint is up and would answer.
+  // A condemned provider gets no query traffic: the answer degrades and
+  // is never kFresh again, even though the endpoint is up and would
+  // answer. Its memoised verdict is no evidence either, and the entry's
+  // prefix is listed, so the ladder ends at unavailable.
   const auto degraded = client.query(corpus_[0]);
-  EXPECT_NE(degraded.freshness, net::Freshness::kFresh);
+  EXPECT_EQ(degraded.freshness, net::Freshness::kUnavailable);
   EXPECT_EQ(degraded.verdict,
-            net::ResilientClient::Outcome::Verdict::kListed);
+            net::ResilientClient::Outcome::Verdict::kUnknown);
   // And sync() refuses to talk to it at all.
   const FamilyDelta calls("cbl_net_calls_total");
   EXPECT_EQ(client.sync(), 0u);
   EXPECT_EQ(calls.value(), 0u);
+}
+
+// The stale rung replays only a trusted provider's verdicts: one that
+// answered fresh and was then condemned for equivocation is never
+// replayed, and a provider that holds no verdict for the entry has
+// nothing to replay for it.
+TEST_F(TlogWireTest, CondemnedProvidersVerdictIsNeverReplayed) {
+  auto transport = make_transport();
+  auto a = std::make_optional<BlocklistServiceNode>(
+      transport, "a", *server_, oprf::Oracle::fast(), net::NodeLimits(),
+      nullptr, &*publisher_);
+  auto b = std::make_optional<BlocklistServiceNode>(
+      transport, "b", *server_, oprf::Oracle::fast());
+
+  net::ResilienceConfig config;
+  config.max_attempts = 2;
+  config.hedge_after_ms = 0.0;
+  obs::ManualClock clock;
+  net::ResilientClient client(transport, {"a", "b"}, client_rng_, config,
+                              &clock);
+  client.pin_tlog_key("a", key_.pk);
+  ASSERT_EQ(client.sync(), 2u);
+  const CounterDelta b_calls("cbl_net_calls_total", {{"endpoint", "b"}});
+  const auto fresh_answer = client.query(corpus_[0]);
+  ASSERT_EQ(fresh_answer.freshness, net::Freshness::kFresh);
+  ASSERT_TRUE(fresh_answer.listed());
+  ASSERT_EQ(b_calls.value(), 0u);  // a answered; b holds no verdict
+
+  // b goes down and a turns equivocator.
+  b.reset();
+  a.reset();
+  register_equivocator(transport, "a");
+  (void)client.sync();
+  ASSERT_TRUE(client.distrusted("a"));
+
+  const auto degraded = client.query(corpus_[0]);
+  EXPECT_EQ(degraded.freshness, net::Freshness::kUnavailable);
+  EXPECT_EQ(degraded.verdict,
+            net::ResilientClient::Outcome::Verdict::kUnknown);
 }
 
 // ------------------------------------------- the query cache fed by the mirror
@@ -1085,16 +1133,15 @@ TEST_F(MirrorFeedTest, FailedAuditPathLeavesQueriesOnTheFedEpoch) {
             RemoteBlocklistClient::SyncReport::Failure::kTransport);
   ASSERT_GT(auditor.mirror_epoch(), fed);  // the deltas folded
 
-  // The mirror stands past the fed epoch: no query may read it. The
-  // first omitted bucket finds it moved and fails; later queries fetch
-  // their buckets instead.
+  // The mirror stands past the fed epoch: no query may read it, so the
+  // failed sync dropped it and every query fetches its bucket instead.
   const CounterDelta reads = mirror_reads();
   const CounterDelta refused("cbl_oprf_client_mirror_reads_total",
                              {{"result", "refused"}});
   Tally tally = query_all(client, corpus_);
   EXPECT_EQ(tally.wrong, 0u);
-  EXPECT_LE(tally.failed, 1u);
-  EXPECT_EQ(refused.value(), tally.failed);
+  EXPECT_EQ(tally.failed, 0u);
+  EXPECT_EQ(refused.value(), 0u);
   EXPECT_EQ(reads.value(), 0u);
 
   // The next complete sync feeds again, and the folded changes with it.
