@@ -7,8 +7,10 @@
 #                  discipline — see DESIGN.md "Concurrency & locking
 #                  policy"), and scripts/secret_flow_lint.py (secret-flow
 #                  policy), self-tested where applicable and run
-#                  concurrently; then prints the size of src/ (lines
-#                  and files, not gated)
+#                  concurrently; then prints the size of src/ and of
+#                  tests/ (lines and files of .cpp/.h, not gated), so a
+#                  change that moves code between them shows its net
+#                  effect
 #   2. clang-tidy  .clang-tidy profile over src/ (skipped with a notice
 #                  when clang-tidy is not installed)
 #   3. thread-safety  clang capability analysis: a negative/positive
@@ -173,14 +175,16 @@ stage_lint() {
     fi
     cat "${logs[$i]}"
   done
-  # Informational, not a gate: the size of src/ that every change
-  # records (ROADMAP aim 2).
-  local src_lines src_files
-  src_lines="$(cd "${repo_root}" &&
-    find src -name '*.cpp' -o -name '*.h' | xargs cat | wc -l)"
-  src_files="$(cd "${repo_root}" &&
-    find src -name '*.cpp' -o -name '*.h' | wc -l)"
-  echo "=== [lint] src/ size: ${src_lines} lines in ${src_files} files ==="
+  # Informational, not a gate: the sizes of src/ and tests/ that every
+  # change records (ROADMAP aim 2).
+  local dir lines files
+  for dir in src tests; do
+    lines="$(cd "${repo_root}" &&
+      find "${dir}" -name '*.cpp' -o -name '*.h' | xargs cat | wc -l)"
+    files="$(cd "${repo_root}" &&
+      find "${dir}" -name '*.cpp' -o -name '*.h' | wc -l)"
+    echo "=== [lint] ${dir}/ size: ${lines} lines in ${files} files ==="
+  done
   return "${failed}"
 }
 

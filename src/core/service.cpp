@@ -1,5 +1,6 @@
 #include "core/service.h"
 
+#include "hash/sha256.h"
 #include "obs/trace.h"
 
 namespace cbl::core {
@@ -86,13 +87,14 @@ BlocklistUser::QueryResult BlocklistUser::query(std::string_view address) {
 BlocklistUser::QueryResult BlocklistUser::query_one(std::string_view address,
                                                     bool* bucket_omitted) {
   QueryResult result;
-  if (!client_.may_be_listed(address)) {
+  const auto digest = hash::Sha256::digest(to_bytes(address));
+  if (!client_.fast_path_check(digest)) {
     local_queries_->inc();
     return result;  // resolved locally: definitely not listed
   }
   online_queries_->inc();
   result.required_interaction = true;
-  const auto prepared = client_.prepare(address);
+  const auto prepared = client_.prepare(address, digest);
   const auto response = provider_.server().handle(prepared.request);
   if (bucket_omitted != nullptr) *bucket_omitted = response.bucket_omitted;
   auto finished = client_.finish(prepared.pending, response);

@@ -1,29 +1,17 @@
 #include "load/macro.h"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "chaos/chaos.h"
 #include "load/arrivals.h"
-#include "load/virtual_queue.h"
-#include "net/query_pipeline.h"
-#include "net/resilient_client.h"
-#include "net/service_node.h"
+#include "load/world.h"
 #include "obs/export.h"
 #include "obs/obs.h"
-#include "oprf/server.h"
 
 namespace cbl::load {
 
 namespace {
-
-/// Restores the global registry's steady clock on scope exit, so a
-/// throwing run cannot leave later code on a frozen manual clock.
-struct ClockGuard {
-  ~ClockGuard() { obs::MetricsRegistry::global().set_clock(nullptr); }
-};
 
 ChaChaRng seeded(const MacroConfig& config, const char* stream) {
   return ChaChaRng::from_string_seed("macro/" + std::string(stream) + "/" +
@@ -122,63 +110,41 @@ MacroReport run_macro(const MacroConfig& config) {
   if (config.offered_qps.empty()) {
     throw std::invalid_argument("run_macro: no offered_qps levels");
   }
+  if (config.lambda != World::kLambda) {
+    throw std::invalid_argument("run_macro: lambda must be World::kLambda");
+  }
   MacroReport report;
   report.config = config;
 
-  auto& global = obs::MetricsRegistry::global();
-  obs::ManualClock clock;
-  clock.set_ns(std::uint64_t{1'000'000'000});  // t = 1s, away from zero
-  ClockGuard guard;
-  global.set_clock(&clock);
-
   auto corpus_rng = seeded(config, "corpus");
-  auto transport_rng = seeded(config, "transport");
-  auto server_rng = seeded(config, "server");
-  auto client_rng = seeded(config, "client");
   auto traffic_rng = seeded(config, "traffic");
-
   Workload workload(config.workload, corpus_rng);
 
-  net::Transport transport(
-      net::TransportConfig{.latency_ms_min = config.transport_latency_min_ms,
-                           .latency_ms_max = config.transport_latency_max_ms,
-                           .drop_rate = 0.0},
-      transport_rng);
-
-  oprf::OprfServer server(oprf::Oracle::fast(), config.lambda, server_rng);
-  server.setup(workload.listed());
-
-  net::QueryPipeline pipeline(server, net::PipelineOptions());
-  // Declared before the node, whose destructor unregisters the handler
-  // that points at the queue.
-  VirtualQueue queue(config.service_ms, config.max_inflight);
-  const std::string endpoint = "macro-node";
-  net::BlocklistServiceNode node(transport, endpoint, server,
-                                 oprf::Oracle::fast(), net::NodeLimits(),
-                                 &pipeline);
-  queue.install(transport, node);
-
-  std::optional<chaos::FaultInjector> injector;
-  net::Channel* channel = &transport;
+  chaos::FaultPlan plan;
   if (config.chaos) {
-    chaos::FaultPlan plan;
     plan.name = "macro-chaos";
     plan.seed = config.seed;
     plan.all.drop_request = 0.01;
     plan.all.latency.spike_prob = 0.01;
     plan.all.latency.spike_ms = 100.0;
-    injector.emplace(transport, plan, &clock);
-    channel = &*injector;
   }
-
-  net::ResilientClient client(*channel, {endpoint}, client_rng,
-                              net::ResilienceConfig(), &clock);
-  client.sync();  // connect + prefix list, outside any measured level
+  World world(workload.listed(), {"macro-node"},
+              config.transport_latency_min_ms,
+              config.transport_latency_max_ms, config.service_ms,
+              config.max_inflight, std::move(plan),
+              {seeded(config, "server"), seeded(config, "client"),
+               seeded(config, "transport")});
+  obs::ManualClock& clock = world.clock();
+  clock.set_ns(std::uint64_t{1'000'000'000});  // t = 1s, away from zero
+  const VirtualQueue& queue = world.queue(0);
+  // The client connected while the world was built; this retries a
+  // connect the chaos plan dropped, outside any measured level.
+  world.client().sync();
 
   // The shared global counter is read as a delta, so a dirty registry
   // (earlier tests in the same process) cannot skew the report.
   auto& pipeline_shed_counter =
-      global.counter("cbl_net_pipeline_shed_total");
+      obs::MetricsRegistry::global().counter("cbl_net_pipeline_shed_total");
 
   obs::MetricsRegistry local;  // harness-side latency histograms
 
@@ -228,7 +194,7 @@ MacroReport run_macro(const MacroConfig& config) {
       // share of end-to-end latency.
       ++level.wire_queries;
       const std::uint64_t admitted0 = queue.admitted();
-      const auto out = client.query(*query.address);
+      const auto out = world.client().query(*query.address);
       level.wire_attempts += out.attempts;
       double latency_ms =
           static_cast<double>(clock.now_ns() - t_arrival) / 1e6;
@@ -238,15 +204,9 @@ MacroReport run_macro(const MacroConfig& config) {
           std::max(max_completion_ns,
                    t_arrival + static_cast<std::uint64_t>(latency_ms * 1e6));
 
-      switch (out.freshness) {
-        case net::Freshness::kFresh: ++level.fresh; break;
-        case net::Freshness::kStaleCache: ++level.stale_cache; break;
-        case net::Freshness::kPrefixOnly: ++level.prefix_only; break;
-        case net::Freshness::kUnavailable: ++level.unavailable; break;
-      }
+      level.count(out, query.listed);
       if (out.verdict != net::ResilientClient::Outcome::Verdict::kUnknown) {
         ++usable;
-        if (out.listed() != query.listed) ++level.wrong;
       }
     }
 

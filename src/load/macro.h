@@ -1,9 +1,11 @@
 // The macro-load harness: open-loop Zipf traffic at stepped offered
-// rates driven through the real serving stack (Transport ->
-// BlocklistServiceNode -> QueryPipeline -> OprfServer, with the
-// ResilientClient policy stack on the client side and optional chaos
-// faults in between), reporting sustained QPS at SLO, tail latencies,
-// shed rate, and freshness mix.
+// rates driven through the real serving stack, one endpoint of a
+// load::World (world.h: Transport -> VirtualQueue ->
+// BlocklistServiceNode -> QueryPipeline -> OprfServer with its durable
+// epoch floor, the ResilientClient policy stack on the client side and
+// a FaultInjector in between, whose plan is empty unless `chaos` is
+// set), reporting sustained QPS at SLO, tail latencies, shed rate, and
+// freshness mix.
 //
 // Determinism contract: the whole report — latencies, quantiles, QPS,
 // shed rates, verdict counts — is computed in virtual time from seeded
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "load/workload.h"
+#include "load/world.h"
 
 namespace cbl::load {
 
@@ -60,14 +63,17 @@ struct MacroConfig {
   /// Base transport RTT range (uniform, seeded).
   double transport_latency_min_ms = 5.0;
   double transport_latency_max_ms = 25.0;
-  std::uint32_t lambda = 16;  // prefix length, as in the chaos harness
+  /// Prefix length; run_macro accepts only World::kLambda, the one the
+  /// chaos harness serves at too.
+  std::uint32_t lambda = World::kLambda;
   /// Layer a mild chaos::FaultInjector over the transport (request
   /// drops + latency spikes). Off for the canonical trajectory run.
   bool chaos = false;
 };
 
-/// Outcome of one offered-load level.
-struct LevelResult {
+/// Outcome of one offered-load level. The Tally counts the wire
+/// queries' answers.
+struct LevelResult : Tally {
   double offered_qps = 0.0;
   double achieved_qps = 0.0;  // usable answers / level virtual duration
   double p50_ms = 0.0;
@@ -80,11 +86,6 @@ struct LevelResult {
   std::uint64_t cache_hits = 0;     // modeled client-cache answers
   std::uint64_t prefix_local = 0;   // modeled prefix-list answers
   std::uint64_t shed = 0;           // node + pipeline shed events
-  std::uint64_t fresh = 0;
-  std::uint64_t stale_cache = 0;
-  std::uint64_t prefix_only = 0;
-  std::uint64_t unavailable = 0;
-  std::uint64_t wrong = 0;  // verdicts contradicting ground truth
   bool slo_ok = false;
 };
 
@@ -114,8 +115,8 @@ struct MacroReport {
 };
 
 /// Runs the whole trajectory, one open-loop phase per offered level.
-/// Installs a ManualClock into the global metrics registry for the
-/// duration and restores the steady clock on exit.
+/// The World's ManualClock is the global registry's clock for the
+/// duration; the steady clock is restored on exit.
 MacroReport run_macro(const MacroConfig& config);
 
 }  // namespace cbl::load

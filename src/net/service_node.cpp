@@ -586,7 +586,7 @@ RemoteBlocklistClient::QueryOutcome RemoteBlocklistClient::query_uncounted(
     std::string_view address) {
   QueryOutcome outcome;
   const auto digest = hash::Sha256::digest(to_bytes(address));
-  if (!client_->may_be_listed(digest)) {
+  if (!client_->fast_path_check(digest)) {
     outcome.kind = QueryOutcome::Kind::kOk;
     outcome.resolved_locally = true;
     return outcome;

@@ -65,9 +65,8 @@ OprfClient::Prepared OprfClient::prepare(
   // the server omit it whenever it has not changed since.
   const auto it = cache_.find(p.pending.prefix);
   const bool via_mirror =
-      mirror_ && mirror_->readable &&
-      (it == cache_.end() || (!it->second.matches_mirror &&
-                              it->second.epoch <= mirror_->epoch));
+      mirror_ && (it == cache_.end() || (!it->second.matches_mirror &&
+                                         it->second.epoch <= mirror_->epoch));
   if (via_mirror) {
     p.pending.mirror_hint = true;
     p.pending.cached_epoch = mirror_->epoch;
@@ -103,7 +102,7 @@ void OprfClient::feed_mirror(
       if (it != cache_.end()) it->second.matches_mirror = false;
     }
   }
-  mirror_ = Mirror{epoch, std::move(read), true};
+  mirror_ = Mirror{epoch, std::move(read)};
 }
 
 OprfClient::Result OprfClient::finish(const PendingQuery& pending,
@@ -139,8 +138,8 @@ OprfClient::Result OprfClient::finish(const PendingQuery& pending,
       auto bucket = mirror_->read(pending.prefix, pending.cached_epoch);
       if (!bucket) {
         // The mirror moved on without a feed (a sync this client did not
-        // run): no prefix reads it until the next feed.
-        mirror_->readable = false;
+        // run): drop it, so no prefix reads it until the next feed.
+        mirror_.reset();
         metrics_.mirror_refused->inc();
         throw no_match();
       }
@@ -234,9 +233,13 @@ bool OprfClient::may_be_listed(std::string_view entry) const {
 }
 
 bool OprfClient::may_be_listed(const hash::Sha256::Digest& digest) const {
+  return !prefix_list_ ||
+         prefix_list_->contains(Oracle::prefix_of_digest(digest, lambda_));
+}
+
+bool OprfClient::fast_path_check(const hash::Sha256::Digest& digest) const {
   if (!prefix_list_) return true;
-  const bool collides =
-      prefix_list_->contains(Oracle::prefix_of_digest(digest, lambda_));
+  const bool collides = may_be_listed(digest);
   (collides ? metrics_.fastpath_online : metrics_.fastpath_local)->inc();
   return collides;
 }

@@ -41,7 +41,7 @@ class OprfClient {
   /// doubling.
   Prepared prepare(std::string_view entry) const;
   /// As above, for a caller that already holds the entry's SHA-256
-  /// digest (from may_be_listed's check), so the entry is hashed once.
+  /// digest (from fast_path_check), so the entry is hashed once.
   Prepared prepare(std::string_view entry,
                    const hash::Sha256::Digest& digest) const;
 
@@ -57,8 +57,9 @@ class OprfClient {
   /// entry the request advertised, which then moves to the response
   /// epoch, or — when the request advertised the fed mirror's epoch —
   /// from the mirror, if it still stands at that epoch. Throws
-  /// ProtocolError if that source is gone or changed, or the response
-  /// epoch is older than the advertised one. When the bucket
+  /// ProtocolError if that source is gone or changed (a mirror found
+  /// moved on is dropped until the next feed), or the response epoch is
+  /// older than the advertised one. When the bucket
   /// is omitted and this entry's verdict against it is memoised, that
   /// verdict is returned without unblinding — after the same psi decode
   /// and proof check. A re-sent bucket drops its memo.
@@ -76,10 +77,15 @@ class OprfClient {
 
   /// False means "definitely not listed" — no interaction needed. True
   /// means the prefix collides with some blocklist entry, so an online
-  /// query is required to decide.
+  /// query is required to decide. Counts nothing: a lookup that is not a
+  /// query's routing decision (a degraded answer) calls this.
   bool may_be_listed(std::string_view entry) const;
   /// The same check from the entry's SHA-256 digest.
   bool may_be_listed(const hash::Sha256::Digest& digest) const;
+  /// A query's routing decision: may_be_listed, counted in
+  /// cbl_oprf_client_fastpath_total{result=local|online} when a prefix
+  /// list is installed.
+  bool fast_path_check(const hash::Sha256::Digest& digest) const;
 
   // --- Verifiable OPRF ------------------------------------------------------
   /// Pin the server's published key commitment g^R; subsequent prepare()
@@ -145,9 +151,6 @@ class OprfClient {
   struct Mirror {
     std::uint64_t epoch;
     MirrorRead read;
-    /// Cleared when a read finds the mirror moved on without a feed, so
-    /// no request advertises `epoch` for a read until the next feed.
-    bool readable = true;
   };
 
   /// The epoch a request for this cached bucket advertises.

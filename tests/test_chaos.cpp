@@ -12,15 +12,23 @@
 //   * a crashed-and-restarted node recovers deterministically, with an
 //     epoch floor that keeps stale client caches from going wrong.
 //
+// Each plan runs against a load::World (src/load/world.h), the serving
+// stack the macro-load harness runs on too: durable epoch floors, fault
+// injector and virtual-time queues are always there, idle when the plan
+// leaves them so. The transparency-sync plans and the store sweeps
+// build their own smaller worlds.
+//
 // Every run is deterministic: plan seed -> injector ChaCha stream, and
 // all time is a shared ManualClock that the resilient client drives.
-// Failures print the plan description; replay any plan with e.g.
+// Each plan prints its outcome as one `[chaos] summary` line (answers
+// by freshness, queue sheds, server 0's epoch, every fault kind), so
+// two runs' logs can be diffed; failures print the plan description.
+// Replay any plan with e.g.
 //   CBL_CHAOS_SEED=<seed> ./tests/test_chaos
 // CBL_CHAOS_QUERIES=<n> scales the per-plan query count (default 400).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <deque>
 #include <iostream>
 #include <map>
 #include <span>
@@ -30,7 +38,7 @@
 #include "chaos/chaos.h"
 #include "chaos/fault_fs.h"
 #include "common/rng.h"
-#include "load/virtual_queue.h"
+#include "load/world.h"
 #include "metric_delta.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
@@ -43,7 +51,6 @@ namespace {
 
 using net::CircuitBreaker;
 using net::Freshness;
-using net::ResilienceConfig;
 using net::ResilientClient;
 using test::CounterDelta;
 using test::FamilyDelta;
@@ -65,125 +72,94 @@ std::uint64_t chaos_seed(std::uint64_t fallback) {
   return fallback;
 }
 
-int chaos_queries(int fallback = 400) {
+std::uint64_t chaos_queries(std::uint64_t fallback = 400) {
   if (const char* env = std::getenv("CBL_CHAOS_QUERIES")) {
-    const int n = std::atoi(env);
+    const std::uint64_t n = std::strtoull(env, nullptr, 10);
     if (n > 0) return n;
   }
   return fallback;
 }
 
-/// Parameters of a load::VirtualQueue put in front of every node.
-struct QueueModel {
-  double service_ms = 0.0;
-  unsigned slots = 0;
+/// The corpus every plan's world serves: 150 listed addresses and 200
+/// clean ones.
+struct Corpus {
+  std::vector<std::string> listed;
+  std::vector<std::string> clean;
 };
 
-/// One self-contained universe per plan: a seeded transport, an OPRF
-/// server + service node per endpoint, the fault injector in front of
-/// it all, and a resilient client driving the shared virtual clock.
-/// With `queue` set, every node sits behind its own virtual-time queue,
-/// re-installed after each crash-restart.
-class ChaosWorld {
+Corpus make_corpus() {
+  ChaChaRng rng = ChaChaRng::from_string_seed("chaos-corpus");
+  Corpus corpus;
+  corpus.listed = blocklist::generate_corpus(150, rng).addresses();
+  const std::unordered_set<std::string> listed(corpus.listed.begin(),
+                                               corpus.listed.end());
+  while (corpus.clean.size() < 200) {
+    auto address = blocklist::random_address(blocklist::Chain::kBitcoin, rng);
+    if (!listed.contains(address)) corpus.clean.push_back(std::move(address));
+  }
+  return corpus;
+}
+
+/// One plan against a load::World serving the corpus, with the counters
+/// the reconciliation reads and the invariant loop. `service_ms` and
+/// `slots` size the virtual-time queue in front of every node; (0, 0)
+/// admits everything.
+class PlanRun {
  public:
-  ChaosWorld(FaultPlan plan, std::vector<std::string> endpoints,
-             ResilienceConfig config = ResilienceConfig(),
-             std::optional<QueueModel> queue = std::nullopt)
-      : plan_(std::move(plan)),
-        endpoints_(std::move(endpoints)),
+  PlanRun(FaultPlan plan, std::vector<std::string> endpoints,
+          double service_ms = 0.0, unsigned slots = 0)
+      : plan_(plan),
+        endpoint_count_(endpoints.size()),
         query_rng_(ChaChaRng::from_string_seed(
             plan_.name + "/traffic/" + std::to_string(plan_.seed))),
-        transport_(net::TransportConfig{.latency_ms_min = 1.0,
-                                        .latency_ms_max = 10.0,
-                                        .drop_rate = 0.0},
-                   transport_rng_),
-        injector_(transport_, plan_, &clock_) {
-    obs::MetricsRegistry::global().set_clock(&clock_);
+        world_(corpus_.listed, std::move(endpoints), 1.0, 10.0, service_ms,
+               slots, std::move(plan),
+               {ChaChaRng::from_string_seed("chaos-server"),
+                ChaChaRng::from_string_seed("chaos-client"),
+                ChaChaRng::from_string_seed("chaos-transport")}) {
     std::cout << "[chaos] " << plan_.describe() << "\n";
-
-    listed_ = blocklist::generate_corpus(150, corpus_rng_).addresses();
-    listed_set_.insert(listed_.begin(), listed_.end());
-    while (clean_.size() < 200) {
-      auto address =
-          blocklist::random_address(blocklist::Chain::kBitcoin, corpus_rng_);
-      if (!listed_set_.contains(address)) clean_.push_back(std::move(address));
-    }
-
-    for (std::size_t i = 0; queue && i < endpoints_.size(); ++i) {
-      queues_.emplace_back(queue->service_ms, queue->slots);
-    }
-    fs_.resize(endpoints_.size());
-    epoch_logs_.resize(endpoints_.size());
-    servers_.resize(endpoints_.size());
-    nodes_.resize(endpoints_.size());
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-      start_node(i);
-      injector_.set_restart_hook(endpoints_[i], [this, i] {
-        // Power loss, not graceful shutdown: the node's MemFs reverts
-        // to its durable view and the rebuilt process recovers from
-        // that — no in-memory state crosses the crash.
-        fs_[i].crash();
-        start_node(i);
-      });
-    }
-    client_.emplace(injector_, endpoints_, client_rng_, config, &clock_);
   }
-
-  ~ChaosWorld() {
-    obs::MetricsRegistry::global().set_clock(&obs::SteadyClock::instance());
-  }
-
-  struct RunSummary {
-    int queries = 0;
-    int wrong = 0;
-    int fresh = 0;
-    int stale = 0;
-    int prefix_only = 0;
-    int unavailable = 0;
-  };
 
   /// The invariant loop. Each iteration asks about a random address
   /// (half listed, half clean) and checks any non-Unknown verdict
   /// against ground truth; `inter_arrival_ms` of virtual time passes
   /// between queries on top of whatever the client itself consumed.
-  RunSummary run(int queries, double inter_arrival_ms = 2.0) {
+  /// Prints the plan's `[chaos] summary` line at the end.
+  load::Tally drive(std::uint64_t queries, double inter_arrival_ms = 2.0) {
     SCOPED_TRACE(plan_.describe() + "  (replay: CBL_CHAOS_SEED=" +
                  std::to_string(plan_.seed) + ")");
-    RunSummary s;
-    for (int i = 0; i < queries; ++i) {
+    load::Tally tally;
+    for (std::uint64_t i = 0; i < queries; ++i) {
       const bool expect_listed = query_rng_.uniform(2) == 0;
-      const std::string& address =
-          expect_listed
-              ? listed_[query_rng_.uniform(listed_.size())]
-              : clean_[query_rng_.uniform(clean_.size())];
+      const auto& pool = expect_listed ? corpus_.listed : corpus_.clean;
+      const std::string& address = pool[query_rng_.uniform(pool.size())];
 
-      const auto out = client_->query(address);
-      ++s.queries;
-      switch (out.freshness) {
-        case Freshness::kFresh: ++s.fresh; break;
-        case Freshness::kStaleCache: ++s.stale; break;
-        case Freshness::kPrefixOnly: ++s.prefix_only; break;
-        case Freshness::kUnavailable: ++s.unavailable; break;
-      }
+      const auto out = world_.client().query(address);
       if (out.verdict == ResilientClient::Outcome::Verdict::kUnknown) {
         // Unknown is only legal as an explicit, honestly-tagged failure.
         EXPECT_EQ(out.freshness, Freshness::kUnavailable);
-      } else {
-        const bool answered_listed =
-            out.verdict == ResilientClient::Outcome::Verdict::kListed;
-        if (answered_listed != expect_listed) {
-          ++s.wrong;
-          ADD_FAILURE() << "WRONG MEMBERSHIP ANSWER at query #" << i
-                        << " address=" << address
-                        << " truth=" << (expect_listed ? "listed" : "clean")
-                        << " answered="
-                        << (answered_listed ? "listed" : "clean")
-                        << " freshness=" << net::to_string(out.freshness);
-        }
       }
-      clock_.advance_ms(static_cast<std::uint64_t>(inter_arrival_ms));
+      if (!tally.count(out, expect_listed)) {
+        ADD_FAILURE() << "WRONG MEMBERSHIP ANSWER at query #" << i
+                      << " address=" << address
+                      << " truth=" << (expect_listed ? "listed" : "clean")
+                      << " answered=" << (out.listed() ? "listed" : "clean")
+                      << " freshness=" << net::to_string(out.freshness);
+      }
+      world_.clock().advance_ms(static_cast<std::uint64_t>(inter_arrival_ms));
     }
-    return s;
+    std::cout << "[chaos] summary plan=" << plan_.name
+              << " queries=" << queries << " fresh=" << tally.fresh
+              << " stale=" << tally.stale_cache
+              << " prefix_only=" << tally.prefix_only
+              << " unavailable=" << tally.unavailable
+              << " wrong=" << tally.wrong << " shed=" << queue_shed()
+              << " epoch0=" << world_.server(0).epoch();
+    for (const auto& [kind, delta] : faults_) {
+      std::cout << " " << kind << "=" << delta.value();
+    }
+    std::cout << " (replay: CBL_CHAOS_SEED=" << plan_.seed << ")\n";
+    return tally;
   }
 
   /// Every transport round trip is accounted for: calls the injector
@@ -196,47 +172,23 @@ class ChaosWorld {
         << plan_.describe();
   }
 
-  /// cbl_chaos_faults_total{kind} injected since this world was built.
+  /// cbl_chaos_faults_total{kind} injected since this run was built.
   std::uint64_t faults(const char* kind) const {
     return faults_.at(kind).value();
   }
 
-  ResilientClient& client() { return *client_; }
   /// Queries shed by the virtual-time queues, summed over endpoints.
   std::uint64_t queue_shed() const {
     std::uint64_t total = 0;
-    for (const auto& queue : queues_) total += queue.shed();
+    for (std::size_t i = 0; i < endpoint_count_; ++i) {
+      total += world_.queue(i).shed();
+    }
     return total;
   }
-  std::uint64_t server_epoch(std::size_t i) const {
-    return servers_[i]->epoch();
-  }
+
+  load::World& world() { return world_; }
 
  private:
-  void start_node(std::size_t i) {
-    nodes_[i].reset();  // tear the old handler down first
-    // lambda=16: sparse buckets, so the prefix list actually decides
-    // most clean addresses (with lambda=5 every bucket is occupied and
-    // the prefix-only degradation rung could never fire).
-    // The old server (whose epoch listener points at the old EpochLog)
-    // is destroyed before the log is re-created over the same file.
-    servers_[i].emplace(oprf::Oracle::fast(), 16u, server_rng_);
-    epoch_logs_[i].emplace(fs_[i], "epoch.jrnl");
-    // Crash recovery: brand-new process state, except the epoch floor
-    // recovered from the durable store. Without it the rebuilt server
-    // would re-number epochs from scratch and could re-serve an epoch
-    // number clients already cached buckets for — under a different
-    // mask, turning their caches into silently wrong answers.
-    const std::uint64_t floor = epoch_logs_[i]->recover();
-    if (floor > 0) servers_[i]->restore_epoch(floor);
-    servers_[i]->set_epoch_listener(
-        [log = &*epoch_logs_[i]](std::uint64_t epoch) { log->note(epoch); });
-    servers_[i]->setup(listed_);
-    nodes_[i].emplace(transport_, endpoints_[i], *servers_[i],
-                      oprf::Oracle::fast());
-    if (!queues_.empty()) queues_[i].install(transport_, *nodes_[i]);
-  }
-
   static std::map<std::string, CounterDelta> fault_deltas() {
     std::map<std::string, CounterDelta> out;
     for (const char* kind :
@@ -247,34 +199,16 @@ class ChaosWorld {
     return out;
   }
 
-  FaultPlan plan_;
-  std::vector<std::string> endpoints_;
-  obs::ManualClock clock_;
-  ChaChaRng corpus_rng_ = ChaChaRng::from_string_seed("chaos-corpus");
-  ChaChaRng server_rng_ = ChaChaRng::from_string_seed("chaos-server");
-  ChaChaRng client_rng_ = ChaChaRng::from_string_seed("chaos-client");
-  ChaChaRng transport_rng_ = ChaChaRng::from_string_seed("chaos-transport");
+  const FaultPlan plan_;
+  const std::size_t endpoint_count_;
+  const Corpus corpus_ = make_corpus();
   ChaChaRng query_rng_;
-  std::vector<std::string> listed_;
-  std::unordered_set<std::string> listed_set_;
-  std::vector<std::string> clean_;
-  net::Transport transport_;
-  // Per-endpoint durable "disk" plus the epoch floor log on it. Declared
-  // before servers_ so each server (whose epoch listener points into its
-  // log) is destroyed first.
-  std::deque<store::MemFs> fs_;
-  std::deque<std::optional<store::EpochLog>> epoch_logs_;
-  std::deque<std::optional<oprf::OprfServer>> servers_;
-  // Declared before nodes_: a node's destructor unregisters the wrapped
-  // handler, which points into its queue.
-  std::deque<load::VirtualQueue> queues_;
-  std::deque<std::optional<net::BlocklistServiceNode>> nodes_;
-  FaultInjector injector_;
-  // What the reconciliation reads, counted from this world's creation.
+  // What the reconciliation reads, counted from before the world's
+  // client connects.
   const CounterDelta injector_calls_{"cbl_chaos_calls_total"};
   const FamilyDelta transport_calls_{"cbl_net_calls_total"};
   const std::map<std::string, CounterDelta> faults_ = fault_deltas();
-  std::optional<ResilientClient> client_;
+  load::World world_;
 };
 
 // ---------------------------------------------------------------- plans
@@ -285,15 +219,16 @@ TEST(ChaosTest, FlakyLinksNeverProduceWrongAnswers) {
   plan.seed = chaos_seed(101);
   plan.all.drop_request = 0.15;
   plan.all.drop_response = 0.15;
-  ChaosWorld world(plan, {"alpha", "beta"});
+  PlanRun run(plan, {"alpha", "beta"});
 
-  const auto s = world.run(chaos_queries());
-  EXPECT_EQ(s.wrong, 0);
+  const std::uint64_t n = chaos_queries();
+  const auto s = run.drive(n);
+  EXPECT_EQ(s.wrong, 0u);
   // Retries + two providers ride out 30% call loss almost completely.
-  EXPECT_GE(s.fresh, (s.queries * 9) / 10);
-  EXPECT_GT(world.faults("drop_request"), 0u);
-  EXPECT_GT(world.faults("drop_response"), 0u);
-  world.expect_calls_accounted();
+  EXPECT_GE(s.fresh, (n * 9) / 10);
+  EXPECT_GT(run.faults("drop_request"), 0u);
+  EXPECT_GT(run.faults("drop_response"), 0u);
+  run.expect_calls_accounted();
 }
 
 TEST(ChaosTest, HeavyTailsAndDuplicatesHedgeAndStayCorrect) {
@@ -310,17 +245,18 @@ TEST(ChaosTest, HeavyTailsAndDuplicatesHedgeAndStayCorrect) {
   plan.all.latency.tail_scale_ms = 200.0;
   plan.all.latency.tail_alpha = 1.3;
   plan.all.duplicate_prob = 0.10;
-  ChaosWorld world(plan, {"alpha", "beta"});
+  PlanRun run(plan, {"alpha", "beta"});
 
-  const auto s = world.run(chaos_queries());
-  EXPECT_EQ(s.wrong, 0);
-  EXPECT_GE(s.fresh, (s.queries * 9) / 10);
+  const std::uint64_t n = chaos_queries();
+  const auto s = run.drive(n);
+  EXPECT_EQ(s.wrong, 0u);
+  EXPECT_GE(s.fresh, (n * 9) / 10);
   // Slow primaries were hedged; duplicates hit the server but never the
   // verdict.
   EXPECT_GT(hedges.value(), hedges_before);
-  EXPECT_GT(world.faults("duplicate"), 0u);
-  EXPECT_GT(world.faults("delay"), 0u);
-  world.expect_calls_accounted();
+  EXPECT_GT(run.faults("duplicate"), 0u);
+  EXPECT_GT(run.faults("delay"), 0u);
+  run.expect_calls_accounted();
 }
 
 TEST(ChaosTest, CorruptionStormIsMalformedNeverAFalseVerdict) {
@@ -329,18 +265,19 @@ TEST(ChaosTest, CorruptionStormIsMalformedNeverAFalseVerdict) {
   plan.seed = chaos_seed(303);
   plan.all.corrupt_prob = 0.35;
   plan.all.truncate_prob = 0.15;
-  ChaosWorld world(plan, {"alpha", "beta"});
+  PlanRun run(plan, {"alpha", "beta"});
 
-  const auto s = world.run(chaos_queries());
+  const std::uint64_t n = chaos_queries();
+  const auto s = run.drive(n);
   // The load-bearing invariant of the frame checksum: roughly half of
   // all responses were damaged in flight and not one produced a wrong
   // membership answer.
-  EXPECT_EQ(s.wrong, 0);
-  EXPECT_GT(world.faults("corrupt"), 100u);
-  EXPECT_GT(world.faults("truncate"), 0u);
+  EXPECT_EQ(s.wrong, 0u);
+  EXPECT_GT(run.faults("corrupt"), 100u);
+  EXPECT_GT(run.faults("truncate"), 0u);
   // Retries still get most queries through; the rest degrade honestly.
-  EXPECT_GE(s.fresh + s.stale + s.prefix_only, s.queries / 2);
-  world.expect_calls_accounted();
+  EXPECT_GE(s.fresh + s.stale_cache + s.prefix_only, n / 2);
+  run.expect_calls_accounted();
 }
 
 TEST(ChaosTest, BlackoutTripsBreakerThenWalksHalfOpenToClosed) {
@@ -358,25 +295,26 @@ TEST(ChaosTest, BlackoutTripsBreakerThenWalksHalfOpenToClosed) {
   plan.name = "blackout";
   plan.seed = chaos_seed(404);
   plan.per_endpoint["alpha"].blackouts = {{1000.0, 4000.0}};
-  ChaosWorld world(plan, {"alpha"});  // single provider: nowhere to hedge
+  PlanRun run(plan, {"alpha"});  // single provider: nowhere to hedge
 
-  const auto s = world.run(chaos_queries(), /*inter_arrival_ms=*/25.0);
-  EXPECT_EQ(s.wrong, 0);
-  EXPECT_GT(world.faults("blackout"), 0u);
+  const std::uint64_t n = chaos_queries();
+  const auto s = run.drive(n, /*inter_arrival_ms=*/25.0);
+  EXPECT_EQ(s.wrong, 0u);
+  EXPECT_GT(run.faults("blackout"), 0u);
   // The full breaker cycle: tripped open during the blackout (probably
   // several times — each cooled-off probe fails while the window
   // lasts), half-opened on probes, and closed again after it.
   EXPECT_GT(transition("open"), open_before);
   EXPECT_GT(transition("half_open"), half_before);
   EXPECT_GT(transition("closed"), closed_before);
-  EXPECT_EQ(world.client().breaker_state("alpha"),
+  EXPECT_EQ(run.world().client().breaker_state("alpha"),
             CircuitBreaker::State::kClosed);
   // The degradation ladder was exercised while the provider was dark:
   // cached repeats and prefix-list negatives, all honestly tagged.
-  EXPECT_GT(s.stale, 0);
-  EXPECT_GT(s.prefix_only, 0);
-  EXPECT_GT(s.fresh, 0);
-  world.expect_calls_accounted();
+  EXPECT_GT(s.stale_cache, 0u);
+  EXPECT_GT(s.prefix_only, 0u);
+  EXPECT_GT(s.fresh, 0u);
+  run.expect_calls_accounted();
 }
 
 TEST(ChaosTest, CrashRestartRecoversWithAFreshEpoch) {
@@ -387,22 +325,23 @@ TEST(ChaosTest, CrashRestartRecoversWithAFreshEpoch) {
   plan.all.drop_response = 0.05;
   plan.per_endpoint["alpha"].crash_at_ms = 800.0;
   plan.per_endpoint["alpha"].restart_at_ms = 2000.0;
-  ChaosWorld world(plan, {"alpha", "beta"});
-  const std::uint64_t epoch_before = world.server_epoch(0);
+  PlanRun run(plan, {"alpha", "beta"});
+  const std::uint64_t epoch_before = run.world().server(0).epoch();
 
-  const auto s = world.run(chaos_queries(), /*inter_arrival_ms=*/10.0);
-  EXPECT_EQ(s.wrong, 0);
-  EXPECT_EQ(world.faults("crash"), 1u);
-  EXPECT_EQ(world.faults("restart"), 1u);
+  const std::uint64_t n = chaos_queries();
+  const auto s = run.drive(n, /*inter_arrival_ms=*/10.0);
+  EXPECT_EQ(s.wrong, 0u);
+  EXPECT_EQ(run.faults("crash"), 1u);
+  EXPECT_EQ(run.faults("restart"), 1u);
   // The rebuilt server came back ABOVE the epoch it crashed at — the
   // floor that keeps pre-crash client caches from matching a new mask.
-  EXPECT_GT(world.server_epoch(0), epoch_before);
+  EXPECT_GT(run.world().server(0).epoch(), epoch_before);
   // The second provider (plus hedging) carried the outage; the
   // restarted one was probed back into service.
-  EXPECT_GE(s.fresh, (s.queries * 8) / 10);
-  EXPECT_EQ(world.client().breaker_state("alpha"),
+  EXPECT_GE(s.fresh, (n * 8) / 10);
+  EXPECT_EQ(run.world().client().breaker_state("alpha"),
             CircuitBreaker::State::kClosed);
-  world.expect_calls_accounted();
+  run.expect_calls_accounted();
 }
 
 TEST(ChaosTest, KitchenSinkWithOverloadSheddingStaysAccountable) {
@@ -418,17 +357,17 @@ TEST(ChaosTest, KitchenSinkWithOverloadSheddingStaysAccountable) {
   plan.all.latency.spike_ms = 200.0;
   // Slow nodes with a bounded queue: ~30ms of work per query arriving
   // every ~12ms of virtual time means the backlog fills and sheds.
-  ChaosWorld world(plan, {"alpha", "beta"}, ResilienceConfig(),
-                   QueueModel{.service_ms = 30.0, .slots = 2});
+  PlanRun run(plan, {"alpha", "beta"}, /*service_ms=*/30.0, /*slots=*/2);
 
-  const auto s = world.run(chaos_queries(), /*inter_arrival_ms=*/1.0);
-  EXPECT_EQ(s.wrong, 0);
+  const std::uint64_t n = chaos_queries();
+  const auto s = run.drive(n, /*inter_arrival_ms=*/1.0);
+  EXPECT_EQ(s.wrong, 0u);
   // Overload shedding fired (kRateLimited + retry-after, not a hung
   // queue) and the client still converted most queries into answers.
-  EXPECT_GT(world.queue_shed(), 0u);
-  EXPECT_GE(s.fresh, s.queries / 2);
-  EXPECT_GT(world.faults("duplicate"), 0u);
-  world.expect_calls_accounted();
+  EXPECT_GT(run.queue_shed(), 0u);
+  EXPECT_GE(s.fresh, n / 2);
+  EXPECT_GT(run.faults("duplicate"), 0u);
+  run.expect_calls_accounted();
 }
 
 TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
@@ -453,18 +392,18 @@ TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
   plan.per_endpoint["alpha"].blackouts = {{1500.0, 3000.0}};
   // An overloaded queue in front of the batched path sheds BEFORE the
   // node, so refused queries must never occupy a batch slot.
-  ChaosWorld world(plan, {"alpha", "beta"}, ResilienceConfig(),
-                   QueueModel{.service_ms = 30.0, .slots = 2});
+  PlanRun run(plan, {"alpha", "beta"}, /*service_ms=*/30.0, /*slots=*/2);
 
-  const auto s = world.run(chaos_queries(), /*inter_arrival_ms=*/1.0);
+  const std::uint64_t n = chaos_queries();
+  const auto s = run.drive(n, /*inter_arrival_ms=*/1.0);
   // The batched serving path changes throughput, never answers: no
   // wrong verdict under drops + a blackout + overload shedding.
-  EXPECT_EQ(s.wrong, 0);
-  EXPECT_GE(s.fresh, s.queries / 2);
-  EXPECT_GT(world.faults("drop_request"), 0u);
-  EXPECT_GT(world.faults("blackout"), 0u);
+  EXPECT_EQ(s.wrong, 0u);
+  EXPECT_GE(s.fresh, n / 2);
+  EXPECT_GT(run.faults("drop_request"), 0u);
+  EXPECT_GT(run.faults("blackout"), 0u);
 
-  EXPECT_GT(world.queue_shed(), 0u);
+  EXPECT_GT(run.queue_shed(), 0u);
   // Shed accounting: shed frames never reach a node, and every query
   // frame a node saw was enqueued into a pipeline batch, exactly.
   EXPECT_EQ(enqueued.value() - enqueued_before,
@@ -477,13 +416,13 @@ TEST(ChaosTest, BatchedPipelineShedsBeforeBatchingAndStaysCorrect) {
   EXPECT_EQ(static_cast<std::uint64_t>(batch_size.sum() - batch_sum_before),
             enqueued.value() - enqueued_before);
   EXPECT_GT(batch_size.count(), batches_before);
-  world.expect_calls_accounted();
+  run.expect_calls_accounted();
 }
 
 // ------------------------------------------- transparency sync under chaos
 
 /// Points the metrics registry at a ManualClock for the test's lifetime
-/// (the self-contained tlog worlds below don't go through ChaosWorld).
+/// (the self-contained tlog worlds below build no load::World).
 struct ClockGuard {
   explicit ClockGuard(obs::ManualClock& clock) {
     obs::MetricsRegistry::global().set_clock(&clock);

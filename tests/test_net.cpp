@@ -703,6 +703,49 @@ TEST_F(NetTest, ResilientClientBreakerOpensAndRecovers) {
             CircuitBreaker::State::kClosed);
 }
 
+// cbl_oprf_client_fastpath_total counts the routing decisions queries
+// take. A degraded answer's prefix-list lookup is not one: with the
+// breaker open, a prefix-only answer leaves the family untouched.
+TEST_F(NetTest, PrefixOnlyAnswerIsNotCountedAsAFastPathDecision) {
+  obs::ManualClock clock;
+  auto transport = make_transport();
+  // lambda=16: sparse buckets, so a clean address usually misses the
+  // prefix list and the prefix-only rung can answer it.
+  oprf::OprfServer sparse(oprf::Oracle::fast(), 16, server_rng_);
+  sparse.setup(corpus_);
+  auto node = std::make_optional<BlocklistServiceNode>(
+      transport, "scamdb", sparse, oprf::Oracle::fast());
+
+  ResilienceConfig config;
+  config.max_attempts = 2;
+  config.attempt_timeout_ms = 1e6;
+  config.call_deadline_ms = 1e6;
+  config.hedge_after_ms = 0.0;
+  config.breaker.failure_threshold = 3;
+  ResilientClient client(transport, {"scamdb"}, client_rng_, config, &clock);
+  ASSERT_EQ(client.sync(), 1u);
+
+  node.reset();  // crash: two failing queries trip the breaker
+  (void)client.query(corpus_[0]);
+  (void)client.query(corpus_[1]);
+  ASSERT_EQ(client.breaker_state("scamdb"), CircuitBreaker::State::kOpen);
+
+  const auto prefixes = sparse.prefix_list();
+  auto clean_rng = ChaChaRng::from_string_seed("net-fastpath-clean");
+  std::string clean;
+  do {
+    clean = blocklist::random_address(blocklist::Chain::kBitcoin, clean_rng);
+  } while (std::ranges::find(prefixes, oprf::Oracle::prefix(
+                                           to_bytes(clean), 16)) !=
+           prefixes.end());
+
+  const FamilyDelta fastpath("cbl_oprf_client_fastpath_total");
+  const auto out = client.query(clean);
+  EXPECT_EQ(out.freshness, Freshness::kPrefixOnly);
+  EXPECT_EQ(out.verdict, ResilientClient::Outcome::Verdict::kNotListed);
+  EXPECT_EQ(fastpath.value(), 0u);
+}
+
 // The stale rung replays a verdict only from the bucket the server last
 // sent: once a neighbour's query re-sends the bucket without a removed
 // entry, that entry is never replayed as listed.

@@ -14,6 +14,7 @@
 #include "metric_delta.h"
 #include "net/resilient_client.h"
 #include "net/service_node.h"
+#include "oprf/wire.h"
 #include "store/fs.h"
 #include "store/state_store.h"
 #include "tlog/tlog.h"
@@ -1151,6 +1152,61 @@ TEST_F(MirrorFeedTest, FailedAuditPathLeavesQueriesOnTheFedEpoch) {
   EXPECT_EQ(tally.wrong, 0u);
   EXPECT_EQ(tally.failed, 0u);
   EXPECT_GT(reads.value(), 0u);
+}
+
+// Two clients feeding from one auditor: the second's sync moves the
+// mirror past the epoch the first was fed at. The first client's next
+// read finds the mirror moved: that query fails once and the mirror is
+// dropped, so its next uncached prefix is asked without advertising the
+// old epoch and answered fresh.
+TEST_F(MirrorFeedTest, MirrorMovedByAnotherClientIsDroppedAfterOneRefusal) {
+  RemoteBlocklistClient a(transport_, "mirror", client_rng_);
+  RemoteBlocklistClient b(transport_, "mirror", client_rng_);
+  Auditor auditor(key_.pk, "mirror");
+  ASSERT_TRUE(a.verified_sync(auditor).ok);
+  const std::uint64_t fed = auditor.mirror_epoch();
+
+  const auto added = fresh(0, 6);
+  add(added);
+  ASSERT_TRUE(b.verified_sync(auditor).ok);
+  ASSERT_GT(auditor.mirror_epoch(), fed);
+
+  // Two listed entries in distinct buckets the additions left alone, so
+  // the server omits each bucket for a request advertising `fed`.
+  std::set<std::uint32_t> skip;
+  for (const auto& entry : added) skip.insert(prefix(entry));
+  std::vector<std::string> picks;
+  for (std::size_t i = 0; i < 80 && picks.size() < 2; ++i) {
+    if (skip.insert(prefix(corpus_[i])).second) picks.push_back(corpus_[i]);
+  }
+  ASSERT_EQ(picks.size(), 2u);
+
+  std::vector<std::uint64_t> advertised;  // cached_epoch of each query
+  transport_.register_endpoint(
+      "mirror", [this, &advertised](ByteView frame) -> std::optional<Bytes> {
+        const auto request = net::parse_request_frame(frame);
+        if (request && request->method == net::Method::kQuery) {
+          const auto query = oprf::parse_query_request(request->body);
+          if (query) advertised.push_back(query->cached_epoch);
+        }
+        return node_->handle_frame(frame);
+      });
+
+  const CounterDelta reads = mirror_reads();
+  const CounterDelta refused("cbl_oprf_client_mirror_reads_total",
+                             {{"result", "refused"}});
+  const Tally first = query_all(a, {&picks[0], 1});
+  EXPECT_EQ(first.failed, 1u);
+  EXPECT_EQ(refused.value(), 1u);
+
+  const Tally second = query_all(a, {&picks[1], 1});
+  EXPECT_EQ(second.failed, 0u);
+  EXPECT_EQ(second.wrong, 0u);
+  EXPECT_EQ(refused.value(), 1u);
+  EXPECT_EQ(reads.value(), 0u);
+  ASSERT_EQ(advertised.size(), 2u);
+  EXPECT_EQ(advertised[0], fed);
+  EXPECT_NE(advertised[1], fed);
 }
 
 TEST_F(MirrorFeedTest, DistrustedProvidersMirrorIsNeverRead) {
