@@ -114,12 +114,27 @@ void run_shape(cbl::benchjson::Summary& summary, const Shape& shape,
   server.setup(std::span<const std::string>(corpus).first(entries));
   tlog::EpochPublisher publisher(key, pub_rng);
   publisher.publish_epoch(server);
+  // What the provider sends a wallet at `mirror_epoch` (kNoEpoch: none).
+  const auto sync_from = [&](std::uint64_t mirror_epoch) {
+    auto bundle = publisher.sync(server, {0, mirror_epoch});
+    if (!bundle.has_value()) std::abort();
+    return *bundle;
+  };
+  // The full bucket download: its wire bytes, and the map they encode.
+  const auto full_download = [&] {
+    return sync_from(oprf::kNoEpoch).snapshot;
+  };
+  const auto current_buckets = [&] {
+    auto buckets = tlog::parse_bucket_map(full_download());
+    if (!buckets.has_value()) std::abort();
+    return std::move(*buckets);
+  };
 
   // The O(list) yardstick: a bucket tree built from scratch.
   const std::string list_params = "entries=" + std::to_string(entries) +
                                   ",lambda=" + std::to_string(shape.lambda);
   {
-    const tlog::BucketMap& buckets = publisher.current_buckets();
+    const tlog::BucketMap buckets = current_buckets();
     const double ns = time_ns_per_op(reps, 1, [&] {
       if (tlog::BucketTree(buckets).leaf_count() != buckets.size()) {
         std::abort();
@@ -148,7 +163,7 @@ void run_shape(cbl::benchjson::Summary& summary, const Shape& shape,
     double publish_ns = 1e300;
     for (int round = 0; round < reps; ++round) {
       base_epoch = server.epoch();
-      base = publisher.current_buckets();
+      base = current_buckets();
       base_checkpoint = publisher.latest_checkpoint();
       server.add_entries(
           std::span<const std::string>(corpus).subspan(next_fresh, adds));
@@ -161,12 +176,15 @@ void run_shape(cbl::benchjson::Summary& summary, const Shape& shape,
                             }));
     }
 
-    const auto delta = publisher.delta_from(base_epoch);
+    const tlog::SyncBundle bundle = sync_from(base_epoch);
+    if (bundle.deltas.size() != 1) std::abort();
+    const auto delta = tlog::EpochDelta::from_bytes(bundle.deltas[0]);
     if (!delta.has_value()) std::abort();
-    const double delta_bytes =
-        static_cast<double>(delta->to_bytes().size());
-    const double full_bytes = static_cast<double>(
-        tlog::encode_bucket_map(publisher.current_buckets()).size());
+    const double delta_bytes = static_cast<double>(bundle.deltas[0].size());
+    const Bytes full = full_download();
+    const auto post = tlog::parse_bucket_map(full);
+    if (!post.has_value()) std::abort();
+    const double full_bytes = static_cast<double>(full.size());
     const double ratio = full_bytes / delta_bytes;
     const std::string params =
         list_params + ",churn=" + std::to_string(churn) + "per1k";
@@ -207,8 +225,7 @@ void run_shape(cbl::benchjson::Summary& summary, const Shape& shape,
     for (int r = 0; r < reps; ++r) {
       tlog::BucketTree kept = base_tree;
       update_ns = std::min(update_ns, time_ns_per_op(1, 1, [&] {
-                             kept.update(publisher.current_buckets(),
-                                         changed_prefixes);
+                             kept.update(*post, changed_prefixes);
                            }));
       if (kept.root() != delta->post_bucket_root) std::abort();
     }
@@ -216,8 +233,7 @@ void run_shape(cbl::benchjson::Summary& summary, const Shape& shape,
     std::printf("%-22s %-32s %12.0f %14s\n", "tree/update", params.c_str(),
                 update_ns, "-");
   }
-  const double full_bytes = static_cast<double>(
-      tlog::encode_bucket_map(publisher.current_buckets()).size());
+  const double full_bytes = static_cast<double>(full_download().size());
   summary.add({"sync/full_bytes", list_params, 0.0, full_bytes});
   std::printf("%-22s %-32s %12s %14.0f\n", "sync/full_bytes",
               list_params.c_str(), "-", full_bytes);

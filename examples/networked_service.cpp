@@ -44,7 +44,7 @@ int main() {
                               net::ResilienceConfig(), &clock);
   std::printf("connected to %zu provider(s): parameters discovered and "
               "prefix list synced over the lossy link\n",
-              client.connected_providers());
+              client.sync());
 
   // A wallet checking outgoing payments: mostly clean addresses, a few
   // known scams.

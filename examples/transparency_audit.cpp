@@ -110,9 +110,9 @@ int main() {
           return net::encode_response_frame(net::Status::kOk,
                                             net::encode_info(info));
         }
-        if (request && request->method == net::Method::kTlogCheckpoint) {
-          return net::encode_response_frame(net::Status::kOk,
-                                            forged.to_bytes());
+        if (request && request->method == net::Method::kTlogSync) {
+          return net::encode_response_frame(
+              net::Status::kOk, tlog::encode_sync_bundle({forged.to_bytes()}));
         }
         return net::encode_response_frame(net::Status::kBadRequest);
       });

@@ -1,12 +1,14 @@
 // Decode surface: tlog/checkpoint.h + tlog/proof.h — the signed
-// checkpoint codec and the three proof-message parsers. Accepted
-// messages must be canonical (re-encode == input), and every parsed
-// proof must be safe to hand to the Merkle verifiers (total, no
-// crash) no matter how hostile its index/size/step fields are.
+// checkpoint codec, the three proof-message parsers, and the sync
+// request and bundle framing. Accepted messages must be canonical
+// (re-encode == input), and every parsed proof must be safe to hand to
+// the Merkle verifiers (total, no crash) no matter how hostile its
+// index/size/step fields are.
 #include <algorithm>
 
 #include "fuzz/harness.h"
 #include "tlog/checkpoint.h"
+#include "tlog/delta.h"
 #include "tlog/proof.h"
 
 using namespace cbl;
@@ -59,6 +61,24 @@ CBL_FUZZ_TARGET(cbl_fuzz_tlog_checkpoint) {
     const Bytes re = tlog::encode_audit_path(*path);
     CBL_FUZZ_CHECK(re.size() == input.size() &&
                    std::equal(re.begin(), re.end(), input.begin()));
+  }
+  if (const auto request = tlog::parse_sync_request(input)) {
+    const Bytes re = tlog::encode_sync_request(*request);
+    CBL_FUZZ_CHECK(re.size() == input.size() &&
+                   std::equal(re.begin(), re.end(), input.begin()));
+  }
+  if (const auto bundle = tlog::parse_sync_bundle(input)) {
+    const Bytes re = tlog::encode_sync_bundle(*bundle);
+    CBL_FUZZ_CHECK(re.size() == input.size() &&
+                   std::equal(re.begin(), re.end(), input.begin()));
+    // Each part goes through its own parser, as verified_sync reads it.
+    (void)tlog::Checkpoint::from_bytes(bundle->checkpoint);
+    (void)tlog::parse_consistency_proof(bundle->consistency);
+    (void)tlog::parse_bucket_map(bundle->snapshot);
+    for (const Bytes& delta : bundle->deltas) {
+      (void)tlog::EpochDelta::from_bytes(delta);
+    }
+    (void)tlog::parse_audit_path(bundle->audit_path);
   }
   return 0;
 }

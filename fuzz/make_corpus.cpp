@@ -323,6 +323,10 @@ int main(int argc, char** argv) {
     server.add_entries(std::vector<std::string>{"seed-extra-1", "seed-extra-2"});
     server.remove_entries(std::vector<std::string>{"seed-3"});
     publisher.publish_epoch(server);
+    // What a first-contact wallet and a wallet one epoch behind receive.
+    const tlog::SyncBundle first_contact = *publisher.sync(server, {});
+    const tlog::SyncBundle one_behind =
+        *publisher.sync(server, {1, first_epoch});
 
     const tlog::Checkpoint cp = publisher.latest_checkpoint();
     write("fuzz_tlog_checkpoint", "checkpoint", cp.to_bytes());
@@ -332,31 +336,28 @@ int main(int argc, char** argv) {
     write("fuzz_tlog_checkpoint", "checkpoint-truncated",
           ByteView(cp.to_bytes()).first(tlog::Checkpoint::kWireSize / 2));
 
-    const auto path =
-        publisher.audit_path(publisher.current_buckets().begin()->first);
-    write("fuzz_tlog_checkpoint", "audit-path",
-          tlog::encode_audit_path(*path));
+    write("fuzz_tlog_checkpoint", "audit-path", first_contact.audit_path);
+    const auto path = tlog::parse_audit_path(first_contact.audit_path);
     write("fuzz_tlog_checkpoint", "inclusion",
           tlog::encode_inclusion_proof(path->log_proof));
-    const auto consistency = publisher.consistency(1);
-    write("fuzz_tlog_checkpoint", "consistency",
-          tlog::encode_consistency_proof(consistency));
+    write("fuzz_tlog_checkpoint", "consistency", one_behind.consistency);
     // Hostile step count: claims 65 steps (over the depth cap).
     write("fuzz_tlog_checkpoint", "inclusion-overcount",
           Bytes{0, 0, 0, 0, 0, 0, 0, 0,  1, 0, 0, 0, 0, 0, 0, 0,
                 65, 0, 0, 0});
     write("fuzz_tlog_checkpoint", "empty", Bytes{});
+    write("fuzz_tlog_checkpoint", "bundle-first-contact",
+          tlog::encode_sync_bundle(first_contact));
 
     // ------------------------------------------------------------ tlog_delta
-    const auto delta = publisher.delta_from(first_epoch);
+    const auto delta = tlog::EpochDelta::from_bytes(one_behind.deltas[0]);
     write("fuzz_tlog_delta", "delta", delta->to_bytes());
     Bytes delta_flipped = delta->to_bytes();
     delta_flipped[delta_flipped.size() / 2] ^= 0x20;
     write("fuzz_tlog_delta", "delta-flipped", delta_flipped);
     write("fuzz_tlog_delta", "delta-truncated",
           ByteView(delta->to_bytes()).first(delta->to_bytes().size() / 3));
-    write("fuzz_tlog_delta", "bucket-map",
-          tlog::encode_bucket_map(publisher.current_buckets()));
+    write("fuzz_tlog_delta", "bucket-map", first_contact.snapshot);
     write("fuzz_tlog_delta", "bucket-map-empty",
           tlog::encode_bucket_map(tlog::BucketMap{}));
     // Unsorted prefix order: two buckets with descending prefixes.
@@ -394,6 +395,12 @@ int main(int argc, char** argv) {
     creates.prefixes.push_back(created);
     write("fuzz_tlog_delta", "delta-creates-bucket",
           tlog::sign_delta(fold_key, creates, fold_rng).to_bytes());
+
+    // Two hops: one more publication past `one_behind`'s checkpoint. Last,
+    // because publishing draws from tlog_rng.
+    server.add_entries(std::vector<std::string>{"seed-extra-3"});
+    write("fuzz_tlog_checkpoint", "bundle-two-deltas",
+          tlog::encode_sync_bundle(*publisher.sync(server, {1, first_epoch})));
   }
 
   // -------------------------------------------- store + auditor persistence
@@ -469,7 +476,10 @@ int main(int argc, char** argv) {
     auditor_snap.seen = {cp1, cp2};
     auditor_snap.has_mirror = true;
     auditor_snap.mirror_epoch = persist_server.epoch();
-    auditor_snap.buckets = persist_pub.current_buckets();
+    const tlog::SyncBundle persist_bundle =
+        *persist_pub.sync(persist_server, {1, persist_first_epoch});
+    auditor_snap.buckets = *tlog::parse_bucket_map(
+        persist_pub.sync(persist_server, {})->snapshot);
     write("fuzz_tlog_persist", "auditor-trusted", auditor_snap.to_bytes());
     tlog::AuditorSnapshot distrusted_snap;
     distrusted_snap.trusted = false;
@@ -487,8 +497,7 @@ int main(int argc, char** argv) {
     write("fuzz_tlog_persist", "record-checkpoint", rec_cp.to_bytes());
     tlog::AuditorRecord rec_delta;
     rec_delta.kind = tlog::AuditorRecord::Kind::kDelta;
-    rec_delta.delta_bytes =
-        persist_pub.delta_from(persist_first_epoch)->to_bytes();
+    rec_delta.delta_bytes = persist_bundle.deltas[0];
     write("fuzz_tlog_persist", "record-delta", rec_delta.to_bytes());
     tlog::AuditorRecord rec_distrust;
     rec_distrust.kind = tlog::AuditorRecord::Kind::kDistrust;

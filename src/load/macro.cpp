@@ -75,7 +75,7 @@ std::string MacroReport::to_json() const {
   out += ",\"transport_latency_ms\":[" +
          format_double(config.transport_latency_min_ms) + "," +
          format_double(config.transport_latency_max_ms) + "]";
-  out += ",\"lambda\":" + std::to_string(config.lambda);
+  out += ",\"lambda\":" + std::to_string(World::kLambda);
   out += ",\"chaos\":" + json_bool(config.chaos);
   out += ",\"slo\":{\"p99_ms\":" + format_double(config.slo.p99_ms);
   out += ",\"max_shed_rate\":" + format_double(config.slo.max_shed_rate);
@@ -110,9 +110,6 @@ MacroReport run_macro(const MacroConfig& config) {
   if (config.offered_qps.empty()) {
     throw std::invalid_argument("run_macro: no offered_qps levels");
   }
-  if (config.lambda != World::kLambda) {
-    throw std::invalid_argument("run_macro: lambda must be World::kLambda");
-  }
   MacroReport report;
   report.config = config;
 
@@ -137,9 +134,6 @@ MacroReport run_macro(const MacroConfig& config) {
   obs::ManualClock& clock = world.clock();
   clock.set_ns(std::uint64_t{1'000'000'000});  // t = 1s, away from zero
   const VirtualQueue& queue = world.queue(0);
-  // The client connected while the world was built; this retries a
-  // connect the chaos plan dropped, outside any measured level.
-  world.client().sync();
 
   // The shared global counter is read as a delta, so a dirty registry
   // (earlier tests in the same process) cannot skew the report.

@@ -63,9 +63,6 @@ struct MacroConfig {
   /// Base transport RTT range (uniform, seeded).
   double transport_latency_min_ms = 5.0;
   double transport_latency_max_ms = 25.0;
-  /// Prefix length; run_macro accepts only World::kLambda, the one the
-  /// chaos harness serves at too.
-  std::uint32_t lambda = World::kLambda;
   /// Layer a mild chaos::FaultInjector over the transport (request
   /// drops + latency spikes). Off for the canonical trajectory run.
   bool chaos = false;

@@ -54,6 +54,7 @@ World::World(std::span<const std::string> listed,
   }
   client_.emplace(injector_, std::move(endpoints), streams_.client,
                   net::ResilienceConfig(), &clock_);
+  client_->sync();
 }
 
 void World::start(std::size_t i) {

@@ -117,7 +117,8 @@ class World {
   net::Transport transport_;
   std::deque<Endpoint> endpoints_;
   chaos::FaultInjector injector_;
-  /// Built last: its constructor connects to every endpoint.
+  /// Built last; the world's constructor ends by connecting it to every
+  /// endpoint.
   std::optional<net::ResilientClient> client_;
 };
 

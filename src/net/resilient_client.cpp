@@ -132,7 +132,6 @@ ResilientClient::ResilientClient(Channel& channel,
       "cbl_tlog_providers_distrusted_total", {},
       "Providers permanently distrusted after a transparency audit "
       "failure");
-  sync();
 }
 
 double ResilientClient::now_ms() const {
@@ -161,10 +160,17 @@ std::size_t ResilientClient::sync() {
   std::size_t connected = 0;
   for (auto& provider : providers_) {
     if (provider.distrusted()) continue;  // never talk to a condemned peer
-    if (ensure_connected(provider)) {
-      ++connected;
-      tlog_sync(provider);
-    }
+    // The list may have changed since the last fetch.
+    provider.prefix_synced = false;
+    if (!ensure_connected(provider)) continue;
+    ++connected;
+    if (!provider.auditor) continue;
+    // An audit failure latches distrust in the auditor for good (and in
+    // its store, so a restart recovers it); a transport failure leaves
+    // the mirror as it was until a later sync() succeeds. A provider
+    // distrusted before was skipped above, so only this flip counts.
+    provider.client->verified_sync(*provider.auditor);
+    if (provider.distrusted()) metrics_.distrusted->inc();
   }
   return connected;
 }
@@ -203,19 +209,6 @@ bool ResilientClient::distrusted(const std::string& endpoint) const {
   return false;
 }
 
-void ResilientClient::tlog_sync(Provider& provider) {
-  if (!provider.auditor || !provider.client) return;
-  // An audit failure latches distrust in the auditor for good (and in
-  // its store, so a restart recovers it); a transport failure just
-  // leaves the mirror stale until a later sync() succeeds. Only the
-  // flip is counted, so a latch recovered from the store is not.
-  const bool was_trusted = provider.auditor->trusted();
-  provider.client->verified_sync(*provider.auditor);
-  if (was_trusted && !provider.auditor->trusted()) {
-    metrics_.distrusted->inc();
-  }
-}
-
 std::size_t ResilientClient::connected_providers() const {
   MutexLock lock(mutex_);
   std::size_t connected = 0;
@@ -235,19 +228,17 @@ CircuitBreaker::State ResilientClient::breaker_state(
 }
 
 bool ResilientClient::ensure_connected(Provider& provider) {
-  if (provider.client) {
-    if (!provider.prefix_synced) {
-      provider.prefix_synced = provider.client->sync_prefix_list();
+  if (!provider.client) {
+    try {
+      provider.client.emplace(channel_, provider.endpoint, rng_);
+    } catch (const ProtocolError&) {
+      return false;
     }
-    return true;
+    if (!api_key_.empty()) provider.client->set_api_key(api_key_);
   }
-  try {
-    provider.client.emplace(channel_, provider.endpoint, rng_);
-  } catch (const ProtocolError&) {
-    return false;
+  if (!provider.prefix_synced) {
+    provider.prefix_synced = provider.client->sync_prefix_list();
   }
-  if (!api_key_.empty()) provider.client->set_api_key(api_key_);
-  provider.prefix_synced = provider.client->sync_prefix_list();
   return true;
 }
 

@@ -140,21 +140,25 @@ class ResilientClient {
   /// correct, parallel wire throughput is not a goal here).
   Outcome query(std::string_view address) CBL_EXCLUDES(mutex_);
 
-  /// Connects any still-unconnected providers and syncs their prefix
-  /// lists. Safe to call repeatedly (and concurrently); returns how many
-  /// providers are currently connected.
+  /// Connects any still-unconnected providers, fetches every trusted
+  /// provider's prefix list anew, and runs the verified transparency
+  /// sync of each pinned one. The constructor connects nothing: call
+  /// this once after pinning keys (a query also connects lazily). Safe
+  /// to call repeatedly (and concurrently); returns how many providers
+  /// are currently connected.
   std::size_t sync() CBL_EXCLUDES(mutex_);
 
   /// API key forwarded to every provider client (current and future).
   void set_api_key(std::string key) CBL_EXCLUDES(mutex_);
 
   /// Pins `provider_pk` as `endpoint`'s transparency signing key. From
-  /// then on every sync() runs a verified delta sync (checkpoint,
-  /// consistency, signed deltas, audit path) against that key, and any
-  /// AUDIT failure — bad signature, log inconsistency, equivocation,
-  /// root mismatch — permanently distrusts the endpoint: it is skipped
-  /// for queries and prefix-only answers, and the degradation ladder
-  /// serves what remains. Transport damage never distrusts.
+  /// then on every sync() runs a verified delta sync (one request:
+  /// checkpoint, consistency, signed deltas, audit path) against that
+  /// key, and any AUDIT failure — bad signature, log inconsistency,
+  /// equivocation, root mismatch — permanently distrusts the endpoint:
+  /// it is skipped for queries and prefix-only answers, and the
+  /// degradation ladder serves what remains. Transport damage never
+  /// distrusts.
   ///
   /// With a non-null `store` the auditor becomes durable: it recovers
   /// its mirror, seen roots, equivocation evidence and distrust latch
@@ -187,6 +191,7 @@ class ResilientClient {
     std::string endpoint;
     std::optional<RemoteBlocklistClient> client;
     CircuitBreaker breaker;
+    /// False while a prefix-list fetch is owed (a query retries it).
     bool prefix_synced = false;
     /// Present once a key is pinned. Heap-held (the Auditor owns a
     /// Mutex, so it is immovable) — which also keeps the pointer
@@ -202,10 +207,6 @@ class ResilientClient {
   };
 
   bool ensure_connected(Provider& provider) CBL_REQUIRES(mutex_);
-  /// Runs the verified transparency sync for a pinned provider; counts
-  /// the provider as distrusted when this sync flips its auditor from
-  /// trusted to distrusted.
-  void tlog_sync(Provider& provider) CBL_REQUIRES(mutex_);
   AttemptResult attempt(Provider& provider, std::string_view address)
       CBL_REQUIRES(mutex_);
   void sleep_ms(double ms);

@@ -87,22 +87,14 @@ std::optional<RequestFrame> parse_request_frame(ByteView frame) {
       break;
     case static_cast<std::uint8_t>(Method::kPrefixList):
     case static_cast<std::uint8_t>(Method::kInfo):
-    case static_cast<std::uint8_t>(Method::kTlogCheckpoint):
-    case static_cast<std::uint8_t>(Method::kTlogBuckets):
       // Bodyless methods: trailing bytes after the tag are malformation,
       // not padding (regression: PrefixListRejectsTrailingBody).
       parsed.method = static_cast<Method>(tag);
       break;
-    case static_cast<std::uint8_t>(Method::kTlogDelta):
-    case static_cast<std::uint8_t>(Method::kTlogConsistency):
-      // Exactly one u64 argument (from_epoch / old_size).
-      parsed.method = static_cast<Method>(tag);
-      parsed.body = r.view(8);
-      break;
-    case static_cast<std::uint8_t>(Method::kTlogAuditPath):
-      // Exactly one u32 argument (the prefix).
-      parsed.method = static_cast<Method>(tag);
-      parsed.body = r.view(4);
+    case static_cast<std::uint8_t>(Method::kTlogSync):
+      // Exactly one tlog::SyncRequest: two u64s.
+      parsed.method = Method::kTlogSync;
+      parsed.body = r.view(16);
       break;
     default:
       r.fail();
@@ -193,11 +185,7 @@ obs::Counter& BlocklistServiceNode::method_counter(Method method) {
       return *requests_prefix_list_;
     case Method::kInfo:
       return *requests_info_;
-    case Method::kTlogCheckpoint:
-    case Method::kTlogDelta:
-    case Method::kTlogAuditPath:
-    case Method::kTlogConsistency:
-    case Method::kTlogBuckets:
+    case Method::kTlogSync:
       return *requests_tlog_;
   }
   return *requests_unknown_;
@@ -253,12 +241,8 @@ std::optional<Bytes> BlocklistServiceNode::handle_frame(ByteView frame) {
       const Bytes encoded = encode_info(info);
       return respond(Status::kOk, encoded);
     }
-    case Method::kTlogCheckpoint:
-    case Method::kTlogDelta:
-    case Method::kTlogAuditPath:
-    case Method::kTlogConsistency:
-    case Method::kTlogBuckets:
-      return handle_tlog(parsed->method, parsed->body);
+    case Method::kTlogSync:
+      return handle_tlog(parsed->body);
   }
   return respond(Status::kBadRequest);
 }
@@ -286,48 +270,13 @@ Bytes BlocklistServiceNode::handle_query(ByteView body,
   return sealed;
 }
 
-Bytes BlocklistServiceNode::handle_tlog(Method method, ByteView body) {
+Bytes BlocklistServiceNode::handle_tlog(ByteView body) {
   if (publisher_ == nullptr) return respond(Status::kBadRequest);
-  switch (method) {
-    case Method::kTlogCheckpoint: {
-      // Publish-on-demand (idempotent): the served checkpoint always
-      // covers the server's current epoch.
-      const auto& checkpoint = publisher_->publish_epoch(server_);
-      return respond(Status::kOk, checkpoint.to_bytes());
-    }
-    case Method::kTlogDelta: {
-      ec::WireReader r(body);
-      const std::uint64_t from_epoch = r.u64();
-      if (!r.finish()) return respond(Status::kBadRequest);
-      const auto delta = publisher_->delta_from(from_epoch);
-      if (!delta) return respond(Status::kBadRequest);
-      return respond(Status::kOk, delta->to_bytes());
-    }
-    case Method::kTlogAuditPath: {
-      ec::WireReader r(body);
-      const std::uint32_t prefix = r.u32();
-      if (!r.finish()) return respond(Status::kBadRequest);
-      const auto path = publisher_->audit_path(prefix);
-      if (!path) return respond(Status::kBadRequest);
-      return respond(Status::kOk, tlog::encode_audit_path(*path));
-    }
-    case Method::kTlogConsistency: {
-      ec::WireReader r(body);
-      const std::uint64_t old_size = r.u64();
-      if (!r.finish() || old_size > publisher_->log().size()) {
-        return respond(Status::kBadRequest);
-      }
-      return respond(Status::kOk, tlog::encode_consistency_proof(
-                                      publisher_->consistency(old_size)));
-    }
-    case Method::kTlogBuckets: {
-      if (!publisher_->published()) return respond(Status::kBadRequest);
-      return respond(Status::kOk,
-                     tlog::encode_bucket_map(publisher_->current_buckets()));
-    }
-    default:
-      return respond(Status::kBadRequest);
-  }
+  const auto request = tlog::parse_sync_request(body);
+  if (!request) return respond(Status::kBadRequest);
+  const auto bundle = publisher_->sync(server_, *request);
+  if (!bundle) return respond(Status::kBadRequest);
+  return respond(Status::kOk, tlog::encode_sync_bundle(*bundle));
 }
 
 RemoteBlocklistClient::RemoteBlocklistClient(Channel& channel,
@@ -385,26 +334,13 @@ RemoteBlocklistClient::RemoteBlocklistClient(Channel& channel,
   client_.emplace(oracle, info_.lambda, rng);
 }
 
-std::optional<Bytes> RemoteBlocklistClient::call_tlog(Method method,
-                                                      ByteView body) {
-  Bytes frame = {static_cast<std::uint8_t>(method)};
-  append(frame, body);
-  const auto result = channel_.call(endpoint_, frame);
-  if (!result.delivered) return std::nullopt;
-  const auto response = parse_response_frame(result.response);
-  if (!response || response->status != Status::kOk) {
-    // A failed integrity checksum is channel damage; a non-kOk status is
-    // a service that is not publishing (or a stale argument). Neither is
-    // evidence of provider dishonesty.
-    return std::nullopt;
-  }
-  return Bytes(response->body.begin(), response->body.end());
-}
-
 RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     tlog::Auditor& auditor) {
   using AuditStatus = tlog::Auditor::Status;
   SyncReport report;
+  // The prefixes this sync's deltas change; nullopt when the mirror is
+  // not where the last feed left it, so what changed since is unknown.
+  std::optional<std::vector<std::uint32_t>> changed;
   const auto finish = [&](SyncReport::Failure failure) {
     report.failure = failure;
     report.ok = failure == SyncReport::Failure::kNone;
@@ -412,14 +348,16 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     switch (failure) {
       case SyncReport::Failure::kNone:
         sync_ok_->inc();
-        feed(auditor, report.epoch);
+        client_->feed_mirror(
+            report.epoch, changed,
+            [&auditor](std::uint32_t prefix, std::uint64_t at) {
+              return auditor.bucket_at(prefix, at);
+            });
+        fed_auditor_ = &auditor;
+        fed_epoch_ = report.epoch;
         break;
       case SyncReport::Failure::kTransport:
         sync_transport_->inc();
-        // Folded deltas moved the mirror past the fed epoch, where no
-        // query may read it. unfed_changes_ keeps their prefixes for the
-        // next feed.
-        if (report.deltas_applied > 0) client_->drop_mirror();
         break;
       case SyncReport::Failure::kAudit:
         sync_audit_->inc();
@@ -430,12 +368,10 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     sync_bytes_full_->inc(report.full_bytes);
     return report;
   };
-  const auto transport = [&] {
-    return finish(SyncReport::Failure::kTransport);
-  };
   // A failed auditor check has latched distrust already. Evidence the
-  // checks never see (a body that passed the checksum but does not
-  // decode) is latched here, under the status of the artifact at fault.
+  // checks never see (a part that passed the checksum but does not
+  // decode, or does not match the request) is latched here, under the
+  // status of the artifact at fault.
   const auto audit_failed = [&] {
     return finish(SyncReport::Failure::kAudit);
   };
@@ -444,29 +380,41 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
     return audit_failed();
   };
   if (!auditor.trusted()) return audit_failed();
-  if (&auditor != fed_auditor_ ||
-      (auditor.has_state() && auditor.mirror_epoch() != unfed_through_)) {
-    unfed_changes_.reset();  // deltas this client did not see
+
+  // 1. One call, answered from one publication.
+  const auto previous = auditor.latest_checkpoint();
+  const bool has_mirror = auditor.has_state();
+  tlog::SyncRequest request;
+  if (previous) request.known_size = previous->tree_size;
+  if (has_mirror) {
+    request.mirror_epoch = auditor.mirror_epoch();
+    if (&auditor == fed_auditor_ && request.mirror_epoch == fed_epoch_) {
+      changed.emplace();
+    }
   }
+  Bytes frame = {static_cast<std::uint8_t>(Method::kTlogSync)};
+  append(frame, tlog::encode_sync_request(request));
+  const auto result = channel_.call(endpoint_, frame);
+  const auto response = result.delivered
+                            ? parse_response_frame(result.response)
+                            : std::nullopt;
+  if (!response || response->status != Status::kOk) {
+    // Channel damage, or a service that is not publishing or cannot
+    // answer the request: no evidence of dishonesty, and nothing applied.
+    return finish(SyncReport::Failure::kTransport);
+  }
+  const auto bundle = tlog::parse_sync_bundle(response->body);
+  // A bundle that does not frame has no readable checkpoint.
+  if (!bundle) return reject(AuditStatus::kBadSignature);
 
-  // 1. Latest signed checkpoint.
-  const auto cp_body = call_tlog(Method::kTlogCheckpoint, {});
-  if (!cp_body) return transport();
-  const auto checkpoint = tlog::Checkpoint::from_bytes(*cp_body);
+  // 2. The signed checkpoint, with append-only consistency when the log
+  // grew since our last accepted checkpoint.
+  const auto checkpoint = tlog::Checkpoint::from_bytes(bundle->checkpoint);
   if (!checkpoint) return reject(AuditStatus::kBadSignature);
-
-  // 2. Append-only consistency when the log grew since our last accepted
-  // checkpoint.
   std::optional<tlog::ConsistencyProofMsg> consistency;
-  const auto& previous = auditor.latest_checkpoint();
   if (previous && checkpoint->tree_size > previous->tree_size) {
-    ec::WireWriter w;
-    w.u64(previous->tree_size);
-    const auto proof_body = call_tlog(Method::kTlogConsistency, w.take());
-    if (!proof_body) return transport();
-    const auto parsed = tlog::parse_consistency_proof(*proof_body);
-    if (!parsed) return reject(AuditStatus::kInconsistent);
-    consistency = *parsed;
+    consistency = tlog::parse_consistency_proof(bundle->consistency);
+    if (!consistency) return reject(AuditStatus::kInconsistent);
   }
   if (auditor.observe_checkpoint(*checkpoint,
                                  consistency ? &*consistency : nullptr) !=
@@ -475,54 +423,43 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
   }
 
   // 3. Advance the mirror: a full verified download on first contact,
-  // then signed one-step deltas up to the checkpoint. The service keeps
-  // every hop, so one it does not serve is a transport failure.
-  if (!auditor.has_state()) {
-    const auto buckets_body = call_tlog(Method::kTlogBuckets, {});
-    if (!buckets_body) return transport();
-    auto snapshot = tlog::parse_bucket_map(*buckets_body);
+  // otherwise signed one-step deltas up to the checkpoint.
+  if (!has_mirror) {
+    if (!bundle->deltas.empty()) return reject(AuditStatus::kBadDelta);
+    auto snapshot = tlog::parse_bucket_map(bundle->snapshot);
     if (!snapshot) return reject(AuditStatus::kBadProof);
     if (auditor.adopt_snapshot(std::move(*snapshot)) != AuditStatus::kOk) {
       return audit_failed();
     }
-    report.full_bytes += buckets_body->size();
-    unfed_changes_.reset();
+    report.full_bytes += bundle->snapshot.size();
+  } else if (!bundle->snapshot.empty()) {
+    return reject(AuditStatus::kBadProof);
   }
-  while (auditor.mirror_epoch() < checkpoint->epoch) {
-    ec::WireWriter w;
-    w.u64(auditor.mirror_epoch());
-    const auto delta_body = call_tlog(Method::kTlogDelta, w.take());
-    if (!delta_body) return transport();
-    const auto delta = tlog::EpochDelta::from_bytes(*delta_body);
+  for (const Bytes& part : bundle->deltas) {
+    const auto delta = tlog::EpochDelta::from_bytes(part);
     if (!delta) return reject(AuditStatus::kBadDelta);
     if (auditor.apply_delta(*delta) != AuditStatus::kOk) {
       return audit_failed();
     }
-    report.delta_bytes += delta_body->size();
+    report.delta_bytes += part.size();
     ++report.deltas_applied;
-    if (unfed_changes_) {
+    if (changed) {
       for (const auto& change : delta->prefixes) {
-        unfed_changes_->push_back(change.prefix);
+        changed->push_back(change.prefix);
       }
-      unfed_through_ = delta->to_epoch;
     }
   }
   if (auditor.mirror_epoch() != checkpoint->epoch) {
-    // The mirror already stands past the signed checkpoint's epoch: the
-    // checkpoint contradicts deltas this provider signed before.
+    // The deltas stop short of the signed checkpoint, or the mirror
+    // already stands past it.
     return reject(AuditStatus::kBadDelta);
   }
 
-  // 4. Bind the mirror root to the signed checkpoint with one audit
-  // path. Any mirrored prefix works — the path pins the epoch record
-  // (and with it the full bucket root) under the checkpoint; an empty
-  // bucket set has nothing to bind and nothing to audit.
+  // 4. Bind the mirror root to the signed checkpoint with the lowest
+  // prefix's audit path, which pins the epoch record (and with it the
+  // bucket root). An empty bucket set has nothing to bind.
   if (const auto audit_prefix = auditor.first_prefix()) {
-    ec::WireWriter w;
-    w.u32(*audit_prefix);
-    const auto path_body = call_tlog(Method::kTlogAuditPath, w.take());
-    if (!path_body) return transport();
-    const auto path = tlog::parse_audit_path(*path_body);
+    const auto path = tlog::parse_audit_path(bundle->audit_path);
     if (!path) return reject(AuditStatus::kBadProof);
     if (auditor.verify_audit_path(*audit_prefix, *path) !=
         AuditStatus::kOk) {
@@ -534,20 +471,7 @@ RemoteBlocklistClient::SyncReport RemoteBlocklistClient::verified_sync(
 
 void RemoteBlocklistClient::forget_mirror() {
   client_->drop_mirror();
-  unfed_changes_.reset();
   fed_auditor_ = nullptr;
-}
-
-void RemoteBlocklistClient::feed(const tlog::Auditor& auditor,
-                                 std::uint64_t epoch) {
-  if (unfed_through_ != epoch) unfed_changes_.reset();
-  client_->feed_mirror(epoch, unfed_changes_,
-                       [&auditor](std::uint32_t prefix, std::uint64_t at) {
-                         return auditor.bucket_at(prefix, at);
-                       });
-  unfed_changes_.emplace();
-  unfed_through_ = epoch;
-  fed_auditor_ = &auditor;
 }
 
 bool RemoteBlocklistClient::sync_prefix_list() {

@@ -4,6 +4,9 @@
 // backoff, hedging and breakers on top of it). Frames are a 1-byte
 // method tag followed by the message body; responses are a 1-byte status
 // followed by the body and a 4-byte keyed-BLAKE2b integrity checksum.
+// The methods: kQuery (one private membership query), kPrefixList and
+// kInfo (bodyless), and kTlogSync (a wallet's whole transparency sync:
+// one tlog::SyncRequest in, one tlog::SyncBundle out).
 //
 // The checksum stands in for the record integrity TLS provides in a
 // real deployment: it makes channel corruption (bit flips, truncation)
@@ -33,13 +36,11 @@ enum class Method : std::uint8_t {
   kQuery = 1,
   kPrefixList = 2,
   kInfo = 3,
-  // Transparency-log endpoints (src/tlog); served only when the node was
-  // given an EpochPublisher, kBadRequest otherwise.
-  kTlogCheckpoint = 4,   // bodyless -> Checkpoint
-  kTlogDelta = 5,        // u64 from_epoch -> EpochDelta
-  kTlogAuditPath = 6,    // u32 prefix -> AuditPath
-  kTlogConsistency = 7,  // u64 old_size -> ConsistencyProofMsg
-  kTlogBuckets = 8,      // bodyless -> full bucket map
+  // The transparency-log endpoint (src/tlog): tlog::SyncRequest ->
+  // tlog::SyncBundle. Served only when the node was given an
+  // EpochPublisher; kBadRequest otherwise, and for a request the
+  // publisher cannot answer.
+  kTlogSync = 4,
 };
 
 enum class Status : std::uint8_t {
@@ -116,10 +117,10 @@ class QueryPipeline;
 /// mutable state, so handle_frame may run on any number of threads.
 class BlocklistServiceNode {
  public:
-  /// With a publisher attached the node serves the kTlog* methods; a
-  /// checkpoint request first runs publish_epoch (idempotent), so the
+  /// With a publisher attached the node serves kTlogSync through
+  /// EpochPublisher::sync, which first publishes (idempotent), so the
   /// served checkpoint always covers the server's current epoch. The
-  /// publisher must outlive the node.
+  /// publisher must outlive the node; several nodes may share it.
   BlocklistServiceNode(Transport& transport, std::string endpoint,
                        oprf::OprfServer& server, oprf::Oracle oracle,
                        NodeLimits limits = NodeLimits(),
@@ -139,8 +140,8 @@ class BlocklistServiceNode {
   /// Serves one kQuery request with per-stage timing; returns the
   /// sealed response frame.
   Bytes handle_query(ByteView body, std::uint64_t parse_ns);
-  /// Serves one kTlog* request; returns the sealed response frame.
-  Bytes handle_tlog(Method method, ByteView body);
+  /// Serves one kTlogSync request; returns the sealed response frame.
+  Bytes handle_tlog(ByteView body);
   /// Counts `status` and seals it with `body` into a response frame.
   Bytes respond(Status status, ByteView body = {});
   obs::Counter& method_counter(Method method);
@@ -198,14 +199,15 @@ class RemoteBlocklistClient {
   bool sync_prefix_list();
 
   /// Outcome of one verified_sync pass, with the failure classified for
-  /// the resilience layer: kTransport covers undelivered calls and
-  /// frames that failed the integrity checksum (channel damage — retry,
-  /// never distrust) plus non-kOk statuses (service not publishing, or
-  /// a delta hop it does not serve); kAudit covers everything a
-  /// checksum-VALID response got wrong — undecodable bodies, bad
-  /// signatures, consistency/equivocation failures, root mismatches.
-  /// kAudit is evidence about the provider, not the channel: the
-  /// auditor has latched distrust (durably, when it has a store).
+  /// the resilience layer: kTransport covers an undelivered call and a
+  /// frame that failed the integrity checksum (channel damage — retry,
+  /// never distrust) plus a non-kOk status (service not publishing, or
+  /// a request it cannot answer); kAudit covers everything a
+  /// checksum-VALID response got wrong — undecodable parts, parts that
+  /// do not match the request, bad signatures, consistency/equivocation
+  /// failures, root mismatches. kAudit is evidence about the provider,
+  /// not the channel: the auditor has latched distrust (durably, when it
+  /// has a store).
   struct SyncReport {
     enum class Failure : std::uint8_t { kNone, kTransport, kAudit };
     bool ok = false;
@@ -217,22 +219,20 @@ class RemoteBlocklistClient {
   };
 
   /// Brings `auditor`'s bucket mirror up to the provider's latest signed
-  /// checkpoint: fetches the checkpoint (with a consistency proof when
-  /// the log grew), adopts a full bucket download on first contact,
-  /// folds signed one-step deltas into the mirror up to the checkpoint,
-  /// and finally binds the mirror root to the checkpoint with an audit
-  /// path. Every step goes through the auditor; nothing is applied
-  /// unverified. A distrusted auditor is refused up front (failure
-  /// kAudit).
+  /// checkpoint in one kTlogSync call. The bundle that comes back is
+  /// checked part by part: the checkpoint (with a consistency proof when
+  /// the log grew), a full bucket download on first contact or else the
+  /// signed one-step deltas folded up to the checkpoint, and finally an
+  /// audit path binding the mirror root to the checkpoint. Every step
+  /// goes through the auditor; nothing is applied unverified. A
+  /// distrusted auditor is refused up front (failure kAudit).
   ///
   /// A sync that succeeds feeds the query client from the mirror (see
-  /// OprfClient::feed_mirror) with the prefixes every delta folded since
-  /// the last feed changed — all of them after a full download, on the
-  /// first feed, or when the auditor differs from the last one fed. A
-  /// failed sync feeds nothing; an audit failure, or a failure after
-  /// deltas folded, stops the client reading the mirror (the next feed
-  /// still names what those deltas changed). Queries read the fed
-  /// auditor, so it must outlive them.
+  /// OprfClient::feed_mirror) with the prefixes its deltas changed — all
+  /// of them after a full download, on the first feed, or when the
+  /// mirror is not where the last feed left it. A transport failure
+  /// touches nothing; an audit failure stops the client reading the
+  /// mirror. Queries read the fed auditor, so it must outlive them.
   SyncReport verified_sync(tlog::Auditor& auditor);
   /// Stops queries reading the last fed auditor's mirror, e.g. before
   /// that auditor is destroyed; the next successful sync feeds anew.
@@ -257,11 +257,6 @@ class RemoteBlocklistClient {
 
  private:
   QueryOutcome query_uncounted(std::string_view address);
-  /// One tlog method call; returns the response BODY on kOk, nullopt on
-  /// transport failure or non-kOk status (both kTransport to the sync).
-  std::optional<Bytes> call_tlog(Method method, ByteView body);
-  /// Feeds the query client from `auditor`'s mirror, audited at `epoch`.
-  void feed(const tlog::Auditor& auditor, std::uint64_t epoch);
 
   Channel& channel_;
   std::string endpoint_;
@@ -279,12 +274,10 @@ class RemoteBlocklistClient {
   obs::Counter* sync_audit_;
   obs::Counter* sync_bytes_delta_;
   obs::Counter* sync_bytes_full_;
-  // What the next feed must name: the prefixes folded deltas changed
-  // since the last feed (repeats allowed), through mirror epoch
-  // unfed_through_ of fed_auditor_; nullopt when that history is unknown.
-  std::optional<std::vector<std::uint32_t>> unfed_changes_;
-  std::uint64_t unfed_through_ = 0;
+  // The auditor and mirror epoch of the last feed: a sync that starts
+  // from anything else cannot name what changed since.
   const tlog::Auditor* fed_auditor_ = nullptr;
+  std::uint64_t fed_epoch_ = 0;
 };
 
 }  // namespace cbl::net

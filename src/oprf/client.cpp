@@ -224,7 +224,10 @@ std::optional<bool> OprfClient::memoised_verdict(
 }
 
 void OprfClient::set_prefix_list(std::vector<std::uint32_t> prefixes) {
-  prefix_list_.emplace(prefixes.begin(), prefixes.end());
+  if (!std::is_sorted(prefixes.begin(), prefixes.end())) {
+    std::sort(prefixes.begin(), prefixes.end());
+  }
+  prefix_list_ = std::move(prefixes);
 }
 
 bool OprfClient::may_be_listed(std::string_view entry) const {
@@ -234,7 +237,8 @@ bool OprfClient::may_be_listed(std::string_view entry) const {
 
 bool OprfClient::may_be_listed(const hash::Sha256::Digest& digest) const {
   return !prefix_list_ ||
-         prefix_list_->contains(Oracle::prefix_of_digest(digest, lambda_));
+         std::binary_search(prefix_list_->begin(), prefix_list_->end(),
+                            Oracle::prefix_of_digest(digest, lambda_));
 }
 
 bool OprfClient::fast_path_check(const hash::Sha256::Digest& digest) const {

@@ -14,7 +14,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/errors.h"
@@ -72,7 +71,8 @@ class OprfClient {
       const hash::Sha256::Digest& digest) const;
 
   // --- Prefix list fast path ----------------------------------------------
-  /// Installs the server-distributed prefix list.
+  /// Installs the server-distributed prefix list. Kept sorted, so a
+  /// refresh costs a move, not a rebuild.
   void set_prefix_list(std::vector<std::uint32_t> prefixes);
 
   /// False means "definitely not listed" — no interaction needed. True
@@ -160,7 +160,7 @@ class OprfClient {
   unsigned lambda_;
   Rng& rng_;
   std::string api_key_;
-  std::optional<std::unordered_set<std::uint32_t>> prefix_list_;
+  std::optional<std::vector<std::uint32_t>> prefix_list_;  // sorted
   std::optional<ec::RistrettoPoint> pinned_commitment_;
   std::unordered_map<std::uint32_t, CachedBucket> cache_;
   std::optional<Mirror> mirror_;

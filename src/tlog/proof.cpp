@@ -108,4 +108,46 @@ std::optional<AuditPath> parse_audit_path(ByteView data) {
   return path;
 }
 
+Bytes encode_sync_request(const SyncRequest& request) {
+  ec::WireWriter w;
+  w.u64(request.known_size).u64(request.mirror_epoch);
+  return w.take();
+}
+
+std::optional<SyncRequest> parse_sync_request(ByteView data) {
+  ec::WireReader r(data);
+  SyncRequest request;
+  request.known_size = r.u64();
+  request.mirror_epoch = r.u64();
+  if (!r.finish()) return std::nullopt;
+  return request;
+}
+
+Bytes encode_sync_bundle(const SyncBundle& bundle) {
+  ec::WireWriter w;
+  w.var_bytes(bundle.checkpoint).var_bytes(bundle.consistency);
+  w.var_bytes(bundle.snapshot);
+  w.u32(static_cast<std::uint32_t>(bundle.deltas.size()));
+  for (const Bytes& delta : bundle.deltas) w.var_bytes(delta);
+  w.var_bytes(bundle.audit_path);
+  return w.take();
+}
+
+std::optional<SyncBundle> parse_sync_bundle(ByteView data) {
+  ec::WireReader r(data);
+  SyncBundle bundle;
+  bundle.checkpoint = r.raw(r.u32());
+  bundle.consistency = r.raw(r.u32());
+  bundle.snapshot = r.raw(r.u32());
+  const std::uint32_t n_deltas = r.u32();
+  // Each delta carries at least its 4-byte length.
+  if (static_cast<std::size_t>(n_deltas) * 4 > r.remaining()) r.fail();
+  for (std::uint32_t i = 0; i < n_deltas && r.ok(); ++i) {
+    bundle.deltas.push_back(r.raw(r.u32()));
+  }
+  bundle.audit_path = r.raw(r.u32());
+  if (!r.finish()) return std::nullopt;
+  return bundle;
+}
+
 }  // namespace cbl::tlog

@@ -1,13 +1,16 @@
-// Wire forms of the Merkle proofs the transparency endpoints serve:
-// index-bound inclusion proofs, append-only consistency proofs, and the
-// composite per-prefix audit path (bucket leaf -> bucket root -> epoch
-// record -> log root). All decoders treat input as hostile.
+// Wire forms of what the transparency endpoint serves: index-bound
+// inclusion proofs, append-only consistency proofs, the composite
+// per-prefix audit path (bucket leaf -> bucket root -> epoch record ->
+// log root), and the sync request and bundle that carry a wallet's whole
+// sync in one exchange. All decoders treat input as hostile.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "chain/merkle.h"
+#include "oprf/protocol.h"
 #include "tlog/checkpoint.h"
 
 namespace cbl::tlog {
@@ -60,5 +63,34 @@ struct AuditPath {
 Bytes encode_audit_path(const AuditPath& path);
 // wire:untrusted fuzz=fuzz_tlog_checkpoint
 [[nodiscard]] std::optional<AuditPath> parse_audit_path(ByteView data);
+
+/// A wallet's sync request: the tree size of the last checkpoint it
+/// accepted (0 before the first) and its mirror's epoch
+/// (oprf::kNoEpoch when it has no mirror).
+struct SyncRequest {
+  std::uint64_t known_size = 0;
+  std::uint64_t mirror_epoch = oprf::kNoEpoch;
+};
+
+Bytes encode_sync_request(const SyncRequest& request);
+// wire:untrusted fuzz=fuzz_tlog_checkpoint
+[[nodiscard]] std::optional<SyncRequest> parse_sync_request(ByteView data);
+
+/// The provider's answer to one SyncRequest, read from one publication.
+/// Each part keeps its own wire encoding, so the client parses and audits
+/// the parts one by one. An absent part is empty; no encoding is.
+struct SyncBundle {
+  Bytes checkpoint;           // Checkpoint::to_bytes
+  Bytes consistency;          // from known_size, when the log grew
+  Bytes snapshot;             // encode_bucket_map, without a mirror
+  std::vector<Bytes> deltas;  // EpochDelta::to_bytes, hop by hop
+  Bytes audit_path;           // for the lowest published prefix
+};
+
+/// The parts in field order, each as u32 length || bytes, the deltas
+/// after their u32 count.
+Bytes encode_sync_bundle(const SyncBundle& bundle);
+// wire:untrusted fuzz=fuzz_tlog_checkpoint
+[[nodiscard]] std::optional<SyncBundle> parse_sync_bundle(ByteView data);
 
 }  // namespace cbl::tlog

@@ -14,19 +14,29 @@ EpochPublisher::EpochPublisher(nizk::SigningKey key, Rng& rng)
       &reg.gauge("cbl_tlog_log_size", {}, "Transparency log leaf count");
 }
 
-const Checkpoint& EpochPublisher::publish_epoch(
-    const oprf::OprfServer& server) {
-  auto changes =
-      server.bucket_changes_since(published() ? published_epoch_
-                                              : oprf::kNoEpoch);
-  const std::uint64_t epoch = changes.epoch;
-  if (published() && epoch == published_epoch_) return checkpoint_;
+Checkpoint EpochPublisher::publish_epoch(const oprf::OprfServer& server) {
+  cbl::MutexLock lock(mutex_);
+  publish_locked(server);
+  return checkpoint_;
+}
 
-  const Digest base_root = published() ? bucket_tree_->root() : Digest{};
+Checkpoint EpochPublisher::latest_checkpoint() const {
+  cbl::MutexLock lock(mutex_);
+  return checkpoint_;
+}
+
+void EpochPublisher::publish_locked(const oprf::OprfServer& server) {
+  const bool first = log_.size() == 0;
+  auto changes =
+      server.bucket_changes_since(first ? oprf::kNoEpoch : published_epoch_);
+  const std::uint64_t epoch = changes.epoch;
+  if (!first && epoch == published_epoch_) return;
+
+  const Digest base_root = first ? Digest{} : bucket_tree_->root();
   EpochDelta delta;
   if (changes.complete) {
     // First publication, or a key change re-blinded every bucket.
-    if (published()) delta = diff_buckets(buckets_, changes.buckets);
+    if (!first) delta = diff_buckets(buckets_, changes.buckets);
     buckets_ = std::move(changes.buckets);
     bucket_tree_.emplace(buckets_);
   } else {
@@ -48,7 +58,7 @@ const Checkpoint& EpochPublisher::publish_epoch(
   EpochRecord record;
   record.epoch = epoch;
   record.bucket_root = bucket_tree_->root();
-  if (published()) {
+  if (!first) {
     delta.from_epoch = published_epoch_;
     delta.to_epoch = epoch;
     delta.base_bucket_root = base_root;
@@ -66,41 +76,42 @@ const Checkpoint& EpochPublisher::publish_epoch(
       sign_checkpoint(key_, log_.size(), log_.root(), epoch, rng_);
   metrics_.epochs_published->inc();
   metrics_.log_size->set(static_cast<double>(log_.size()));
-  return checkpoint_;
 }
 
-std::optional<EpochDelta> EpochPublisher::delta_from(
-    std::uint64_t from_epoch) const {
-  const auto it = deltas_.find(from_epoch);
-  if (it == deltas_.end()) return std::nullopt;
-  return it->second;
-}
+std::optional<SyncBundle> EpochPublisher::sync(
+    const oprf::OprfServer& server, const SyncRequest& request) {
+  cbl::MutexLock lock(mutex_);
+  publish_locked(server);
+  if (request.known_size > log_.size()) return std::nullopt;
 
-std::optional<AuditPath> EpochPublisher::audit_path(
-    std::uint32_t prefix) const {
-  if (!published()) return std::nullopt;
-  const auto bucket_index = bucket_tree_->index_of(prefix);
-  if (!bucket_index) return std::nullopt;
-  AuditPath path;
-  const std::size_t record_index = log_.size() - 1;
-  const EpochRecord& record = log_.record(record_index);
-  path.epoch = record.epoch;
-  path.bucket_root = record.bucket_root;
-  path.delta_digest = record.delta_digest;
-  path.bucket_proof = bucket_tree_->prove(*bucket_index);
-  path.log_proof = log_.prove_record(record_index);
-  return path;
-}
-
-ConsistencyProofMsg EpochPublisher::consistency(
-    std::uint64_t old_size) const {
-  ConsistencyProofMsg msg;
-  msg.old_size = old_size;
-  msg.new_size = log_.size();
-  if (old_size <= log_.size()) {
-    msg.nodes = log_.prove_consistency(static_cast<std::size_t>(old_size));
+  SyncBundle bundle;
+  bundle.checkpoint = checkpoint_.to_bytes();
+  if (request.known_size > 0 && request.known_size < log_.size()) {
+    bundle.consistency = encode_consistency_proof(
+        {request.known_size, log_.size(),
+         log_.prove_consistency(static_cast<std::size_t>(request.known_size))});
   }
-  return msg;
+  if (request.mirror_epoch == oprf::kNoEpoch) {
+    bundle.snapshot = encode_bucket_map(buckets_);
+  } else {
+    for (std::uint64_t epoch = request.mirror_epoch;
+         epoch < published_epoch_;) {
+      const auto it = deltas_.find(epoch);
+      if (it == deltas_.end()) return std::nullopt;
+      bundle.deltas.push_back(it->second.to_bytes());
+      epoch = it->second.to_epoch;
+    }
+  }
+  if (!buckets_.empty()) {
+    // The lowest prefix's bucket leaf sits at slot 0 of the bucket tree;
+    // the epoch record is the log's last leaf.
+    const std::size_t last = log_.size() - 1;
+    const EpochRecord& record = log_.record(last);
+    bundle.audit_path = encode_audit_path(
+        {record.epoch, record.bucket_root, record.delta_digest,
+         bucket_tree_->prove(0), log_.prove_record(last)});
+  }
+  return bundle;
 }
 
 }  // namespace cbl::tlog

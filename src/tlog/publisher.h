@@ -2,9 +2,10 @@
 // buckets the OPRF server changed since the last publication, diffs
 // them against its own copy into a signed EpochDelta, updates its kept
 // bucket tree in place, appends the epoch record to the transparency
-// log, and signs a fresh Checkpoint. The service node
-// serves its artifacts verbatim (see net/service_node.h); the publisher
-// itself never touches the wire.
+// log, and signs a fresh Checkpoint. It answers each wallet's sync with
+// one SyncBundle read from one publication, which the service node
+// serves verbatim (see net/service_node.h); the publisher itself never
+// touches the wire.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <optional>
 
 #include "common/rng.h"
+#include "common/thread_safety.h"
 #include "nizk/signature.h"
 #include "obs/metrics.h"
 #include "oprf/server.h"
@@ -27,7 +29,10 @@ class EpochPublisher {
   /// public half is what clients pin (ResilientClient::pin_tlog_key).
   EpochPublisher(nizk::SigningKey key, Rng& rng);
 
-  const ec::RistrettoPoint& public_key() const { return key_.pk; }
+  ec::RistrettoPoint public_key() const { return key_.pk; }
+
+  // Every method below locks the publisher's one mutex, so any number of
+  // nodes may share the publisher.
 
   /// Publishes the server's CURRENT epoch: reads the epoch and the
   /// buckets changed since the last publication in one server read,
@@ -36,42 +41,43 @@ class EpochPublisher {
   /// buckets, except after a key change, which re-reads every bucket.
   /// Idempotent per epoch — calling again without an epoch change is a
   /// no-op. Every call must pass the same server. Returns the checkpoint.
-  const Checkpoint& publish_epoch(const oprf::OprfServer& server);
+  Checkpoint publish_epoch(const oprf::OprfServer& server)
+      CBL_EXCLUDES(mutex_);
 
   /// The latest signed checkpoint; publish_epoch must have run once.
-  const Checkpoint& latest_checkpoint() const { return checkpoint_; }
-  bool published() const { return log_.size() > 0; }
+  Checkpoint latest_checkpoint() const CBL_EXCLUDES(mutex_);
 
-  /// The signed one-step delta LEAVING `from_epoch` (i.e. bridging it to
-  /// the next published epoch), or nullopt if unknown. Clients walk
-  /// these hop by hop.
-  std::optional<EpochDelta> delta_from(std::uint64_t from_epoch) const;
-
-  /// Composite audit path for `prefix` at the latest epoch, or nullopt
-  /// if the prefix has no bucket.
-  std::optional<AuditPath> audit_path(std::uint32_t prefix) const;
-
-  ConsistencyProofMsg consistency(std::uint64_t old_size) const;
-
-  /// The latest published bucket snapshot (full-download baseline).
-  const BucketMap& current_buckets() const { return buckets_; }
-  const TransparencyLog& log() const { return log_; }
+  /// Publishes (as publish_epoch), then answers `request` from that one
+  /// publication with the parts SyncBundle lists: deltas from the mirror
+  /// epoch up to the checkpoint (none when it is not behind), an audit
+  /// path when any bucket is published. nullopt when known_size exceeds
+  /// the log or no delta chain leaves the mirror epoch.
+  std::optional<SyncBundle> sync(const oprf::OprfServer& server,
+                                 const SyncRequest& request)
+      CBL_EXCLUDES(mutex_);
 
  private:
-  nizk::SigningKey key_;
-  Rng& rng_;
+  void publish_locked(const oprf::OprfServer& server) CBL_REQUIRES(mutex_);
 
-  TransparencyLog log_;
-  BucketMap buckets_;  // snapshot at the latest published epoch
-  std::optional<BucketTree> bucket_tree_;
-  Checkpoint checkpoint_;
-  std::uint64_t published_epoch_ = 0;
-  std::map<std::uint64_t, EpochDelta> deltas_;  // keyed by from_epoch
+  const nizk::SigningKey key_;
+  Rng& rng_ CBL_GUARDED_BY(mutex_);  // drawn for signatures
+
+  mutable cbl::Mutex mutex_;  // lock: log, buckets, tree, checkpoint, deltas
+  TransparencyLog log_ CBL_GUARDED_BY(mutex_);
+  /// Snapshot at the latest published epoch.
+  BucketMap buckets_ CBL_GUARDED_BY(mutex_);
+  std::optional<BucketTree> bucket_tree_ CBL_GUARDED_BY(mutex_);
+  Checkpoint checkpoint_ CBL_GUARDED_BY(mutex_);
+  std::uint64_t published_epoch_ CBL_GUARDED_BY(mutex_) = 0;
+  /// Every delta signed, keyed by from_epoch.
+  std::map<std::uint64_t, EpochDelta> deltas_ CBL_GUARDED_BY(mutex_);
 
   struct Metrics {
     obs::Counter* epochs_published;
     obs::Gauge* log_size;
   };
+  // lock:unguarded(handles resolved once in the constructor; updates are
+  // lock-free atomics)
   Metrics metrics_;
 };
 

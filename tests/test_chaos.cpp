@@ -607,7 +607,10 @@ TEST(ChaosTest, CorruptedTlogSyncDegradesHonestlyThenEquivocatorIsCondemned) {
 
   // Phase 1: heavy corruption against an HONEST provider. Syncs fail
   // transport-style and queries degrade down the ladder, but the
-  // distrust latch never fires and no answer is ever wrong.
+  // distrust latch never fires, no answer is ever wrong, and a failed
+  // sync leaves the mirror exactly as it was.
+  const tlog::Auditor* mirror = client.tlog_auditor("tlog-ladder");
+  ASSERT_NE(mirror, nullptr);
   std::size_t next_fresh = 60;
   int answered = 0;
   for (int round = 0; round < 30; ++round) {
@@ -616,11 +619,19 @@ TEST(ChaosTest, CorruptedTlogSyncDegradesHonestlyThenEquivocatorIsCondemned) {
           std::span<const std::string>(corpus).subspan(next_fresh, 2));
       next_fresh += 2;
     }
+    const bool had_mirror = mirror->has_state();
+    const std::uint64_t epoch_before = mirror->mirror_epoch();
+    const tlog::BucketMap buckets_before = mirror->buckets();
+    const CounterDelta failed_syncs(
+        "cbl_tlog_sync_total",
+        {{"endpoint", "tlog-ladder"}, {"result", "transport"}});
     (void)client.sync();
     ASSERT_FALSE(client.distrusted("tlog-ladder"));
-    const tlog::Auditor* auditor = client.tlog_auditor("tlog-ladder");
-    if (auditor != nullptr) {
-      ASSERT_TRUE(auditor->trusted());
+    ASSERT_TRUE(mirror->trusted());
+    if (failed_syncs.value() > 0) {
+      EXPECT_EQ(mirror->has_state(), had_mirror) << "round #" << round;
+      EXPECT_EQ(mirror->mirror_epoch(), epoch_before) << "round #" << round;
+      EXPECT_EQ(mirror->buckets(), buckets_before) << "round #" << round;
     }
 
     const auto out = client.query(corpus[round % 60]);
@@ -654,9 +665,9 @@ TEST(ChaosTest, CorruptedTlogSyncDegradesHonestlyThenEquivocatorIsCondemned) {
   transport.register_endpoint(
       "tlog-ladder", [&forged](ByteView frame) -> std::optional<Bytes> {
         const auto request = net::parse_request_frame(frame);
-        if (request && request->method == net::Method::kTlogCheckpoint) {
-          return net::encode_response_frame(net::Status::kOk,
-                                            forged.to_bytes());
+        if (request && request->method == net::Method::kTlogSync) {
+          return net::encode_response_frame(
+              net::Status::kOk, tlog::encode_sync_bundle({forged.to_bytes()}));
         }
         return net::encode_response_frame(net::Status::kBadRequest);
       });
@@ -731,8 +742,12 @@ TlogTimeline build_timeline() {
     step.epoch = server.epoch();
     step.buckets = server.bucket_snapshot();
     if (i > 0) {
-      step.consistency = publisher.consistency(prev_size);
-      step.delta = publisher.delta_from(prev_epoch);
+      // What a wallet one step behind receives.
+      const auto bundle = publisher.sync(server, {prev_size, prev_epoch});
+      EXPECT_TRUE(bundle.has_value() && bundle->deltas.size() == 1);
+      step.consistency =
+          tlog::parse_consistency_proof(bundle->consistency).value();
+      step.delta = tlog::EpochDelta::from_bytes(bundle->deltas[0]);
       EXPECT_TRUE(step.delta.has_value());
     }
     prev_epoch = step.epoch;

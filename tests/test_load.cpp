@@ -361,7 +361,7 @@ TEST_F(VirtualQueue, NonQueryAndMalformedFramesPassThroughUncharged) {
   const std::vector<cbl::Bytes> frames = {
       {tag(cbl::net::Method::kInfo)},
       {tag(cbl::net::Method::kPrefixList)},
-      {tag(cbl::net::Method::kTlogCheckpoint)},
+      {tag(cbl::net::Method::kTlogSync)},
       {tag(cbl::net::Method::kInfo), 0x00},  // trailing byte: malformed
       {0xff, 1, 2},                          // unknown method
       {},                                    // empty

@@ -102,6 +102,34 @@ TEST_F(NetTest, PrefixListSyncEnablesLocalResolution) {
   EXPECT_GE(local, 28);  // nearly all negatives never touch the wire
 }
 
+// sync() fetches every connected provider's prefix list anew: an entry
+// added under a prefix that was empty when the wallet connected is asked
+// over the wire after the next sync, not answered from the stale list.
+TEST_F(NetTest, SyncRefreshesTheConnectedProvidersPrefixList) {
+  auto transport = make_transport();
+  oprf::OprfServer sparse(oprf::Oracle::fast(), 16, server_rng_);
+  sparse.setup(std::span<const std::string>(corpus_).first(100));
+  BlocklistServiceNode node(transport, "scamdb", sparse, oprf::Oracle::fast());
+  ResilientClient client(transport, {"scamdb"}, client_rng_);
+  ASSERT_EQ(client.sync(), 1u);
+
+  // An unlisted entry under a prefix that holds nothing yet.
+  const auto prefixes = sparse.prefix_list();
+  const auto added = std::find_if(
+      corpus_.begin() + 100, corpus_.end(), [&](const std::string& entry) {
+        const auto prefix = oprf::Oracle::prefix(to_bytes(entry), 16);
+        return std::find(prefixes.begin(), prefixes.end(), prefix) ==
+               prefixes.end();
+      });
+  ASSERT_NE(added, corpus_.end());
+  sparse.add_entries(std::vector<std::string>{*added});
+
+  ASSERT_EQ(client.sync(), 1u);
+  const auto out = client.query(*added);
+  EXPECT_EQ(out.freshness, Freshness::kFresh);
+  EXPECT_TRUE(out.listed());
+}
+
 TEST_F(NetTest, RetriesRideOutPacketLoss) {
   const CounterDelta drops("cbl_net_drops_total", {{"endpoint", "scamdb"}});
   auto transport = make_transport(/*drop_rate=*/0.4);

@@ -14,12 +14,16 @@
 //     and maintenance;
 //   * BlocklistServiceNode::handle_frame, driven by N threads over one
 //     shared QueryPipeline (the load benchmark's shape), answers every
-//     query correctly and accounts for it exactly once.
+//     query correctly and accounts for it exactly once;
+//   * EpochPublisher, shared by two nodes whose wallets sync while the
+//     list changes, answers each sync from one publication: every
+//     wallet stays trusted and converges on the server's buckets.
 //
 // Designed to run under the TSan CI stage (scripts/ci.sh, stage 6).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <optional>
 #include <set>
@@ -186,7 +190,7 @@ TEST(DistrustLatch, ResilientClientCountsOneDistrustUnderConcurrentSyncs) {
   ASSERT_TRUE(latest.has_value());
 
   // The provider turns equivocator: same tree size, different signed
-  // root, served to every checkpoint fetch.
+  // root, served in every sync bundle.
   auto other_root = latest->root;
   other_root[7] ^= 0x20;
   const auto forged = tlog::sign_checkpoint(key, latest->tree_size,
@@ -196,9 +200,9 @@ TEST(DistrustLatch, ResilientClientCountsOneDistrustUnderConcurrentSyncs) {
   transport.register_endpoint(
       endpoint, [&forged](ByteView frame) -> std::optional<Bytes> {
         const auto request = net::parse_request_frame(frame);
-        if (request && request->method == net::Method::kTlogCheckpoint) {
-          return net::encode_response_frame(net::Status::kOk,
-                                            forged.to_bytes());
+        if (request && request->method == net::Method::kTlogSync) {
+          return net::encode_response_frame(
+              net::Status::kOk, tlog::encode_sync_bundle({forged.to_bytes()}));
         }
         return net::encode_response_frame(net::Status::kBadRequest);
       });
@@ -226,6 +230,81 @@ TEST(DistrustLatch, ResilientClientCountsOneDistrustUnderConcurrentSyncs) {
   EXPECT_NE(out.freshness, Freshness::kFresh);
 
   obs::MetricsRegistry::global().set_clock(&obs::SteadyClock::instance());
+}
+
+// ------------------------------------- concurrent syncs, one publisher
+
+// Two wallets, each with its own transport and node, share one server and
+// one publisher and sync concurrently while the list changes. Each sync
+// is answered from one publication, so no publish can land between the
+// parts one wallet checks: every wallet stays trusted and ends on the
+// server's buckets.
+TEST(ConcurrentSync, WalletsSharingOnePublisherStayTrustedUnderChurn) {
+  auto corpus_rng = ChaChaRng::from_string_seed("ts-sync-corpus");
+  auto server_rng = ChaChaRng::from_string_seed("ts-sync-server");
+  auto key_rng = ChaChaRng::from_string_seed("ts-sync-key");
+  auto pub_rng = ChaChaRng::from_string_seed("ts-sync-pub");
+  const auto corpus = blocklist::generate_corpus(100, corpus_rng).addresses();
+  oprf::OprfServer server(oprf::Oracle::fast(), 6, server_rng);
+  server.setup(std::span<const std::string>(corpus).first(40));
+  const auto key = nizk::SigningKey::generate(key_rng);
+  tlog::EpochPublisher publisher(key, pub_rng);
+
+  struct Wallet {
+    Wallet(const std::string& name, oprf::OprfServer& server,
+           tlog::EpochPublisher& publisher, const ec::RistrettoPoint& pk)
+        : transport_rng(ChaChaRng::from_string_seed(name + "-transport")),
+          client_rng(ChaChaRng::from_string_seed(name + "-client")),
+          transport(net::TransportConfig{.latency_ms_min = 0.5,
+                                         .latency_ms_max = 1.0,
+                                         .drop_rate = 0.0},
+                    transport_rng),
+          node(transport, name, server, oprf::Oracle::fast(),
+               net::NodeLimits(), nullptr, &publisher),
+          client(transport, name, client_rng),
+          auditor(pk, name) {}
+    ChaChaRng transport_rng;
+    ChaChaRng client_rng;
+    net::Transport transport;
+    net::BlocklistServiceNode node;
+    net::RemoteBlocklistClient client;
+    tlog::Auditor auditor;
+  };
+  std::deque<Wallet> wallets;
+  wallets.emplace_back("ts-sync-a", server, publisher, key.pk);
+  wallets.emplace_back("ts-sync-b", server, publisher, key.pk);
+
+  // The wallets sync back to back for as long as the list changes.
+  std::atomic<bool> go{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (auto& wallet : wallets) {
+    threads.emplace_back([&] {
+      while (!go.load()) {
+      }
+      while (!done.load()) {
+        if (!wallet.client.verified_sync(wallet.auditor).ok) ++failed;
+      }
+    });
+  }
+  go.store(true);
+  for (std::size_t i = 0; i < 30; ++i) {
+    server.add_entries(
+        std::span<const std::string>(corpus).subspan(40 + 2 * i, 2));
+    server.remove_entries(std::span<const std::string>(corpus).subspan(i, 1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  done.store(true);
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(failed.load(), 0);
+  for (auto& wallet : wallets) {
+    SCOPED_TRACE(wallet.node.endpoint());
+    EXPECT_TRUE(wallet.client.verified_sync(wallet.auditor).ok);
+    EXPECT_TRUE(wallet.auditor.trusted());
+    EXPECT_EQ(wallet.auditor.buckets(), server.bucket_snapshot());
+  }
 }
 
 // ----------------------------------------- OprfServer off-lock fixes

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <utility>
 
 #include "blocklist/generator.h"
 #include "common/rng.h"
@@ -43,6 +45,32 @@ class TlogTest : public ::testing::Test {
     return std::span<const std::string>(corpus_).subspan(80 + offset, n);
   }
 
+  // The publisher's artifacts, read as a wallet reads them: as parts of
+  // the bundle EpochPublisher::sync answers (publishing first).
+  SyncBundle bundle(std::uint64_t known_size = 0,
+                    std::uint64_t mirror_epoch = oprf::kNoEpoch) {
+    return publisher_->sync(*server_, {known_size, mirror_epoch}).value();
+  }
+  /// The published bucket map (a first-contact wallet's download).
+  BucketMap published_buckets() {
+    return parse_bucket_map(bundle().snapshot).value();
+  }
+  /// The consistency proof from `old_size` to the log's size.
+  ConsistencyProofMsg consistency_from(std::uint64_t old_size) {
+    return parse_consistency_proof(bundle(old_size).consistency).value();
+  }
+  /// The signed delta leaving `from_epoch`, if the bundle carries one.
+  std::optional<EpochDelta> delta_from(std::uint64_t from_epoch) {
+    const auto answer = publisher_->sync(*server_, {0, from_epoch});
+    if (!answer || answer->deltas.empty()) return std::nullopt;
+    return EpochDelta::from_bytes(answer->deltas.front());
+  }
+  /// The audit path a sync carries: the lowest published prefix's, at
+  /// the latest epoch record.
+  std::optional<AuditPath> audit_path() {
+    return parse_audit_path(bundle().audit_path);
+  }
+
   ChaChaRng corpus_rng_ = ChaChaRng::from_string_seed("tlog-corpus");
   ChaChaRng server_rng_ = ChaChaRng::from_string_seed("tlog-server");
   ChaChaRng key_rng_ = ChaChaRng::from_string_seed("tlog-key");
@@ -64,7 +92,7 @@ TEST_F(TlogTest, PublishIsIdempotentPerEpoch) {
   // Same epoch again: no new log record, identical checkpoint bytes.
   const auto cp2 = publisher_->publish_epoch(*server_);
   EXPECT_EQ(cp2.to_bytes(), cp1.to_bytes());
-  EXPECT_EQ(publisher_->log().size(), 1u);
+  EXPECT_EQ(publisher_->latest_checkpoint().tree_size, 1u);
 
   server_->add_entries(fresh(0, 5));
   const auto cp3 = publisher_->publish_epoch(*server_);
@@ -75,23 +103,23 @@ TEST_F(TlogTest, PublishIsIdempotentPerEpoch) {
 
 TEST_F(TlogTest, PublishedSnapshotMatchesServer) {
   publisher_->publish_epoch(*server_);
-  EXPECT_EQ(publisher_->current_buckets(), server_->bucket_snapshot());
+  EXPECT_EQ(published_buckets(), server_->bucket_snapshot());
   // The first record's delta digest is the all-zero sentinel.
-  EXPECT_EQ(publisher_->log().record(0).delta_digest, Digest{});
-  EXPECT_EQ(publisher_->log().record(0).bucket_root,
-            BucketTree(publisher_->current_buckets()).root());
+  EXPECT_EQ(audit_path()->delta_digest, Digest{});
+  EXPECT_EQ(audit_path()->bucket_root,
+            BucketTree(published_buckets()).root());
 }
 
 TEST_F(TlogTest, DeltaBridgesEpochsExactly) {
   publisher_->publish_epoch(*server_);
-  const auto base = publisher_->current_buckets();
+  const auto base = published_buckets();
   const std::uint64_t base_epoch = server_->epoch();
 
   server_->add_entries(fresh(0, 8));
   server_->remove_entries(std::span<const std::string>(corpus_).first(4));
   publisher_->publish_epoch(*server_);
 
-  const auto delta = publisher_->delta_from(base_epoch);
+  const auto delta = delta_from(base_epoch);
   ASSERT_TRUE(delta.has_value());
   EXPECT_EQ(delta->from_epoch, base_epoch);
   EXPECT_EQ(delta->to_epoch, server_->epoch());
@@ -102,18 +130,21 @@ TEST_F(TlogTest, DeltaBridgesEpochsExactly) {
   // snapshot bit for bit — the acceptance criterion at the data layer.
   BucketMap folded = base;
   ASSERT_TRUE(fold_delta(folded, *delta));
-  EXPECT_EQ(folded, publisher_->current_buckets());
+  EXPECT_EQ(folded, published_buckets());
   EXPECT_EQ(BucketTree(folded).root(), delta->post_bucket_root);
   // And the log's second record pins exactly this delta.
-  EXPECT_EQ(publisher_->log().record(1).delta_digest, delta->digest());
+  EXPECT_EQ(audit_path()->delta_digest, delta->digest());
 
-  // An unknown hop is refused.
-  EXPECT_FALSE(publisher_->delta_from(server_->epoch()).has_value());
+  // A mirror at the latest epoch gets no delta; one at an epoch no
+  // published delta leaves is refused.
+  EXPECT_FALSE(delta_from(server_->epoch()).has_value());
+  ASSERT_GT(base_epoch, 0u);
+  EXPECT_FALSE(publisher_->sync(*server_, {0, base_epoch - 1}).has_value());
 }
 
 TEST_F(TlogTest, DiffAndFoldAreInverse) {
   publisher_->publish_epoch(*server_);
-  const auto base = publisher_->current_buckets();
+  const auto base = published_buckets();
   server_->add_entries(fresh(0, 10));
   const auto post = server_->bucket_snapshot();
 
@@ -146,17 +177,17 @@ TEST_F(TlogTest, AuditorAcceptsHonestDeltaSync) {
   ASSERT_EQ(auditor.observe_checkpoint(publisher_->latest_checkpoint(),
                                        nullptr),
             Auditor::Status::kOk);
-  ASSERT_EQ(auditor.adopt_snapshot(publisher_->current_buckets()),
+  ASSERT_EQ(auditor.adopt_snapshot(published_buckets()),
             Auditor::Status::kOk);
   const std::uint64_t base_epoch = auditor.mirror_epoch();
 
   server_->add_entries(fresh(0, 6));
   publisher_->publish_epoch(*server_);
-  const auto consistency = publisher_->consistency(1);
+  const auto consistency = consistency_from(1);
   ASSERT_EQ(auditor.observe_checkpoint(publisher_->latest_checkpoint(),
                                        &consistency),
             Auditor::Status::kOk);
-  const auto delta = publisher_->delta_from(base_epoch);
+  const auto delta = delta_from(base_epoch);
   ASSERT_TRUE(delta.has_value());
   ASSERT_EQ(auditor.apply_delta(*delta), Auditor::Status::kOk);
 
@@ -167,9 +198,9 @@ TEST_F(TlogTest, AuditorAcceptsHonestDeltaSync) {
   EXPECT_TRUE(auditor.trusted());
   EXPECT_EQ(applied.value(), 1u);
 
-  // The audit path for any mirrored prefix binds mirror to checkpoint.
+  // The lowest mirrored prefix's audit path binds mirror to checkpoint.
   const auto prefix = auditor.buckets().begin()->first;
-  const auto path = publisher_->audit_path(prefix);
+  const auto path = audit_path();
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(auditor.verify_audit_path(prefix, *path), Auditor::Status::kOk);
 }
@@ -178,16 +209,16 @@ TEST_F(TlogTest, TamperedDeltaIsRejectedAndCounted) {
   Auditor auditor(key_.pk, "tamper");
   publisher_->publish_epoch(*server_);
   (void)auditor.observe_checkpoint(publisher_->latest_checkpoint(), nullptr);
-  (void)auditor.adopt_snapshot(publisher_->current_buckets());
+  (void)auditor.adopt_snapshot(published_buckets());
   const std::uint64_t base_epoch = auditor.mirror_epoch();
   const auto base = auditor.buckets();
 
   server_->add_entries(fresh(0, 6));
   publisher_->publish_epoch(*server_);
-  const auto consistency = publisher_->consistency(1);
+  const auto consistency = consistency_from(1);
   (void)auditor.observe_checkpoint(publisher_->latest_checkpoint(),
                                    &consistency);
-  auto delta = *publisher_->delta_from(base_epoch);
+  auto delta = *delta_from(base_epoch);
 
   const CounterDelta rejected("cbl_tlog_deltas_rejected_total",
                               {{"endpoint", "tamper"}});
@@ -208,17 +239,17 @@ TEST_F(TlogTest, ValidlySignedDeltaWithWrongPostRootIsRejected) {
   Auditor auditor(key_.pk, "wrongroot");
   publisher_->publish_epoch(*server_);
   (void)auditor.observe_checkpoint(publisher_->latest_checkpoint(), nullptr);
-  (void)auditor.adopt_snapshot(publisher_->current_buckets());
+  (void)auditor.adopt_snapshot(published_buckets());
   const auto base = auditor.buckets();
   const std::uint64_t base_epoch = auditor.mirror_epoch();
 
   server_->add_entries(fresh(0, 6));
   publisher_->publish_epoch(*server_);
-  const auto consistency = publisher_->consistency(1);
+  const auto consistency = consistency_from(1);
   (void)auditor.observe_checkpoint(publisher_->latest_checkpoint(),
                                    &consistency);
 
-  auto forged = *publisher_->delta_from(base_epoch);
+  auto forged = *delta_from(base_epoch);
   forged.post_bucket_root[0] ^= 1;
   forged = sign_delta(key_, std::move(forged), publisher_rng_);
   EXPECT_EQ(auditor.apply_delta(forged), Auditor::Status::kRootMismatch);
@@ -226,7 +257,7 @@ TEST_F(TlogTest, ValidlySignedDeltaWithWrongPostRootIsRejected) {
   EXPECT_FALSE(auditor.trusted());
 
   // Sticky: even the honest delta is refused after distrust latched.
-  EXPECT_EQ(auditor.apply_delta(*publisher_->delta_from(base_epoch)),
+  EXPECT_EQ(auditor.apply_delta(*delta_from(base_epoch)),
             Auditor::Status::kDistrusted);
 }
 
@@ -264,15 +295,15 @@ TEST_F(TlogTest, ShrinkingOrForkedLogIsInconsistent) {
   server_->add_entries(fresh(0, 4));
   publisher_->publish_epoch(*server_);
   const auto cp2 = publisher_->latest_checkpoint();
-  const auto consistency = publisher_->consistency(1);
+  const auto consistency = consistency_from(1);
   server_->add_entries(fresh(4, 4));
   publisher_->publish_epoch(*server_);
   const auto cp3 = publisher_->latest_checkpoint();
 
   ASSERT_EQ(auditor.observe_checkpoint(cp2, nullptr), Auditor::Status::kOk);
   // A checkpoint whose tree SHRANK is rejected outright.
-  const auto shrunk = sign_checkpoint(key_, 1, publisher_->log().root(),
-                                      cp2.epoch, publisher_rng_);
+  const auto shrunk = sign_checkpoint(key_, 1, cp3.root, cp2.epoch,
+                                      publisher_rng_);
   EXPECT_EQ(auditor.observe_checkpoint(shrunk, nullptr),
             Auditor::Status::kInconsistent);
   EXPECT_FALSE(auditor.trusted());
@@ -284,7 +315,7 @@ TEST_F(TlogTest, ShrinkingOrForkedLogIsInconsistent) {
             Auditor::Status::kInconsistent);
   Auditor strict2(key_.pk, "consist3");
   ASSERT_EQ(strict2.observe_checkpoint(cp2, nullptr), Auditor::Status::kOk);
-  auto wrong = publisher_->consistency(2);
+  auto wrong = consistency_from(2);
   ASSERT_FALSE(wrong.nodes.empty());
   wrong.nodes[0][0] ^= 1;
   EXPECT_EQ(strict2.observe_checkpoint(cp3, &wrong),
@@ -292,7 +323,7 @@ TEST_F(TlogTest, ShrinkingOrForkedLogIsInconsistent) {
   // The honest proof, for contrast, passes a fresh auditor.
   Auditor honest(key_.pk, "consist4");
   ASSERT_EQ(honest.observe_checkpoint(cp2, nullptr), Auditor::Status::kOk);
-  const auto good = publisher_->consistency(2);
+  const auto good = consistency_from(2);
   EXPECT_EQ(honest.observe_checkpoint(cp3, &good), Auditor::Status::kOk);
 }
 
@@ -303,7 +334,7 @@ TEST_F(TlogTest, AuditPathCatchesForeignSnapshot) {
   Auditor auditor(key_.pk, "snapshot");
   publisher_->publish_epoch(*server_);
   (void)auditor.observe_checkpoint(publisher_->latest_checkpoint(), nullptr);
-  auto doctored = publisher_->current_buckets();
+  auto doctored = published_buckets();
   ASSERT_FALSE(doctored.empty());
   auto smuggled = doctored.begin()->second.front();
   smuggled[0] ^= 0x11;
@@ -311,7 +342,7 @@ TEST_F(TlogTest, AuditPathCatchesForeignSnapshot) {
   ASSERT_EQ(auditor.adopt_snapshot(doctored), Auditor::Status::kOk);
 
   const auto prefix = doctored.begin()->first;
-  const auto path = publisher_->audit_path(prefix);
+  const auto path = audit_path();
   ASSERT_TRUE(path.has_value());
   EXPECT_NE(auditor.verify_audit_path(prefix, *path), Auditor::Status::kOk);
   EXPECT_FALSE(auditor.trusted());
@@ -507,13 +538,11 @@ TEST_F(TlogTest, IncrementalPublishMatchesFullSnapshotDiff) {
     want.to_epoch = server_->epoch();
     want.base_bucket_root = BucketTree(before).root();
     want.post_bucket_root = BucketTree(after).root();
-    const auto got = publisher_->delta_from(before_epoch);
+    const auto got = delta_from(before_epoch);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->signing_payload(), want.signing_payload());
-    EXPECT_EQ(publisher_->current_buckets(), after);
-    const auto& log = publisher_->log();
-    EXPECT_EQ(log.record(log.size() - 1).bucket_root,
-              BucketTree(after).root());
+    EXPECT_EQ(published_buckets(), after);
+    EXPECT_EQ(audit_path()->bucket_root, BucketTree(after).root());
     before = after;
     before_epoch = server_->epoch();
   }
@@ -548,7 +577,7 @@ TEST_F(TlogTest, RejectedDeltaLeavesMirrorRootAndTreeUnchanged) {
     Auditor auditor(key_.pk, empties ? "rollback-rebuild" : "rollback-inplace");
     (void)auditor.observe_checkpoint(publisher_->latest_checkpoint(),
                                      nullptr);
-    ASSERT_EQ(auditor.adopt_snapshot(publisher_->current_buckets()),
+    ASSERT_EQ(auditor.adopt_snapshot(published_buckets()),
               Auditor::Status::kOk);
     const BucketMap base = auditor.buckets();
     const Digest base_root = auditor.mirror_root();
@@ -560,7 +589,7 @@ TEST_F(TlogTest, RejectedDeltaLeavesMirrorRootAndTreeUnchanged) {
       server_->add_entries(in_place);
     }
     publisher_->publish_epoch(*server_);
-    auto forged = *publisher_->delta_from(base_epoch);
+    auto forged = *delta_from(base_epoch);
     forged.post_bucket_root[0] ^= 1;
     forged = sign_delta(key_, std::move(forged), publisher_rng_);
     EXPECT_EQ(auditor.apply_delta(forged), Auditor::Status::kRootMismatch);
@@ -618,6 +647,30 @@ TEST_F(TlogTest, BucketChangesSinceReportsTouchedBucketsOnly) {
 
 // ------------------------------------------------- wire-level verified sync
 
+/// Forwards every call to `inner`, counting the kTlogSync calls, and runs
+/// `after_next_tlog` (once) right after the next of them returns.
+class TlogTap final : public net::Channel {
+ public:
+  explicit TlogTap(net::Channel& inner) : inner_(inner) {}
+
+  net::CallResult call(const std::string& endpoint,
+                       ByteView request) override {
+    auto result = inner_.call(endpoint, request);
+    if (!request.empty() &&
+        request[0] == static_cast<std::uint8_t>(net::Method::kTlogSync)) {
+      ++tlog_calls;
+      if (after_next_tlog) std::exchange(after_next_tlog, nullptr)();
+    }
+    return result;
+  }
+
+  std::size_t tlog_calls = 0;
+  std::function<void()> after_next_tlog;
+
+ private:
+  net::Channel& inner_;
+};
+
 class TlogWireTest : public TlogTest {
  protected:
   net::Transport make_transport() {
@@ -647,9 +700,9 @@ class TlogWireTest : public TlogTest {
         });
   }
 
-  /// Serves `name` as an equivocator: kInfo honestly, kTlogCheckpoint as
-  /// a second signed root at the publisher's latest tree size, and
-  /// kBadRequest to everything else.
+  /// Serves `name` as an equivocator: kInfo honestly, kTlogSync as a
+  /// bundle whose checkpoint is a second signed root at the publisher's
+  /// latest tree size, and kBadRequest to everything else.
   void register_equivocator(net::Transport& transport,
                             const std::string& name) {
     const auto honest = publisher_->latest_checkpoint();
@@ -670,9 +723,9 @@ class TlogWireTest : public TlogTest {
             return net::encode_response_frame(net::Status::kOk,
                                               net::encode_info(info));
           }
-          if (request->method == net::Method::kTlogCheckpoint) {
-            return net::encode_response_frame(net::Status::kOk,
-                                              forged.to_bytes());
+          if (request->method == net::Method::kTlogSync) {
+            return net::encode_response_frame(
+                net::Status::kOk, encode_sync_bundle({forged.to_bytes()}));
           }
           return net::encode_response_frame(net::Status::kBadRequest);
         });
@@ -728,9 +781,77 @@ TEST_F(TlogWireTest, VerifiedSyncDeltaStateIsBitIdenticalToFullDownload) {
   EXPECT_EQ(ok_syncs.value(), 4u);
 }
 
+// The whole verified sync is one request: first contact, a steady-state
+// delta sync and a two-hop catch-up each make exactly one tlog call.
+TEST_F(TlogWireTest, EveryVerifiedSyncIsOneTlogCall) {
+  auto transport = make_transport();
+  BlocklistServiceNode node(transport, "scamdb", *server_,
+                            oprf::Oracle::fast(), net::NodeLimits(), nullptr,
+                            &*publisher_);
+  TlogTap tap(transport);
+  RemoteBlocklistClient client(tap, "scamdb", client_rng_);
+  Auditor auditor(key_.pk, "scamdb");
+
+  auto report = client.verified_sync(auditor);
+  ASSERT_TRUE(report.ok);
+  EXPECT_GT(report.full_bytes, 0u);
+  EXPECT_EQ(tap.tlog_calls, 1u);
+
+  server_->add_entries(fresh(0, 6));
+  report = client.verified_sync(auditor);
+  ASSERT_TRUE(report.ok);
+  EXPECT_EQ(report.deltas_applied, 1u);
+  EXPECT_EQ(tap.tlog_calls, 2u);
+
+  server_->add_entries(fresh(6, 3));
+  publisher_->publish_epoch(*server_);
+  server_->add_entries(fresh(9, 3));
+  report = client.verified_sync(auditor);
+  ASSERT_TRUE(report.ok);
+  EXPECT_EQ(report.deltas_applied, 2u);
+  EXPECT_EQ(tap.tlog_calls, 3u);
+  EXPECT_EQ(auditor.buckets(), server_->bucket_snapshot());
+}
+
+// A publish that lands while one wallet syncs cannot split that wallet's
+// evidence. Wallet B's sync, which publishes a newer epoch on demand,
+// runs inside wallet A's channel right after A's tlog call returns. A's
+// sync stands on the publication it was answered from, A stays trusted,
+// and its next sync reaches the server's epoch.
+TEST_F(TlogWireTest, PublishDuringAnotherWalletsSyncKeepsItTrusted) {
+  auto transport = make_transport();
+  BlocklistServiceNode node(transport, "scamdb", *server_,
+                            oprf::Oracle::fast(), net::NodeLimits(), nullptr,
+                            &*publisher_);
+  TlogTap tap(transport);
+  RemoteBlocklistClient a(tap, "scamdb", client_rng_);
+  RemoteBlocklistClient b(transport, "scamdb", client_rng_);
+  Auditor auditor_a(key_.pk, "wallet-a");
+  Auditor auditor_b(key_.pk, "wallet-b");
+  ASSERT_TRUE(a.verified_sync(auditor_a).ok);
+  ASSERT_TRUE(b.verified_sync(auditor_b).ok);
+  std::set<std::uint64_t> published = {server_->epoch()};
+
+  server_->add_entries(fresh(0, 4));
+  published.insert(server_->epoch());
+  tap.after_next_tlog = [&] {
+    server_->add_entries(fresh(4, 4));
+    published.insert(server_->epoch());
+    EXPECT_TRUE(b.verified_sync(auditor_b).ok);
+  };
+  const auto report = a.verified_sync(auditor_a);
+  EXPECT_TRUE(report.ok);
+  EXPECT_TRUE(auditor_a.trusted());
+  EXPECT_TRUE(published.contains(auditor_a.mirror_epoch()));
+
+  ASSERT_TRUE(a.verified_sync(auditor_a).ok);
+  EXPECT_EQ(auditor_a.mirror_epoch(), server_->epoch());
+  EXPECT_EQ(auditor_a.buckets(), server_->bucket_snapshot());
+}
+
 TEST_F(TlogWireTest, UnreachableTlogEndpointsAreTransportNotAudit) {
   auto transport = make_transport();
-  // A node WITHOUT a publisher answers kTlog* with kBadRequest: the
+  // A node WITHOUT a publisher answers kTlogSync with kBadRequest: the
   // service is not publishing, which is a liveness problem, not
   // dishonesty — the auditor must stay trusted.
   BlocklistServiceNode node(transport, "scamdb", *server_,
@@ -767,9 +888,9 @@ TEST_F(TlogWireTest, EquivocatingEndpointIsAuditFailureOverTheWire) {
   transport.register_endpoint(
       "scamdb", [&forged](ByteView frame) -> std::optional<Bytes> {
         const auto request = net::parse_request_frame(frame);
-        if (request && request->method == net::Method::kTlogCheckpoint) {
-          return net::encode_response_frame(net::Status::kOk,
-                                            forged.to_bytes());
+        if (request && request->method == net::Method::kTlogSync) {
+          return net::encode_response_frame(
+              net::Status::kOk, encode_sync_bundle({forged.to_bytes()}));
         }
         return net::encode_response_frame(net::Status::kBadRequest);
       });
@@ -922,8 +1043,8 @@ TEST_F(TlogWireTest, CondemnedProvidersVerdictIsNeverReplayed) {
 // ------------------------------------------- the query cache fed by the mirror
 
 /// Clients talk to "mirror", which forwards to an honest node except
-/// where a test makes it fail the audit path or serve a forged
-/// checkpoint. listed_ tracks the list the server holds.
+/// where a test makes it put a forged checkpoint into the sync bundle.
+/// listed_ tracks the list the server holds.
 class MirrorFeedTest : public TlogWireTest {
  protected:
   void SetUp() override {
@@ -934,16 +1055,16 @@ class MirrorFeedTest : public TlogWireTest {
     transport_.register_endpoint(
         "mirror", [this](ByteView frame) -> std::optional<Bytes> {
           const auto request = net::parse_request_frame(frame);
-          if (request && request->method == net::Method::kTlogAuditPath &&
-              fail_audit_path_) {
-            return net::encode_response_frame(net::Status::kBadRequest);
-          }
-          if (request && request->method == net::Method::kTlogCheckpoint &&
+          auto response = node_->handle_frame(frame);
+          if (request && request->method == net::Method::kTlogSync &&
               forged_) {
-            return net::encode_response_frame(net::Status::kOk,
-                                              forged_->to_bytes());
+            const auto honest = net::parse_response_frame(*response);
+            auto bundle = parse_sync_bundle(honest->body).value();
+            bundle.checkpoint = forged_->to_bytes();
+            response = net::encode_response_frame(net::Status::kOk,
+                                                  encode_sync_bundle(bundle));
           }
-          return node_->handle_frame(frame);
+          return response;
         });
   }
 
@@ -985,7 +1106,6 @@ class MirrorFeedTest : public TlogWireTest {
 
   net::Transport transport_ = make_transport();
   std::optional<BlocklistServiceNode> node_;
-  bool fail_audit_path_ = false;
   std::optional<Checkpoint> forged_;
   std::set<std::string> listed_;
 };
@@ -1118,40 +1238,6 @@ TEST_F(MirrorFeedTest, KeyRotationRereadsEveryBucket) {
   EXPECT_EQ(reads.value(), queried.size());
   EXPECT_EQ(misses.value(), in_prefixes(corpus_, nonempty));
   EXPECT_EQ(served.value(), 0u);
-}
-
-TEST_F(MirrorFeedTest, FailedAuditPathLeavesQueriesOnTheFedEpoch) {
-  RemoteBlocklistClient client(transport_, "mirror", client_rng_);
-  Auditor auditor(key_.pk, "mirror");
-  ASSERT_TRUE(client.verified_sync(auditor).ok);
-  const std::uint64_t fed = auditor.mirror_epoch();
-
-  add(fresh(0, 6));
-  fail_audit_path_ = true;
-  const auto report = client.verified_sync(auditor);
-  ASSERT_FALSE(report.ok);
-  ASSERT_EQ(report.failure,
-            RemoteBlocklistClient::SyncReport::Failure::kTransport);
-  ASSERT_GT(auditor.mirror_epoch(), fed);  // the deltas folded
-
-  // The mirror stands past the fed epoch: no query may read it, so the
-  // failed sync dropped it and every query fetches its bucket instead.
-  const CounterDelta reads = mirror_reads();
-  const CounterDelta refused("cbl_oprf_client_mirror_reads_total",
-                             {{"result", "refused"}});
-  Tally tally = query_all(client, corpus_);
-  EXPECT_EQ(tally.wrong, 0u);
-  EXPECT_EQ(tally.failed, 0u);
-  EXPECT_EQ(refused.value(), 0u);
-  EXPECT_EQ(reads.value(), 0u);
-
-  // The next complete sync feeds again, and the folded changes with it.
-  fail_audit_path_ = false;
-  ASSERT_TRUE(client.verified_sync(auditor).ok);
-  tally = query_all(client, corpus_);
-  EXPECT_EQ(tally.wrong, 0u);
-  EXPECT_EQ(tally.failed, 0u);
-  EXPECT_GT(reads.value(), 0u);
 }
 
 // Two clients feeding from one auditor: the second's sync moves the

@@ -420,6 +420,13 @@ TEST(WireGoldenTest, TlogSerializersAreByteStable) {
   EXPECT_EQ(sha_hex(path_bytes),
             "9b519003a5e8ae21bb0d23c550eb1c48e0d176262c2c6affe99a55960d12b64d");
 
+  // A steady-state sync bundle: checkpoint, consistency, one delta, path.
+  const auto bundle_bytes = tlog::encode_sync_bundle(
+      {cp_bytes, cons_bytes, {}, {delta_bytes}, path_bytes});
+  EXPECT_EQ(bundle_bytes.size(), 744u);
+  EXPECT_EQ(sha_hex(bundle_bytes),
+            "e2e906d26c09c6c2a35dd602419faeb5c4fbf79a3fc738fe647e8ebb9f9b8971");
+
   // Each format parses back to the same canonical bytes.
   EXPECT_EQ(tlog::encode_bucket_map(*tlog::parse_bucket_map(base_bytes)),
             base_bytes);
@@ -434,6 +441,8 @@ TEST(WireGoldenTest, TlogSerializersAreByteStable) {
             cons_bytes);
   EXPECT_EQ(tlog::encode_audit_path(*tlog::parse_audit_path(path_bytes)),
             path_bytes);
+  EXPECT_EQ(tlog::encode_sync_bundle(*tlog::parse_sync_bundle(bundle_bytes)),
+            bundle_bytes);
 }
 
 // Same contract for the durable-state formats: a journal or snapshot
